@@ -271,7 +271,7 @@ def _cmd_frontier(args) -> int:
     pts = frontier_points(res, levels)
     efficient = res.efficient_frontier_exists
     if args.format == "json":
-        _emit_json({"rho1": res.rho1, "efficient": efficient,
+        _emit_json({"rho1": res.rho1, "efficient": efficient, "iterations": res.iterations,
                     "points": [{"nu": nu, "rho_nu": rho} for nu, rho in pts]}, args.out)
     else:
         rows = [(nu, rho, efficient) for nu, rho in pts]

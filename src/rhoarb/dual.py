@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .frontier import ArbitrageVerdict, CLASSIFY_TOL, compute_rho1, classify_primal
-from .lp import INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_solve
 from .market import ScenarioMarket
 from .measures import DualSetDescriptor, RiskSpec, dual_descriptor
 from .solvers import newton_cumulant_min
@@ -44,6 +44,7 @@ RESIDUAL_TOL = 1e-8
 FW_TOL = 1e-8
 STRICT_SCAN_DEPTH = 40
 STRICT_DELTA_FLOOR = 1e-7  # box shrinks below this sit inside LP feasibility noise
+EMPTY_SCALE = 1e-12      # Charnes-Cooper scale s* = 1/t* at or below this: M is empty
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,23 +108,24 @@ class ClassicalResult:
 
 
 def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
-    """Max-min-entry LP over M; delta > 0 iff P is nonempty (FTAP form)."""
+    """Max-min-entry LP over M; delta > 0 iff P is nonempty (FTAP form).
+
+    With Z = delta + w, w >= 0: maximize delta subject to
+    A w + delta A1 = b, so the program keeps the d + 1 rows of M.
+    """
     poly = MartingalePolytope.of(market)
     N = market.n_scenarios
-    rows = poly.A.shape[0]
     c = np.zeros(N + 1)
     c[N] = -1.0
-    A_eq = np.hstack([poly.A, np.zeros((rows, 1))])
-    A_le = np.hstack([-np.eye(N), np.ones((N, 1))])  # delta - z_omega <= 0
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b,
-                                 A_le=A_le, b_le=np.zeros(N)))
+    A_eq = np.hstack([poly.A, poly.A.sum(axis=1, keepdims=True)])
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b))
     if sol.status == INFEASIBLE:
         return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"classical LP returned {sol.status}")
-    z = sol.x[:N]
-    return ClassicalResult(status=OPTIMAL, delta=float(sol.x[N]),
-                           witness=DualWitness.of(poly, z))
+    delta = float(sol.x[N])
+    return ClassicalResult(status=OPTIMAL, delta=delta,
+                           witness=DualWitness.of(poly, delta + sol.x[:N]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,23 +136,27 @@ class SupnormResult:
 
 
 def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
-    """t* = min ||Z||_inf over M; no strong ES-arbitrage iff t* <= 1/alpha."""
+    """t* = min ||Z||_inf over M; no strong ES-arbitrage iff t* <= 1/alpha.
+
+    Charnes-Cooper scaling Z = y / s with y in [0, 1]^N turns it into
+    max s subject to A y = s b, with the d + 1 rows of M; t* = 1 / s*.
+    s* = 0 means M is empty.
+    """
     poly = MartingalePolytope.of(market)
     N = market.n_scenarios
-    rows = poly.A.shape[0]
     c = np.zeros(N + 1)
-    c[N] = 1.0
-    A_eq = np.hstack([poly.A, np.zeros((rows, 1))])
-    A_le = np.hstack([np.eye(N), -np.ones((N, 1))])   # z_omega - t <= 0
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b,
-                                 A_le=A_le, b_le=np.zeros(N)))
-    if sol.status == INFEASIBLE:
-        return SupnormResult(status=INFEASIBLE, t=math.inf, witness=None)
+    c[N] = -1.0
+    A_eq = np.hstack([poly.A, -poly.b[:, None]])
+    upper = np.concatenate([np.ones(N), [np.inf]])
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(poly.A.shape[0]),
+                                 upper=upper))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"sup-norm LP returned {sol.status}")
-    z = sol.x[:N]
-    return SupnormResult(status=OPTIMAL, t=float(sol.value),
-                         witness=DualWitness.of(poly, z))
+    s = float(sol.x[N])
+    if s <= EMPTY_SCALE:
+        return SupnormResult(status=INFEASIBLE, t=math.inf, witness=None)
+    return SupnormResult(status=OPTIMAL, t=1.0 / s,
+                         witness=DualWitness.of(poly, sol.x[:N] / s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,28 +171,35 @@ def es_strict_check(market: ScenarioMarket, alpha: float) -> StrictBoxResult:
 
     delta* > 0 iff some strictly positive density prices the market with
     sup-norm strictly below 1/alpha, i.e. no ES-arbitrage at level alpha.
+    Writing Z = delta + kappa y with y in [0, 1]^N, kappa = 1/alpha - 2 delta
+    and s = 1 / kappa gives the (d + 1)-row program
+
+        max s  subject to  A y + s (A1 / (2 alpha) - b) = A1 / 2,  s >= alpha,
+
+    and delta* = (1/alpha - 1/s*) / 2.  An unbounded s is kappa = 0: the
+    constant density 1/(2 alpha) lies in M.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     poly = MartingalePolytope.of(market)
     N = market.n_scenarios
-    rows = poly.A.shape[0]
+    ones = poly.A.sum(axis=1)
     c = np.zeros(N + 1)
     c[N] = -1.0
-    A_eq = np.hstack([poly.A, np.zeros((rows, 1))])
-    A_le = np.vstack([
-        np.hstack([-np.eye(N), np.ones((N, 1))]),    # delta - z <= 0
-        np.hstack([np.eye(N), np.ones((N, 1))]),     # z + delta <= 1/alpha
-    ])
-    b_le = np.concatenate([np.zeros(N), np.full(N, 1.0 / alpha)])
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b, A_le=A_le, b_le=b_le))
+    A_eq = np.hstack([poly.A, (ones / (2.0 * alpha) - poly.b)[:, None]])
+    lower = np.concatenate([np.zeros(N), [alpha]])
+    upper = np.concatenate([np.ones(N), [np.inf]])
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=ones / 2.0, lower=lower, upper=upper))
     if sol.status == INFEASIBLE:
         return StrictBoxResult(status=INFEASIBLE, delta=0.0, witness=None)
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"strict ES LP returned {sol.status}")
-    z = sol.x[:N]
-    return StrictBoxResult(status=OPTIMAL, delta=float(sol.x[N]),
-                           witness=DualWitness.of(poly, z))
+    if sol.status == UNBOUNDED:
+        delta = 0.5 / alpha
+        return StrictBoxResult(status=OPTIMAL, delta=delta,
+                               witness=DualWitness.of(poly, np.full(N, delta)))
+    kappa = 1.0 / float(sol.x[N])
+    delta = 0.5 * (1.0 / alpha - kappa)
+    return StrictBoxResult(status=OPTIMAL, delta=delta,
+                           witness=DualWitness.of(poly, delta + kappa * sol.x[:N]))
 
 
 # -- spectral mixtures ------------------------------------------------------

@@ -9,10 +9,12 @@ rho_nu = nu rho_1 for nu > 0.  The sign of rho_1 decides everything:
     rho_1 = 0    rho-arbitrage (boundary)
     rho_1 < 0    strong rho-arbitrage, scaling blows past every risk budget
 
-ES and SPECTRAL minimize through the shortfall reformulation as one LP;
-WC is an LP directly; EVAR and TNORM run a Kelley cutting-plane loop with
-tight dual-density cuts.  VaR is not positively-homogeneous-convex and has
-no global minimizer route here.
+ES, SPECTRAL and WC solve the slice minimum in its dual form: one LP over
+the measure's box-bounded densities with J + d equality rows (J mixture
+atoms, d assets), whose asset-row multipliers are the minimizing
+portfolio.  EVAR and TNORM run a Kelley cutting-plane loop with tight
+dual-density cuts.  VaR is not positively-homogeneous-convex and has no
+global minimizer route here.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_solve
+from .lp import OPTIMAL, LinearProgram, lp_solve
 from .market import (ScenarioMarket, canonical_portfolio, excess_return)
 from .measures import RiskSpec, evaluate
 from .solvers import KelleyResult, kelley_minimize, minimize_1d_convex
 
 Vector = NDArray[np.float64]
 
-BOX_DEFAULT = 1e6
+BOX_DEFAULT = 1e6      # Kelley's starting box on |pi|
 BOX_GROWTH = 100.0
 CLASSIFY_TOL = 1e-7
 STRICT_NEG_TOL = 1e-9
@@ -44,11 +46,13 @@ class UnsupportedGlobalMinError(ValueError):
 class FrontierResult:
     """Minimal risk at unit expected excess and how it was obtained.
 
-    rho1 may be -inf (box kept binding after enlargement / unbounded LP).
+    rho1 may be -inf (Kelley's box kept binding after enlargement).
     attained is False exactly when the infimum is not achieved by any
     portfolio (then argmin is the best iterate seen, for diagnostics).
     rho0 is always 0.0 for the supported measures: pi = 0 attains it.
-    route is DIRECT (d = 1 canonical slice), LP, or KELLEY.
+    route is DIRECT (d = 1 canonical slice), LP, or KELLEY; iterations
+    counts the LP's simplex iterations or Kelley's master solves (0 on the
+    DIRECT route).
     """
 
     rho1: float
@@ -60,6 +64,7 @@ class FrontierResult:
     rho0: float = 0.0
     gap: float = 0.0
     annotations: tuple[str, ...] = ()
+    iterations: int = 0
 
     @property
     def efficient_frontier_exists(self) -> bool:
@@ -72,9 +77,9 @@ class ArbitrageVerdict:
 
     verdict is NO_ARBITRAGE, RHO_ARBITRAGE, or STRONG_RHO_ARBITRAGE; route
     records which theory produced it (PRIMAL, DUAL, ELLIPTICAL).  The
-    certificate carries a portfolio (primal strong case), a dual witness
-    summary, or closed-form scalars; annotations flag BOUNDARY and other
-    caveats.
+    certificate carries a portfolio (primal; with the solver's iteration
+    count), a dual witness summary, or closed-form scalars; annotations
+    flag BOUNDARY and other caveats.
     """
 
     verdict: str
@@ -93,15 +98,16 @@ class ArbitrageVerdict:
         return out
 
 
-def build_ru_lp(market: ScenarioMarket, alpha, nu: float, *,
-                box: float = BOX_DEFAULT) -> LinearProgram:
+def build_ru_lp(market: ScenarioMarket, alpha, nu: float) -> LinearProgram:
     """Shortfall LP for ES (scalar alpha) or a spectral mixture.
 
     Variables (pi, s_j, u_j.) per atom j of the mixture ((alpha, 1),) for
     plain ES: minimize sum_j w_j (s_j + E[u_j] / alpha_j) subject to
     u_j,omega >= -X_pi(omega) - s_j, u_j >= 0, and E[X_pi] = nu.  At the
     optimum this equals the spectral risk of X_pi because each inner block
-    is the shortfall representation of ES^{alpha_j}.
+    is the shortfall representation of ES^{alpha_j}.  compute_rho1 solves
+    the dual form instead (_slice_lp); this primal form, with one row per
+    scenario and atom, stays as an independent formulation to check it by.
     """
     if np.isscalar(alpha):
         atoms = ((float(alpha), 1.0),)
@@ -131,26 +137,51 @@ def build_ru_lp(market: ScenarioMarket, alpha, nu: float, *,
         A_le[rows, d + j] = -1.0
         A_le[rows.start + np.arange(N), d + J + j * N + np.arange(N)] = -1.0
 
-    lower = np.concatenate([np.full(d, -box), np.full(J, -np.inf), np.zeros(J * N)])
-    upper = np.concatenate([np.full(d, box), np.full(J, np.inf), np.full(J * N, np.inf)])
-    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le,
-                         lower=lower, upper=upper)
+    lower = np.concatenate([np.full(d + J, -np.inf), np.zeros(J * N)])
+    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le, lower=lower)
 
 
-def _build_wc_lp(market: ScenarioMarket, nu: float, box: float) -> LinearProgram:
-    """min t over pi in Pi_nu with t >= -X_pi(omega) everywhere."""
+def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, int]:
+    """Dual form of the ES/SPECTRAL/WC slice minimum; returns (lp, J).
+
+    With a = mu - r and D_j = {zeta : 0 <= zeta <= 1/alpha_j, E[zeta] = 1}
+    (no upper bound for WC), rho(X) = sum_j w_j max over D_j of
+    E[-zeta_j X].  The D_j are compact, so the minimax theorem gives
+
+        rho_1 = max{-c : zeta_j in D_j, sum_j w_j E[zeta_j (R - r)] = c a}.
+
+    Variables (zeta_1, ..., zeta_J, c), minimize c.  Rows 0..J-1 are
+    E[zeta_j] = 1, rows J..J+d-1 the assets.  Stationarity in the free c
+    gives a . y_assets = -1, so minus the asset-row multipliers is a
+    portfolio on Pi_1, and LP duality makes it a minimizer.  zeta = 1 is
+    feasible with c = 1 and the D_j are bounded, so the program always has
+    an optimum: rho_1 >= -1, never -inf, for these measures.
+    """
+    if spec.kind == "WC":
+        atoms = ((0.0, 1.0),)
+    elif spec.kind == "ES":
+        atoms = ((spec.alpha, 1.0),)
+    else:
+        atoms = spec.spectrum
     d, N = market.n_assets, market.n_scenarios
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    A_eq = np.zeros((1, d + 1))
-    A_eq[0, :d] = market.mean_returns - market.riskless_rate
-    A_le = np.zeros((N, d + 1))
-    A_le[:, :d] = -market.excess_matrix.T
-    A_le[:, d] = -1.0
-    lower = np.concatenate([np.full(d, -box), [-np.inf]])
-    upper = np.concatenate([np.full(d, box), [np.inf]])
-    return LinearProgram(c=c, A_eq=A_eq, b_eq=[nu], A_le=A_le, b_le=np.zeros(N),
-                         lower=lower, upper=upper)
+    J = len(atoms)
+    p = market.probs
+    weighted = market.excess_matrix * p[None, :]
+    A_eq = np.zeros((J + d, J * N + 1))
+    upper = np.full(J * N + 1, np.inf)
+    for j, (alpha, w) in enumerate(atoms):
+        block = slice(j * N, (j + 1) * N)
+        A_eq[j, block] = p
+        A_eq[J:, block] = w * weighted
+        if alpha > 0.0:
+            upper[block] = 1.0 / alpha
+    A_eq[J:, -1] = -(market.mean_returns - market.riskless_rate)
+    b_eq = np.concatenate([np.ones(J), np.zeros(d)])
+    lower = np.zeros(J * N + 1)
+    lower[-1] = -np.inf
+    c = np.zeros(J * N + 1)
+    c[-1] = 1.0
+    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper), J
 
 
 def _evar_cut_oracle(market: ScenarioMarket, alpha: float):
@@ -279,8 +310,9 @@ def compute_rho1(market: ScenarioMarket, spec: RiskSpec, *, box: float = BOX_DEF
     """Minimal risk over the unit expected-excess slice Pi_1.
 
     d = 1 takes the direct route (the slice is the canonical singleton);
-    ES/SPECTRAL/WC solve one LP; EVAR/TNORM run cutting planes.  A binding
-    box is enlarged once geometrically before rho_1 = -inf is declared.
+    ES/SPECTRAL/WC solve one LP (_slice_lp), which needs no box; EVAR/TNORM
+    run cutting planes in a box on |pi|, enlarged once geometrically before
+    rho_1 = -inf is declared.
     VAR raises UnsupportedGlobalMinError, GENTROPIC has no primal route.
     """
     return _compute_rho_nu(market, spec, 1.0, box=box, tol=tol)
@@ -303,38 +335,31 @@ def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float, *,
                               route="DIRECT", status="OPTIMAL")
 
     if spec.kind in ("ES", "SPECTRAL", "WC"):
-        for attempt_box in (box, box * BOX_GROWTH):
-            if spec.kind == "WC":
-                lp = _build_wc_lp(market, nu, attempt_box)
-            else:
-                atoms = spec.spectrum if spec.kind == "SPECTRAL" else spec.alpha
-                lp = build_ru_lp(market, atoms, nu, box=attempt_box)
-            sol = lp_solve(lp)
-            if sol.status == UNBOUNDED:
-                return FrontierResult(rho1=-math.inf, attained=False, argmin=None,
-                                      spec=spec, route="LP", status=UNBOUNDED)
-            if sol.status == INFEASIBLE:
-                raise RuntimeError("slice LP infeasible on a nondegenerate market")
-            pi = sol.x[:market.n_assets]
-            if np.abs(pi).max() < attempt_box * (1.0 - 1e-9):
-                return FrontierResult(rho1=sol.value / nu, attained=True, argmin=pi,
-                                      spec=spec, route="LP", status=OPTIMAL)
-        return FrontierResult(rho1=-math.inf, attained=False, argmin=pi, spec=spec,
-                              route="LP", status="BOX_ACTIVE",
-                              annotations=("BOX_ACTIVE",))
+        lp, J = _slice_lp(market, spec)
+        sol = lp_solve(lp)
+        if sol.status != OPTIMAL:
+            raise RuntimeError(f"slice LP returned {sol.status}")
+        pi = -sol.duals[J:]
+        pi *= nu / float(pi @ (market.mean_returns - market.riskless_rate))
+        return FrontierResult(rho1=-float(sol.value), attained=True, argmin=pi,
+                              spec=spec, route="LP", status=OPTIMAL,
+                              iterations=sol.iterations)
 
     # EVAR / TNORM: cutting planes, one box enlargement before giving up.
     res = _kelley_route(market, spec, nu, box, tol)
+    iterations = res.iterations
     if res.status == "BOX_ACTIVE":
         res = _kelley_route(market, spec, nu, box * BOX_GROWTH, tol)
+        iterations += res.iterations
         if res.status == "BOX_ACTIVE":
             return FrontierResult(rho1=-math.inf, attained=False, argmin=res.pi,
                                   spec=spec, route="KELLEY", status="BOX_ACTIVE",
-                                  gap=res.gap, annotations=("BOX_ACTIVE",))
+                                  gap=res.gap, annotations=("BOX_ACTIVE",),
+                                  iterations=iterations)
     annotations = () if res.status == "OK" else (res.status,)
     return FrontierResult(rho1=res.value / nu, attained=res.status == "OK",
                           argmin=res.pi, spec=spec, route="KELLEY", status=OPTIMAL,
-                          gap=res.gap, annotations=annotations)
+                          gap=res.gap, annotations=annotations, iterations=iterations)
 
 
 def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:
@@ -353,6 +378,7 @@ def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> Arbitr
         certificate["portfolio"] = np.asarray(result.argmin).tolist()
         certificate["rho"] = rho1
         certificate["expected_excess"] = 1.0
+        certificate["iterations"] = result.iterations
 
     if rho1 == -math.inf or rho1 < -tol:
         verdict = "STRONG_RHO_ARBITRAGE"

@@ -1,4 +1,4 @@
-"""Dense linear programming via the two-phase primal simplex method.
+"""Dense linear programming by the bounded-variable primal simplex method.
 
 Programs are stated as
 
@@ -7,13 +7,33 @@ Programs are stated as
                 A_le v <= b_le
                 lower <= v <= upper   (coordinatewise, +-inf allowed)
 
-Internally every variable is rewritten as a shifted nonnegative one (free
-variables split into a difference of two), finite upper bounds become extra
-rows, slacks turn inequalities into equalities, and Phase I artificials are
-priced out before the real cost row runs.  Bland's rule (smallest eligible
-index enters, smallest basic index breaks ratio ties) guarantees termination
-under degeneracy; every run of the solver on the same input takes the same
-pivot path.
+Each inequality gets a slack; bounds stay implicit.  A nonbasic variable
+rests at one of its finite bounds, and the ratio test lets the entering
+variable run to its opposite bound without a pivot, so a finite upper bound
+costs no row and a pivot touches an m x n tableau whose m counts only the
+real constraints.  Variables start at the point of their range nearest 0
+(a free one at 0), so a box around 0 does not start at a remote corner.
+
+Rows, then columns, are first scaled by powers of two (exact in floating
+point) so that each has its largest entry in [1, 2).  The pivot, pricing
+and feasibility tolerances act on that unit-size data, which makes them
+relative to the program: rescaling a row, a right-hand side or a variable
+by a power of two leaves the pivot path unchanged, and by any other
+constant changes it only through rounding.
+
+Phase I minimizes the sum of artificials placed on the rows that the
+starting point violates; Phase II then fixes the artificials at zero.
+Pricing is Dantzig's (largest scaled reduced cost), with a Harris two-pass
+ratio test that prefers large pivots among near-ties.  The reduced costs
+ride along as an extra tableau row, so each pivot is one rank-one update.
+After DEGENERATE_RUN consecutive degenerate pivots the solver switches to
+Bland's rule (smallest eligible index enters, smallest basic index breaks
+ratio ties) until the objective moves again, which keeps every run finite;
+every run on the same input takes the same pivot path.
+
+At the optimum the basis is refactored from the scaled data: the basic
+values and the row duals come from direct solves, and pricing is rechecked,
+so update error does not reach the answer.
 """
 
 from __future__ import annotations
@@ -29,10 +49,15 @@ OPTIMAL = "OPTIMAL"
 UNBOUNDED = "UNBOUNDED"
 INFEASIBLE = "INFEASIBLE"
 
-PIVOT_TOL = 1e-10   # entries at or below this cannot serve as pivots
-COST_TOL = 1e-9     # reduced cost must beat this to enter
-FEAS_TOL = 1e-8     # Phase I residual above this means infeasible
+# Tolerances act on the power-of-two scaled program (unit-size entries).
+PIVOT_TOL = 1e-9        # |pivot| must exceed this times the column's largest entry
+COST_TOL = 1e-9         # reduced cost must beat this times the largest cost to enter
+PRIMAL_TOL = 1e-12      # bound violation allowed in the ratio test, per unit of bound
+FEAS_TOL = 1e-9         # Phase I artificials above this share of the program's size: infeasible
+RESIDUAL_TOL = 1e-6     # relative residual above this at the optimum raises
+DEGENERATE_RUN = 50     # consecutive degenerate pivots before Bland's rule takes over
 MAX_PIVOTS = 50_000
+MAX_REFACTORS = 5
 
 
 def _as_matrix(a, ncols: int, name: str) -> Vector:
@@ -97,8 +122,10 @@ class LPSolution:
     status : one of OPTIMAL, UNBOUNDED, INFEASIBLE.
     value : objective at the optimum; -inf if UNBOUNDED, nan if INFEASIBLE.
     x : optimal point in the original variables, or None.
-    iterations : total simplex pivots across both phases.
+    iterations : total simplex pivots and bound flips across both phases.
     residual : max constraint/bound violation at x (0.0 when x is None).
+    duals : at the optimum, the equality-row multipliers y (the rate of change
+        of the optimal value with b_eq), else None.
     """
 
     status: str
@@ -106,156 +133,272 @@ class LPSolution:
     x: Vector | None
     iterations: int
     residual: float
+    duals: Vector | None = None
 
 
-def _pivot(T: Vector, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] = T[row] / T[row, col]
-    coef = T[:, col].copy()
-    coef[row] = 0.0
-    T -= np.outer(coef, T[row])
-    basis[row] = col
+def _pow2_scale(mags: Vector) -> Vector:
+    """Powers of two taking each positive magnitude into [1, 2); 1 for zeros."""
+    _, exp = np.frexp(mags)
+    return np.where(mags > 0.0, np.ldexp(1.0, 1 - exp), 1.0)
 
 
-def _simplex(T: Vector, basis: np.ndarray, cost: Vector, allowed: np.ndarray,
-             iters: int) -> tuple[str, int]:
-    """Run primal simplex on tableau T (rows m, last column = rhs)."""
-    ncols = T.shape[1] - 1
-    while True:
-        if iters > MAX_PIVOTS:
-            raise RuntimeError("simplex pivot limit exceeded")
-        red = cost - cost[basis] @ T[:, :ncols]
-        candidates = np.flatnonzero(allowed & (red < -COST_TOL))
-        if candidates.size == 0:
-            return OPTIMAL, iters
-        col = int(candidates[0])  # Bland: smallest index enters
-        y = T[:, col]
-        rows = np.flatnonzero(y > PIVOT_TOL)
-        if rows.size == 0:
-            return UNBOUNDED, iters
-        ratios = T[rows, -1] / y[rows]
-        best = ratios.min()
-        tied = rows[ratios <= best + 1e-12]
-        row = int(tied[np.argmin(basis[tied])])  # Bland: smallest basic leaves
-        _pivot(T, basis, row, col)
-        iters += 1
+class _Tableau:
+    """Scaled standard form K x = b, lo <= x <= hi, and the simplex state.
+
+    Columns are the structural variables, one slack per inequality, then one
+    artificial per row that the starting point violates.  T holds B^-1 K in
+    its first m rows and the reduced costs in row m; xB holds basic values
+    and x the values of nonbasic variables.  A nonbasic variable starts at
+    the point of its range nearest 0 (so a free one, or a box around 0,
+    starts at 0, and no starting point sits at a remote bound); once it
+    moves it comes to rest at a bound or enters the basis.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        n = lp.n_vars
+        me, mi = lp.A_eq.shape[0], lp.A_le.shape[0]
+        m = me + mi
+        K = np.zeros((m, n + mi))
+        K[:me, :n] = lp.A_eq
+        K[me:, :n] = lp.A_le
+        K[me:, n:] = np.eye(mi)
+        b = np.concatenate([lp.b_eq, lp.b_le])
+        lo = np.concatenate([lp.lower, np.zeros(mi)])
+        hi = np.concatenate([lp.upper, np.full(mi, np.inf)])
+        cost = np.concatenate([lp.c, np.zeros(mi)])
+
+        self.row_scale = _pow2_scale(np.abs(K).max(axis=1, initial=0.0))
+        K *= self.row_scale[:, None]
+        b = b * self.row_scale
+        self.col_scale = _pow2_scale(np.abs(K).max(axis=0, initial=0.0))
+        K *= self.col_scale[None, :]
+        lo = lo / self.col_scale
+        hi = hi / self.col_scale
+        cost = cost * self.col_scale
+
+        x = np.clip(0.0, lo, hi)               # the point of the box nearest 0
+        r = b - K @ x
+        # Slacks start basic where the starting point leaves them >= 0;
+        # every other row gets an artificial, signed so that it starts at |r|.
+        slack_ok = np.zeros(m, dtype=bool)
+        slack_ok[me:] = r[me:] >= 0.0
+        art_rows = np.flatnonzero(~slack_ok)
+        nart = art_rows.size
+        self.n_real = n + mi
+        basis = np.empty(m, dtype=np.int64)
+        basis[slack_ok] = n + np.flatnonzero(slack_ok[me:])
+        basis[art_rows] = self.n_real + np.arange(nart)
+        art = np.zeros((m, nart))
+        art[art_rows, np.arange(nart)] = np.where(r[art_rows] >= 0.0, 1.0, -1.0)
+        self.K = np.hstack([K, art])
+        self.b = b
+        self.lo = np.concatenate([lo, np.zeros(nart)])
+        self.hi = np.concatenate([hi, np.full(nart, np.inf)])
+        self.cost = np.concatenate([cost, np.zeros(nart)])
+        self.m, self.n, self.n_art = m, n, nart
+        self.x = np.concatenate([x, np.zeros(nart)])
+        self.basis = basis
+        self.is_basic = np.zeros(self.x.size, dtype=bool)
+        self.is_basic[basis] = True
+        diag = self.K[np.arange(m), basis]      # the starting basis is diagonal
+        self.xB = r / diag
+        self.T = np.empty((m + 1, self.x.size))
+        self.T[:m] = self.K / diag[:, None]
+        self.iterations = 0
+
+    def price(self, cost: Vector) -> None:
+        self.T[self.m] = cost - cost[self.basis] @ self.T[:self.m]
+
+    def solve_basics(self) -> None:
+        """Basic values from the data, the basis and the nonbasic values."""
+        if self.m:
+            x = np.where(self.is_basic, 0.0, self.x)
+            self.xB = np.linalg.solve(self.K[:, self.basis], self.b - self.K @ x)
+
+    def refactor(self, cost: Vector) -> bool:
+        """Recompute xB, the row duals y and the reduced costs from the data
+        and the basis; return whether some nonbasic variable can still
+        improve.  T itself is recomputed only then, for the iterations that
+        follow."""
+        self.solve_basics()
+        B = self.K[:, self.basis]
+        self.y = np.linalg.solve(B.T, cost[self.basis]) if self.m else np.zeros(0)
+        self.T[self.m] = cost - self.y @ self.K
+        self._directions(cost)
+        if self._entering(bland=False) < 0:
+            return False
+        if self.m:
+            self.T[:self.m] = np.linalg.solve(B, self.K)
+        return True
+
+    def _directions(self, cost: Vector) -> None:
+        """Pricing state: the tolerance on reduced costs, the sign they must
+        have against the way a nonbasic variable can move (-1 up from a lower
+        bound, +1 down from an upper one, 0 for basic or fixed), the nonbasic
+        variables strictly inside their range (either way), and the bounds
+        of the basics."""
+        lo, hi, x = self.lo, self.hi, self.x
+        self.cost_tol = COST_TOL * max(float(np.abs(cost).max(initial=0.0)), 1e-300)
+        self.sense = np.where(x >= hi, 1.0, -1.0)
+        self.sense[(hi <= lo) | self.is_basic] = 0.0
+        self.inside = ~self.is_basic & (x > lo) & (x < hi)
+        self.bl = lo[self.basis]
+        self.bu = hi[self.basis]
+
+    def _entering(self, bland: bool) -> int:
+        """Entering column, or -1 at optimality."""
+        d = self.T[self.m]
+        tol = self.cost_tol
+        score = d * self.sense
+        if self.inside.any():
+            score[self.inside] = np.abs(d[self.inside])
+        if bland:
+            cands = np.flatnonzero(score > tol)
+            return int(cands[0]) if cands.size else -1
+        q = int(np.argmax(score))
+        return q if score[q] > tol else -1
+
+    def run(self, cost: Vector) -> str:
+        """Primal simplex from the current (primal feasible) basis."""
+        m, T, lo, hi, x = self.m, self.T, self.lo, self.hi, self.x
+        self._directions(cost)
+        bland = False
+        degenerate = 0
+        while True:
+            if self.iterations > MAX_PIVOTS:
+                raise RuntimeError("simplex pivot limit exceeded")
+            q = self._entering(bland)
+            if q < 0:
+                return OPTIMAL
+            s = 1.0 if T[m, q] < 0.0 else -1.0       # direction the entering variable moves
+            g = s * T[:m, q]                         # basic i moves by -theta g_i
+            row, theta = self._ratio(g, bland)
+            flip = hi[q] - x[q] if s > 0.0 else x[q] - lo[q]   # run to its own bound
+            if row < 0 and flip == np.inf:
+                return UNBOUNDED
+            if row < 0 or flip <= theta:
+                theta = flip
+                x[q] = hi[q] if s > 0.0 else lo[q]
+                self.sense[q] = s
+                self.inside[q] = False
+                self.xB -= theta * g
+            else:
+                self._pivot(row, q, s, theta, g)
+            self.iterations += 1
+            if theta > 0.0:
+                degenerate = 0
+                bland = False
+            else:
+                degenerate += 1
+                bland = degenerate >= DEGENERATE_RUN
+
+    def _ratio(self, g: Vector, bland: bool) -> tuple[int, float]:
+        """Leaving row and step length; (-1, inf) when nothing blocks."""
+        if not self.m:
+            return -1, np.inf
+        den = np.abs(g)
+        rows = np.flatnonzero(den > PIVOT_TOL * max(1.0, float(den.max())))
+        g, den = g[rows], den[rows]
+        bound = np.where(g > 0.0, self.bl[rows], self.bu[rows])
+        # Step to each blocking bound; a basic value already past its bound
+        # (by at most the Harris tolerance) blocks at once.
+        ratio = np.maximum((self.xB[rows] - bound) / g, 0.0)
+        if bland:
+            best = float(ratio.min(initial=np.inf))
+            if best == np.inf:
+                return -1, best
+            tied = rows[ratio <= best + 1e-12 * (1.0 + best)]
+            return int(tied[np.argmin(self.basis[tied])]), best
+        # Harris: the largest pivot among rows blocking within the relaxed step.
+        cap = float((ratio + PRIMAL_TOL * (1.0 + np.abs(bound)) / den).min(initial=np.inf))
+        if cap == np.inf:
+            return -1, cap
+        k = int(np.argmax(np.where(ratio <= cap, den, -1.0)))
+        return int(rows[k]), float(ratio[k])
+
+    def _pivot(self, row: int, q: int, s: float, theta: float, g: Vector) -> None:
+        T = self.T
+        leaving = int(self.basis[row])
+        to_upper = g[row] < 0.0
+        self.x[leaving] = self.hi[leaving] if to_upper else self.lo[leaving]
+        entering_value = self.x[q] + s * theta
+        self.xB -= theta * g
+        self.xB[row] = entering_value
+        self.is_basic[leaving] = False
+        self.is_basic[q] = True
+        self.basis[row] = q
+        fixed = self.hi[leaving] <= self.lo[leaving]
+        self.sense[leaving] = 0.0 if fixed else (1.0 if to_upper else -1.0)
+        self.sense[q] = 0.0
+        self.inside[q] = False
+        self.bl[row], self.bu[row] = self.lo[q], self.hi[q]
+        col = T[:, q].copy()
+        prow = T[row] / col[row]
+        T -= np.outer(col, prow)
+        T[row] = prow
+
+    def size(self) -> float:
+        """Scale of the scaled program at its current point: the largest
+        right-hand side or variable, the unit of primal feasibility."""
+        v = self.point()[:self.n_real]
+        return max(float(np.abs(self.b).max(initial=0.0)),
+                   float(np.abs(v).max(initial=0.0)), np.finfo(float).tiny)
+
+    def point(self) -> Vector:
+        v = self.x.copy()
+        v[self.basis] = self.xB
+        return np.clip(v, self.lo, self.hi)
 
 
-def lp_solve(lp: LinearProgram) -> LPSolution:
-    """Solve lp deterministically; see module docstring for the method."""
-    n = lp.n_vars
-    lower, upper = lp.lower, lp.upper
-    if np.any(lower > upper):
-        return LPSolution(INFEASIBLE, np.nan, None, 0, 0.0)
-
-    # Rewrite each variable over nonnegative standard columns: v = v0 + S x.
-    col_var: list[int] = []
-    col_sign: list[float] = []
-    v0 = np.zeros(n)
-    extra_rows: list[tuple[int, float]] = []  # (std col, cap) for finite ranges
-    for j in range(n):
-        lo, hi = lower[j], upper[j]
-        if lo == -np.inf and hi == np.inf:
-            col_var += [j, j]
-            col_sign += [1.0, -1.0]
-        elif lo > -np.inf:
-            v0[j] = lo
-            col_var.append(j)
-            col_sign.append(1.0)
-            if hi < np.inf:
-                extra_rows.append((len(col_var) - 1, hi - lo))
-        else:  # upper bound only
-            v0[j] = hi
-            col_var.append(j)
-            col_sign.append(-1.0)
-    ns = len(col_var)
-    S = np.zeros((n, ns))
-    S[col_var, np.arange(ns)] = col_sign
-
-    A_eq = lp.A_eq @ S
-    b_eq = lp.b_eq - lp.A_eq @ v0
-    A_le = lp.A_le @ S
-    b_le = lp.b_le - lp.A_le @ v0
-    if extra_rows:
-        caps = np.zeros((len(extra_rows), ns))
-        for i, (k, _) in enumerate(extra_rows):
-            caps[i, k] = 1.0
-        A_le = np.vstack([A_le, caps])
-        b_le = np.concatenate([b_le, [cap for _, cap in extra_rows]])
-    c_std = lp.c @ S
-
-    me, mi = A_eq.shape[0], A_le.shape[0]
-    m = me + mi
-    nslack = mi
-    body = np.zeros((m, ns + nslack))
-    body[:me, :ns] = A_eq
-    body[me:, :ns] = A_le
-    body[me:, ns:] = np.eye(mi)
-    rhs = np.concatenate([b_eq, b_le])
-
-    neg = rhs < 0
-    body[neg] *= -1.0
-    rhs = np.abs(rhs)
-
-    # Initial basis: unflipped slacks where possible, artificials elsewhere.
-    need_art = list(range(me)) + [me + i for i in range(mi) if neg[me + i]]
-    nart = len(need_art)
-    T = np.zeros((m, ns + nslack + nart + 1))
-    T[:, :ns + nslack] = body
-    T[:, -1] = rhs
-    basis = np.empty(m, dtype=np.int64)
-    for i in range(mi):
-        basis[me + i] = ns + i
-    for k, r in enumerate(need_art):
-        T[r, ns + nslack + k] = 1.0
-        basis[r] = ns + nslack + k
-
-    ntot = ns + nslack + nart
-    allowed = np.ones(ntot, dtype=bool)
-    iters = 0
-
-    if nart:
-        cost1 = np.zeros(ntot)
-        cost1[ns + nslack:] = 1.0
-        status, iters = _simplex(T, basis, cost1, allowed, iters)
-        if status != OPTIMAL:
-            raise RuntimeError("phase 1 cannot be unbounded")
-        if float(cost1[basis] @ T[:, -1]) > FEAS_TOL * max(1.0, np.abs(rhs).max()):
-            return LPSolution(INFEASIBLE, np.nan, None, iters, 0.0)
-        # Drive artificials out of the basis; drop rows that are redundant.
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= ns + nslack:
-                cols = np.flatnonzero(np.abs(T[r, :ns + nslack]) > PIVOT_TOL)
-                if cols.size:
-                    _pivot(T, basis, r, int(cols[0]))
-                    iters += 1
-                else:
-                    keep[r] = False
-        if not np.all(keep):
-            T = T[keep]
-            basis = basis[keep]
-        allowed[ns + nslack:] = False
-
-    cost2 = np.zeros(ntot)
-    cost2[:ns] = c_std
-    status, iters = _simplex(T, basis, cost2, allowed, iters)
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, -np.inf, None, iters, 0.0)
-
-    x_std = np.zeros(ns)
-    for r, b in enumerate(basis):
-        if b < ns:
-            x_std[b] = T[r, -1]
-    v = v0 + S @ x_std
-    value = float(lp.c @ v)
-
+def _residual(lp: LinearProgram, v: Vector) -> float:
+    """Max constraint/bound violation at v, in the program's own units."""
     res = 0.0
     if lp.A_eq.shape[0]:
         res = max(res, float(np.abs(lp.A_eq @ v - lp.b_eq).max()))
     if lp.A_le.shape[0]:
         res = max(res, float(np.maximum(lp.A_le @ v - lp.b_le, 0.0).max()))
-    res = max(res, float(np.maximum(lower - v, 0.0).max(initial=0.0)))
-    res = max(res, float(np.maximum(v - upper, 0.0).max(initial=0.0)))
-    if res > 1e-6:
-        raise RuntimeError(f"simplex returned an infeasible point (residual {res:.3e})")
-    return LPSolution(OPTIMAL, value, v, iters, res)
+    res = max(res, float(np.maximum(lp.lower - v, 0.0).max(initial=0.0)))
+    return max(res, float(np.maximum(v - lp.upper, 0.0).max(initial=0.0)))
+
+
+def lp_solve(lp: LinearProgram) -> LPSolution:
+    """Solve lp deterministically; see module docstring for the method."""
+    if np.any(lp.lower > lp.upper):
+        return LPSolution(INFEASIBLE, np.nan, None, 0, 0.0)
+    tab = _Tableau(lp)
+
+    if tab.n_art:
+        phase1 = np.zeros(tab.x.size)
+        phase1[tab.n_real:] = 1.0
+        tab.price(phase1)
+        if tab.run(phase1) != OPTIMAL:
+            raise RuntimeError("phase 1 cannot be unbounded")
+        tab.solve_basics()
+        left = float(tab.xB[tab.basis >= tab.n_real].sum())
+        if left > FEAS_TOL * tab.size():
+            return LPSolution(INFEASIBLE, np.nan, None, tab.iterations, 0.0)
+        # Artificials are fixed at 0 from here on.  One left basic blocks
+        # every move that would change it, so Phase II pivots it out the
+        # first time a column touches its row; on a redundant row it stays.
+        tab.hi[tab.n_real:] = 0.0
+
+    cost = tab.cost
+    tab.price(cost)
+    for _ in range(MAX_REFACTORS):
+        if tab.run(cost) == UNBOUNDED:
+            return LPSolution(UNBOUNDED, -np.inf, None, tab.iterations, 0.0)
+        if not tab.refactor(cost):
+            break
+
+    # Feasibility is judged on the scaled program, whose entries are of unit
+    # size, against the size of its right-hand side and of the point.
+    point = tab.point()[:tab.n_real]
+    gap = float(np.abs(tab.K[:, :tab.n_real] @ point - tab.b).max(initial=0.0))
+    size = tab.size()
+    if gap > RESIDUAL_TOL * size:
+        raise RuntimeError(f"simplex returned an infeasible point (relative residual "
+                           f"{gap / size:.3e})")
+    v = point[:tab.n] * tab.col_scale[:tab.n]
+    y = tab.y * tab.row_scale
+    return LPSolution(OPTIMAL, float(lp.c @ v), v, tab.iterations, _residual(lp, v),
+                      duals=y[:lp.A_eq.shape[0]])

@@ -53,6 +53,23 @@ def make_priced_market(rng: np.random.Generator, n_max: int = 8,
             return market
 
 
+def make_tanh_priced_market(rng: np.random.Generator, N: int, d: int,
+                            spread: float = 0.6, r: float = 0.01) -> ScenarioMarket:
+    """Arbitrage-free with a risk premium: the pricing density falls with
+    the return of a random portfolio, z = 1 - spread tanh(standardized
+    return), normalized to E[z] = 1; each asset is then shifted so that
+    E[z (R_i - r)] = 0.  max z < 1 + spread, so ES at any level below
+    1/(1 + spread) finds no arbitrage."""
+    p = rng.dirichlet(np.full(N, 5.0))
+    R = rng.normal(0.0, 0.1, size=(d, N))
+    y = rng.normal(size=d) @ R
+    y = y - p @ y
+    z = 1.0 - spread * np.tanh(y / np.sqrt(p @ y ** 2))
+    z /= p @ z
+    R = R - (R @ (p * z))[:, None] + r
+    return ScenarioMarket(probs=p, riskless_rate=r, returns=R)
+
+
 def make_dominating_market(rng: np.random.Generator, n_max: int = 8) -> ScenarioMarket:
     """First-kind arbitrage by construction: the single asset's return
     matches r on some scenarios and strictly exceeds it on the rest, so M

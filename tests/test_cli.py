@@ -179,6 +179,7 @@ def test_frontier_json_format(duo_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 0
     assert data["efficient"] is True
+    assert data["iterations"] == 0          # d = 1: the direct route runs no solver
     assert data["points"][1] == {"nu": 1.0, "rho_nu": pytest.approx(2.0, abs=1e-9)}
 
 

@@ -1,9 +1,12 @@
-"""Tests for the two-phase simplex solver."""
+"""Tests for the bounded-variable two-phase simplex solver."""
 
 import numpy as np
 import pytest
 
+from scipy import optimize
+
 import oracles
+import rhoarb.lp as lp_module
 from rhoarb.lp import LinearProgram, lp_solve
 
 ATOL = 1e-8
@@ -134,3 +137,104 @@ def test_input_validation():
         LinearProgram(c=[1.0, 2.0], A_le=[[1.0]], b_le=[1.0])
     with pytest.raises(ValueError):
         LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[1.0, 2.0])
+
+
+# -- bounded-variable simplex: pricing switch, duals, bounds, scaling ----------
+
+
+BEALE = dict(c=[-0.75, 150.0, -0.02, 6.0],
+             A_le=[[0.25, -60.0, -0.04, 9.0],
+                   [0.5, -90.0, -0.02, 3.0],
+                   [0.0, 0.0, 1.0, 0.0]],
+             b_le=[0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("run", [1, 2, 50])
+def test_beale_reaches_optimum_through_bland_switch(monkeypatch, run):
+    # Beale's example starts on a degenerate vertex; with a short run
+    # allowance the solver must hand over to Bland's rule and still finish.
+    bland_calls = []
+    entering = lp_module._Tableau._entering
+
+    def spy(self, bland):
+        bland_calls.append(bland)
+        return entering(self, bland)
+
+    monkeypatch.setattr(lp_module, "DEGENERATE_RUN", run)
+    monkeypatch.setattr(lp_module._Tableau, "_entering", spy)
+    sol = lp_solve(LinearProgram(**BEALE))
+    assert sol.status == "OPTIMAL"
+    assert abs(sol.value + 0.05) < ATOL
+    assert np.allclose(sol.x, [0.04, 0.0, 1.0, 0.0], atol=ATOL)
+    if run == 1:
+        assert any(bland_calls)
+
+
+def test_duals_match_highs_marginals():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(60):
+        me = int(rng.integers(1, 4))
+        mi = int(rng.integers(0, 3))
+        n = me + mi + int(rng.integers(2, 8))
+        upper = rng.uniform(0.5, 2.0, n)
+        x0 = rng.uniform(0.1, 0.4, n)
+        A_eq = rng.normal(size=(me, n))
+        A_le = rng.normal(size=(mi, n))
+        lp = LinearProgram(c=rng.normal(size=n), A_eq=A_eq, b_eq=A_eq @ x0,
+                           A_le=A_le, b_le=A_le @ x0 + 0.1, upper=upper)
+        ref = optimize.linprog(lp.c, A_ub=A_le if mi else None, b_ub=lp.b_le if mi else None,
+                               A_eq=A_eq, b_eq=lp.b_eq, bounds=list(zip(np.zeros(n), upper)),
+                               method="highs")
+        assert ref.status == 0
+        sol = lp_solve(lp)
+        assert sol.status == "OPTIMAL"
+        assert abs(sol.value - ref.fun) < 1e-9 * (1.0 + abs(ref.fun))
+        scale = 1.0 + np.abs(ref.eqlin.marginals).max()
+        assert np.abs(sol.duals - ref.eqlin.marginals).max() < 1e-8 * scale
+        checked += 1
+    assert checked == 60
+
+
+def test_duals_are_value_sensitivities():
+    # min x1 + 2 x2 s.t. x1 + x2 = b, x1 <= 0.3: raising b by h buys h of x2.
+    lp = LinearProgram(c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], upper=[0.3, np.inf])
+    sol = lp_solve(lp)
+    assert sol.duals.shape == (1,)
+    assert abs(sol.duals[0] - 2.0) < ATOL
+    assert lp_solve(LinearProgram(c=[1.0], lower=[1.0])).duals.shape == (0,)
+
+
+def test_variables_at_upper_bounds_are_exact():
+    # The costs fill x5, x4, x3, x2 to their (non-dyadic) upper bounds and
+    # leave the rest to x1; the bounds must survive the scaling bit for bit.
+    upper = np.array([0.1, 1.0 / 3.0, 2.7, 1e-7 / 3.0, 12345.678])
+    total = upper[1:].sum() + 0.05
+    lp = LinearProgram(c=-np.arange(1.0, 6.0), A_eq=[np.ones(5)], b_eq=[total], upper=upper)
+    sol = lp_solve(lp)
+    assert sol.status == "OPTIMAL"
+    assert np.all(sol.x[1:] == upper[1:])
+    assert abs(sol.x[0] - 0.05) < 1e-9
+
+
+@pytest.mark.parametrize("k", [-6, -3, 3, 6])
+def test_rescaled_program_takes_the_same_path(k):
+    # Equality rows and one variable rescaled by powers of ten: tolerances
+    # are relative, so the point and the duals follow the rescaling.
+    rng = np.random.default_rng(31)
+    n, me, mi = 12, 3, 4
+    A_eq = rng.normal(size=(me, n))
+    A_le = rng.normal(size=(mi, n))
+    x0 = rng.uniform(0.1, 0.5, n)
+    base = LinearProgram(c=rng.normal(size=n), A_eq=A_eq, b_eq=A_eq @ x0,
+                         A_le=A_le, b_le=A_le @ x0 + 0.2, upper=np.full(n, 2.0))
+    s = 10.0 ** k
+    col = np.ones(n)
+    col[0] = s                                  # v_0 = s * v'_0
+    scaled = LinearProgram(c=base.c * col, A_eq=s * A_eq * col, b_eq=s * base.b_eq,
+                           A_le=A_le * col, b_le=base.b_le, upper=base.upper / col)
+    ref, got = lp_solve(base), lp_solve(scaled)
+    assert got.status == ref.status == "OPTIMAL"
+    assert abs(got.value - ref.value) < 1e-9 * (1.0 + abs(ref.value))
+    assert np.allclose(got.x * col, ref.x, rtol=1e-9, atol=1e-12)
+    assert np.allclose(got.duals * s, ref.duals, rtol=1e-8, atol=1e-12)

@@ -1,0 +1,182 @@
+"""The (J + d)-row slice LP and the (d + 1)-row martingale programs.
+
+ES, SPECTRAL and WC reach rho_1 through the dual form of the slice minimum,
+and the ES/WC dual tests through Charnes-Cooper scaled programs over M.
+These tests hold them to HiGHS on the shortfall (Rockafellar-Uryasev) and
+epigraph forms, to the invariances rho_1 must have, and to the
+direct-form martingale LPs.
+"""
+
+import math
+import time
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from conftest import binomial_market, duo_market, make_random_market, make_tanh_priced_market
+from rhoarb.dual import (build_polytope, classical_no_arbitrage, cross_validate,
+                         es_min_supnorm, es_strict_check)
+from rhoarb.frontier import build_ru_lp, compute_rho1
+from rhoarb.market import ScenarioMarket, excess_return
+from rhoarb.measures import RiskSpec, evaluate
+
+SPECS = {
+    "ES": RiskSpec.es(0.1),
+    "SPECTRAL": RiskSpec.spectral([(0.05, 0.3), (0.25, 0.7)]),
+    "WC": RiskSpec.wc(),
+}
+
+
+def highs_rho1(market: ScenarioMarket, spec: RiskSpec) -> float:
+    """rho_1 by HiGHS: the shortfall LP for ES/SPECTRAL, the epigraph LP for WC."""
+    if spec.kind == "WC":
+        d, N = market.n_assets, market.n_scenarios
+        c = np.r_[np.zeros(d), 1.0]
+        A_ub = np.hstack([-market.excess_matrix.T, -np.ones((N, 1))])
+        A_eq = np.r_[market.mean_returns - market.riskless_rate, 0.0][None, :]
+        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(N), A_eq=A_eq, b_eq=[1.0],
+                      bounds=[(None, None)] * (d + 1), method="highs")
+    else:
+        atoms = spec.alpha if spec.kind == "ES" else spec.spectrum
+        lp = build_ru_lp(market, atoms, 1.0)
+        res = linprog(lp.c, A_ub=lp.A_le, b_ub=lp.b_le, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                      bounds=list(zip(lp.lower, lp.upper)), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _scaled(market: ScenarioMarket, k: float) -> ScenarioMarket:
+    return ScenarioMarket(probs=market.probs, riskless_rate=market.riskless_rate * k,
+                          returns=market.returns * k)
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_rho1_and_verdicts_invariant_under_units(kind):
+    # Quoting returns and r in other units leaves rho_1 and both verdicts
+    # unchanged; the portfolio scales inversely.
+    spec = SPECS[kind]
+    market = make_tanh_priced_market(np.random.default_rng(5), 40, 3)
+    base = cross_validate(market, spec)
+    pi = compute_rho1(market, spec).argmin
+    assert base.status == "AGREE"
+    for k in (-6, -4, 4, 6):
+        scale = 10.0 ** k
+        cv = cross_validate(_scaled(market, scale), spec)
+        assert cv.status == base.status
+        assert cv.primal.verdict == base.primal.verdict
+        assert cv.dual.verdict == base.dual.verdict
+        assert abs(cv.rho1 - base.rho1) <= 1e-9 * (1.0 + abs(base.rho1))
+        pi_k = np.asarray(cv.primal.certificate["portfolio"])
+        assert np.allclose(pi_k * scale, pi, rtol=1e-7, atol=1e-9 * np.abs(pi).max())
+
+
+def test_seeded_priced_markets_sweep():
+    # Priced markets of assorted sizes: no operation raises, the two routes
+    # never disagree, and rho_1 equals HiGHS on the primal forms.
+    rng = np.random.default_rng(20240)
+    start = time.perf_counter()
+    for i in range(42):
+        N = int(rng.integers(50, 251))
+        d = int(rng.integers(3, 11))
+        market = make_tanh_priced_market(rng, N, d)
+        spec = SPECS[sorted(SPECS)[i % 3]]
+        cv = cross_validate(market, spec)
+        assert cv.status != "DISAGREE", (i, N, d, spec.kind)
+        ref = highs_rho1(market, spec)
+        assert abs(cv.rho1 - ref) <= 1e-6 * (1.0 + abs(ref)), (i, N, d, spec.kind)
+    assert time.perf_counter() - start < 30.0
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_slice_portfolio_attains_rho1(kind):
+    # The negated asset-row duals are a minimizer: on the unit slice, with
+    # risk equal to rho_1.
+    spec = SPECS[kind]
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        market = make_random_market(rng, n_max=30, d_max=5)
+        if market.n_assets < 2:
+            continue
+        res = compute_rho1(market, spec)
+        assert res.route == "LP" and res.attained
+        a = market.mean_returns - market.riskless_rate
+        assert abs(float(res.argmin @ a) - 1.0) < 1e-12
+        risk = evaluate(spec, excess_return(market, res.argmin), market.probs)
+        assert abs(risk - res.rho1) <= 1e-9 * (1.0 + abs(res.rho1))
+        assert abs(res.rho1 - highs_rho1(market, spec)) <= 1e-9 * (1.0 + abs(res.rho1))
+
+
+def test_frontier_iterations_are_reported_and_deterministic():
+    market = make_tanh_priced_market(np.random.default_rng(9), 60, 4)
+    for spec in (*SPECS.values(), RiskSpec.evar(0.5)):
+        first, again = compute_rho1(market, spec), compute_rho1(market, spec)
+        assert first.iterations > 0
+        assert first.iterations == again.iterations
+    assert compute_rho1(duo_market(), RiskSpec.es(0.25)).iterations == 0
+
+
+# -- martingale-polytope programs against their direct forms -------------------
+
+
+def _highs(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)):
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                   method="highs")
+
+
+def test_martingale_programs_match_direct_forms():
+    rng = np.random.default_rng(4242)
+    seen = 0
+    for i in range(30):
+        if i % 2:
+            market = make_random_market(rng, n_max=25, d_max=4)
+        else:
+            market = make_tanh_priced_market(rng, int(rng.integers(10, 40)), 3)
+        poly = build_polytope(market)
+        A, b = poly.A, poly.b
+        N = market.n_scenarios
+        rows = A.shape[0]
+        # min ||z||_inf over M, as z <= t.
+        ref = _highs(np.r_[np.zeros(N), 1.0], np.hstack([A, np.zeros((rows, 1))]), b,
+                     np.hstack([np.eye(N), -np.ones((N, 1))]), np.zeros(N))
+        sup = es_min_supnorm(market)
+        if ref.status == 2:
+            assert sup.status == "INFEASIBLE" and sup.t == math.inf
+            continue
+        assert abs(sup.t - ref.fun) <= 1e-9 * ref.fun
+        assert sup.witness.residual < 1e-9 and abs(sup.witness.sup_norm - sup.t) < 1e-9 * sup.t
+        # max delta with delta <= z <= 1/alpha - delta.
+        for alpha in (0.1, 0.4, 0.7):
+            ref = _highs(np.r_[np.zeros(N), -1.0], np.hstack([A, np.zeros((rows, 1))]), b,
+                         np.vstack([np.hstack([-np.eye(N), np.ones((N, 1))]),
+                                    np.hstack([np.eye(N), np.ones((N, 1))])]),
+                         np.r_[np.zeros(N), np.full(N, 1.0 / alpha)])
+            strict = es_strict_check(market, alpha)
+            if ref.status == 2:
+                assert strict.status == "INFEASIBLE"
+                continue
+            assert abs(strict.delta + ref.fun) <= 1e-9 / alpha
+            z = strict.witness.z
+            assert z.min() >= strict.delta - 1e-12
+            assert z.max() <= 1.0 / alpha - strict.delta + 1e-12
+            assert strict.witness.residual < 1e-9
+        # max delta with delta <= z.
+        ref = _highs(np.r_[np.zeros(N), -1.0], np.hstack([A, np.zeros((rows, 1))]), b,
+                     np.hstack([-np.eye(N), np.ones((N, 1))]), np.zeros(N))
+        cl = classical_no_arbitrage(market)
+        assert abs(cl.delta + ref.fun) <= 1e-9
+        assert cl.witness.min_entry >= cl.delta - 1e-12
+        assert cl.witness.residual < 1e-9
+        seen += 1
+    assert seen >= 20
+
+
+def test_strict_box_unbounded_scale_is_the_constant_density():
+    # alpha = 1/2 on a market with E[R] = r: Z = 1 is in M and the program's
+    # scale s is unbounded; delta* = 1/(2 alpha) = 1.
+    market = ScenarioMarket(probs=(0.5, 0.5), riskless_rate=0.0, returns=[[1.0, -1.0]])
+    res = es_strict_check(market, 0.5)
+    assert res.status == "OPTIMAL"
+    assert res.delta == 1.0
+    assert np.all(res.witness.z == 1.0)
+    assert es_strict_check(binomial_market(), 0.5).delta < 1e-12
