@@ -12,7 +12,11 @@ rho_nu = nu rho_1 for nu > 0.  The sign of rho_1 decides everything:
 ES, SPECTRAL and WC solve the slice minimum in its dual form: one LP over
 the measure's box-bounded densities with J + d equality rows (J mixture
 atoms, d assets), whose asset-row multipliers are the minimizing
-portfolio.  EVAR and TNORM run a Kelley cutting-plane loop with tight
+portfolio.  EVAR finds rho_1 as the root of the least relative entropy
+of a martingale density for the shifted excess e + t (mu - r), a convex
+function of the shift t, by safeguarded Newton steps in t between -1 and
+the WC slice minimum; the cumulant multipliers at the root give the
+portfolio.  TNORM runs a Kelley cutting-plane loop with tight
 dual-density cuts.  VaR is not positively-homogeneous-convex and has no
 global minimizer route here.
 """
@@ -28,7 +32,8 @@ from numpy.typing import NDArray
 from .lp import OPTIMAL, LinearProgram, lp_solve
 from .market import (ScenarioMarket, canonical_portfolio, excess_return)
 from .measures import RiskSpec, evaluate
-from .solvers import KelleyResult, kelley_minimize, minimize_1d_convex
+from .solvers import (KelleyResult, kelley_minimize, minimize_1d_convex,
+                      newton_cumulant_min)
 
 Vector = NDArray[np.float64]
 
@@ -36,6 +41,8 @@ BOX_DEFAULT = 1e6      # Kelley's starting box on |pi|
 BOX_GROWTH = 100.0
 CLASSIFY_TOL = 1e-7
 STRICT_NEG_TOL = 1e-9
+EVAR_ROOT_TOL = 1e-12  # relative Newton step in t at which the EVaR root is taken
+EVAR_ROOT_MAX_ITER = 60
 
 
 class UnsupportedGlobalMinError(ValueError):
@@ -48,11 +55,16 @@ class FrontierResult:
 
     rho1 may be -inf (Kelley's box kept binding after enlargement).
     attained is False exactly when the infimum is not achieved by any
-    portfolio (then argmin is the best iterate seen, for diagnostics).
-    rho0 is always 0.0 for the supported measures: pi = 0 attains it.
-    route is DIRECT (d = 1 canonical slice), LP, or KELLEY; iterations
-    counts the LP's simplex iterations or Kelley's master solves (0 on the
-    DIRECT route).
+    portfolio or the solver stopped short (then argmin is the best iterate
+    seen, for diagnostics).  rho0 is always 0.0 for the supported measures:
+    pi = 0 attains it.  route is DIRECT (d = 1 canonical slice), LP
+    (ES/SPECTRAL/WC), ROOT (EVAR) or KELLEY (TNORM); iterations counts the
+    LP's simplex iterations, the root's steps in t or Kelley's master
+    solves (0 on the DIRECT route).  gap is the risk of argmin, evaluated
+    afresh, minus rho1 on a converged ROOT route; otherwise it is rho1 minus
+    a lower bound: the root bracket's lower end when the root stopped short
+    (MAX_ITER), Kelley's final master bound on the KELLEY route; 0 on
+    DIRECT and LP.
     """
 
     rho1: float
@@ -78,8 +90,8 @@ class ArbitrageVerdict:
     verdict is NO_ARBITRAGE, RHO_ARBITRAGE, or STRONG_RHO_ARBITRAGE; route
     records which theory produced it (PRIMAL, DUAL, ELLIPTICAL).  The
     certificate carries a portfolio (primal; with the solver's iteration
-    count), a dual witness summary, or closed-form scalars; annotations
-    flag BOUNDARY and other caveats.
+    count and gap), a dual witness summary, or closed-form scalars;
+    annotations flag BOUNDARY and other caveats.
     """
 
     verdict: str
@@ -184,56 +196,6 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper), J
 
 
-def _evar_cut_oracle(market: ScenarioMarket, alpha: float):
-    """Tight-cut oracle for EVaR: the maximizing Gibbs density at each pi.
-
-    EVaR(X) = max{E[-Z X] : E[Z log Z] <= -log alpha, Z in D}; the
-    maximizer is the Gibbs density at the z solving z A'(z) - A(z) = beta
-    (strictly increasing in z), or the min-atom density when beta exceeds
-    log(1 / P[X = min]).  The returned value is pi . c by construction.
-    """
-    E = market.excess_matrix
-    p = market.probs
-    beta = -math.log(alpha)
-
-    def gibbs(x: Vector, z: float) -> Vector:
-        w = np.exp(-z * (x - x.min()))
-        s = float(p @ w)
-        return w / s
-
-    def entropy_gap(x: Vector, z: float) -> float:
-        zd = gibbs(x, z)
-        ent = float(p @ np.where(zd > 0, zd * np.log(np.maximum(zd, 1e-300)), 0.0))
-        return ent
-
-    def oracle(pi: Vector) -> tuple[float, Vector]:
-        x = pi @ E
-        spread = float(x.max() - x.min())
-        if spread <= 1e-14:
-            zd = np.ones_like(x)
-        else:
-            pmin = float(p[x <= x.min() + 1e-14 * max(1.0, spread)].sum())
-            if beta >= -math.log(pmin) - 1e-12:
-                zd = (x <= x.min() + 1e-14 * max(1.0, spread)) / pmin
-            else:
-                lo, hi = 0.0, 1.0
-                while entropy_gap(x, hi) < beta:
-                    hi *= 4.0
-                    if hi > 1e12:
-                        break
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if entropy_gap(x, mid) < beta:
-                        lo = mid
-                    else:
-                        hi = mid
-                zd = gibbs(x, 0.5 * (lo + hi))
-        cut = -E @ (p * zd)
-        return float(pi @ cut), cut
-
-    return oracle
-
-
 def _tnorm_cut_oracle(market: ScenarioMarket, p_exp: float, alpha: float):
     """Tight-cut oracle for TNORM: the norm-attaining density at each pi.
 
@@ -296,13 +258,113 @@ def _tnorm_cut_oracle(market: ScenarioMarket, p_exp: float, alpha: float):
 
 def _kelley_route(market: ScenarioMarket, spec: RiskSpec, nu: float,
                   box: float, tol: float) -> KelleyResult:
-    if spec.kind == "EVAR":
-        oracle = _evar_cut_oracle(market, spec.alpha)
-    else:
-        oracle = _tnorm_cut_oracle(market, spec.p, spec.alpha)
+    oracle = _tnorm_cut_oracle(market, spec.p, spec.alpha)
     a = market.mean_returns - market.riskless_rate
     use_box = max(box, 2.0 * nu / float(np.abs(a).max()))
     return kelley_minimize(oracle, a, level=nu, box=use_box, tol=tol)
+
+
+def _evar_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierResult:
+    """EVaR slice minimum as the root of the entropy dual in the shift t.
+
+    The EVaR dual set is {Z in D : E[Z log Z] <= beta}, beta = -log alpha,
+    so the minimax argument of _slice_lp makes rho_1 the largest t for which
+    a density of entropy <= beta prices the shifted excess e + t a, with
+    a = mu - r.  The least such entropy is (Csiszar)
+
+        D(t) = -min_lam log E exp(lam . (e + t a)),
+
+    convex in t (E[Z (e + t a)] = 0 is linear in (Z, t)), D(-1) = 0 at
+    Z = 1, and D'(t) = -lam* . a.  No density prices e + t a above the WC
+    slice minimum t_max, so rho_1 is the root of D(t) = beta in [-1, t_max].
+
+    A Newton step from t is also a certificate: with lam* at t, the
+    portfolio pi = lam* / (lam* . a) has EVaR at most t + (beta - D(t)) / D'(t)
+    (take z = -lam* . a in EVaR's infimum over z).  The iteration stops when
+    that step is negligible and reports its end point as rho_1 with that
+    portfolio.  Steps that leave the bracket, and inner solves that do not
+    converge, are replaced by bisection.  If D <= beta holds up to t_max,
+    rho_1 = t_max and the WC slice portfolio attains it.  gap is the EVaR of
+    the returned portfolio, evaluated afresh, minus rho_1.
+    """
+    beta = -math.log(spec.alpha)
+    E = market.excess_matrix
+    p = market.probs
+    a = market.mean_returns - market.riskless_rate
+    lp, J = _slice_lp(market, RiskSpec.wc())
+    wc = lp_solve(lp)
+    if wc.status != OPTIMAL:
+        raise RuntimeError(f"slice LP returned {wc.status}")
+    t_max = -float(wc.value)
+    wc_pi = -wc.duals[J:]
+    lo, hi, top_open = -1.0, t_max, True
+
+    def result(pi: Vector, evals: int, rho1: float | None = None) -> FrontierResult:
+        pi = pi * (nu / float(pi @ a))
+        risk = evaluate(spec, excess_return(market, pi), p) / nu
+        if rho1 is not None:
+            return FrontierResult(rho1=rho1, attained=True, argmin=pi, spec=spec,
+                                  route="ROOT", status=OPTIMAL, gap=risk - rho1,
+                                  iterations=evals)
+        # Stopped short of the root: report the portfolio's own risk, and its
+        # distance from the bracket's lower end as the gap.
+        return FrontierResult(rho1=risk, attained=False, argmin=pi, spec=spec,
+                              route="ROOT", status=OPTIMAL, gap=risk - lo,
+                              annotations=("MAX_ITER",), iterations=evals)
+
+    # Start from the Gaussian root: near t = -1, D(t) ~ (t + 1)^2 / (2 a' S^-1 a)
+    # with S the covariance of e, reached at lam = -(t + 1) S^-1 a.
+    dev = E - a[:, None]
+    try:
+        tilt = np.linalg.solve((dev * p) @ dev.T, a)
+        t = -1.0 + math.sqrt(2.0 * beta / float(a @ tilt))
+    except (np.linalg.LinAlgError, ValueError):
+        tilt, t = np.zeros_like(a), math.inf
+    if not t < hi:
+        t = 0.5 * (lo + hi)
+    lam = -(t + 1.0) * tilt
+    best_pi, best_bound = wc_pi, t_max
+    evals = overshoots = 0
+    while evals < EVAR_ROOT_MAX_ITER:
+        res = newton_cumulant_min(p, (E + t * a[:, None]).T, lam0=lam)
+        evals += 1
+        over = res.value - beta
+        if over > 0.0:
+            hi, top_open = t, False
+        else:
+            lo = t
+        if hi - lo <= EVAR_ROOT_TOL * (1.0 + abs(hi)):
+            if top_open:  # D <= beta all the way up to t_max
+                return result(wc_pi, evals, t_max)
+            break  # the inner solves never closed near the root
+        slope = -float(res.lam @ a)
+        t_new = math.nan
+        if res.status == "OK" and slope > 0.0:
+            step = -over / slope
+            if abs(step) <= EVAR_ROOT_TOL * (1.0 + abs(t)):
+                return result(-res.lam, evals, t + step)
+            lam = res.lam
+            t_new = t + step
+            if t_new < best_bound:
+                best_pi, best_bound = -res.lam, t_new
+            if t_new >= hi:
+                # From the left, convexity makes Newton overshoot; past the
+                # bracket, step in u = -log(t_max - t) instead, which stays
+                # below t_max.  A second such overshoot asks whether D stays
+                # <= beta all the way up.
+                overshoots += 1
+                if top_open and overshoots >= 2:
+                    top = newton_cumulant_min(p, (E + t_max * a[:, None]).T, lam0=lam)
+                    evals += 1
+                    if top.value <= beta:
+                        return result(wc_pi, evals, t_max)
+                    top_open = False
+                width = t_max - t
+                t_new = t_max - width * math.exp(-step / width)
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+        t = t_new
+    return result(best_pi, evals)
 
 
 def compute_rho1(market: ScenarioMarket, spec: RiskSpec, *, box: float = BOX_DEFAULT,
@@ -310,9 +372,10 @@ def compute_rho1(market: ScenarioMarket, spec: RiskSpec, *, box: float = BOX_DEF
     """Minimal risk over the unit expected-excess slice Pi_1.
 
     d = 1 takes the direct route (the slice is the canonical singleton);
-    ES/SPECTRAL/WC solve one LP (_slice_lp), which needs no box; EVAR/TNORM
-    run cutting planes in a box on |pi|, enlarged once geometrically before
-    rho_1 = -inf is declared.
+    ES/SPECTRAL/WC solve one LP (_slice_lp), which needs no box; EVAR finds
+    the root of its entropy dual in the shift t (_evar_route), bracketed by
+    the WC slice LP; TNORM runs cutting planes to tolerance tol in a box on
+    |pi|, enlarged once geometrically before rho_1 = -inf is declared.
     VAR raises UnsupportedGlobalMinError, GENTROPIC has no primal route.
     """
     return _compute_rho_nu(market, spec, 1.0, box=box, tol=tol)
@@ -345,7 +408,10 @@ def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float, *,
                               spec=spec, route="LP", status=OPTIMAL,
                               iterations=sol.iterations)
 
-    # EVAR / TNORM: cutting planes, one box enlargement before giving up.
+    if spec.kind == "EVAR":
+        return _evar_route(market, spec, nu)
+
+    # TNORM: cutting planes, one box enlargement before giving up.
     res = _kelley_route(market, spec, nu, box, tol)
     iterations = res.iterations
     if res.status == "BOX_ACTIVE":
@@ -356,10 +422,15 @@ def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float, *,
                                   spec=spec, route="KELLEY", status="BOX_ACTIVE",
                                   gap=res.gap, annotations=("BOX_ACTIVE",),
                                   iterations=iterations)
+    # The cut oracle's repaired densities can understate the risk at a query,
+    # so rho_1 is the risk of the returned portfolio itself, and gap its
+    # distance from the final master bound.
+    risk = evaluate(spec, excess_return(market, res.pi), market.probs)
     annotations = () if res.status == "OK" else (res.status,)
-    return FrontierResult(rho1=res.value / nu, attained=res.status == "OK",
+    return FrontierResult(rho1=risk / nu, attained=res.status == "OK",
                           argmin=res.pi, spec=spec, route="KELLEY", status=OPTIMAL,
-                          gap=res.gap, annotations=annotations, iterations=iterations)
+                          gap=(risk - (res.value - res.gap)) / nu,
+                          annotations=annotations, iterations=iterations)
 
 
 def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:
@@ -379,6 +450,7 @@ def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> Arbitr
         certificate["rho"] = rho1
         certificate["expected_excess"] = 1.0
         certificate["iterations"] = result.iterations
+        certificate["gap"] = result.gap
 
     if rho1 == -math.inf or rho1 < -tol:
         verdict = "STRONG_RHO_ARBITRAGE"

@@ -2,9 +2,10 @@
 
 Three kernels live here: a golden-section search for one-dimensional convex
 (or unimodal) objectives with geometric bracket expansion, a damped Newton
-method for the cumulant-type function behind the entropy dual, and a Kelley
-cutting-plane loop for minimizing a sup-of-linear risk functional over an
-expected-excess slice.  All of them are deterministic.
+method for the cumulant-type function behind the entropy dual (the EVaR
+slice root evaluates it along a shift), and a Kelley cutting-plane loop for
+minimizing a sup-of-linear risk functional over an expected-excess slice.
+All of them are deterministic.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ Vector = NDArray[np.float64]
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 WIDTH_EPS = 4.0 * float(np.finfo(np.float64).eps)
-LAMBDA_ESCAPE = 1e8          # Newton iterate norm beyond this means divergence
-WITNESS_FLOOR = 1e-9         # Gibbs density entries below this mean boundary collapse
+LAMBDA_ESCAPE = 1e8          # scaled Newton iterate norm beyond this means divergence
+GRAD_ACCEPT = 1e-9           # scaled gradient norm a converged minimizer must reach
+STEP_ACCEPT = 1e-6           # final Newton step / (1 + |lam|) above this: still escaping
 ORACLE_CONSISTENCY_TOL = 1e-7
 
 
@@ -82,9 +84,12 @@ class CumulantResult:
     """Outcome of the cumulant minimization.
 
     value is -min K, i.e. the candidate divergence minimum; z is the Gibbs
-    density at the final iterate (E[z] = 1 by construction).  status is
-    "OK" for an interior minimizer and "DIVERGENT" when the iterates escape
-    or the density collapses onto a boundary face.
+    density at the final iterate (E[z] = 1 by construction); lam is in the
+    units of the excess rows.  gradient_norm is the max-norm of E[z e]
+    divided by max |e|, so it does not depend on the units of e.  status is
+    "OK" for a converged interior minimizer and "DIVERGENT" when the
+    iterates run off to infinity (the infimum sits on a boundary face) or
+    the gradient did not close.
     """
 
     lam: Vector
@@ -95,47 +100,59 @@ class CumulantResult:
     iterations: int
 
 
-def newton_cumulant_min(probs: Vector, excess: Vector, *, grad_tol: float = 1e-11,
-                        max_iter: int = 500) -> CumulantResult:
+def newton_cumulant_min(probs: Vector, excess: Vector, *, lam0: Vector | None = None,
+                        grad_tol: float = 1e-11, max_iter: int = 500) -> CumulantResult:
     """Minimize K(lam) = log E[exp(lam . e)] over lam in R^d.
 
-    probs has shape (N,), excess has shape (N, d) with rows e_omega.  Uses
-    damped Newton steps (Armijo 1e-4, Hessian ridge 1e-12).  The Hessian is
-    the Gibbs covariance of the rows, positive definite whenever the rows
-    plus the constant span d+1 dimensions.
+    probs has shape (N,), excess has shape (N, d) with rows e_omega; lam0
+    (in the units of e) warm-starts the iteration, which otherwise starts
+    at 0.  The rows are divided by max |e| first, so the Armijo (1e-4) and
+    Hessian-ridge (1e-12) constants and every test below are relative to
+    the data.  The Hessian is the Gibbs covariance of the rows, positive
+    definite whenever the rows plus the constant span d+1 dimensions.
+
+    DIVERGENT is decided from the scaled iterate: the gradient must be at
+    most GRAD_ACCEPT, and the Newton step at the final iterate must be
+    negligible against it.  At an interior minimizer that step is
+    quadratically small; along a recession direction Newton keeps stepping
+    by ~1 / (the gap of the off-face rows) while the gradient decays
+    geometrically, so the iterate is still running away when the gradient
+    test passes.
     """
     p = np.asarray(probs, dtype=np.float64)
-    E = np.asarray(excess, dtype=np.float64)
+    scale = float(np.abs(excess).max())
+    if not scale > 0.0:
+        scale = 1.0
+    E = np.asarray(excess, dtype=np.float64) / scale
     N, d = E.shape
     logp = np.log(p)
-    lam = np.zeros(d)
+    lam = np.zeros(d) if lam0 is None else np.asarray(lam0, dtype=np.float64) * scale
+    # Decreases of K smaller than this are rounding, not a failed descent.
+    k_round = 8.0 * float(np.finfo(np.float64).eps)
 
-    def eval_at(l: Vector) -> tuple[float, Vector, Vector]:
+    def eval_at(l: Vector) -> tuple[float, Vector]:
         a = logp + E @ l
         m = a.max()
         w = np.exp(a - m)
         s = w.sum()
-        K = m + math.log(s)
         w /= s
-        return K, w, a
+        return m + math.log(s), w
 
-    K, w, _ = eval_at(lam)
-    grad = E.T @ w
-    it = 0
-    escaped = False
-    for it in range(1, max_iter + 1):
-        gnorm = float(np.abs(grad).max())
-        if gnorm < grad_tol:
-            break
-        if np.abs(lam).max() > LAMBDA_ESCAPE:
-            escaped = True
-            break
+    def newton_step(w: Vector, grad: Vector) -> Vector:
         H = E.T @ (w[:, None] * E) - np.outer(grad, grad)
         H[np.diag_indices_from(H)] += 1e-12
         try:
-            step = np.linalg.solve(H, -grad)
+            return np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
-            step = -grad
+            return -grad
+
+    K, w = eval_at(lam)
+    grad = E.T @ w
+    it = 0
+    for it in range(1, max_iter + 1):
+        if float(np.abs(grad).max()) < grad_tol or np.abs(lam).max() > LAMBDA_ESCAPE:
+            break
+        step = newton_step(w, grad)
         slope = float(grad @ step)
         if slope >= 0.0:  # not a descent direction, fall back to gradient
             step = -grad
@@ -143,8 +160,8 @@ def newton_cumulant_min(probs: Vector, excess: Vector, *, grad_tol: float = 1e-1
         t = 1.0
         K_new, w_new = K, w
         while t >= 1e-14:
-            K_new, w_new, _ = eval_at(lam + t * step)
-            if K_new <= K + 1e-4 * t * slope:
+            K_new, w_new = eval_at(lam + t * step)
+            if K_new <= K + 1e-4 * t * slope + k_round * (1.0 + abs(K)):
                 break
             t *= 0.5
         else:
@@ -155,9 +172,11 @@ def newton_cumulant_min(probs: Vector, excess: Vector, *, grad_tol: float = 1e-1
 
     z = w / p  # Gibbs density: z_omega = exp(lam.e_omega) / E[exp(lam.e)]
     gnorm = float(np.abs(grad).max())
-    diverged = escaped or np.abs(lam).max() > LAMBDA_ESCAPE or float(z.min()) < WITNESS_FLOOR
+    lam_norm = float(np.abs(lam).max())
+    running = float(np.abs(newton_step(w, grad)).max()) > STEP_ACCEPT * (1.0 + lam_norm)
+    diverged = lam_norm > LAMBDA_ESCAPE or gnorm > GRAD_ACCEPT or running
     status = "DIVERGENT" if diverged else "OK"
-    return CumulantResult(lam=lam, value=-K, z=z, status=status,
+    return CumulantResult(lam=lam / scale, value=-K, z=z, status=status,
                           gradient_norm=gnorm, iterations=it)
 
 

@@ -87,3 +87,18 @@ def make_dominating_market(rng: np.random.Generator, n_max: int = 8) -> Scenario
         report = validate_market(market)
         if not report:
             return market
+
+
+def make_drift_market(rng: np.random.Generator, N: int, d: int, sharpe: float,
+                      r: float = 0.01, equal_odds: bool = False) -> ScenarioMarket:
+    """High-drift market: each asset's return is r + 0.1 (sharpe + standard
+    normal noise), so it earns about `sharpe` standard deviations over r.
+    Probabilities are Dirichlet(20) draws, or 1/N with r = 0 when
+    equal_odds.  Large drifts leave the martingale polytope empty; small
+    ones leave a strictly positive pricing density."""
+    if equal_odds:
+        p, r = np.full(N, 1.0 / N), 0.0
+    else:
+        p = rng.dirichlet(np.full(N, 20.0))
+    R = r + 0.1 * (sharpe + rng.normal(size=(d, N)))
+    return ScenarioMarket(probs=p, riskless_rate=r, returns=R)

@@ -86,7 +86,7 @@ def test_rho1_single_asset_uses_direct_route():
     while market.n_assets < 2:
         market = make_random_market(rng, n_max=6, d_max=3)
     assert compute_rho1(market, RiskSpec.es(0.5)).route == "LP"
-    assert compute_rho1(market, RiskSpec.evar(0.5)).route == "KELLEY"
+    assert compute_rho1(market, RiskSpec.evar(0.5)).route == "ROOT"
 
 
 def test_rho1_homogeneity_in_level():
