@@ -257,17 +257,7 @@ def _cmd_frontier(args) -> int:
     market = load_market(args.market, args.market_format)
     spec = load_risk(args.risk, args.risk_file)
     levels = [float(v) for v in args.levels.split(",")]
-    res = compute_rho1(market, spec, tol=1e-9)
-    if not math.isfinite(res.rho1):
-        text = _csv_text(["nu", "rho_nu", "efficient"], [],
-                         comments=[f"rho1={res.rho1}",
-                                   "STRONG_RHO_ARBITRAGE: frontier undefined beyond nu=0"])
-        if args.format == "json":
-            _emit_json({"rho1": res.rho1, "efficient": False, "points": [],
-                        "error": "frontier undefined beyond nu=0"}, args.out)
-        else:
-            _emit(text, args.out)
-        return 3
+    res = compute_rho1(market, spec)
     pts = frontier_points(res, levels)
     efficient = res.efficient_frontier_exists
     if args.format == "json":

@@ -17,9 +17,11 @@ statement about M:
     GENTROPIC strong-form: v* = min_{Z in M} E[g(Z)] <= beta;
               strict: classical delta* > 0 and v* < beta
 
-The entropy penalty minimizes through an unconstrained cumulant dual (no
-gap on finite scenario spaces, attained or not); other penalties run
-away-step Frank-Wolfe over M with LP vertex oracles.
+The entropy and power penalties minimize through unconstrained smooth
+duals in (d + 1) or fewer variables, the cumulant log E exp(lam . e) and
+the power conjugate E[(nu + lam . e)+^p / p] - nu, by damped Newton (no
+gap on finite scenario spaces).  Custom penalties, which supply no
+conjugate, run away-step Frank-Wolfe over M with LP vertex oracles.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from numpy.typing import NDArray
 from .frontier import ArbitrageVerdict, CLASSIFY_TOL, compute_rho1, classify_primal
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_solve
 from .market import ScenarioMarket
-from .measures import DualSetDescriptor, RiskSpec, dual_descriptor
-from .solvers import newton_cumulant_min
+from .measures import DualSetDescriptor, RiskSpec, dual_descriptor, penalty_descriptor
+from .solvers import newton_cumulant_min, newton_power_min
 
 Vector = NDArray[np.float64]
 
@@ -321,9 +323,14 @@ def spectral_check(market: ScenarioMarket, spectrum) -> SpectralResult:
 class GEntropicResult:
     """Penalty-minimization outcome over M.
 
-    v_star is an attained upper bound on min E[g(Z)] (exact to the solver
-    tolerance); strong_ok means no strong arbitrage (v* <= beta), strict_ok
-    means no arbitrage at all (classical delta* > 0 and v* < beta).
+    v_star is min E[g(Z)] to the solver tolerance (for ENTROPY and POWER
+    the value of the smooth dual, for CUSTOM the penalty of the
+    Frank-Wolfe iterate); strong_ok means no strong arbitrage
+    (v* <= beta), strict_ok means no arbitrage at all (classical
+    delta* > 0 and v* < beta).  gap and iterations come from the solver:
+    the scaled gradient norm and Newton iterations on the NEWTON route,
+    the Frank-Wolfe gap and iterations on the FRANK_WOLFE route, 0 when M
+    is empty.
     """
 
     v_star: float
@@ -335,12 +342,13 @@ class GEntropicResult:
     route: str
     gap: float = 0.0
     annotations: tuple[str, ...] = ()
+    iterations: int = 0
 
 
-def _normalize_penalty(g) -> tuple[str, Callable | None, Callable | None, float | None]:
+def _read_penalty(g, beta: float) -> DualSetDescriptor:
     if isinstance(g, str):
         if g.upper() == "ENTROPY":
-            return "ENTROPY", None, None, None
+            return penalty_descriptor("ENTROPY", beta)
         raise ValueError(f"unknown penalty name {g!r}")
     if isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str):
         if g[0].upper() != "POWER":
@@ -348,12 +356,11 @@ def _normalize_penalty(g) -> tuple[str, Callable | None, Callable | None, float 
         q = float(g[1])
         if not q > 1.0:
             raise ValueError("power penalty needs q > 1")
-        return ("POWER", lambda z: np.abs(z) ** q / q,
-                lambda z: np.abs(z) ** (q - 1.0), q)
+        return penalty_descriptor("POWER", beta, q=q)
     if isinstance(g, tuple) and len(g) == 2 and callable(g[0]):
-        return "CUSTOM", g[0], g[1], None
+        return penalty_descriptor("CUSTOM", beta, g=g[0], g_prime=g[1])
     if callable(g):
-        return "CUSTOM", g, None, None
+        return penalty_descriptor("CUSTOM", beta, g=g)
     raise TypeError("g must be 'entropy', ('power', q), or a callable (with "
                     "optional derivative)")
 
@@ -448,13 +455,25 @@ def gentropic_check(market: ScenarioMarket, g, beta: float,
                     tol: float = FW_TOL) -> GEntropicResult:
     """Penalty test: v* = min E[g(Z)] over M against the budget beta.
 
-    No strong arbitrage iff v* <= beta; no arbitrage iff additionally the
-    classical margin is positive and v* < beta strictly (mixing the
-    positive classical witness into a near-minimizer keeps the penalty
-    below beta while making the density strictly positive).
+    g is 'entropy', ('power', q), or a callable penalty (optionally paired
+    with its derivative).  No strong arbitrage iff v* <= beta; no arbitrage
+    iff additionally the classical margin is positive and v* < beta
+    strictly (mixing the positive classical witness into a near-minimizer
+    keeps the penalty below beta while making the density strictly
+    positive).
     """
-    beta = float(beta)
-    name, gfun, gprime, _q = _normalize_penalty(g)
+    return _penalty_check(market, _read_penalty(g, float(beta)), tol)
+
+
+def _penalty_check(market: ScenarioMarket, desc: DualSetDescriptor,
+                   tol: float = FW_TOL) -> GEntropicResult:
+    """gentropic_check for a penalty already read into a descriptor.
+
+    ENTROPY and POWER minimize through their unconstrained smooth duals
+    (newton_cumulant_min, newton_power_min), which have no gap on finite
+    scenario spaces; CUSTOM runs away-step Frank-Wolfe over M.
+    """
+    beta = float(desc.beta)
     poly = MartingalePolytope.of(market)
     cl = classical_no_arbitrage(market)
     if cl.status == INFEASIBLE:
@@ -462,19 +481,26 @@ def gentropic_check(market: ScenarioMarket, g, beta: float,
                                strong_ok=False, strict_ok=False, witness=None,
                                route="M_EMPTY", annotations=("M_EMPTY",))
 
+    def penalty(z: Vector) -> float:
+        return float(market.probs @ desc.penalty(np.maximum(z, 0.0)))
+
     annotations: list[str] = []
-    if name == "ENTROPY":
-        res = newton_cumulant_min(market.probs, market.excess_matrix.T)
-        v_star = res.value
-        gap = res.gradient_norm
-        witness = DualWitness.of(poly, res.z, penalty=v_star)
+    if desc.penalty_name in ("ENTROPY", "POWER"):
+        if desc.penalty_name == "ENTROPY":
+            res = newton_cumulant_min(market.probs, market.excess_matrix.T)
+            pen = res.value  # E[z log z] = lam . E[z e] - K = -K to the gradient
+        else:
+            res = newton_power_min(market.probs, market.excess_matrix.T, desc.q)
+            pen = penalty(res.z)
+        v_star, gap, iterations = res.value, res.gradient_norm, res.iterations
+        witness = DualWitness.of(poly, res.z, penalty=pen)
         route = "NEWTON"
         if res.status == "DIVERGENT":
             annotations.append("DIVERGENT")
     else:
-        if gprime is None:
-            gprime = _numeric_prime(gfun)
-        z, v_star, gap, _ = _frank_wolfe_min(poly, market.probs, gfun, gprime, tol=tol)
+        gprime = desc.penalty_prime or _numeric_prime(desc.penalty)
+        z, v_star, gap, iterations = _frank_wolfe_min(poly, market.probs, desc.penalty,
+                                                      gprime, tol=tol)
         witness = DualWitness.of(poly, z, penalty=v_star)
         route = "FRANK_WOLFE"
         if gap > tol:
@@ -482,28 +508,19 @@ def gentropic_check(market: ScenarioMarket, g, beta: float,
 
     strong_ok = v_star <= beta + ZERO_TOL
     strict_ok = (cl.delta > ZERO_TOL) and (v_star < beta - ZERO_TOL)
-    if strict_ok and witness is not None and witness.min_entry <= 0.0:
+    if strict_ok and witness.min_entry <= 0.0:
         # Mix the positive classical witness in to exhibit a strictly
         # positive density whose penalty still sits below beta.
         z_pos = cl.witness.z
-        pen_pos = float(market.probs @ _apply_penalty(name, gfun, z_pos))
+        pen_pos = penalty(z_pos)
         room = beta - v_star
         eta = min(0.5, room / (2.0 * max(pen_pos - v_star, 1e-12))) if pen_pos > v_star else 0.5
         z_mix = (1.0 - eta) * witness.z + eta * z_pos
-        pen_mix = float(market.probs @ _apply_penalty(name, gfun, z_mix))
-        witness = DualWitness.of(poly, z_mix, penalty=pen_mix)
+        witness = DualWitness.of(poly, z_mix, penalty=penalty(z_mix))
     return GEntropicResult(v_star=v_star, beta=beta, delta_classical=cl.delta,
                            strong_ok=strong_ok, strict_ok=strict_ok, witness=witness,
-                           route=route, gap=gap, annotations=tuple(annotations))
-
-
-def _apply_penalty(name: str, gfun: Callable | None, z: Vector) -> Vector:
-    if name == "ENTROPY":
-        out = np.zeros_like(z)
-        pos = z > 0.0
-        out[pos] = z[pos] * np.log(z[pos])
-        return out
-    return gfun(np.maximum(z, 0.0))
+                           route=route, gap=gap, annotations=tuple(annotations),
+                           iterations=iterations)
 
 
 # -- classification ----------------------------------------------------------
@@ -584,15 +601,12 @@ def _classify_spectral(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVe
 
 def _classify_gentropic(market: ScenarioMarket, desc: DualSetDescriptor,
                         tol: float) -> ArbitrageVerdict:
-    if desc.penalty_name == "ENTROPY":
-        g = "entropy"
-    elif desc.penalty_name == "POWER":
-        g = ("power", desc.q)
-    else:
-        g = (desc.penalty, desc.penalty_prime) if desc.penalty_prime else desc.penalty
-    res = gentropic_check(market, g, desc.beta)
+    res = _penalty_check(market, desc)
     cert: dict = {"v_star": res.v_star, "beta": res.beta,
                   "delta_classical": res.delta_classical}
+    if res.route != "M_EMPTY":
+        cert["gap"] = res.gap
+        cert["iterations"] = res.iterations
     if res.witness is not None:
         cert["witness"] = res.witness.to_dict()
     ann = list(res.annotations)

@@ -12,13 +12,12 @@ rho_nu = nu rho_1 for nu > 0.  The sign of rho_1 decides everything:
 ES, SPECTRAL and WC solve the slice minimum in its dual form: one LP over
 the measure's box-bounded densities with J + d equality rows (J mixture
 atoms, d assets), whose asset-row multipliers are the minimizing
-portfolio.  EVAR finds rho_1 as the root of the least relative entropy
-of a martingale density for the shifted excess e + t (mu - r), a convex
-function of the shift t, by safeguarded Newton steps in t between -1 and
-the WC slice minimum; the cumulant multipliers at the root give the
-portfolio.  TNORM runs a Kelley cutting-plane loop with tight
-dual-density cuts.  VaR is not positively-homogeneous-convex and has no
-global minimizer route here.
+portfolio.  EVAR and TNORM find rho_1 as the root of the least penalty
+(relative entropy, or E[Z^q / q] for TNORM) of a martingale density for
+the shifted excess e + t (mu - r), a convex function of the shift t, by
+safeguarded Newton steps in t between -1 and the WC slice minimum; the
+dual multipliers at the root give the portfolio.  VaR is not
+positively-homogeneous-convex and has no global minimizer route here.
 """
 
 from __future__ import annotations
@@ -32,16 +31,13 @@ from numpy.typing import NDArray
 from .lp import OPTIMAL, LinearProgram, lp_solve
 from .market import (ScenarioMarket, canonical_portfolio, excess_return)
 from .measures import RiskSpec, evaluate
-from .solvers import (KelleyResult, kelley_minimize, minimize_1d_convex,
-                      newton_cumulant_min)
+from .solvers import newton_cumulant_min, newton_power_min
 
 Vector = NDArray[np.float64]
 
-BOX_DEFAULT = 1e6      # Kelley's starting box on |pi|
-BOX_GROWTH = 100.0
 CLASSIFY_TOL = 1e-7
 STRICT_NEG_TOL = 1e-9
-EVAR_ROOT_TOL = 1e-12  # relative Newton step in t at which the EVaR root is taken
+EVAR_ROOT_TOL = 1e-12  # relative Newton step in t at which the EVaR or TNORM root is taken
 EVAR_ROOT_MAX_ITER = 60
 
 
@@ -53,18 +49,18 @@ class UnsupportedGlobalMinError(ValueError):
 class FrontierResult:
     """Minimal risk at unit expected excess and how it was obtained.
 
-    rho1 may be -inf (Kelley's box kept binding after enlargement).
-    attained is False exactly when the infimum is not achieved by any
-    portfolio or the solver stopped short (then argmin is the best iterate
-    seen, for diagnostics).  rho0 is always 0.0 for the supported measures:
-    pi = 0 attains it.  route is DIRECT (d = 1 canonical slice), LP
-    (ES/SPECTRAL/WC), ROOT (EVAR) or KELLEY (TNORM); iterations counts the
-    LP's simplex iterations, the root's steps in t or Kelley's master
-    solves (0 on the DIRECT route).  gap is the risk of argmin, evaluated
-    afresh, minus rho1 on a converged ROOT route; otherwise it is rho1 minus
-    a lower bound: the root bracket's lower end when the root stopped short
-    (MAX_ITER), Kelley's final master bound on the KELLEY route; 0 on
-    DIRECT and LP.
+    rho1 is finite on every route: it is at least -1, the expected loss at
+    unit expected excess.  attained is False exactly when the solver
+    stopped short (then argmin is the best iterate seen, for diagnostics).
+    rho0 is always 0.0 for the supported measures: pi = 0 attains it.
+    route is DIRECT (d = 1 canonical slice), LP (ES/SPECTRAL/WC) or ROOT
+    (EVAR/TNORM); iterations counts the LP's simplex iterations or the
+    root's steps in t (0 on the DIRECT route).  On the ROOT route rho1 is
+    the risk of argmin, evaluated afresh, and gap is its distance from the
+    root's end point, an upper bound on that risk from the dual side; when
+    the root stopped short (MAX_ITER) gap is rho1 minus the largest shift
+    that a converged inner solve showed feasible, a lower bound on the
+    minimum.  gap is 0 on DIRECT and LP.
     """
 
     rho1: float
@@ -196,165 +192,125 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper), J
 
 
-def _tnorm_cut_oracle(market: ScenarioMarket, p_exp: float, alpha: float):
-    """Tight-cut oracle for TNORM: the norm-attaining density at each pi.
+def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierResult:
+    """EVaR or TNORM slice minimum as the root of a penalty dual in the shift t.
 
-    With q conjugate to p, the maximizer of E[-Z X] over {||Z||_q <= 1/alpha,
-    Z in D} is Z* proportional to ((s* - x)+)^(p-1) at the optimal shift s*;
-    E[Z*] = 1 after normalization and ||Z*||_q = 1/alpha at the optimum.  A
-    bisected mix toward Z = 1 repairs any numerical norm overshoot.
-    """
-    E = market.excess_matrix
-    p = market.probs
-    q = p_exp / (p_exp - 1.0)
-    bound = 1.0 / alpha
-
-    def qnorm(z: Vector) -> float:
-        zmax = float(np.abs(z).max())
-        if zmax == 0.0:
-            return 0.0
-        return zmax * float(p @ (np.abs(z) / zmax) ** q) ** (1.0 / q)
-
-    def oracle(pi: Vector) -> tuple[float, Vector]:
-        x = pi @ E
-        span = float(x.max() - x.min())
-        if span <= 1e-14:
-            zd = np.ones_like(x)
-        else:
-            def h(s: float) -> float:
-                y = np.maximum(s - x, 0.0)
-                ymax = float(y.max())
-                if ymax == 0.0:
-                    return -s
-                return ymax * float(p @ (y / ymax) ** p_exp) ** (1.0 / p_exp) / alpha - s
-
-            lo = float(x.min()) - 1.0
-            hi = float(x.max()) + max(span, 1.0) / alpha
-            s_star, _ = minimize_1d_convex(h, (lo, hi), tol=1e-11)
-            y = np.maximum(s_star - x, 0.0)
-            den = float(p @ y ** (p_exp - 1.0))
-            if den <= 1e-300:
-                # s* collapsed onto min x (happens iff pmin^(1/p) >= alpha);
-                # the attaining density then sits on the min atoms, where it
-                # meets the q-norm bound, not on the unit density.
-                mask = x <= x.min() + 1e-14 * max(1.0, span)
-                zd = mask / float(p[mask].sum())
-            else:
-                zd = y ** (p_exp - 1.0) / den
-            if qnorm(zd) > bound:
-                t_lo, t_hi = 0.0, 1.0  # theta = 1 keeps zd, 0 is the unit density
-                for _ in range(80):
-                    t = 0.5 * (t_lo + t_hi)
-                    if qnorm(t * zd + (1.0 - t)) > bound:
-                        t_hi = t
-                    else:
-                        t_lo = t
-                zd = t_lo * zd + (1.0 - t_lo)
-        cut = -E @ (p * zd)
-        return float(pi @ cut), cut
-
-    return oracle
-
-
-def _kelley_route(market: ScenarioMarket, spec: RiskSpec, nu: float,
-                  box: float, tol: float) -> KelleyResult:
-    oracle = _tnorm_cut_oracle(market, spec.p, spec.alpha)
-    a = market.mean_returns - market.riskless_rate
-    use_box = max(box, 2.0 * nu / float(np.abs(a).max()))
-    return kelley_minimize(oracle, a, level=nu, box=use_box, tol=tol)
-
-
-def _evar_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierResult:
-    """EVaR slice minimum as the root of the entropy dual in the shift t.
-
-    The EVaR dual set is {Z in D : E[Z log Z] <= beta}, beta = -log alpha,
-    so the minimax argument of _slice_lp makes rho_1 the largest t for which
-    a density of entropy <= beta prices the shifted excess e + t a, with
-    a = mu - r.  The least such entropy is (Csiszar)
-
-        D(t) = -min_lam log E exp(lam . (e + t a)),
-
-    convex in t (E[Z (e + t a)] = 0 is linear in (Z, t)), D(-1) = 0 at
-    Z = 1, and D'(t) = -lam* . a.  No density prices e + t a above the WC
-    slice minimum t_max, so rho_1 is the root of D(t) = beta in [-1, t_max].
+    Both dual sets are penalty balls {Z in D : E[g(Z)] <= beta}: EVaR's with
+    g(z) = z log z and beta = -log alpha, TNORM(p)'s with g(z) = z^q / q
+    (q = p / (p - 1)) and beta = (1 / alpha)^q / q, the q-norm ball of
+    radius 1 / alpha.  The minimax argument of _slice_lp makes rho_1 the
+    largest t for which a density of penalty <= beta prices the shifted
+    excess e + t a, with a = mu - r.  The least such penalty V(t) is the
+    minimum of newton_cumulant_min (EVaR: Csiszar's I-projection,
+    V(t) = -min_lam log E exp(lam . (e + t a))) or newton_power_min (TNORM)
+    on the rows e + t a.  V is convex in t (E[Z (e + t a)] = 0 is linear in
+    (Z, t)), V(-1) = g(1) at Z = 1, and V'(t) = -lam* . a by the envelope
+    theorem.  No density prices e + t a above the WC slice minimum t_max,
+    so rho_1 is the root of V(t) = beta in [-1, t_max].
 
     A Newton step from t is also a certificate: with lam* at t, the
-    portfolio pi = lam* / (lam* . a) has EVaR at most t + (beta - D(t)) / D'(t)
-    (take z = -lam* . a in EVaR's infimum over z).  The iteration stops when
-    that step is negligible and reports its end point as rho_1 with that
-    portfolio.  Steps that leave the bracket, and inner solves that do not
-    converge, are replaced by bisection.  If D <= beta holds up to t_max,
-    rho_1 = t_max and the WC slice portfolio attains it.  gap is the EVaR of
-    the returned portfolio, evaluated afresh, minus rho_1.
+    portfolio pi = lam* / (lam* . a) has risk at most t + (beta - V(t)) / V'(t).
+    For EVaR take z = -lam* . a in its infimum over z; for TNORM take the
+    shift s with (s - X_pi)+^(p-1) proportional to Z*, and use that
+    (q V)^(1/p) / alpha - q V is concave in V with slope -1 at beta.  The
+    iteration stops when that step is negligible and returns that
+    portfolio; rho_1 is its risk evaluated afresh, and gap is the distance
+    of that risk from the step's end point, which agree to rounding and the
+    evaluator's tolerance.  Steps that leave the bracket, and inner solves
+    that do not converge, are replaced by bisection.  If V <= beta holds up
+    to t_max, the root is t_max and the WC slice portfolio attains it.
     """
-    beta = -math.log(spec.alpha)
     E = market.excess_matrix
     p = market.probs
     a = market.mean_returns - market.riskless_rate
+    if spec.kind == "EVAR":
+        beta, g1, g2 = -math.log(spec.alpha), 0.0, 1.0
+
+        def solve(t: float, lam: Vector, nu0: float):
+            return newton_cumulant_min(p, (E + t * a[:, None]).T, lam0=lam), nu0
+    else:
+        q = spec.p / (spec.p - 1.0)
+        beta, g1, g2 = (1.0 / spec.alpha) ** q / q, 1.0 / q, q - 1.0
+
+        def solve(t: float, lam: Vector, nu0: float):
+            res = newton_power_min(p, (E + t * a[:, None]).T, q, lam0=lam, nu0=nu0)
+            return res, res.nu
     lp, J = _slice_lp(market, RiskSpec.wc())
     wc = lp_solve(lp)
     if wc.status != OPTIMAL:
         raise RuntimeError(f"slice LP returned {wc.status}")
     t_max = -float(wc.value)
     wc_pi = -wc.duals[J:]
-    lo, hi, top_open = -1.0, t_max, True
+    # lo_sure is the largest t at which a converged solve put V(t) <= beta,
+    # a lower bound on rho_1; a solve that did not converge reports a value
+    # below V, so it moves only the bracket's lo.
+    lo, hi, top_open, lo_sure = -1.0, t_max, True, -1.0
 
-    def result(pi: Vector, evals: int, rho1: float | None = None) -> FrontierResult:
+    def result(pi: Vector, evals: int, bound: float | None = None) -> FrontierResult:
+        # rho_1 is the risk of the returned portfolio, evaluated afresh; gap
+        # is its distance from the root's bound on that risk or, when the
+        # root stopped short, its height above lo_sure.
         pi = pi * (nu / float(pi @ a))
         risk = evaluate(spec, excess_return(market, pi), p) / nu
-        if rho1 is not None:
-            return FrontierResult(rho1=rho1, attained=True, argmin=pi, spec=spec,
-                                  route="ROOT", status=OPTIMAL, gap=risk - rho1,
+        if bound is not None:
+            return FrontierResult(rho1=risk, attained=True, argmin=pi, spec=spec,
+                                  route="ROOT", status=OPTIMAL, gap=abs(risk - bound),
                                   iterations=evals)
-        # Stopped short of the root: report the portfolio's own risk, and its
-        # distance from the bracket's lower end as the gap.
         return FrontierResult(rho1=risk, attained=False, argmin=pi, spec=spec,
-                              route="ROOT", status=OPTIMAL, gap=risk - lo,
+                              route="ROOT", status=OPTIMAL, gap=risk - lo_sure,
                               annotations=("MAX_ITER",), iterations=evals)
 
-    # Start from the Gaussian root: near t = -1, D(t) ~ (t + 1)^2 / (2 a' S^-1 a)
-    # with S the covariance of e, reached at lam = -(t + 1) S^-1 a.
+    # Start from the Gaussian root.  With S the covariance of e, the least
+    # penalty near t = -1 is V(t) ~ g(1) + g''(1) (t + 1)^2 a' S^-1 a / 2,
+    # reached at Z = 1 + (e - a) . w with w = -(t + 1) S^-1 a.  g''(1) is 1
+    # for the entropy and q - 1 for the power penalty; the dual variables
+    # there are lam = g''(1) w and, for the power penalty, nu = 1 - (t + 1) lam . a.
     dev = E - a[:, None]
     try:
         tilt = np.linalg.solve((dev * p) @ dev.T, a)
-        t = -1.0 + math.sqrt(2.0 * beta / float(a @ tilt))
+        t = -1.0 + math.sqrt(2.0 * (beta - g1) / (g2 * float(a @ tilt)))
     except (np.linalg.LinAlgError, ValueError):
         tilt, t = np.zeros_like(a), math.inf
     if not t < hi:
         t = 0.5 * (lo + hi)
-    lam = -(t + 1.0) * tilt
-    best_pi, best_bound = wc_pi, t_max
+    lam = -g2 * (t + 1.0) * tilt
+    nu0 = 1.0 - (t + 1.0) * float(lam @ a)
+    best_pi, best_bound, last_pi = wc_pi, t_max, wc_pi
     evals = overshoots = 0
     while evals < EVAR_ROOT_MAX_ITER:
-        res = newton_cumulant_min(p, (E + t * a[:, None]).T, lam0=lam)
+        res, nu_res = solve(t, lam, nu0)
         evals += 1
         over = res.value - beta
+        slope = -float(res.lam @ a)
+        if slope > 0.0 and math.isfinite(res.value):
+            last_pi = -res.lam
         if over > 0.0:
             hi, top_open = t, False
         else:
             lo = t
+            if res.status == "OK":
+                lo_sure = t
         if hi - lo <= EVAR_ROOT_TOL * (1.0 + abs(hi)):
-            if top_open:  # D <= beta all the way up to t_max
+            if top_open:  # V <= beta all the way up to t_max
                 return result(wc_pi, evals, t_max)
             break  # the inner solves never closed near the root
-        slope = -float(res.lam @ a)
         t_new = math.nan
         if res.status == "OK" and slope > 0.0:
             step = -over / slope
             if abs(step) <= EVAR_ROOT_TOL * (1.0 + abs(t)):
                 return result(-res.lam, evals, t + step)
-            lam = res.lam
+            lam, nu0 = res.lam, nu_res
             t_new = t + step
             if t_new < best_bound:
                 best_pi, best_bound = -res.lam, t_new
             if t_new >= hi:
                 # From the left, convexity makes Newton overshoot; past the
                 # bracket, step in u = -log(t_max - t) instead, which stays
-                # below t_max.  A second such overshoot asks whether D stays
+                # below t_max.  A second such overshoot asks whether V stays
                 # <= beta all the way up.
                 overshoots += 1
                 if top_open and overshoots >= 2:
-                    top = newton_cumulant_min(p, (E + t_max * a[:, None]).T, lam0=lam)
+                    top, _ = solve(t_max, lam, nu0)
                     evals += 1
                     if top.value <= beta:
                         return result(wc_pi, evals, t_max)
@@ -364,25 +320,24 @@ def _evar_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierRe
         if not lo < t_new < hi:
             t_new = 0.5 * (lo + hi)
         t = t_new
-    return result(best_pi, evals)
+    # Stopped short: the last solve, near the root if the bracket closed,
+    # may give a better portfolio than the last converged Newton step.
+    return min((result(pi, evals) for pi in (best_pi, last_pi)), key=lambda r: r.rho1)
 
 
-def compute_rho1(market: ScenarioMarket, spec: RiskSpec, *, box: float = BOX_DEFAULT,
-                 tol: float = 1e-9) -> FrontierResult:
+def compute_rho1(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     """Minimal risk over the unit expected-excess slice Pi_1.
 
     d = 1 takes the direct route (the slice is the canonical singleton);
-    ES/SPECTRAL/WC solve one LP (_slice_lp), which needs no box; EVAR finds
-    the root of its entropy dual in the shift t (_evar_route), bracketed by
-    the WC slice LP; TNORM runs cutting planes to tolerance tol in a box on
-    |pi|, enlarged once geometrically before rho_1 = -inf is declared.
-    VAR raises UnsupportedGlobalMinError, GENTROPIC has no primal route.
+    ES/SPECTRAL/WC solve one LP (_slice_lp); EVAR and TNORM find the root
+    of their penalty dual in the shift t (_root_route), bracketed by the
+    WC slice LP.  VAR raises UnsupportedGlobalMinError, GENTROPIC has no
+    primal route.
     """
-    return _compute_rho_nu(market, spec, 1.0, box=box, tol=tol)
+    return _compute_rho_nu(market, spec, 1.0)
 
 
-def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float, *,
-                    box: float, tol: float) -> FrontierResult:
+def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierResult:
     if spec.kind == "VAR":
         raise UnsupportedGlobalMinError(
             "UNSUPPORTED_GLOBAL_MIN: VaR slice minima are not computed")
@@ -408,29 +363,7 @@ def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float, *,
                               spec=spec, route="LP", status=OPTIMAL,
                               iterations=sol.iterations)
 
-    if spec.kind == "EVAR":
-        return _evar_route(market, spec, nu)
-
-    # TNORM: cutting planes, one box enlargement before giving up.
-    res = _kelley_route(market, spec, nu, box, tol)
-    iterations = res.iterations
-    if res.status == "BOX_ACTIVE":
-        res = _kelley_route(market, spec, nu, box * BOX_GROWTH, tol)
-        iterations += res.iterations
-        if res.status == "BOX_ACTIVE":
-            return FrontierResult(rho1=-math.inf, attained=False, argmin=res.pi,
-                                  spec=spec, route="KELLEY", status="BOX_ACTIVE",
-                                  gap=res.gap, annotations=("BOX_ACTIVE",),
-                                  iterations=iterations)
-    # The cut oracle's repaired densities can understate the risk at a query,
-    # so rho_1 is the risk of the returned portfolio itself, and gap its
-    # distance from the final master bound.
-    risk = evaluate(spec, excess_return(market, res.pi), market.probs)
-    annotations = () if res.status == "OK" else (res.status,)
-    return FrontierResult(rho1=risk / nu, attained=res.status == "OK",
-                          argmin=res.pi, spec=spec, route="KELLEY", status=OPTIMAL,
-                          gap=(risk - (res.value - res.gap)) / nu,
-                          annotations=annotations, iterations=iterations)
+    return _root_route(market, spec, nu)
 
 
 def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:

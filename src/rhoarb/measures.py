@@ -385,6 +385,27 @@ def _entropy_g_prime(z: Vector) -> Vector:
         return np.log(np.maximum(z, 1e-300)) + 1.0
 
 
+def penalty_descriptor(name: str, beta: float, *, q: float | None = None,
+                       g: Callable[[Vector], Vector] | None = None,
+                       g_prime: Callable[[Vector], Vector] | None = None) -> DualSetDescriptor:
+    """The g-entropic dual set {E[g(Z)] <= beta} of a penalty family.
+
+    name ENTROPY is g(z) = z log z, POWER is g(z) = |z|^q / q, CUSTOM is the
+    callable g with its optional derivative g_prime.
+    """
+    if name == "ENTROPY":
+        return DualSetDescriptor(kind="GENTROPIC", penalty_name="ENTROPY",
+                                 penalty=_entropy_g, penalty_prime=_entropy_g_prime,
+                                 beta=beta)
+    if name == "POWER":
+        return DualSetDescriptor(kind="GENTROPIC", penalty_name="POWER",
+                                 penalty=lambda z: np.abs(z) ** q / q,
+                                 penalty_prime=lambda z: np.abs(z) ** (q - 1.0),
+                                 beta=beta, q=q)
+    return DualSetDescriptor(kind="GENTROPIC", penalty_name="CUSTOM", penalty=g,
+                             penalty_prime=g_prime, beta=beta)
+
+
 def dual_descriptor(spec: RiskSpec) -> DualSetDescriptor:
     """Map a RiskSpec to its dual-set shape; VAR raises UnsupportedDualError."""
     if spec.kind == "VAR":
@@ -396,27 +417,9 @@ def dual_descriptor(spec: RiskSpec) -> DualSetDescriptor:
     if spec.kind == "SPECTRAL":
         return DualSetDescriptor(kind="SPECTRAL", atoms=spec.spectrum)
     if spec.kind == "EVAR":
-        return DualSetDescriptor(kind="GENTROPIC", penalty_name="ENTROPY",
-                                 penalty=_entropy_g, penalty_prime=_entropy_g_prime,
-                                 beta=-math.log(spec.alpha))
+        return penalty_descriptor("ENTROPY", -math.log(spec.alpha))
     if spec.kind == "TNORM":
         q = spec.p / (spec.p - 1.0)
-        beta = (1.0 / spec.alpha) ** q / q
-        return DualSetDescriptor(kind="GENTROPIC", penalty_name="POWER",
-                                 penalty=lambda z, _q=q: np.abs(z) ** _q / _q,
-                                 penalty_prime=lambda z, _q=q: np.abs(z) ** (_q - 1.0),
-                                 beta=beta, q=q)
-    # GENTROPIC
-    if spec.g_kind == "ENTROPY":
-        return DualSetDescriptor(kind="GENTROPIC", penalty_name="ENTROPY",
-                                 penalty=_entropy_g, penalty_prime=_entropy_g_prime,
-                                 beta=spec.beta)
-    if spec.g_kind == "POWER":
-        q = spec.q
-        return DualSetDescriptor(kind="GENTROPIC", penalty_name="POWER",
-                                 penalty=lambda z, _q=q: np.abs(z) ** _q / _q,
-                                 penalty_prime=lambda z, _q=q: np.abs(z) ** (_q - 1.0),
-                                 beta=spec.beta, q=q)
-    return DualSetDescriptor(kind="GENTROPIC", penalty_name="CUSTOM",
-                             penalty=spec.g, penalty_prime=spec.g_prime,
-                             beta=spec.beta)
+        return penalty_descriptor("POWER", (1.0 / spec.alpha) ** q / q, q=q)
+    return penalty_descriptor(spec.g_kind, spec.beta, q=spec.q, g=spec.g,
+                              g_prime=spec.g_prime)

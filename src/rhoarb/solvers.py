@@ -1,11 +1,13 @@
 """Scalar and structured minimizers used by the frontier and dual routes.
 
-Three kernels live here: a golden-section search for one-dimensional convex
-(or unimodal) objectives with geometric bracket expansion, a damped Newton
-method for the cumulant-type function behind the entropy dual (the EVaR
-slice root evaluates it along a shift), and a Kelley cutting-plane loop for
-minimizing a sup-of-linear risk functional over an expected-excess slice.
-All of them are deterministic.
+A golden-section search for one-dimensional convex (or unimodal) objectives
+with geometric bracket expansion; one damped Newton loop with two kernels
+for the smooth duals of the penalty minima over martingale densities, the
+cumulant log E exp(lam . e) of the entropy penalty and the power conjugate
+E[(nu + lam . e)+^p / p] - nu of E[Z^q / q] (the EVaR and TNORM slice roots
+evaluate them along a shift); and a Kelley cutting-plane loop for
+minimizing a sup-of-linear risk functional over an expected-excess slice,
+kept as a reference method.  All of them are deterministic.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ WIDTH_EPS = 4.0 * float(np.finfo(np.float64).eps)
 LAMBDA_ESCAPE = 1e8          # scaled Newton iterate norm beyond this means divergence
 GRAD_ACCEPT = 1e-9           # scaled gradient norm a converged minimizer must reach
 STEP_ACCEPT = 1e-6           # final Newton step / (1 + |lam|) above this: still escaping
+FLAT_STEPS = 10              # Newton steps in a row that leave f flat end the loop
 ORACLE_CONSISTENCY_TOL = 1e-7
 
 
@@ -88,8 +91,10 @@ class CumulantResult:
     units of the excess rows.  gradient_norm is the max-norm of E[z e]
     divided by max |e|, so it does not depend on the units of e.  status is
     "OK" for a converged interior minimizer and "DIVERGENT" when the
-    iterates run off to infinity (the infimum sits on a boundary face) or
-    the gradient did not close.
+    iterates run off to infinity (the infimum sits on a boundary face, or
+    no density prices the rows at all) or the gradient did not close.
+    value is +inf when K fell below the least value it has if a density
+    prices the rows: then none does.
     """
 
     lam: Vector
@@ -100,37 +105,138 @@ class CumulantResult:
     iterations: int
 
 
+@dataclass(frozen=True, eq=False)
+class PowerResult(CumulantResult):
+    """Outcome of the power-penalty minimization.
+
+    value is v* = max over (nu, lam) of nu - E[(nu + lam . e)+^p / p], the
+    least E[Z^q / q] over the martingale densities of the rows; z is the
+    density (nu + lam . e)+^(p-1) at the final iterate, so E[z] = 1 holds
+    only to the gradient tolerance, and value is +inf when no density
+    prices the rows.  gradient_norm is the max-norm of
+    (E[z] - 1, E[z e] / max |e|).  The other fields read as in
+    CumulantResult.
+    """
+
+    nu: float = 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class _NewtonRun:
+    x: Vector
+    value: float
+    state: Vector
+    gradient_norm: float
+    status: str
+    iterations: int
+
+
+def _damped_newton(value: Callable[[Vector], tuple[float, Vector]],
+                   derivatives: Callable[[Vector], tuple[Vector, Vector]],
+                   x0: Vector, *, floor: float, grad_tol: float, max_iter: int,
+                   step_test: bool = True) -> _NewtonRun:
+    """Minimize a convex f given on scaled rows by damped Newton steps.
+
+    value(x) returns (f(x), state) and derivatives(state) the gradient and
+    Hessian there.  The kernels divide their rows by max |e| first
+    (_scaled_rows), so the Armijo (1e-4) and Hessian-ridge (1e-12)
+    constants and every test below are relative to the data.  floor is the least value f can take
+    when a minimizer exists (M nonempty); an iterate below it is following
+    a recession direction, so the loop stops there instead of stepping on
+    while f falls linearly and the gradient stays large, and reports the
+    value -inf.  FLAT_STEPS steps in a row that lower f by no more than
+    rounding also end the loop: the gradient can no longer close there.
+
+    DIVERGENT is decided from the scaled iterate: it must not have passed
+    the floor or LAMBDA_ESCAPE, the gradient must be at most GRAD_ACCEPT,
+    and, with step_test, the Newton step at the final iterate must be
+    negligible against it.  At an interior minimizer that step is
+    quadratically small; along a recession direction Newton keeps stepping
+    by ~1 / (the gap of the off-face rows) while the gradient decays
+    geometrically, so the iterate is still running away when the gradient
+    test passes.  A kernel whose minimum is attained but need not be
+    unique turns step_test off: there a large step only moves along the
+    set of minimizers.
+    """
+    # Decreases of f smaller than this are rounding, not a failed descent.
+    f_round = 8.0 * float(np.finfo(np.float64).eps)
+    floor -= 1e-9 * (1.0 + abs(floor))
+
+    def newton_step(grad: Vector, H: Vector) -> Vector:
+        H = H.copy()
+        H[np.diag_indices_from(H)] += 1e-12
+        try:
+            return np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:
+            return -grad
+
+    x = np.asarray(x0, dtype=np.float64)
+    f, state = value(x)
+    grad, H = derivatives(state)
+    receded = False
+    flat = 0  # consecutive steps that lowered f by no more than rounding
+    it = 0
+    for it in range(1, max_iter + 1):
+        if float(np.abs(grad).max()) < grad_tol or np.abs(x).max() > LAMBDA_ESCAPE:
+            break
+        if f < floor:
+            receded = True
+            break
+        step = newton_step(grad, H)
+        slope = float(grad @ step)
+        if slope >= 0.0:  # not a descent direction, fall back to gradient
+            step = -grad
+            slope = -float(grad @ grad)
+        t = 1.0
+        f_new, state_new = f, state
+        while t >= 1e-14:
+            f_new, state_new = value(x + t * step)
+            if f_new <= f + 1e-4 * t * slope + f_round * (1.0 + abs(f)):
+                break
+            t *= 0.5
+        else:
+            break  # stalled line search; classify with current iterate
+        flat = flat + 1 if f_new >= f - f_round * (1.0 + abs(f)) else 0
+        x = x + t * step
+        f, state = f_new, state_new
+        grad, H = derivatives(state)
+        if flat >= FLAT_STEPS:
+            break  # f sits at its rounding floor; classify with this iterate
+
+    gnorm = float(np.abs(grad).max())
+    x_norm = float(np.abs(x).max())
+    running = step_test and (float(np.abs(newton_step(grad, H)).max())
+                             > STEP_ACCEPT * (1.0 + x_norm))
+    diverged = receded or x_norm > LAMBDA_ESCAPE or gnorm > GRAD_ACCEPT or running
+    return _NewtonRun(x=x, value=-math.inf if receded else f, state=state,
+                      gradient_norm=gnorm,
+                      status="DIVERGENT" if diverged else "OK", iterations=it)
+
+
+def _scaled_rows(excess: Vector) -> tuple[Vector, float]:
+    scale = float(np.abs(excess).max())
+    if not scale > 0.0:
+        scale = 1.0
+    return np.asarray(excess, dtype=np.float64) / scale, scale
+
+
 def newton_cumulant_min(probs: Vector, excess: Vector, *, lam0: Vector | None = None,
                         grad_tol: float = 1e-11, max_iter: int = 500) -> CumulantResult:
     """Minimize K(lam) = log E[exp(lam . e)] over lam in R^d.
 
     probs has shape (N,), excess has shape (N, d) with rows e_omega; lam0
     (in the units of e) warm-starts the iteration, which otherwise starts
-    at 0.  The rows are divided by max |e| first, so the Armijo (1e-4) and
-    Hessian-ridge (1e-12) constants and every test below are relative to
-    the data.  The Hessian is the Gibbs covariance of the rows, positive
+    at 0.  The Hessian is the Gibbs covariance of the rows, positive
     definite whenever the rows plus the constant span d+1 dimensions.
-
-    DIVERGENT is decided from the scaled iterate: the gradient must be at
-    most GRAD_ACCEPT, and the Newton step at the final iterate must be
-    negligible against it.  At an interior minimizer that step is
-    quadratically small; along a recession direction Newton keeps stepping
-    by ~1 / (the gap of the off-face rows) while the gradient decays
-    geometrically, so the iterate is still running away when the gradient
-    test passes.
+    When some density Z prices the rows, K >= -E[Z log Z] >= log min p,
+    which is the floor of _damped_newton.
     """
     p = np.asarray(probs, dtype=np.float64)
-    scale = float(np.abs(excess).max())
-    if not scale > 0.0:
-        scale = 1.0
-    E = np.asarray(excess, dtype=np.float64) / scale
-    N, d = E.shape
+    E, scale = _scaled_rows(excess)
     logp = np.log(p)
-    lam = np.zeros(d) if lam0 is None else np.asarray(lam0, dtype=np.float64) * scale
-    # Decreases of K smaller than this are rounding, not a failed descent.
-    k_round = 8.0 * float(np.finfo(np.float64).eps)
+    lam = np.zeros(E.shape[1]) if lam0 is None else np.asarray(lam0, dtype=np.float64) * scale
 
-    def eval_at(l: Vector) -> tuple[float, Vector]:
+    def value(l: Vector) -> tuple[float, Vector]:
         a = logp + E @ l
         m = a.max()
         w = np.exp(a - m)
@@ -138,46 +244,68 @@ def newton_cumulant_min(probs: Vector, excess: Vector, *, lam0: Vector | None = 
         w /= s
         return m + math.log(s), w
 
-    def newton_step(w: Vector, grad: Vector) -> Vector:
-        H = E.T @ (w[:, None] * E) - np.outer(grad, grad)
-        H[np.diag_indices_from(H)] += 1e-12
-        try:
-            return np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            return -grad
-
-    K, w = eval_at(lam)
-    grad = E.T @ w
-    it = 0
-    for it in range(1, max_iter + 1):
-        if float(np.abs(grad).max()) < grad_tol or np.abs(lam).max() > LAMBDA_ESCAPE:
-            break
-        step = newton_step(w, grad)
-        slope = float(grad @ step)
-        if slope >= 0.0:  # not a descent direction, fall back to gradient
-            step = -grad
-            slope = -float(grad @ grad)
-        t = 1.0
-        K_new, w_new = K, w
-        while t >= 1e-14:
-            K_new, w_new = eval_at(lam + t * step)
-            if K_new <= K + 1e-4 * t * slope + k_round * (1.0 + abs(K)):
-                break
-            t *= 0.5
-        else:
-            break  # stalled line search; classify with current iterate
-        lam = lam + t * step
-        K, w = K_new, w_new
+    def derivatives(w: Vector) -> tuple[Vector, Vector]:
         grad = E.T @ w
+        return grad, E.T @ (w[:, None] * E) - np.outer(grad, grad)
 
-    z = w / p  # Gibbs density: z_omega = exp(lam.e_omega) / E[exp(lam.e)]
-    gnorm = float(np.abs(grad).max())
-    lam_norm = float(np.abs(lam).max())
-    running = float(np.abs(newton_step(w, grad)).max()) > STEP_ACCEPT * (1.0 + lam_norm)
-    diverged = lam_norm > LAMBDA_ESCAPE or gnorm > GRAD_ACCEPT or running
-    status = "DIVERGENT" if diverged else "OK"
-    return CumulantResult(lam=lam / scale, value=-K, z=z, status=status,
-                          gradient_norm=gnorm, iterations=it)
+    run = _damped_newton(value, derivatives, lam, floor=float(logp.min()),
+                         grad_tol=grad_tol, max_iter=max_iter)
+    # Gibbs density: z_omega = exp(lam.e_omega) / E[exp(lam.e)]
+    return CumulantResult(lam=run.x / scale, value=-run.value, z=run.state / p,
+                          status=run.status, gradient_norm=run.gradient_norm,
+                          iterations=run.iterations)
+
+
+def newton_power_min(probs: Vector, excess: Vector, q: float, *,
+                     lam0: Vector | None = None, nu0: float = 1.0,
+                     grad_tol: float = 1e-11, max_iter: int = 500) -> PowerResult:
+    """Minimize E[Z^q / q] over the densities Z >= 0 with E[Z] = 1, E[Z e] = 0.
+
+    With p = q / (q - 1) the conjugate of z^q / q on z >= 0 is s+^p / p, so
+    the minimum is max over (nu, lam) of nu - E[(nu + lam . e)+^p / p],
+    attained with Z = (nu + lam . e)+^(p-1) whenever some density prices
+    the rows.  Newton runs on F = E[s+^p / p] - nu, s = nu + lam . e, whose
+    Hessian (p - 1) E[s+^(p-2) (1, e)(1, e)'] is piecewise constant at
+    p = 2, where the method is semismooth Newton.  lam0 (in the units of
+    e) and nu0 warm-start it; the default start is Z = 1.  F >= -E[Z^q] / q
+    >= -(min p)^(1-q) / q for every pricing density Z, the floor of
+    _damped_newton.  The maximum is attained whenever a density prices the
+    rows, but on a face of M it need not be unique (rows with s <= 0 add
+    no curvature), so DIVERGENT here means that no density prices the rows
+    or that the gradient did not close.
+    """
+    q = float(q)
+    if not q > 1.0:
+        raise ValueError("power penalty needs q > 1")
+    p_exp = q / (q - 1.0)
+    pr = np.asarray(probs, dtype=np.float64)
+    E, scale = _scaled_rows(excess)
+    rows = np.hstack([np.ones((E.shape[0], 1)), E])
+    x0 = np.zeros(rows.shape[1])
+    x0[0] = nu0
+    if lam0 is not None:
+        x0[1:] = np.asarray(lam0, dtype=np.float64) * scale
+
+    def value(x: Vector) -> tuple[float, Vector]:
+        s = np.maximum(rows @ x, 0.0)
+        return float(pr @ s ** p_exp) / p_exp - x[0], s
+
+    def derivatives(s: Vector) -> tuple[Vector, Vector]:
+        grad = rows.T @ (pr * s ** (p_exp - 1.0))
+        grad[0] -= 1.0
+        pos = s > 0.0
+        # s+^(p-2) is unbounded at the kink for p < 2; the clip keeps it finite.
+        curv = np.zeros_like(s)
+        curv[pos] = (p_exp - 1.0) * pr[pos] * np.maximum(s[pos], 1e-150) ** (p_exp - 2.0)
+        return grad, rows.T @ (curv[:, None] * rows)
+
+    floor = -float(pr.min()) ** (1.0 - q) / q
+    run = _damped_newton(value, derivatives, x0, floor=floor, grad_tol=grad_tol,
+                         max_iter=max_iter, step_test=False)
+    return PowerResult(lam=run.x[1:] / scale, value=-run.value,
+                       z=run.state ** (p_exp - 1.0), status=run.status,
+                       gradient_norm=run.gradient_norm, iterations=run.iterations,
+                       nu=float(run.x[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -121,6 +121,12 @@ def test_analyze_duo_no_arbitrage_with_witness(duo_file, capsys):
     assert report["cross"]["status"] == "AGREE"
 
 
+def test_analyze_reports_the_dual_newton_solve(duo_file, capsys):
+    main(["analyze", "--market", duo_file, "--risk", '{"kind": "TNORM", "p": 2, "alpha": 0.9}'])
+    cert = json.loads(capsys.readouterr().out)["dual"]["certificate"]
+    assert cert["iterations"] > 0 and 0.0 <= cert["gap"] <= 1e-9
+
+
 def test_analyze_var_rejects_dual_flag(binomial_file, capsys):
     code = main(["analyze", "--market", binomial_file,
                  "--risk", '{"kind": "VAR", "alpha": 0.3}', "--dual"])

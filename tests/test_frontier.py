@@ -87,6 +87,7 @@ def test_rho1_single_asset_uses_direct_route():
         market = make_random_market(rng, n_max=6, d_max=3)
     assert compute_rho1(market, RiskSpec.es(0.5)).route == "LP"
     assert compute_rho1(market, RiskSpec.evar(0.5)).route == "ROOT"
+    assert compute_rho1(market, RiskSpec.tnorm(2, 0.5)).route == "ROOT"
 
 
 def test_rho1_homogeneity_in_level():
