@@ -120,26 +120,24 @@ class AnalysisReport:
     timings: dict = field(default_factory=dict)
     market_file: str | None = None
     tol: float = 1e-7
-    seed: int | None = None
 
     def to_dict(self) -> dict:
         return {"risk": self.risk, "verdict": self.verdict, "rho1": self.rho1,
                 "primal": self.primal, "dual": self.dual, "cross": self.cross,
                 "timings": self.timings, "market_file": self.market_file,
-                "tol": self.tol, "seed": self.seed}
+                "tol": self.tol}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisReport":
         return cls(risk=data["risk"], verdict=data["verdict"], rho1=data.get("rho1"),
                    primal=data.get("primal"), dual=data.get("dual"),
                    cross=data.get("cross"), timings=data.get("timings", {}),
-                   market_file=data.get("market_file"), tol=data.get("tol", 1e-7),
-                   seed=data.get("seed"))
+                   market_file=data.get("market_file"), tol=data.get("tol", 1e-7))
 
 
 def analyze_market(market: ScenarioMarket, spec: RiskSpec, *, tol: float = 1e-7,
-                   want_dual: bool | None = None, market_file: str | None = None,
-                   seed: int | None = None) -> AnalysisReport:
+                   want_dual: bool | None = None,
+                   market_file: str | None = None) -> AnalysisReport:
     """Primal + dual classification with cross-validation where both run.
 
     want_dual None runs whatever the measure supports; True insists on the
@@ -182,7 +180,7 @@ def analyze_market(market: ScenarioMarket, spec: RiskSpec, *, tol: float = 1e-7,
 
     return AnalysisReport(risk=spec.to_json_dict(), verdict=verdict, rho1=rho1,
                           primal=primal, dual=dual, cross=cross, timings=timings,
-                          market_file=market_file, tol=tol, seed=seed)
+                          market_file=market_file, tol=tol)
 
 
 # -- output helpers -----------------------------------------------------------
@@ -248,7 +246,7 @@ def _cmd_analyze(args) -> int:
     spec = load_risk(args.risk, args.risk_file)
     want_dual = True if args.dual else None
     report = analyze_market(market, spec, tol=args.tol, want_dual=want_dual,
-                            market_file=args.market, seed=args.seed)
+                            market_file=args.market)
     _emit_json(report.to_dict(), args.out)
     return EXIT_CODES.get(report.verdict, 1)
 
@@ -375,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-7, help="boundary band")
     p.add_argument("--dual", action="store_true",
                    help="insist on the dual route (error if unsupported)")
-    p.add_argument("--seed", type=int, default=None, help="recorded in the report")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("frontier", help="frontier boundary at given levels")

@@ -17,6 +17,15 @@ statement about M:
     GENTROPIC strong-form: v* = min_{Z in M} E[g(Z)] <= beta;
               strict: classical delta* > 0 and v* < beta
 
+The ES strict test and both SPECTRAL tests are one box-mixture LP (ES is
+its one-atom case).  It maximizes the relative margin eps with which each
+atom's zeta_j, E[zeta_j] = 1, stays in [cap_j eps, cap_j (1 - eps)],
+cap_j = 1/alpha_j.  The Charnes-Cooper scaling zeta_j = cap_j ((s - 1)/2
++ y_j)/s, y_j in [0, 1]^N, s >= 1, eps = (s - 1)/(2 s) makes it linear,
+with one row per free atom and one per asset.  Infeasible means the strong
+form fails, eps* = 0 means rho-arbitrage, eps* > 0 means no arbitrage.
+The classical and sup-norm tests keep the d + 1 rows of M.
+
 The entropy and power penalties minimize through unconstrained smooth
 duals in (d + 1) or fewer variables, the cumulant log E exp(lam . e) and
 the power conjugate E[(nu + lam . e)+^p / p] - nu, by damped Newton (no
@@ -44,8 +53,6 @@ Vector = NDArray[np.float64]
 ZERO_TOL = 1e-9          # LP vertex quantities at or below this count as zero
 RESIDUAL_TOL = 1e-8
 FW_TOL = 1e-8
-STRICT_SCAN_DEPTH = 40
-STRICT_DELTA_FLOOR = 1e-7  # box shrinks below this sit inside LP feasibility noise
 EMPTY_SCALE = 1e-12      # Charnes-Cooper scale s* = 1/t* at or below this: M is empty
 
 
@@ -115,8 +122,11 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
     With Z = delta + w, w >= 0: maximize delta subject to
     A w + delta A1 = b, so the program keeps the d + 1 rows of M.
     """
-    poly = MartingalePolytope.of(market)
-    N = market.n_scenarios
+    return _classical(MartingalePolytope.of(market))
+
+
+def _classical(poly: MartingalePolytope) -> ClassicalResult:
+    N = poly.A.shape[1]
     c = np.zeros(N + 1)
     c[N] = -1.0
     A_eq = np.hstack([poly.A, poly.A.sum(axis=1, keepdims=True)])
@@ -144,14 +154,16 @@ def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
     max s subject to A y = s b, with the d + 1 rows of M; t* = 1 / s*.
     s* = 0 means M is empty.
     """
-    poly = MartingalePolytope.of(market)
-    N = market.n_scenarios
+    return _supnorm(MartingalePolytope.of(market))
+
+
+def _supnorm(poly: MartingalePolytope) -> SupnormResult:
+    rows, N = poly.A.shape
     c = np.zeros(N + 1)
     c[N] = -1.0
     A_eq = np.hstack([poly.A, -poly.b[:, None]])
     upper = np.concatenate([np.ones(N), [np.inf]])
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(poly.A.shape[0]),
-                                 upper=upper))
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(rows), upper=upper))
     if sol.status != OPTIMAL:
         raise RuntimeError(f"sup-norm LP returned {sol.status}")
     s = float(sol.x[N])
@@ -159,6 +171,65 @@ def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
         return SupnormResult(status=INFEASIBLE, t=math.inf, witness=None)
     return SupnormResult(status=OPTIMAL, t=1.0 / s,
                          witness=DualWitness.of(poly, sol.x[:N] / s))
+
+
+# -- box mixtures (ES and SPECTRAL) ------------------------------------------
+
+
+def _box_mixture(poly: MartingalePolytope,
+                 atoms) -> tuple[float, float, DualWitness | None]:
+    """Largest relative margin eps of a mixture Z = sum_j w_j zeta_j in M.
+
+    Atoms with alpha_j >= 1 are pinned to zeta_j = 1 (total weight w_pin);
+    every free atom has cap_j = 1/alpha_j, E[zeta_j] = 1 and
+    zeta_j in [cap_j eps, cap_j (1 - eps)].  Charnes-Cooper scaling
+    zeta_j = cap_j ((s - 1)/2 + y_j) / s with y_j in [0, 1]^N and s >= 1
+    (so eps = (s - 1)/(2 s)) makes every row linear: maximize s subject to
+
+        cap_j E[y_j] + s (cap_j/2 - 1) = cap_j/2           (each free atom)
+        sum_j w_j cap_j E[y_j e] + s (h + w_pin) E[e] = h E[e],
+
+    h = sum_j w_j cap_j / 2, the J_free + d rows.  Infeasible is the strong
+    form failing; s* = 1 is eps = 0; an unbounded s is eps = 1/2, every
+    zeta_j the constant cap_j / 2.
+
+    Returns (eps*, margin, witness): margin = eps* min_j cap_j bounds every
+    zeta_j from below (0 with no free atom), and the witness is the mixture,
+    None when the strong form fails.
+    """
+    p, mart = poly.A[0], poly.A[1:]  # mart @ v = E[v e]
+    d, N = mart.shape
+    free = [(1.0 / a, w) for a, w in atoms if a < 1.0]
+    w_pin = sum((w for a, w in atoms if a >= 1.0), 0.0)
+    J = len(free)
+    h = sum(w * cap for cap, w in free) / 2.0
+    mean_e = mart.sum(axis=1)
+    A_eq = np.zeros((J + d, J * N + 1))
+    b_eq = np.empty(J + d)
+    for j, (cap, w) in enumerate(free):
+        A_eq[j, j * N:(j + 1) * N] = cap * p
+        A_eq[j, -1] = cap / 2.0 - 1.0
+        b_eq[j] = cap / 2.0
+        A_eq[J:, j * N:(j + 1) * N] = w * cap * mart
+    A_eq[J:, -1] = (h + w_pin) * mean_e
+    b_eq[J:] = h * mean_e
+    c = np.zeros(J * N + 1)
+    c[-1] = -1.0
+    lower = np.concatenate([np.zeros(J * N), [1.0]])
+    upper = np.concatenate([np.ones(J * N), [np.inf]])
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper))
+    if sol.status == INFEASIBLE:
+        return 0.0, 0.0, None
+    if sol.status == UNBOUNDED:
+        eps, y, s = 0.5, np.zeros(J * N), math.inf
+    else:
+        s = float(sol.x[-1])
+        eps, y = 0.5 * (s - 1.0) / s, sol.x[:-1]
+    z = np.full(N, w_pin)
+    for j, (cap, w) in enumerate(free):
+        z += w * cap * (eps + y[j * N:(j + 1) * N] / s)
+    margin = eps * min((cap for cap, _ in free), default=0.0)
+    return eps, margin, DualWitness.of(poly, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,38 +244,19 @@ def es_strict_check(market: ScenarioMarket, alpha: float) -> StrictBoxResult:
 
     delta* > 0 iff some strictly positive density prices the market with
     sup-norm strictly below 1/alpha, i.e. no ES-arbitrage at level alpha.
-    Writing Z = delta + kappa y with y in [0, 1]^N, kappa = 1/alpha - 2 delta
-    and s = 1 / kappa gives the (d + 1)-row program
-
-        max s  subject to  A y + s (A1 / (2 alpha) - b) = A1 / 2,  s >= alpha,
-
-    and delta* = (1/alpha - 1/s*) / 2.  An unbounded s is kappa = 0: the
-    constant density 1/(2 alpha) lies in M.
+    This is the one-atom box mixture: delta* = eps* / alpha, and an
+    unbounded scale is the constant density 1/(2 alpha) in M.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    poly = MartingalePolytope.of(market)
-    N = market.n_scenarios
-    ones = poly.A.sum(axis=1)
-    c = np.zeros(N + 1)
-    c[N] = -1.0
-    A_eq = np.hstack([poly.A, (ones / (2.0 * alpha) - poly.b)[:, None]])
-    lower = np.concatenate([np.zeros(N), [alpha]])
-    upper = np.concatenate([np.ones(N), [np.inf]])
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=ones / 2.0, lower=lower, upper=upper))
-    if sol.status == INFEASIBLE:
+    return _es_strict(MartingalePolytope.of(market), alpha)
+
+
+def _es_strict(poly: MartingalePolytope, alpha: float) -> StrictBoxResult:
+    _, margin, witness = _box_mixture(poly, ((alpha, 1.0),))
+    if witness is None:
         return StrictBoxResult(status=INFEASIBLE, delta=0.0, witness=None)
-    if sol.status == UNBOUNDED:
-        delta = 0.5 / alpha
-        return StrictBoxResult(status=OPTIMAL, delta=delta,
-                               witness=DualWitness.of(poly, np.full(N, delta)))
-    kappa = 1.0 / float(sol.x[N])
-    delta = 0.5 * (1.0 / alpha - kappa)
-    return StrictBoxResult(status=OPTIMAL, delta=delta,
-                           witness=DualWitness.of(poly, delta + kappa * sol.x[:N]))
-
-
-# -- spectral mixtures ------------------------------------------------------
+    return StrictBoxResult(status=OPTIMAL, delta=margin, witness=witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,107 +265,32 @@ class SpectralResult:
 
     strong_feasible: bool
     strict_ok: bool
-    delta: float                     # outer box shrink at which strict succeeded
-    delta_prime: float               # inner positivity margin achieved
+    delta: float                     # cap shrink eps/(1 - eps): zeta_j <= cap_j/(1 + delta)
+    delta_prime: float               # lower margin eps min_j cap_j: zeta_j >= delta_prime
     witness_strong: DualWitness | None
     witness_strict: DualWitness | None
 
 
-def _spectral_lp(market: ScenarioMarket, spectrum, delta: float | None):
-    """Feasibility/margin LP for mixtures Z = sum_j w_j zeta_j in M.
-
-    delta None: strong form, boxes 0 <= zeta_j <= 1/alpha_j, minimize 0.
-    delta set: strict form, maximize delta' with delta' <= zeta_j,omega and
-    zeta_j,omega <= 1/(alpha_j (1 + delta)); atoms whose shrunken box cap
-    falls to 1 or below are pinned to the constant density 1.
-    """
-    poly = MartingalePolytope.of(market)
-    p = market.probs
-    N = market.n_scenarios
-    atoms = list(spectrum)
-    J = len(atoms)
-    if delta is None:
-        pinned = [a >= 1.0 for a, _ in atoms]
-        caps = [1.0 / a for a, _ in atoms]
-    else:
-        pinned = [a * (1.0 + delta) >= 1.0 for a, _ in atoms]
-        caps = [1.0 / (a * (1.0 + delta)) for a, _ in atoms]
-    free = [j for j in range(J) if not pinned[j]]
-    w_pinned = sum(w for j, (a, w) in enumerate(atoms) if pinned[j])
-
-    nz = len(free) * N
-    nvar = nz + (0 if delta is None else 1)
-    # Mean-one rows per free atom, then the mixture's martingale rows.
-    A_eq = np.zeros((len(free) + poly.A.shape[0] - 1, nvar))
-    b_eq = np.zeros(A_eq.shape[0])
-    for k, j in enumerate(free):
-        A_eq[k, k * N:(k + 1) * N] = p
-        b_eq[k] = 1.0
-    mart = poly.A[1:]                # asset rows only; E[Z] = 1 is automatic
-    for k, j in enumerate(free):
-        w = atoms[j][1]
-        A_eq[len(free):, k * N:(k + 1) * N] = w * mart
-    b_eq[len(free):] = -w_pinned * (mart @ np.ones(N))
-
-    lower = np.zeros(nvar)
-    upper = np.empty(nvar)
-    for k, j in enumerate(free):
-        upper[k * N:(k + 1) * N] = caps[j]
-    c = np.zeros(nvar)
-    A_le = None
-    b_le = None
-    if delta is not None:
-        upper[nz] = np.inf            # delta' <= every zeta entry bounds it anyway
-        c[nz] = -1.0
-        A_le = np.zeros((nz, nvar))
-        A_le[:, :nz] = -np.eye(nz)
-        A_le[:, nz] = 1.0            # delta' - zeta <= 0
-        b_le = np.zeros(nz)
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le,
-                                 lower=lower, upper=upper))
-    if sol.status != OPTIMAL:
-        return None, 0.0
-    zeta = np.ones((J, N))
-    for k, j in enumerate(free):
-        zeta[j] = sol.x[k * N:(k + 1) * N]
-    z_mix = np.einsum("j,jn->n", np.array([w for _, w in atoms]), zeta)
-    dprime = float(sol.x[nz]) if delta is not None else 0.0
-    return DualWitness.of(poly, z_mix), dprime
-
-
 def spectral_check(market: ScenarioMarket, spectrum) -> SpectralResult:
-    """Strong and strict mixture tests for a spectral measure.
+    """Strong and strict mixture tests for a spectral measure, in one LP.
 
-    Strict scans box shrinks delta = delta_max / 2^k, k = 0..40, accepting
-    the first delta whose positivity margin delta' exceeds 1e-9; delta'(delta)
-    only grows as delta shrinks, so failure at every scanned level means the
-    strict form is empty up to that resolution.  The scan stops above a
-    delta floor: shrinks smaller than the LP's feasibility tolerance make
-    an exactly-boundary program look feasible, and a margin that tiny is a
-    boundary case, not evidence of strict interiority.
+    The box-mixture program maximizes the margin eps with which every free
+    atom's zeta_j stays inside [cap_j eps, cap_j (1 - eps)], cap_j =
+    1/alpha_j.  Infeasible: no mixture lies in M (strong rho-arbitrage).
+    eps* = 0: the mixture touches its boxes (rho-arbitrage).  eps* > 0:
+    a strictly positive mixture lies strictly inside (no arbitrage), read
+    as the shrink delta = eps/(1 - eps) of every cap and the lower margin
+    delta' = eps min_j cap_j; a delta' within ZERO_TOL of 0 counts as 0.
+    With every atom at level 1 there is no box to be inside, so strict
+    never holds.
     """
-    atoms = tuple(spectrum)
-    witness_strong, _ = _spectral_lp(market, atoms, None)
-    strong = witness_strong is not None
-
-    non_unit = [a for a, _ in atoms if a < 1.0]
-    if not strong or not non_unit:
-        return SpectralResult(strong_feasible=strong, strict_ok=False, delta=0.0,
-                              delta_prime=0.0, witness_strong=witness_strong,
-                              witness_strict=None)
-    delta = min(1.0, min(1.0 / a - 1.0 for a in non_unit))
-    for _ in range(STRICT_SCAN_DEPTH + 1):
-        if delta < STRICT_DELTA_FLOOR:
-            break
-        witness, dprime = _spectral_lp(market, atoms, delta)
-        if witness is not None and dprime > ZERO_TOL:
-            return SpectralResult(strong_feasible=True, strict_ok=True, delta=delta,
-                                  delta_prime=dprime, witness_strong=witness_strong,
-                                  witness_strict=witness)
-        delta *= 0.5
-    return SpectralResult(strong_feasible=True, strict_ok=False, delta=0.0,
-                          delta_prime=0.0, witness_strong=witness_strong,
-                          witness_strict=None)
+    eps, margin, witness = _box_mixture(MartingalePolytope.of(market), tuple(spectrum))
+    strict = margin > ZERO_TOL
+    return SpectralResult(strong_feasible=witness is not None, strict_ok=strict,
+                          delta=eps / (1.0 - eps) if strict else 0.0,
+                          delta_prime=margin if strict else 0.0,
+                          witness_strong=witness,
+                          witness_strict=witness if strict else None)
 
 
 # -- g-entropic penalties ----------------------------------------------------
@@ -475,7 +452,7 @@ def _penalty_check(market: ScenarioMarket, desc: DualSetDescriptor,
     """
     beta = float(desc.beta)
     poly = MartingalePolytope.of(market)
-    cl = classical_no_arbitrage(market)
+    cl = _classical(poly)
     if cl.status == INFEASIBLE:
         return GEntropicResult(v_star=math.inf, beta=beta, delta_classical=0.0,
                                strong_ok=False, strict_ok=False, witness=None,
@@ -560,7 +537,8 @@ def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
 
 
 def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageVerdict:
-    sup = es_min_supnorm(market)
+    poly = MartingalePolytope.of(market)
+    sup = _supnorm(poly)
     bound = 1.0 / alpha
     cert: dict = {"t_star": sup.t, "box_upper": bound}
     if sup.status == INFEASIBLE:
@@ -572,7 +550,7 @@ def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageV
         ann = ("BOUNDARY",) if boundary else ()
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                                 certificate=cert, annotations=ann)
-    strict = es_strict_check(market, alpha)
+    strict = _es_strict(poly, alpha)
     cert["delta_star"] = strict.delta
     if strict.status == OPTIMAL and strict.delta > ZERO_TOL:
         cert["witness"] = strict.witness.to_dict()

@@ -1,79 +1,19 @@
-"""Standard normal density, CDF, and quantile, self-contained.
+"""Standard normal density, CDF and quantile over the standard library.
 
-Phi is built from an in-house error function: a Maclaurin series on
-|x| < 2.5 and a Gauss continued fraction (modified Lentz) for the
-complementary part beyond.  Absolute error of Phi is below 1e-13 across
-the real line.  The quantile uses the classic rational approximation in
-t = sqrt(-2 log u) as an initial guess and polishes with Newton steps on
-Phi, giving better than 1e-9 accuracy away from the extreme tails.
+erf and erfc are math's; the quantile is statistics.NormalDist's
+(Wichura's AS241, ~1e-16 relative), taken on the lower tail and reflected,
+so Phi_inv(u) == -Phi_inv(1 - u) holds exactly for u > 1/2.
 """
 
 from __future__ import annotations
 
 import math
+from math import erf, erfc
+from statistics import NormalDist
 
 SQRT2 = math.sqrt(2.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
-INV_SQRTPI = 1.0 / math.sqrt(math.pi)
-ERF_SWITCH = 2.5
-
-
-def erf(x: float) -> float:
-    """Error function via series (small |x|) or continued fraction."""
-    if x != x:
-        return x
-    ax = abs(x)
-    if ax < ERF_SWITCH:
-        return _erf_series(x)
-    tail = _erfc_cf(ax)
-    return 1.0 - tail if x > 0 else tail - 1.0
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate in the right tail."""
-    if x != x:
-        return x
-    if x >= ERF_SWITCH:
-        return _erfc_cf(x)
-    if x <= -ERF_SWITCH:
-        return 2.0 - _erfc_cf(-x)
-    return 1.0 - _erf_series(x)
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = (2/sqrt(pi)) sum_k (-1)^k x^(2k+1) / (k! (2k+1))
-    term = x       # x^(2k+1) (-1)^k / k!
-    total = x
-    xx = x * x
-    for k in range(1, 200):
-        term *= -xx / k
-        inc = term / (2 * k + 1)
-        total += inc
-        if abs(inc) <= 1e-18 * abs(total):
-            break
-    return 2.0 * INV_SQRTPI * total
-
-def _erfc_cf(x: float) -> float:
-    # Gauss continued fraction: erfc(x) = exp(-x^2)/sqrt(pi) *
-    #   1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))   for x > 0
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, 300):
-        a_n = n / 2.0
-        d = x + a_n * d
-        if d == 0.0:
-            d = tiny
-        c = x + a_n / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) * INV_SQRTPI / f
+_inv_cdf = NormalDist().inv_cdf
 
 
 def phi(x: float) -> float:
@@ -87,33 +27,9 @@ def Phi(x: float) -> float:
 
 
 def Phi_inv(u: float) -> float:
-    """Standard normal quantile on (0, 1); raises ValueError at the ends.
-
-    Solved on the lower tail and reflected: 1 - u is exact in floating
-    point for u >= 0.5, and small CDF values carry full relative precision
-    through the continued fraction, so Newton keeps ~1e-11 accuracy out to
-    the extreme tails instead of losing it to cancellation in Phi(x) - u.
-    """
+    """Standard normal quantile on (0, 1); raises ValueError elsewhere, nan included."""
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {u!r}")
-    if u == 0.5:
-        return 0.0
     if u > 0.5:
-        return -_phi_inv_lower(1.0 - u)
-    return _phi_inv_lower(u)
-
-
-def _phi_inv_lower(u: float) -> float:
-    # Rational initial guess in t = sqrt(-2 log u), then Newton on Phi.
-    t = math.sqrt(-2.0 * math.log(u))
-    x = ((0.010328 * t + 0.802853) * t + 2.515517) / \
-        (((0.001308 * t + 0.189269) * t + 1.432788) * t + 1.0) - t
-    for _ in range(60):
-        dens = phi(x)
-        if dens < 1e-300:
-            break
-        dx = (Phi(x) - u) / dens
-        x -= dx
-        if abs(dx) <= 1e-13 * (1.0 + abs(x)):
-            break
-    return x
+        return -_inv_cdf(1.0 - u)
+    return _inv_cdf(u)

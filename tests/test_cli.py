@@ -282,6 +282,15 @@ def test_report_json_round_trip(duo_file):
     assert recovered == report
 
 
+def test_report_from_dict_ignores_an_old_seed_key(duo_file):
+    # Reports once carried a "seed" that nothing read; they still load.
+    market = load_market(duo_file)
+    report = analyze_market(market, RiskSpec.es(0.25), market_file=duo_file)
+    old = dict(report.to_dict(), seed=7)
+    assert AnalysisReport.from_dict(old) == report
+    assert "seed" not in report.to_dict()
+
+
 def test_exit_codes_are_pure_verdict_function():
     assert EXIT_CODES == {"NO_ARBITRAGE": 0, "RHO_ARBITRAGE": 2,
                           "STRONG_RHO_ARBITRAGE": 3}

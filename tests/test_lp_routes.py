@@ -4,7 +4,8 @@ ES, SPECTRAL and WC reach rho_1 through the dual form of the slice minimum,
 and the ES/WC dual tests through Charnes-Cooper scaled programs over M.
 These tests hold them to HiGHS on the shortfall (Rockafellar-Uryasev) and
 epigraph forms, to the invariances rho_1 must have, and to the
-direct-form martingale LPs.
+direct-form martingale LPs, and the one box-mixture LP of the ES and
+SPECTRAL dual tests to a direct form with explicit margin rows.
 """
 
 import math
@@ -12,11 +13,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
-from conftest import binomial_market, duo_market, make_random_market, make_tanh_priced_market
+import rhoarb.dual
+from conftest import (binomial_market, duo_market, make_drift_market, make_random_market,
+                      make_tanh_priced_market)
 from rhoarb.dual import (build_polytope, classical_no_arbitrage, cross_validate,
-                         es_min_supnorm, es_strict_check)
+                         es_min_supnorm, es_strict_check, spectral_check)
 from rhoarb.frontier import build_ru_lp, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, evaluate
@@ -180,3 +184,109 @@ def test_strict_box_unbounded_scale_is_the_constant_density():
     assert res.delta == 1.0
     assert np.all(res.witness.z == 1.0)
     assert es_strict_check(binomial_market(), 0.5).delta < 1e-12
+
+
+# -- the box-mixture LP against a direct form with margin rows -----------------
+
+
+def highs_spectral_margin(market: ScenarioMarket, atoms) -> float | None:
+    """max t with t <= zeta_j <= 1/alpha_j - t, E[zeta_j] = 1 for each atom
+    below level 1, the mixture sum_j w_j zeta_j (level-1 atoms at 1) in M,
+    t in [0, 1]; None when infeasible (no strong-form mixture).
+    """
+    p = market.probs
+    N = market.n_scenarios
+    E = market.excess_matrix * p[None, :]
+    free = [(1.0 / a, w) for a, w in atoms if a < 1.0]
+    w_pin = sum(w for a, w in atoms if a >= 1.0)
+    J, n = len(free), len(free) * N + 1
+    eye = sparse.identity(J * N, format="csr")
+    t_col = sparse.csr_matrix(np.ones((J * N, 1)))
+    A_ub = sparse.vstack([sparse.hstack([-eye, t_col]), sparse.hstack([eye, t_col])])
+    b_ub = np.concatenate([np.zeros(J * N), np.repeat([cap for cap, _ in free], N)])
+    A_eq = sparse.vstack(
+        [sparse.hstack([sparse.kron(sparse.identity(J), p[None, :]),
+                        sparse.csr_matrix((J, 1))]),
+         sparse.hstack([sparse.csr_matrix(np.hstack([w * E for _, w in free])),
+                        sparse.csr_matrix((E.shape[0], 1))])])
+    b_eq = np.concatenate([np.ones(J), -w_pin * E.sum(axis=1)])
+    c = np.zeros(n)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * (n - 1) + [(0, 1)], method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+SPECTRA = (((0.05, 0.3), (0.25, 0.7)), ((0.2, 0.5), (0.6, 0.5)),
+           ((0.1, 0.4), (0.5, 0.3), (1.0, 0.3)), ((0.4, 1.0),))
+
+
+def _check_spectral_against_highs(market, atoms):
+    res = spectral_check(market, atoms)
+    t_star = highs_spectral_margin(market, atoms)
+    assert res.strong_feasible == (t_star is not None)
+    if t_star is None:
+        return "strong"
+    assert res.witness_strong.residual < 1e-8
+    if 0.0 < t_star < 1e-6:
+        return "boundary"
+    assert res.strict_ok == (t_star > 1e-9)
+    if not res.strict_ok:
+        return "strict-fails"
+    # The relative margin eps and the absolute margin t* bound each other:
+    # eps min_j cap_j <= t* <= eps max_j cap_j.
+    caps = [1.0 / a for a, _ in atoms if a < 1.0]
+    eps = res.delta / (1.0 + res.delta)
+    assert abs(res.delta_prime - eps * min(caps)) <= 1e-12 * max(caps)
+    assert res.delta_prime <= t_star + 1e-9
+    assert t_star <= eps * max(caps) + 1e-9
+    assert res.witness_strict.min_entry >= res.delta_prime - 1e-12
+    return "strict"
+
+
+def test_spectral_box_mixture_matches_highs_margin_rows():
+    # Strong-form feasibility and the sign of the strict margin, from the
+    # one (J + d)-row program, against HiGHS on the form with one
+    # t <= zeta and one zeta <= cap - t row per scenario and atom.
+    rng = np.random.default_rng(6060)
+    seen = {"strong": 0, "strict-fails": 0, "strict": 0, "boundary": 0}
+    for i in range(36):
+        kind = i % 3
+        if kind == 0:
+            market = make_tanh_priced_market(rng, int(rng.integers(20, 120)),
+                                             int(rng.integers(2, 5)))
+        elif kind == 1:
+            market = make_drift_market(rng, int(rng.integers(20, 120)),
+                                       int(rng.integers(2, 5)), float(rng.uniform(0.1, 1.5)))
+        else:
+            market = make_random_market(rng, n_max=6, d_max=3)
+        seen[_check_spectral_against_highs(market, SPECTRA[i % len(SPECTRA)])] += 1
+    for market in (binomial_market(), duo_market()):
+        for atoms in SPECTRA:
+            seen[_check_spectral_against_highs(market, atoms)] += 1
+    assert seen["strong"] and seen["strict-fails"] and seen["strict"] >= 10
+    market = make_tanh_priced_market(np.random.default_rng(1000), 1000, 3)
+    assert _check_spectral_against_highs(market, SPECTRA[0]) == "strict"
+
+
+def test_spectral_check_solves_one_lp(monkeypatch):
+    calls = []
+    solve = rhoarb.dual.lp_solve
+
+    def counted(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(rhoarb.dual, "lp_solve", counted)
+    market = make_tanh_priced_market(np.random.default_rng(11), 200, 4)
+    for atoms in SPECTRA:
+        calls.clear()
+        res = spectral_check(market, atoms)
+        assert len(calls) == 1
+        n_free = sum(1 for a, _ in atoms if a < 1.0)
+        assert calls[0].A_eq.shape[0] == n_free + market.n_assets
+        assert calls[0].A_le.shape[0] == 0
+    assert res.strict_ok
