@@ -18,7 +18,7 @@ from .frontier import (ArbitrageVerdict, FrontierResult,
                        UnsupportedGlobalMinError, build_ru_lp, classify_primal,
                        compute_rho1, frontier_points)
 from .gaussian import Phi, Phi_inv, erf, erfc, phi
-from .lp import LinearProgram, LPSolution, lp_solve
+from .lp import LinearProgram, LPSolution, SimplexError, lp_solve
 from .market import (DegenerateMarketError, ScenarioMarket, canonical_portfolio,
                      excess_return, expected_excess, validate_market)
 from .measures import (DualSetDescriptor, RiskSpec, UnsupportedDualError,
@@ -35,7 +35,7 @@ __all__ = [
     "DualSetDescriptor", "DualWitness", "EllipticalMarket", "FrontierResult",
     "GEntropicResult", "KelleyResult", "LPSolution", "LinearProgram",
     "MartingalePolytope", "Phi", "Phi_inv", "RiskSpec", "ScenarioMarket",
-    "SpectralResult", "StrictBoxResult", "SupnormResult",
+    "SimplexError", "SpectralResult", "StrictBoxResult", "SupnormResult",
     "UnsupportedDualError", "UnsupportedGlobalMinError",
     "UnsupportedPrimalError", "build_polytope", "build_ru_lp",
     "canonical_portfolio", "classical_no_arbitrage", "classify_dual",

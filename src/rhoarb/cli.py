@@ -14,7 +14,8 @@ scenarios are dropped at load time.  Risk measures come as JSON, inline
 (--risk) or from a file (--risk-file); see RiskSpec for the schema.
 
 Exit codes: 0 no arbitrage, 2 rho-arbitrage, 3 strong rho-arbitrage,
-1 error (bad input, unsupported measure, route disagreement).
+1 error (bad input, unsupported measure, route disagreement, a simplex
+that could not certify its answer).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .elliptical import (EllipticalMarket, classify_trichotomy, critical_alpha,
                          phase_curve_rows, sr_max)
 from .frontier import (UnsupportedGlobalMinError, classify_primal, compute_rho1,
                        frontier_points)
+from .lp import SimplexError
 from .market import ScenarioMarket, validate_market
 from .measures import RiskSpec, UnsupportedDualError
 
@@ -418,7 +420,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MarketFormatError, UnsupportedDualError, UnsupportedGlobalMinError,
-            ValueError) as exc:
+            ValueError, SimplexError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .frontier import ArbitrageVerdict, CLASSIFY_TOL, compute_rho1, classify_primal
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, lp_solve
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexError, lp_solve
 from .market import ScenarioMarket
 from .measures import DualSetDescriptor, RiskSpec, dual_descriptor, penalty_descriptor
 from .solvers import newton_cumulant_min, newton_power_min
@@ -114,6 +114,7 @@ class ClassicalResult:
     status: str                      # OPTIMAL or INFEASIBLE (M empty)
     delta: float                     # max over M of the minimal entry; 0.0 if empty
     witness: DualWitness | None
+    iterations: int = 0              # simplex pivots and bound flips of its LP
 
 
 def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
@@ -132,12 +133,14 @@ def _classical(poly: MartingalePolytope) -> ClassicalResult:
     A_eq = np.hstack([poly.A, poly.A.sum(axis=1, keepdims=True)])
     sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b))
     if sol.status == INFEASIBLE:
-        return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None)
+        return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None,
+                               iterations=sol.iterations)
     if sol.status != OPTIMAL:
-        raise RuntimeError(f"classical LP returned {sol.status}")
+        raise SimplexError(f"classical LP returned {sol.status}")
     delta = float(sol.x[N])
     return ClassicalResult(status=OPTIMAL, delta=delta,
-                           witness=DualWitness.of(poly, delta + sol.x[:N]))
+                           witness=DualWitness.of(poly, delta + sol.x[:N]),
+                           iterations=sol.iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +148,7 @@ class SupnormResult:
     status: str                      # OPTIMAL or INFEASIBLE
     t: float                         # min over M of ||Z||_inf; +inf if M empty
     witness: DualWitness | None
+    iterations: int = 0              # simplex pivots and bound flips of its LP
 
 
 def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
@@ -165,19 +169,21 @@ def _supnorm(poly: MartingalePolytope) -> SupnormResult:
     upper = np.concatenate([np.ones(N), [np.inf]])
     sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(rows), upper=upper))
     if sol.status != OPTIMAL:
-        raise RuntimeError(f"sup-norm LP returned {sol.status}")
+        raise SimplexError(f"sup-norm LP returned {sol.status}")
     s = float(sol.x[N])
     if s <= EMPTY_SCALE:
-        return SupnormResult(status=INFEASIBLE, t=math.inf, witness=None)
+        return SupnormResult(status=INFEASIBLE, t=math.inf, witness=None,
+                             iterations=sol.iterations)
     return SupnormResult(status=OPTIMAL, t=1.0 / s,
-                         witness=DualWitness.of(poly, sol.x[:N] / s))
+                         witness=DualWitness.of(poly, sol.x[:N] / s),
+                         iterations=sol.iterations)
 
 
 # -- box mixtures (ES and SPECTRAL) ------------------------------------------
 
 
 def _box_mixture(poly: MartingalePolytope,
-                 atoms) -> tuple[float, float, DualWitness | None]:
+                 atoms) -> tuple[float, float, DualWitness | None, int]:
     """Largest relative margin eps of a mixture Z = sum_j w_j zeta_j in M.
 
     Atoms with alpha_j >= 1 are pinned to zeta_j = 1 (total weight w_pin);
@@ -193,9 +199,10 @@ def _box_mixture(poly: MartingalePolytope,
     form failing; s* = 1 is eps = 0; an unbounded s is eps = 1/2, every
     zeta_j the constant cap_j / 2.
 
-    Returns (eps*, margin, witness): margin = eps* min_j cap_j bounds every
-    zeta_j from below (0 with no free atom), and the witness is the mixture,
-    None when the strong form fails.
+    Returns (eps*, margin, witness, iterations): margin = eps* min_j cap_j
+    bounds every zeta_j from below (0 with no free atom), the witness is the
+    mixture, None when the strong form fails, and iterations counts the
+    LP's simplex pivots and bound flips.
     """
     p, mart = poly.A[0], poly.A[1:]  # mart @ v = E[v e]
     d, N = mart.shape
@@ -219,7 +226,7 @@ def _box_mixture(poly: MartingalePolytope,
     upper = np.concatenate([np.ones(J * N), [np.inf]])
     sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper))
     if sol.status == INFEASIBLE:
-        return 0.0, 0.0, None
+        return 0.0, 0.0, None, sol.iterations
     if sol.status == UNBOUNDED:
         eps, y, s = 0.5, np.zeros(J * N), math.inf
     else:
@@ -229,7 +236,7 @@ def _box_mixture(poly: MartingalePolytope,
     for j, (cap, w) in enumerate(free):
         z += w * cap * (eps + y[j * N:(j + 1) * N] / s)
     margin = eps * min((cap for cap, _ in free), default=0.0)
-    return eps, margin, DualWitness.of(poly, z)
+    return eps, margin, DualWitness.of(poly, z), sol.iterations
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +244,7 @@ class StrictBoxResult:
     status: str
     delta: float                     # best two-sided margin; 0.0 when infeasible
     witness: DualWitness | None
+    iterations: int = 0              # simplex pivots and bound flips of its LP
 
 
 def es_strict_check(market: ScenarioMarket, alpha: float) -> StrictBoxResult:
@@ -253,10 +261,12 @@ def es_strict_check(market: ScenarioMarket, alpha: float) -> StrictBoxResult:
 
 
 def _es_strict(poly: MartingalePolytope, alpha: float) -> StrictBoxResult:
-    _, margin, witness = _box_mixture(poly, ((alpha, 1.0),))
+    _, margin, witness, iterations = _box_mixture(poly, ((alpha, 1.0),))
     if witness is None:
-        return StrictBoxResult(status=INFEASIBLE, delta=0.0, witness=None)
-    return StrictBoxResult(status=OPTIMAL, delta=margin, witness=witness)
+        return StrictBoxResult(status=INFEASIBLE, delta=0.0, witness=None,
+                               iterations=iterations)
+    return StrictBoxResult(status=OPTIMAL, delta=margin, witness=witness,
+                           iterations=iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +279,7 @@ class SpectralResult:
     delta_prime: float               # lower margin eps min_j cap_j: zeta_j >= delta_prime
     witness_strong: DualWitness | None
     witness_strict: DualWitness | None
+    iterations: int = 0              # simplex pivots and bound flips of its LP
 
 
 def spectral_check(market: ScenarioMarket, spectrum) -> SpectralResult:
@@ -284,13 +295,15 @@ def spectral_check(market: ScenarioMarket, spectrum) -> SpectralResult:
     With every atom at level 1 there is no box to be inside, so strict
     never holds.
     """
-    eps, margin, witness = _box_mixture(MartingalePolytope.of(market), tuple(spectrum))
+    eps, margin, witness, iterations = _box_mixture(MartingalePolytope.of(market),
+                                                    tuple(spectrum))
     strict = margin > ZERO_TOL
     return SpectralResult(strong_feasible=witness is not None, strict_ok=strict,
                           delta=eps / (1.0 - eps) if strict else 0.0,
                           delta_prime=margin if strict else 0.0,
                           witness_strong=witness,
-                          witness_strict=witness if strict else None)
+                          witness_strict=witness if strict else None,
+                          iterations=iterations)
 
 
 # -- g-entropic penalties ----------------------------------------------------
@@ -524,7 +537,7 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
 
 def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
     cl = classical_no_arbitrage(market)
-    cert: dict = {"delta_classical": cl.delta}
+    cert: dict = {"delta_classical": cl.delta, "iterations": cl.iterations}
     if cl.status == INFEASIBLE:
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                                 certificate=cert, annotations=("M_EMPTY",))
@@ -540,7 +553,7 @@ def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageV
     poly = MartingalePolytope.of(market)
     sup = _supnorm(poly)
     bound = 1.0 / alpha
-    cert: dict = {"t_star": sup.t, "box_upper": bound}
+    cert: dict = {"t_star": sup.t, "box_upper": bound, "iterations": sup.iterations}
     if sup.status == INFEASIBLE:
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                                 certificate=cert, annotations=("M_EMPTY",))
@@ -552,6 +565,7 @@ def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageV
                                 certificate=cert, annotations=ann)
     strict = _es_strict(poly, alpha)
     cert["delta_star"] = strict.delta
+    cert["iterations"] += strict.iterations
     if strict.status == OPTIMAL and strict.delta > ZERO_TOL:
         cert["witness"] = strict.witness.to_dict()
         return ArbitrageVerdict(verdict="NO_ARBITRAGE", route="DUAL",
@@ -564,7 +578,7 @@ def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageV
 def _classify_spectral(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
     res = spectral_check(market, atoms)
     cert: dict = {"delta": res.delta, "delta_prime": res.delta_prime,
-                  "strong_feasible": res.strong_feasible}
+                  "strong_feasible": res.strong_feasible, "iterations": res.iterations}
     if not res.strong_feasible:
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                                 certificate=cert)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .lp import OPTIMAL, LinearProgram, lp_solve
+from .lp import OPTIMAL, LinearProgram, SimplexError, lp_solve
 from .market import (ScenarioMarket, canonical_portfolio, excess_return)
 from .measures import RiskSpec, evaluate
 from .solvers import newton_cumulant_min, newton_power_min
@@ -39,6 +39,7 @@ CLASSIFY_TOL = 1e-7
 STRICT_NEG_TOL = 1e-9
 EVAR_ROOT_TOL = 1e-12  # relative Newton step in t at which the EVaR or TNORM root is taken
 EVAR_ROOT_MAX_ITER = 60
+CRASH_TAIL = 0.9      # the crash puts a density at its cap on this share of its atom's tail
 
 
 class UnsupportedGlobalMinError(ValueError):
@@ -86,8 +87,9 @@ class ArbitrageVerdict:
     verdict is NO_ARBITRAGE, RHO_ARBITRAGE, or STRONG_RHO_ARBITRAGE; route
     records which theory produced it (PRIMAL, DUAL, ELLIPTICAL).  The
     certificate carries a portfolio (primal; with the solver's iteration
-    count and gap), a dual witness summary, or closed-form scalars;
-    annotations flag BOUNDARY and other caveats.
+    count and gap), a dual witness summary (with the iterations of the
+    dual's LPs or Newton solve), or closed-form scalars; annotations flag
+    BOUNDARY and other caveats.
     """
 
     verdict: str
@@ -149,6 +151,17 @@ def build_ru_lp(market: ScenarioMarket, alpha, nu: float) -> LinearProgram:
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le, lower=lower)
 
 
+def _tangency(market: ScenarioMarket) -> Vector | None:
+    """S^-1 (mu - r), with S the covariance of the excess returns: the
+    Gaussian tangency direction, or None when S is singular."""
+    a = market.mean_returns - market.riskless_rate
+    dev = market.excess_matrix - a[:, None]
+    try:
+        return np.linalg.solve((dev * market.probs) @ dev.T, a)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, int]:
     """Dual form of the ES/SPECTRAL/WC slice minimum; returns (lp, J).
 
@@ -164,6 +177,14 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     portfolio on Pi_1, and LP duality makes it a minimizer.  zeta = 1 is
     feasible with c = 1 and the D_j are bounded, so the program always has
     an optimum: rho_1 >= -1, never -inf, for these measures.
+
+    At the optimum each zeta_j sits at its cap 1/alpha_j on the worst
+    alpha_j-tail of the minimizing portfolio.  The simplex starts there for
+    the Gaussian tangency portfolio (_tangency): scenarios ordered by its
+    excess return, each capped zeta_j starts at 1/alpha_j on the worst of
+    them until their probability reaches CRASH_TAIL alpha_j, and at 0
+    elsewhere.  The start moves only the pivot path; full pricing
+    certifies the optimum.  WC has no cap and starts at 0.
     """
     if spec.kind == "WC":
         atoms = ((0.0, 1.0),)
@@ -189,7 +210,17 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     lower[-1] = -np.inf
     c = np.zeros(J * N + 1)
     c[-1] = 1.0
-    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper), J
+    start = None
+    tangency = None if spec.kind == "WC" else _tangency(market)
+    if tangency is not None:
+        order = np.argsort(tangency @ market.excess_matrix, kind="stable")
+        tail = np.cumsum(p[order])
+        start = np.zeros(J * N + 1)
+        for j, (alpha, _) in enumerate(atoms):
+            worst = order[:np.searchsorted(tail, CRASH_TAIL * alpha, side="right")]
+            start[j * N + worst] = 1.0 / alpha
+    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper,
+                         start=start), J
 
 
 def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierResult:
@@ -238,7 +269,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierRe
     lp, J = _slice_lp(market, RiskSpec.wc())
     wc = lp_solve(lp)
     if wc.status != OPTIMAL:
-        raise RuntimeError(f"slice LP returned {wc.status}")
+        raise SimplexError(f"slice LP returned {wc.status}")
     t_max = -float(wc.value)
     wc_pi = -wc.duals[J:]
     # lo_sure is the largest t at which a converged solve put V(t) <= beta,
@@ -265,11 +296,11 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierRe
     # reached at Z = 1 + (e - a) . w with w = -(t + 1) S^-1 a.  g''(1) is 1
     # for the entropy and q - 1 for the power penalty; the dual variables
     # there are lam = g''(1) w and, for the power penalty, nu = 1 - (t + 1) lam . a.
-    dev = E - a[:, None]
-    try:
-        tilt = np.linalg.solve((dev * p) @ dev.T, a)
-        t = -1.0 + math.sqrt(2.0 * (beta - g1) / (g2 * float(a @ tilt)))
-    except (np.linalg.LinAlgError, ValueError):
+    tilt = _tangency(market)
+    curvature = 0.0 if tilt is None else float(a @ tilt)
+    if curvature > 0.0:
+        t = -1.0 + math.sqrt(2.0 * (beta - g1) / (g2 * curvature))
+    else:
         tilt, t = np.zeros_like(a), math.inf
     if not t < hi:
         t = 0.5 * (lo + hi)
@@ -356,7 +387,7 @@ def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float) -> Fronti
         lp, J = _slice_lp(market, spec)
         sol = lp_solve(lp)
         if sol.status != OPTIMAL:
-            raise RuntimeError(f"slice LP returned {sol.status}")
+            raise SimplexError(f"slice LP returned {sol.status}")
         pi = -sol.duals[J:]
         pi *= nu / float(pi @ (market.mean_returns - market.riskless_rate))
         return FrontierResult(rho1=-float(sol.value), attained=True, argmin=pi,

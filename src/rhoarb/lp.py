@@ -11,8 +11,12 @@ Each inequality gets a slack; bounds stay implicit.  A nonbasic variable
 rests at one of its finite bounds, and the ratio test lets the entering
 variable run to its opposite bound without a pivot, so a finite upper bound
 costs no row and a pivot touches an m x n tableau whose m counts only the
-real constraints.  Variables start at the point of their range nearest 0
-(a free one at 0), so a box around 0 does not start at a remote corner.
+real constraints.  Variables start at the program's start point when it
+has one (a crash start, which can put variables at the bounds the caller
+expects them to take at the optimum) and otherwise at the point of their
+range nearest 0 (a free one at 0), so a box around 0 does not start at a
+remote corner.  A variable strictly inside its range is priced both ways
+until it reaches a bound or enters the basis.
 
 Rows, then columns, are first scaled by powers of two (exact in floating
 point) so that each has its largest entry in [1, 2).  The pivot, pricing
@@ -29,7 +33,9 @@ ride along as an extra tableau row, so each pivot is one rank-one update.
 After DEGENERATE_RUN consecutive degenerate pivots the solver switches to
 Bland's rule (smallest eligible index enters, smallest basic index breaks
 ratio ties) until the objective moves again, which keeps every run finite;
-every run on the same input takes the same pivot path.
+every run on the same input takes the same pivot path.  A run that still
+exceeds MAX_PIVOTS, or ends on a point that fails the residual check,
+raises SimplexError.
 
 At the optimum the basis is refactored from the scaled data: the basic
 values and the row duals come from direct solves, and pricing is rechecked,
@@ -60,6 +66,12 @@ MAX_PIVOTS = 50_000
 MAX_REFACTORS = 5
 
 
+class SimplexError(RuntimeError):
+    """The simplex could not certify an answer: pivot limit, an unbounded
+    Phase I, or an optimum that fails the residual check.  Callers raise it
+    too when a program that always has an optimum reports another status."""
+
+
 def _as_matrix(a, ncols: int, name: str) -> Vector:
     if a is None:
         return np.zeros((0, ncols))
@@ -73,7 +85,12 @@ def _as_matrix(a, ncols: int, name: str) -> Vector:
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """Immutable problem statement; bounds default to v >= 0."""
+    """Immutable problem statement; bounds default to v >= 0.
+
+    start, if given, is where the simplex starts: one finite entry per
+    variable, within its bounds.  It changes the pivot path, not the
+    optimum.
+    """
 
     c: Vector
     A_eq: Vector | None = None
@@ -82,6 +99,7 @@ class LinearProgram:
     b_le: Vector | None = None
     lower: Vector | None = None
     upper: Vector | None = None
+    start: Vector | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=np.float64)
@@ -104,8 +122,16 @@ class LinearProgram:
             raise ValueError("bounds must have one entry per variable")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
             raise ValueError("bounds may be +-inf but not nan")
+        start = self.start
+        if start is not None:
+            start = np.asarray(start, dtype=np.float64).ravel()
+            if start.size != n or not np.all(np.isfinite(start)):
+                raise ValueError("start must have one finite entry per variable")
+            if np.any(start < lower) or np.any(start > upper):
+                raise ValueError("start must lie within the bounds")
         for name, val in (("c", c), ("A_eq", A_eq), ("b_eq", b_eq), ("A_le", A_le),
-                          ("b_le", b_le), ("lower", lower), ("upper", upper)):
+                          ("b_le", b_le), ("lower", lower), ("upper", upper),
+                          ("start", start)):
             object.__setattr__(self, name, val)
 
     @property
@@ -148,10 +174,11 @@ class _Tableau:
     Columns are the structural variables, one slack per inequality, then one
     artificial per row that the starting point violates.  T holds B^-1 K in
     its first m rows and the reduced costs in row m; xB holds basic values
-    and x the values of nonbasic variables.  A nonbasic variable starts at
-    the point of its range nearest 0 (so a free one, or a box around 0,
-    starts at 0, and no starting point sits at a remote bound); once it
-    moves it comes to rest at a bound or enters the basis.
+    and x the values of nonbasic variables.  A structural variable starts
+    at the program's start when it has one, else at the point of its range
+    nearest 0 (so a free one, or a box around 0, starts at 0, and no
+    starting point sits at a remote bound); slacks start basic or at 0.
+    Once a variable moves it comes to rest at a bound or enters the basis.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -176,7 +203,10 @@ class _Tableau:
         hi = hi / self.col_scale
         cost = cost * self.col_scale
 
-        x = np.clip(0.0, lo, hi)               # the point of the box nearest 0
+        if lp.start is None:
+            x = np.clip(0.0, lo, hi)           # the point of the box nearest 0
+        else:
+            x = np.concatenate([lp.start, np.zeros(mi)]) / self.col_scale
         r = b - K @ x
         # Slacks start basic where the starting point leaves them >= 0;
         # every other row gets an artificial, signed so that it starts at |r|.
@@ -266,7 +296,7 @@ class _Tableau:
         degenerate = 0
         while True:
             if self.iterations > MAX_PIVOTS:
-                raise RuntimeError("simplex pivot limit exceeded")
+                raise SimplexError("simplex pivot limit exceeded")
             q = self._entering(bland)
             if q < 0:
                 return OPTIMAL
@@ -372,7 +402,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
         phase1[tab.n_real:] = 1.0
         tab.price(phase1)
         if tab.run(phase1) != OPTIMAL:
-            raise RuntimeError("phase 1 cannot be unbounded")
+            raise SimplexError("phase 1 cannot be unbounded")
         tab.solve_basics()
         left = float(tab.xB[tab.basis >= tab.n_real].sum())
         if left > FEAS_TOL * tab.size():
@@ -396,7 +426,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     gap = float(np.abs(tab.K[:, :tab.n_real] @ point - tab.b).max(initial=0.0))
     size = tab.size()
     if gap > RESIDUAL_TOL * size:
-        raise RuntimeError(f"simplex returned an infeasible point (relative residual "
+        raise SimplexError(f"simplex returned an infeasible point (relative residual "
                            f"{gap / size:.3e})")
     v = point[:tab.n] * tab.col_scale[:tab.n]
     y = tab.y * tab.row_scale

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import rhoarb.lp
 from rhoarb.cli import (EXIT_CODES, AnalysisReport, MarketFormatError,
                         analyze_market, load_market, load_risk, main)
 from rhoarb.measures import RiskSpec
@@ -321,3 +322,20 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 1
+
+
+def test_simplex_failure_is_an_error_line(tmp_path, monkeypatch, capsys):
+    # A simplex that cannot certify its answer ends the command with one
+    # error line and exit code 1, not a traceback.
+    rng = np.random.default_rng(3)
+    returns = 0.01 + rng.normal(0.02, 0.1, size=(3, 20))
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({
+        "riskless_rate": 0.01, "probs": [0.05] * 20,
+        "assets": [{"name": f"a{i}", "returns": list(row)} for i, row in enumerate(returns)]}))
+    monkeypatch.setattr(rhoarb.lp, "MAX_PIVOTS", 3)
+    code = main(["analyze", "--market", str(path), "--risk", '{"kind": "ES", "alpha": 0.1}'])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: simplex pivot limit exceeded\n"

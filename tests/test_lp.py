@@ -238,3 +238,77 @@ def test_rescaled_program_takes_the_same_path(k):
     assert abs(got.value - ref.value) < 1e-9 * (1.0 + abs(ref.value))
     assert np.allclose(got.x * col, ref.x, rtol=1e-9, atol=1e-12)
     assert np.allclose(got.duals * s, ref.duals, rtol=1e-8, atol=1e-12)
+
+
+# -- starting points -------------------------------------------------------------
+
+
+def test_start_at_upper_bounds_is_already_optimal():
+    # The optimum puts both variables at their upper bounds; starting there
+    # leaves nothing to pivot or flip.
+    lp = LinearProgram(c=[-1.0, -1.0], upper=[2.0, 3.0], start=[2.0, 3.0])
+    sol = lp_solve(lp)
+    assert sol.status == "OPTIMAL"
+    assert sol.iterations == 0
+    assert np.all(sol.x == [2.0, 3.0])
+
+
+def test_interior_start_is_priced_both_ways():
+    # From the middle of the box x0 must fall to its lower bound and x1 rise
+    # to its upper one.
+    lp = LinearProgram(c=[1.0, -1.0], A_le=[[1.0, 1.0]], b_le=[1.5],
+                       upper=[1.0, 1.0], start=[0.5, 0.5])
+    sol = lp_solve(lp)
+    assert sol.status == "OPTIMAL"
+    assert abs(sol.value + 1.0) < ATOL
+    assert np.allclose(sol.x, [0.0, 1.0], atol=ATOL)
+
+
+def test_start_that_violates_rows_runs_phase_one_from_it():
+    # The start overshoots the equality row and breaks the inequality row:
+    # Phase I repairs both from there and Phase II reaches the optimum of the
+    # default start.
+    lp = dict(c=[1.0, 2.0, 3.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0],
+              A_le=[[1.0, -1.0, 0.0]], b_le=[0.0], upper=[1.0, 1.0, 1.0])
+    ref = lp_solve(LinearProgram(**lp))
+    sol = lp_solve(LinearProgram(**lp, start=[1.0, 0.0, 1.0]))
+    assert ref.status == sol.status == "OPTIMAL"
+    assert abs(sol.value - 1.5) < ATOL
+    assert abs(sol.value - ref.value) < ATOL
+    assert np.allclose(sol.x, [0.5, 0.5, 0.0], atol=ATOL)
+
+
+@pytest.mark.parametrize("start", [[1.5, 0.0], [-0.1, 0.0], [0.0], [np.nan, 0.0],
+                                   [np.inf, 0.0]])
+def test_start_outside_the_bounds_is_rejected(start):
+    with pytest.raises(ValueError):
+        LinearProgram(c=[1.0, 1.0], lower=[0.0, -np.inf], upper=[1.0, np.inf],
+                      start=start)
+
+
+def test_starts_reach_the_highs_optimum():
+    # The seeded sweep of random bounded programs, solved from the default
+    # start, from every upper bound and from a random interior point: the
+    # optimum is the same from each, and equals HiGHS's.
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        me = int(rng.integers(1, 4))
+        mi = int(rng.integers(0, 3))
+        n = me + mi + int(rng.integers(2, 8))
+        upper = rng.uniform(0.5, 2.0, n)
+        x0 = rng.uniform(0.1, 0.4, n)
+        A_eq = rng.normal(size=(me, n))
+        A_le = rng.normal(size=(mi, n))
+        lp = dict(c=rng.normal(size=n), A_eq=A_eq, b_eq=A_eq @ x0,
+                  A_le=A_le, b_le=A_le @ x0 + 0.1, upper=upper)
+        ref = optimize.linprog(lp["c"], A_ub=A_le if mi else None,
+                               b_ub=lp["b_le"] if mi else None, A_eq=A_eq, b_eq=lp["b_eq"],
+                               bounds=list(zip(np.zeros(n), upper)), method="highs")
+        assert ref.status == 0
+        base = lp_solve(LinearProgram(**lp))
+        for start in (upper, rng.uniform(0.0, 1.0, n) * upper):
+            sol = lp_solve(LinearProgram(**lp, start=start))
+            assert sol.status == "OPTIMAL"
+            assert abs(sol.value - base.value) < 1e-9 * (1.0 + abs(base.value))
+            assert abs(sol.value - ref.fun) < 1e-9 * (1.0 + abs(ref.fun))
+            assert sol.residual < 1e-9

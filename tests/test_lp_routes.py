@@ -15,13 +15,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.stats import chi2
 
 import rhoarb.dual
 from conftest import (binomial_market, duo_market, make_drift_market, make_random_market,
                       make_tanh_priced_market)
-from rhoarb.dual import (build_polytope, classical_no_arbitrage, cross_validate,
-                         es_min_supnorm, es_strict_check, spectral_check)
+from rhoarb.dual import (build_polytope, classical_no_arbitrage, classify_dual,
+                         cross_validate, es_min_supnorm, es_strict_check, spectral_check)
+from rhoarb.elliptical import EllipticalMarket, gaussian_rho_z, sr_max
 from rhoarb.frontier import build_ru_lp, compute_rho1
+from rhoarb.gaussian import Phi_inv, phi
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, evaluate
 
@@ -290,3 +293,85 @@ def test_spectral_check_solves_one_lp(monkeypatch):
         assert calls[0].A_eq.shape[0] == n_free + market.n_assets
         assert calls[0].A_le.shape[0] == 0
     assert res.strict_ok
+
+
+# -- the crash start of the slice LP --------------------------------------------
+
+
+@pytest.mark.parametrize("N, d, spec, zero_start", [
+    (150, 6, RiskSpec.es(0.25), 180),
+    (100, 4, RiskSpec.spectral([(0.1, 0.5), (0.5, 0.5)]), 203),
+])
+def test_crash_start_cuts_slice_pivots(N, d, spec, zero_start):
+    # zero_start is the slice LP's pivot and flip count when every density
+    # starts at 0.  Starting the capped densities on the tangency
+    # portfolio's worst tail must save at least 40% of it, and change rho_1
+    # by rounding only.
+    market = make_drift_market(np.random.default_rng(0), N, d, 2.0)
+    res = compute_rho1(market, spec)
+    assert res.rho1 < 0.0
+    assert res.iterations <= 0.6 * zero_start
+    assert abs(res.rho1 - highs_rho1(market, spec)) <= 1e-9 * (1.0 + abs(res.rho1))
+
+
+def test_gaussian_sample_matches_the_elliptical_closed_form():
+    # N = 10^4 draws of a d = 10 Gaussian market, moment-matched so that the
+    # sample mean and covariance (weights 1/N) are the model's; then the
+    # tangency portfolio pi* and the Sharpe ratio SR are the model's too.
+    # Under the model rho_1 = -1 + rho(Z)/SR, rho(Z) = ES_alpha of N(0, 1).
+    #  - pi* is on the slice, so rho_1 <= ES_emp(X_pi*), the empirical ES of
+    #    1 + W/SR with W standardized normal.
+    #  - Moving off pi* by s along a standardized direction V uncorrelated
+    #    with W changes ES_emp by g s + rho(Z) SR s^2 / 2 with
+    #    g = -E_emp[V 1{tail of W}]/alpha ~ N(0, 1/(alpha N)); over the d - 1
+    #    directions the slice minimum gains chi2_{d-1}/(2 alpha N rho(Z) SR),
+    #    bounded here by its 99.9% quantile.
+    #  - ES_emp(W) - rho(Z) has asymptotic standard deviation sigma/sqrt(N),
+    #    sigma^2 = (Var(Z | Z <= q) + (1 - alpha)(q - E[Z | Z <= q])^2)/alpha,
+    #    q = Phi^-1(alpha); the test allows 4 of them, divided by SR.
+    N, d, alpha, r = 10_000, 10, 0.05, 0.01
+    rng = np.random.default_rng(404)
+    A = 0.1 * rng.normal(size=(d, d))
+    cov = A @ A.T + 0.01 * np.eye(d)
+    mean = r + rng.normal(0.05, 0.05, d)
+    sr, tangency = sr_max(EllipticalMarket(mean=mean, cov=cov, riskless_rate=r))
+    W = rng.normal(size=(d, N))
+    W -= W.mean(axis=1, keepdims=True)
+    W = np.linalg.solve(np.linalg.cholesky(W @ W.T / N), W)
+    market = ScenarioMarket(probs=np.full(N, 1.0 / N), riskless_rate=r,
+                            returns=mean[:, None] + np.linalg.cholesky(cov) @ W)
+    spec = RiskSpec.es(alpha)
+    rho_z = gaussian_rho_z("ES", alpha)
+    closed_form = -1.0 + rho_z / sr
+
+    start = time.perf_counter()
+    res = compute_rho1(market, spec)
+    elapsed = time.perf_counter() - start
+    at_tangency = evaluate(spec, excess_return(market, tangency), market.probs)
+    q = Phi_inv(alpha)
+    lam = phi(q) / alpha                               # -E[Z | Z <= q]
+    sigma2 = (1.0 - q * lam - lam ** 2 + (1.0 - alpha) * (q + lam) ** 2) / alpha
+    gain = chi2.ppf(0.999, d - 1) / (2.0 * alpha * N * rho_z * sr)
+    assert -1e-9 <= at_tangency - res.rho1 <= gain
+    assert abs(at_tangency - closed_form) <= 4.0 * math.sqrt(sigma2 / N) / sr
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_dual_certificate_counts_its_lp_iterations(monkeypatch, kind):
+    # The dual verdict's certificate carries the pivots and flips of every
+    # LP it solved.
+    counted = []
+    solve = rhoarb.dual.lp_solve
+
+    def counting(lp):
+        sol = solve(lp)
+        counted.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(rhoarb.dual, "lp_solve", counting)
+    market = make_tanh_priced_market(np.random.default_rng(12), 80, 4)
+    verdict = classify_dual(market, SPECS[kind])
+    assert verdict.verdict == "NO_ARBITRAGE"
+    assert len(counted) == (2 if kind == "ES" else 1)
+    assert verdict.certificate["iterations"] == sum(counted) > 0
