@@ -15,34 +15,32 @@ from .dual import (ClassicalResult, CrossValidation, DualWitness,
 from .elliptical import (EllipticalMarket, classify_trichotomy, critical_alpha,
                          gaussian_rho_z, phase_curve_rows, sr_max)
 from .frontier import (ArbitrageVerdict, FrontierResult,
-                       UnsupportedGlobalMinError, build_ru_lp, classify_primal,
-                       compute_rho1, frontier_points)
+                       UnsupportedGlobalMinError, classify_primal, compute_rho1,
+                       frontier_points)
 from .gaussian import Phi, Phi_inv, erf, erfc, phi
 from .lp import LinearProgram, LPSolution, SimplexError, lp_solve
 from .market import (DegenerateMarketError, ScenarioMarket, canonical_portfolio,
                      excess_return, expected_excess, validate_market)
 from .measures import (DualSetDescriptor, RiskSpec, UnsupportedDualError,
                        UnsupportedPrimalError, dual_descriptor, evaluate)
-from .solvers import (BadOracleError, BracketError, CumulantResult,
-                      KelleyResult, kelley_minimize, minimize_1d_convex,
+from .solvers import (BracketError, CumulantResult, minimize_1d_convex,
                       newton_cumulant_min)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArbitrageVerdict", "BadOracleError", "BracketError", "ClassicalResult",
-    "CrossValidation", "CumulantResult", "DegenerateMarketError",
-    "DualSetDescriptor", "DualWitness", "EllipticalMarket", "FrontierResult",
-    "GEntropicResult", "KelleyResult", "LPSolution", "LinearProgram",
-    "MartingalePolytope", "Phi", "Phi_inv", "RiskSpec", "ScenarioMarket",
-    "SimplexError", "SpectralResult", "StrictBoxResult", "SupnormResult",
-    "UnsupportedDualError", "UnsupportedGlobalMinError",
-    "UnsupportedPrimalError", "build_polytope", "build_ru_lp",
+    "ArbitrageVerdict", "BracketError", "ClassicalResult", "CrossValidation",
+    "CumulantResult", "DegenerateMarketError", "DualSetDescriptor",
+    "DualWitness", "EllipticalMarket", "FrontierResult", "GEntropicResult",
+    "LPSolution", "LinearProgram", "MartingalePolytope", "Phi", "Phi_inv",
+    "RiskSpec", "ScenarioMarket", "SimplexError", "SpectralResult",
+    "StrictBoxResult", "SupnormResult", "UnsupportedDualError",
+    "UnsupportedGlobalMinError", "UnsupportedPrimalError", "build_polytope",
     "canonical_portfolio", "classical_no_arbitrage", "classify_dual",
-    "classify_primal", "classify_trichotomy", "compute_rho1",
-    "critical_alpha", "cross_validate", "dual_descriptor", "erf", "erfc",
-    "es_min_supnorm", "es_strict_check", "evaluate", "excess_return",
-    "expected_excess", "frontier_points", "gaussian_rho_z", "gentropic_check",
-    "kelley_minimize", "lp_solve", "minimize_1d_convex", "newton_cumulant_min",
-    "phase_curve_rows", "phi", "spectral_check", "sr_max", "validate_market",
+    "classify_primal", "classify_trichotomy", "compute_rho1", "critical_alpha",
+    "cross_validate", "dual_descriptor", "erf", "erfc", "es_min_supnorm",
+    "es_strict_check", "evaluate", "excess_return", "expected_excess",
+    "frontier_points", "gaussian_rho_z", "gentropic_check", "lp_solve",
+    "minimize_1d_convex", "newton_cumulant_min", "phase_curve_rows", "phi",
+    "spectral_check", "sr_max", "validate_market",
 ]

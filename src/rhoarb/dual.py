@@ -42,7 +42,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .frontier import ArbitrageVerdict, CLASSIFY_TOL, compute_rho1, classify_primal
+from .frontier import (ArbitrageVerdict, CLASSIFY_TOL, _tangency, compute_rho1,
+                       classify_primal)
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexError, lp_solve
 from .market import ScenarioMarket
 from .measures import DualSetDescriptor, RiskSpec, dual_descriptor, penalty_descriptor
@@ -156,18 +157,48 @@ def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
 
     Charnes-Cooper scaling Z = y / s with y in [0, 1]^N turns it into
     max s subject to A y = s b, with the d + 1 rows of M; t* = 1 / s*.
-    s* = 0 means M is empty.
+    s* = 0 means M is empty.  The simplex starts at the optimum of the
+    program with only the pricing row of the Gaussian tangency portfolio
+    kept (_supnorm), not at y = 0.
     """
-    return _supnorm(MartingalePolytope.of(market))
+    return _supnorm(market, MartingalePolytope.of(market))
 
 
-def _supnorm(poly: MartingalePolytope) -> SupnormResult:
+def _supnorm(market: ScenarioMarket, poly: MartingalePolytope) -> SupnormResult:
+    """es_min_supnorm on the market's polytope, crash-started.
+
+    Keeping only the row of the tangency portfolio pi_T (frontier._tangency),
+    with excess x = pi_T . e, relaxes M to M_1 = {Z >= 0 : E[Z] = 1,
+    E[Z x] = 0}, and the program to max E[y] subject to E[y x] = 0,
+    y in [0, 1]^N: a fractional knapsack.  Its optimum takes y = 1 on the
+    scenarios in ascending order of x as long as the partial sums
+    S_k = sum_{i <= k} p_(i) x_(i) stay <= 0, then one fractional y.  The
+    simplex starts at that break-even tail without the fractional scenario,
+    y = 1 on the k* scenarios with S_k* <= 0 and s = their probability,
+    i.e. Z = 1 / P_k* there; this minimizes ||Z||_inf over M_1 up to that
+    one scenario.  With no S_k <= 0, x > 0 everywhere: pi_T is an
+    arbitrage, M is empty, and the start stays y = 0, as it does when the
+    covariance is singular.  The start moves only the pivot path; full
+    pricing and the refactor at the optimum certify t*.
+    """
     rows, N = poly.A.shape
     c = np.zeros(N + 1)
     c[N] = -1.0
     A_eq = np.hstack([poly.A, -poly.b[:, None]])
     upper = np.concatenate([np.ones(N), [np.inf]])
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(rows), upper=upper))
+    start = None
+    tangency = _tangency(market)
+    if tangency is not None:
+        x = tangency @ market.excess_matrix
+        order = np.argsort(x, kind="stable")
+        even = np.flatnonzero(np.cumsum(poly.A[0, order] * x[order]) <= 0.0)
+        if even.size:
+            tail = order[:even[-1] + 1]
+            start = np.zeros(N + 1)
+            start[tail] = 1.0
+            start[N] = poly.A[0, tail].sum()
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(rows), upper=upper,
+                                 start=start))
     if sol.status != OPTIMAL:
         raise SimplexError(f"sup-norm LP returned {sol.status}")
     s = float(sol.x[N])
@@ -551,7 +582,7 @@ def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
 
 def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageVerdict:
     poly = MartingalePolytope.of(market)
-    sup = _supnorm(poly)
+    sup = _supnorm(market, poly)
     bound = 1.0 / alpha
     cert: dict = {"t_star": sup.t, "box_upper": bound, "iterations": sup.iterations}
     if sup.status == INFEASIBLE:

@@ -108,49 +108,6 @@ class ArbitrageVerdict:
         return out
 
 
-def build_ru_lp(market: ScenarioMarket, alpha, nu: float) -> LinearProgram:
-    """Shortfall LP for ES (scalar alpha) or a spectral mixture.
-
-    Variables (pi, s_j, u_j.) per atom j of the mixture ((alpha, 1),) for
-    plain ES: minimize sum_j w_j (s_j + E[u_j] / alpha_j) subject to
-    u_j,omega >= -X_pi(omega) - s_j, u_j >= 0, and E[X_pi] = nu.  At the
-    optimum this equals the spectral risk of X_pi because each inner block
-    is the shortfall representation of ES^{alpha_j}.  compute_rho1 solves
-    the dual form instead (_slice_lp); this primal form, with one row per
-    scenario and atom, stays as an independent formulation to check it by.
-    """
-    if np.isscalar(alpha):
-        atoms = ((float(alpha), 1.0),)
-    else:
-        atoms = tuple((float(a), float(w)) for a, w in alpha)
-    d, N = market.n_assets, market.n_scenarios
-    J = len(atoms)
-    E = market.excess_matrix
-    p = market.probs
-    nvar = d + J + J * N
-
-    c = np.zeros(nvar)
-    for j, (a, w) in enumerate(atoms):
-        c[d + j] = w
-        c[d + J + j * N: d + J + (j + 1) * N] = (w / a) * p
-
-    A_eq = np.zeros((1, nvar))
-    A_eq[0, :d] = market.mean_returns - market.riskless_rate
-    b_eq = np.asarray([nu])
-
-    # Rows -X_pi - s_j - u_j,omega <= 0 for every atom j and scenario omega.
-    A_le = np.zeros((J * N, nvar))
-    b_le = np.zeros(J * N)
-    for j in range(J):
-        rows = slice(j * N, (j + 1) * N)
-        A_le[rows, :d] = -E.T
-        A_le[rows, d + j] = -1.0
-        A_le[rows.start + np.arange(N), d + J + j * N + np.arange(N)] = -1.0
-
-    lower = np.concatenate([np.full(d + J, -np.inf), np.zeros(J * N)])
-    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le, lower=lower)
-
-
 def _tangency(market: ScenarioMarket) -> Vector | None:
     """S^-1 (mu - r), with S the covariance of the excess returns: the
     Gaussian tangency direction, or None when S is singular."""

@@ -5,9 +5,7 @@ with geometric bracket expansion; one damped Newton loop with two kernels
 for the smooth duals of the penalty minima over martingale densities, the
 cumulant log E exp(lam . e) of the entropy penalty and the power conjugate
 E[(nu + lam . e)+^p / p] - nu of E[Z^q / q] (the EVaR and TNORM slice roots
-evaluate them along a shift); and a Kelley cutting-plane loop for
-minimizing a sup-of-linear risk functional over an expected-excess slice,
-kept as a reference method.  All of them are deterministic.
+evaluate them along a shift).  Both are deterministic.
 """
 
 from __future__ import annotations
@@ -27,15 +25,10 @@ LAMBDA_ESCAPE = 1e8          # scaled Newton iterate norm beyond this means dive
 GRAD_ACCEPT = 1e-9           # scaled gradient norm a converged minimizer must reach
 STEP_ACCEPT = 1e-6           # final Newton step / (1 + |lam|) above this: still escaping
 FLAT_STEPS = 10              # Newton steps in a row that leave f flat end the loop
-ORACLE_CONSISTENCY_TOL = 1e-7
 
 
 class BracketError(RuntimeError):
     """NO_BRACKET: the objective keeps decreasing past every expanded edge."""
-
-
-class BadOracleError(RuntimeError):
-    """BAD_ORACLE: an oracle's value disagrees with its own cut at the query."""
 
 
 def _golden(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -306,78 +299,3 @@ def newton_power_min(probs: Vector, excess: Vector, q: float, *,
                        z=run.state ** (p_exp - 1.0), status=run.status,
                        gradient_norm=run.gradient_norm, iterations=run.iterations,
                        nu=float(run.x[0]))
-
-
-@dataclass(frozen=True, eq=False)
-class KelleyResult:
-    """Outcome of the cutting-plane minimization.
-
-    value is the best oracle value seen (an upper bound on the minimum),
-    gap = value - master bound at termination.  status "OK" means the gap
-    closed, "BOX_ACTIVE" means the optimizer pressed against the box, and
-    "MAX_ITER" means the iteration cap hit first.
-    """
-
-    pi: Vector
-    value: float
-    gap: float
-    status: str
-    iterations: int
-
-
-def kelley_minimize(oracle: Callable[[Vector], tuple[float, Vector]], slice_vec: Vector,
-                    level: float = 1.0, *, box: float = 1e6, tol: float = 1e-9,
-                    max_iter: int = 300) -> KelleyResult:
-    """Minimize rho(pi) = sup_k pi . c_k over {pi . slice_vec = level, |pi| <= box}.
-
-    oracle(pi) must return (value, c) with value == pi . c at the query point
-    (the cut is tight there); a mismatch beyond 1e-7 relative raises
-    BadOracleError.  Convexity of rho makes every cut a global underestimator,
-    so the master LP bound increases monotonically toward the true minimum.
-    """
-    from .lp import LinearProgram, lp_solve, OPTIMAL
-
-    a = np.asarray(slice_vec, dtype=np.float64)
-    d = a.size
-    pi = level * a / float(a @ a)
-    if np.abs(pi).max() > box:
-        raise ValueError("slice portfolio exceeds the box; enlarge box")
-    cuts: list[Vector] = []
-    best_val = math.inf
-    best_pi = pi.copy()
-    lower = np.concatenate([np.full(d, -box), [-np.inf]])
-    upper = np.concatenate([np.full(d, box), [np.inf]])
-    c_obj = np.zeros(d + 1)
-    c_obj[d] = 1.0
-    A_eq = np.concatenate([a, [0.0]])[None, :]
-    gap = math.inf
-    status = "MAX_ITER"
-    it = 0
-    for it in range(1, max_iter + 1):
-        val, cut = oracle(pi)
-        cut = np.asarray(cut, dtype=np.float64)
-        if abs(val - float(pi @ cut)) > ORACLE_CONSISTENCY_TOL * (1.0 + abs(val)):
-            raise BadOracleError(
-                f"BAD_ORACLE: value {val!r} vs cut value {float(pi @ cut)!r}")
-        if val < best_val:
-            best_val = val
-            best_pi = pi.copy()
-        cuts.append(cut)
-        A_le = np.column_stack([np.array(cuts), -np.ones(len(cuts))])
-        sol = lp_solve(LinearProgram(c=c_obj, A_eq=A_eq, b_eq=[level],
-                                     A_le=A_le, b_le=np.zeros(len(cuts)),
-                                     lower=lower, upper=upper))
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"kelley master LP returned {sol.status}")
-        gap = best_val - sol.value
-        pi = sol.x[:d]
-        if gap <= tol * (1.0 + abs(best_val)):
-            status = "OK"
-            break
-    # A closed gap at an interior best point certifies the slice-global
-    # minimum (convexity); only then is a box-touching master vertex benign.
-    at_box_best = np.abs(best_pi).max() >= box * (1.0 - 1e-9)
-    at_box_last = np.abs(pi).max() >= box * (1.0 - 1e-9)
-    if at_box_best or (status != "OK" and at_box_last):
-        status = "BOX_ACTIVE"
-    return KelleyResult(pi=best_pi, value=best_val, gap=gap, status=status, iterations=it)

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from rhoarb.market import ScenarioMarket, validate_market
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic, and keep its time bounded.
+settings.register_profile("suite", derandomize=True, deadline=None, max_examples=30,
+                          database=None)
+settings.load_profile("suite")
 
 
 def binomial_market() -> ScenarioMarket:

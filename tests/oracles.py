@@ -2,18 +2,27 @@
 
 Everything here recomputes a quantity by a different algorithm than the
 library (definitional scans, exact step-function integrals, dense grids,
-vertex enumeration, Dykstra-projected gradient descent, scipy quadrature)
-so agreement is meaningful evidence and not a tautology.
+vertex enumeration, Dykstra-projected gradient descent, scipy quadrature,
+the primal shortfall LP, Kelley cutting planes) so agreement is meaningful evidence and not a tautology.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from numpy.typing import NDArray
 from scipy import integrate, optimize, special, stats
 
+from rhoarb.lp import OPTIMAL, LinearProgram, lp_solve
+
+Vector = NDArray[np.float64]
+
 FEAS_EPS = 1e-9
+ORACLE_CONSISTENCY_TOL = 1e-7
 
 
 # -- tail measures by definition ----------------------------------------------
@@ -282,3 +291,126 @@ def sr_sphere_grid(mean, cov, r, seed=0, n=200_000):
         if vals[i] > best:
             best, center = float(vals[i]), cloud[i]
     return best
+
+
+# -- the shortfall LP and Kelley cutting planes ----------------------------------
+
+
+def build_ru_lp(market, alpha, nu: float) -> LinearProgram:
+    """Shortfall LP for ES (scalar alpha) or a spectral mixture.
+
+    Variables (pi, s_j, u_j.) per atom j of the mixture ((alpha, 1),) for
+    plain ES: minimize sum_j w_j (s_j + E[u_j] / alpha_j) subject to
+    u_j,omega >= -X_pi(omega) - s_j, u_j >= 0, and E[X_pi] = nu.  At the
+    optimum this equals the spectral risk of X_pi because each inner block
+    is the shortfall representation of ES^{alpha_j}.  compute_rho1 solves
+    the dual form instead (_slice_lp); this primal form, with one row per
+    scenario and atom, stays as an independent formulation to check it by.
+    """
+    if np.isscalar(alpha):
+        atoms = ((float(alpha), 1.0),)
+    else:
+        atoms = tuple((float(a), float(w)) for a, w in alpha)
+    d, N = market.n_assets, market.n_scenarios
+    J = len(atoms)
+    E = market.excess_matrix
+    p = market.probs
+    nvar = d + J + J * N
+
+    c = np.zeros(nvar)
+    for j, (a, w) in enumerate(atoms):
+        c[d + j] = w
+        c[d + J + j * N: d + J + (j + 1) * N] = (w / a) * p
+
+    A_eq = np.zeros((1, nvar))
+    A_eq[0, :d] = market.mean_returns - market.riskless_rate
+    b_eq = np.asarray([nu])
+
+    # Rows -X_pi - s_j - u_j,omega <= 0 for every atom j and scenario omega.
+    A_le = np.zeros((J * N, nvar))
+    b_le = np.zeros(J * N)
+    for j in range(J):
+        rows = slice(j * N, (j + 1) * N)
+        A_le[rows, :d] = -E.T
+        A_le[rows, d + j] = -1.0
+        A_le[rows.start + np.arange(N), d + J + j * N + np.arange(N)] = -1.0
+
+    lower = np.concatenate([np.full(d + J, -np.inf), np.zeros(J * N)])
+    return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le, lower=lower)
+
+
+class BadOracleError(RuntimeError):
+    """BAD_ORACLE: an oracle's value disagrees with its own cut at the query."""
+
+
+@dataclass(frozen=True, eq=False)
+class KelleyResult:
+    """Outcome of the cutting-plane minimization.
+
+    value is the best oracle value seen (an upper bound on the minimum),
+    gap = value - master bound at termination.  status "OK" means the gap
+    closed, "BOX_ACTIVE" means the optimizer pressed against the box, and
+    "MAX_ITER" means the iteration cap hit first.
+    """
+
+    pi: Vector
+    value: float
+    gap: float
+    status: str
+    iterations: int
+
+
+def kelley_minimize(oracle: Callable[[Vector], tuple[float, Vector]], slice_vec: Vector,
+                    level: float = 1.0, *, box: float = 1e6, tol: float = 1e-9,
+                    max_iter: int = 300) -> KelleyResult:
+    """Minimize rho(pi) = sup_k pi . c_k over {pi . slice_vec = level, |pi| <= box}.
+
+    oracle(pi) must return (value, c) with value == pi . c at the query point
+    (the cut is tight there); a mismatch beyond 1e-7 relative raises
+    BadOracleError.  Convexity of rho makes every cut a global underestimator,
+    so the master LP bound increases monotonically toward the true minimum.
+    """
+    a = np.asarray(slice_vec, dtype=np.float64)
+    d = a.size
+    pi = level * a / float(a @ a)
+    if np.abs(pi).max() > box:
+        raise ValueError("slice portfolio exceeds the box; enlarge box")
+    cuts: list[Vector] = []
+    best_val = math.inf
+    best_pi = pi.copy()
+    lower = np.concatenate([np.full(d, -box), [-np.inf]])
+    upper = np.concatenate([np.full(d, box), [np.inf]])
+    c_obj = np.zeros(d + 1)
+    c_obj[d] = 1.0
+    A_eq = np.concatenate([a, [0.0]])[None, :]
+    gap = math.inf
+    status = "MAX_ITER"
+    it = 0
+    for it in range(1, max_iter + 1):
+        val, cut = oracle(pi)
+        cut = np.asarray(cut, dtype=np.float64)
+        if abs(val - float(pi @ cut)) > ORACLE_CONSISTENCY_TOL * (1.0 + abs(val)):
+            raise BadOracleError(
+                f"BAD_ORACLE: value {val!r} vs cut value {float(pi @ cut)!r}")
+        if val < best_val:
+            best_val = val
+            best_pi = pi.copy()
+        cuts.append(cut)
+        A_le = np.column_stack([np.array(cuts), -np.ones(len(cuts))])
+        sol = lp_solve(LinearProgram(c=c_obj, A_eq=A_eq, b_eq=[level],
+                                     A_le=A_le, b_le=np.zeros(len(cuts)),
+                                     lower=lower, upper=upper))
+        if sol.status != OPTIMAL:
+            raise RuntimeError(f"kelley master LP returned {sol.status}")
+        gap = best_val - sol.value
+        pi = sol.x[:d]
+        if gap <= tol * (1.0 + abs(best_val)):
+            status = "OK"
+            break
+    # A closed gap at an interior best point certifies the slice-global
+    # minimum (convexity); only then is a box-touching master vertex benign.
+    at_box_best = np.abs(best_pi).max() >= box * (1.0 - 1e-9)
+    at_box_last = np.abs(pi).max() >= box * (1.0 - 1e-9)
+    if at_box_best or (status != "OK" and at_box_last):
+        status = "BOX_ACTIVE"
+    return KelleyResult(pi=best_pi, value=best_val, gap=gap, status=status, iterations=it)

@@ -16,9 +16,10 @@ from scipy import stats
 import oracles
 from conftest import (binomial_market, make_dominating_market,
                       make_priced_market, make_random_market)
+from oracles import build_ru_lp
 from rhoarb.dual import classical_no_arbitrage, classify_dual, cross_validate, es_min_supnorm
 from rhoarb.elliptical import EllipticalMarket, classify_trichotomy, critical_alpha, gaussian_rho_z
-from rhoarb.frontier import build_ru_lp, classify_primal, compute_rho1
+from rhoarb.frontier import classify_primal, compute_rho1
 from rhoarb.lp import LinearProgram, lp_solve
 from rhoarb.market import ScenarioMarket
 from rhoarb.measures import RiskSpec, eval_es, eval_var, eval_wc, evaluate

@@ -9,9 +9,9 @@ from scipy import optimize
 import oracles
 from conftest import (binomial_market, duo_market, make_dominating_market,
                       make_random_market)
-from rhoarb.frontier import (FrontierResult, UnsupportedGlobalMinError,
-                             build_ru_lp, classify_primal, compute_rho1,
-                             frontier_points)
+from oracles import build_ru_lp
+from rhoarb.frontier import (FrontierResult, UnsupportedGlobalMinError, classify_primal,
+                             compute_rho1, frontier_points)
 from rhoarb.lp import lp_solve
 from rhoarb.market import canonical_portfolio, excess_return
 from rhoarb.measures import RiskSpec, eval_es, eval_evar, eval_tnorm, evaluate

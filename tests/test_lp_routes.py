@@ -20,10 +20,11 @@ from scipy.stats import chi2
 import rhoarb.dual
 from conftest import (binomial_market, duo_market, make_drift_market, make_random_market,
                       make_tanh_priced_market)
+from oracles import build_ru_lp
 from rhoarb.dual import (build_polytope, classical_no_arbitrage, classify_dual,
                          cross_validate, es_min_supnorm, es_strict_check, spectral_check)
-from rhoarb.elliptical import EllipticalMarket, gaussian_rho_z, sr_max
-from rhoarb.frontier import build_ru_lp, compute_rho1
+from rhoarb.elliptical import EllipticalMarket, critical_alpha, gaussian_rho_z, sr_max
+from rhoarb.frontier import _tangency, compute_rho1
 from rhoarb.gaussian import Phi_inv, phi
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, evaluate
@@ -314,23 +315,41 @@ def test_crash_start_cuts_slice_pivots(N, d, spec, zero_start):
     assert abs(res.rho1 - highs_rho1(market, spec)) <= 1e-9 * (1.0 + abs(res.rho1))
 
 
-def test_gaussian_sample_matches_the_elliptical_closed_form():
-    # N = 10^4 draws of a d = 10 Gaussian market, moment-matched so that the
-    # sample mean and covariance (weights 1/N) are the model's; then the
-    # tangency portfolio pi* and the Sharpe ratio SR are the model's too.
-    # Under the model rho_1 = -1 + rho(Z)/SR, rho(Z) = ES_alpha of N(0, 1).
-    #  - pi* is on the slice, so rho_1 <= ES_emp(X_pi*), the empirical ES of
-    #    1 + W/SR with W standardized normal.
-    #  - Moving off pi* by s along a standardized direction V uncorrelated
-    #    with W changes ES_emp by g s + rho(Z) SR s^2 / 2 with
-    #    g = -E_emp[V 1{tail of W}]/alpha ~ N(0, 1/(alpha N)); over the d - 1
-    #    directions the slice minimum gains chi2_{d-1}/(2 alpha N rho(Z) SR),
-    #    bounded here by its 99.9% quantile.
-    #  - ES_emp(W) - rho(Z) has asymptotic standard deviation sigma/sqrt(N),
-    #    sigma^2 = (Var(Z | Z <= q) + (1 - alpha)(q - E[Z | Z <= q])^2)/alpha,
-    #    q = Phi^-1(alpha); the test allows 4 of them, divided by SR.
-    N, d, alpha, r = 10_000, 10, 0.05, 0.01
-    rng = np.random.default_rng(404)
+def highs_min_supnorm(market: ScenarioMarket) -> float:
+    """min ||Z||_inf over M by HiGHS, with one z <= t row per scenario; inf if M is empty."""
+    poly = build_polytope(market)
+    rows, N = poly.A.shape
+    res = _highs(np.r_[np.zeros(N), 1.0], np.hstack([poly.A, np.zeros((rows, 1))]), poly.b,
+                 np.hstack([np.eye(N), -np.ones((N, 1))]), np.zeros(N))
+    if res.status == 2:
+        return math.inf
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def test_supnorm_crash_cuts_pivots():
+    # 312 and 12 are the sup-norm LP's pivot and flip counts from y = 0.
+    # Starting at the tangency portfolio's break-even tail must save at
+    # least half of the first, and change t* by rounding only.
+    market = make_tanh_priced_market(np.random.default_rng(0), 200, 6)
+    res = es_min_supnorm(market)
+    assert res.iterations <= 0.5 * 312
+    assert abs(res.t - highs_min_supnorm(market)) <= 1e-9 * res.t
+    # Here the tangency portfolio earns more than r in every scenario: M is
+    # empty, and the LP keeps the zero start.
+    market = make_drift_market(np.random.default_rng(0), 150, 6, 2.0)
+    assert (_tangency(market) @ market.excess_matrix).min() > 0.0
+    res = es_min_supnorm(market)
+    assert res.status == "INFEASIBLE" and highs_min_supnorm(market) == math.inf
+    assert res.iterations == 12
+
+
+def moment_matched_gaussian(N: int, d: int, seed: int, r: float = 0.01):
+    """(market, SR, pi*): N draws of a d-asset Gaussian market, moment-matched
+    so that the sample mean and covariance (weights 1/N) are the model's;
+    then the tangency portfolio pi* and the Sharpe ratio SR are the model's
+    too."""
+    rng = np.random.default_rng(seed)
     A = 0.1 * rng.normal(size=(d, d))
     cov = A @ A.T + 0.01 * np.eye(d)
     mean = r + rng.normal(0.05, 0.05, d)
@@ -340,6 +359,31 @@ def test_gaussian_sample_matches_the_elliptical_closed_form():
     W = np.linalg.solve(np.linalg.cholesky(W @ W.T / N), W)
     market = ScenarioMarket(probs=np.full(N, 1.0 / N), riskless_rate=r,
                             returns=mean[:, None] + np.linalg.cholesky(cov) @ W)
+    return market, sr, tangency
+
+
+def es_estimator_sd2(alpha: float) -> float:
+    """N times the asymptotic variance of the empirical ES_alpha of N(0, 1):
+    (Var(Z | Z <= q) + (1 - alpha)(q - E[Z | Z <= q])^2) / alpha, q = Phi^-1(alpha)."""
+    q = Phi_inv(alpha)
+    lam = phi(q) / alpha                               # -E[Z | Z <= q]
+    return (1.0 - q * lam - lam ** 2 + (1.0 - alpha) * (q + lam) ** 2) / alpha
+
+
+def test_gaussian_sample_matches_the_elliptical_closed_form():
+    # N = 10^4 draws of a d = 10 Gaussian market (moment_matched_gaussian).
+    # Under the model rho_1 = -1 + rho(Z)/SR, rho(Z) = ES_alpha of N(0, 1).
+    #  - pi* is on the slice, so rho_1 <= ES_emp(X_pi*), the empirical ES of
+    #    1 + W/SR with W standardized normal.
+    #  - Moving off pi* by s along a standardized direction V uncorrelated
+    #    with W changes ES_emp by g s + rho(Z) SR s^2 / 2 with
+    #    g = -E_emp[V 1{tail of W}]/alpha ~ N(0, 1/(alpha N)); over the d - 1
+    #    directions the slice minimum gains chi2_{d-1}/(2 alpha N rho(Z) SR),
+    #    bounded here by its 99.9% quantile.
+    #  - ES_emp(W) - rho(Z) has asymptotic standard deviation sigma/sqrt(N),
+    #    sigma^2 = es_estimator_sd2(alpha); the test allows 4 of them, divided by SR.
+    N, d, alpha = 10_000, 10, 0.05
+    market, sr, tangency = moment_matched_gaussian(N, d, 404)
     spec = RiskSpec.es(alpha)
     rho_z = gaussian_rho_z("ES", alpha)
     closed_form = -1.0 + rho_z / sr
@@ -348,12 +392,39 @@ def test_gaussian_sample_matches_the_elliptical_closed_form():
     res = compute_rho1(market, spec)
     elapsed = time.perf_counter() - start
     at_tangency = evaluate(spec, excess_return(market, tangency), market.probs)
-    q = Phi_inv(alpha)
-    lam = phi(q) / alpha                               # -E[Z | Z <= q]
-    sigma2 = (1.0 - q * lam - lam ** 2 + (1.0 - alpha) * (q + lam) ** 2) / alpha
     gain = chi2.ppf(0.999, d - 1) / (2.0 * alpha * N * rho_z * sr)
     assert -1e-9 <= at_tangency - res.rho1 <= gain
-    assert abs(at_tangency - closed_form) <= 4.0 * math.sqrt(sigma2 / N) / sr
+    assert abs(at_tangency - closed_form) <= 4.0 * math.sqrt(es_estimator_sd2(alpha) / N) / sr
+    assert elapsed < 5.0
+
+
+def test_gaussian_sample_critical_es_level_from_the_supnorm():
+    # The paper's ES criterion at N = 10^4: the sample market flips to ES
+    # arbitrage at the level alpha_hat = 1/t*, where its rho_1 is 0; the
+    # model flips at alpha* = critical_alpha(SR, "ES"), where ES_alpha*(Z) = SR.
+    # With the bounds of the test above at the level alpha_hat, rho_1 = 0
+    # puts ES_emp(W) in [SR, SR (1 + gain)], and ES_emp(W) is within
+    # 4 sigma/sqrt(N) of ES_alpha_hat(Z), sigma and gain taken at alpha_hat.
+    # ES_alpha(Z) = phi(q)/alpha falls with alpha at the rate
+    # (q + phi(q)/alpha)/alpha and is convex for alpha below 0.7, so that
+    # rate is least at the larger level, and by the mean value theorem
+    #     |alpha_hat - alpha*| <= (4 sigma/sqrt(N) + SR gain) / (rate at max(alpha_hat, alpha*)).
+    N, d = 10_000, 10
+    market, sr, _ = moment_matched_gaussian(N, d, 404)
+    alpha_star = critical_alpha(sr, "ES")
+    alpha_hat = 1.0 / es_min_supnorm(market).t
+    top = max(alpha_hat, alpha_star)
+    assert top < 0.7
+    q = Phi_inv(top)
+    rate = (q + phi(q) / top) / top
+    gain = chi2.ppf(0.999, d - 1) / (2.0 * alpha_hat * N * gaussian_rho_z("ES", alpha_hat) * sr)
+    sampling = 4.0 * math.sqrt(es_estimator_sd2(alpha_hat) / N) + sr * gain
+    assert abs(alpha_hat - alpha_star) <= sampling / rate
+
+    start = time.perf_counter()
+    verdict = classify_dual(market, RiskSpec.es(0.05))
+    elapsed = time.perf_counter() - start
+    assert verdict.verdict == "NO_ARBITRAGE"
     assert elapsed < 5.0
 
 

@@ -1,0 +1,85 @@
+"""Invariances of the ES dual test, as Hypothesis properties.
+
+min ||Z||_inf over the martingale densities, the dual verdict and the
+primal/dual agreement status depend on the market only through the law
+of the excess returns, and t* and both verdicts are unitless.  So they
+must not change when the scenarios are listed in another order (which
+also reorders the ties the sup-norm LP's crash start breaks), when one
+scenario is split into two with the same returns, or when returns and
+the riskless rate are quoted in other units.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from conftest import (make_dominating_market, make_drift_market, make_random_market,
+                      make_tanh_priced_market)
+from rhoarb.dual import cross_validate
+from rhoarb.market import ScenarioMarket
+from rhoarb.measures import RiskSpec
+
+KINDS = ("priced", "drift", "mild-drift", "random", "dominating")
+
+
+def build(kind: str, seed: int) -> ScenarioMarket:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return make_random_market(rng, n_max=25, d_max=3)
+    if kind == "dominating":
+        return make_dominating_market(rng)
+    N, d = int(rng.integers(20, 61)), int(rng.integers(2, 5))
+    if kind == "priced":
+        return make_tanh_priced_market(rng, N, d)
+    return make_drift_market(rng, N, d, 2.0 if kind == "drift" else 0.3)
+
+
+def es_answers(market: ScenarioMarket, alpha: float) -> tuple[float, str, str]:
+    """(t*, dual verdict, cross_validate status) under ES at level alpha."""
+    cv = cross_validate(market, RiskSpec.es(alpha))
+    return cv.dual.certificate["t_star"], cv.dual.verdict, cv.status
+
+
+def assert_same_answers(market: ScenarioMarket, other: ScenarioMarket, alpha: float) -> None:
+    t, verdict, status = es_answers(market, alpha)
+    t_other, verdict_other, status_other = es_answers(other, alpha)
+    if math.isinf(t):
+        assert math.isinf(t_other)
+    else:
+        assert abs(t_other - t) <= 1e-9 * t
+    assert verdict_other == verdict
+    assert status_other == status
+
+
+markets = st.tuples(st.sampled_from(KINDS), st.integers(0, 10**6))
+levels = st.sampled_from((0.05, 0.25, 0.5))
+
+
+@given(markets, levels, st.integers(0, 10**6))
+def test_es_dual_invariant_under_scenario_permutation(drawn, alpha, seed):
+    market = build(*drawn)
+    order = np.random.default_rng(seed).permutation(market.n_scenarios)
+    other = ScenarioMarket(probs=market.probs[order], riskless_rate=market.riskless_rate,
+                           returns=market.returns[:, order])
+    assert_same_answers(market, other, alpha)
+
+
+@given(markets, levels, st.integers(0, 10**6), st.floats(0.1, 0.9))
+def test_es_dual_invariant_under_scenario_split(drawn, alpha, pick, share):
+    market = build(*drawn)
+    i = pick % market.n_scenarios
+    p = market.probs.copy()
+    p[i] *= share
+    other = ScenarioMarket(probs=np.append(p, market.probs[i] - p[i]),
+                           riskless_rate=market.riskless_rate,
+                           returns=np.hstack([market.returns, market.returns[:, [i]]]))
+    assert_same_answers(market, other, alpha)
+
+
+@given(markets, levels, st.integers(-6, 6))
+def test_es_dual_invariant_under_units(drawn, alpha, k):
+    market = build(*drawn)
+    other = ScenarioMarket(probs=market.probs, riskless_rate=market.riskless_rate * 10.0 ** k,
+                           returns=market.returns * 10.0 ** k)
+    assert_same_answers(market, other, alpha)

@@ -8,8 +8,8 @@ import pytest
 import oracles
 from conftest import make_random_market
 from rhoarb.lp import LinearProgram, lp_solve
-from rhoarb.solvers import (BadOracleError, BracketError, kelley_minimize,
-                            minimize_1d_convex, newton_cumulant_min)
+from oracles import BadOracleError, kelley_minimize
+from rhoarb.solvers import BracketError, minimize_1d_convex, newton_cumulant_min
 
 
 def test_golden_section_parabola():
