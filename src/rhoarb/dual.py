@@ -82,9 +82,6 @@ class MartingalePolytope:
         return float(np.abs(self.A @ z - self.b).max())
 
 
-build_polytope = MartingalePolytope.of
-
-
 @dataclass(frozen=True, eq=False)
 class DualWitness:
     """A density certificate: the vector plus the numbers proofs cite."""

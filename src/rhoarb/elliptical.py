@@ -24,6 +24,7 @@ from numpy.typing import NDArray
 
 from .frontier import ArbitrageVerdict
 from .gaussian import Phi_inv, phi
+from .solvers import increasing_root
 
 Vector = NDArray[np.float64]
 
@@ -152,25 +153,19 @@ def classify_trichotomy(market: EllipticalMarket, measure: str = "ES",
 def critical_alpha(sr_value: float, measure: str = "ES") -> float:
     """The level where the standardized risk crosses sr: rho(Z; alpha*) = sr.
 
-    Both thresholds decrease strictly in alpha, so a bisection on
-    (1e-12, 1 - 1e-12) to width 1e-10 pins the crossing.  Raises when sr
-    is outside the bracket's attainable range (above ~7 or nonpositive).
+    Both thresholds decrease strictly in alpha, so sr - rho(Z; alpha) is
+    increasing and increasing_root pins its sign change on
+    (1e-12, 1 - 1e-12).  Raises when sr is outside the bracket's
+    attainable range (above ~7 or nonpositive).
     """
     if not sr_value > 0.0:
         raise ValueError("sr must be positive")
-    lo, hi = ALPHA_LO, ALPHA_HI
-    f_lo = gaussian_rho_z(measure, lo) - sr_value
-    f_hi = gaussian_rho_z(measure, hi) - sr_value
-    if f_lo < 0.0 or f_hi > 0.0:
+    if (gaussian_rho_z(measure, ALPHA_LO) < sr_value
+            or gaussian_rho_z(measure, ALPHA_HI) > sr_value):
         raise ValueError(f"sr = {sr_value!r} has no crossing inside "
                          f"({ALPHA_LO}, {ALPHA_HI}) for {measure}")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if gaussian_rho_z(measure, mid) - sr_value > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return increasing_root(lambda a: sr_value - gaussian_rho_z(measure, a),
+                           ALPHA_LO, ALPHA_HI)
 
 
 def phase_curve_rows(alphas, sr_value: float | None = None) -> list[tuple]:

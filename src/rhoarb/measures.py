@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .solvers import BracketError, minimize_1d_convex
+from .solvers import increasing_root
 
 Vector = NDArray[np.float64]
 
@@ -219,8 +219,8 @@ def eval_wc(x) -> float:
 def eval_var(x, probs, alpha: float) -> float:
     """VaR at level alpha: inf{ m : P[-x > m] <= alpha }.
 
-    Exact on finite supports: candidates are the observed losses, scanned
-    in increasing order until the strict upper tail drops to alpha.
+    Exact on finite supports: the answer is the least observed loss at
+    which the strict upper tail has dropped to alpha.
     """
     alpha = _check_alpha(alpha)
     x, p = _validated(x, probs)
@@ -228,10 +228,8 @@ def eval_var(x, probs, alpha: float) -> float:
     order = np.argsort(losses)
     lo_sorted = losses[order]
     tail = 1.0 - np.cumsum(p[order])  # P[loss > lo_sorted[k]]
-    for k in range(lo_sorted.size):
-        if tail[k] <= alpha + 1e-15:
-            return float(lo_sorted[k])
-    return float(lo_sorted[-1])
+    hit = tail <= alpha + 1e-15
+    return float(lo_sorted[hit.argmax() if hit.any() else -1])
 
 
 def eval_es(x, probs, alpha: float) -> float:
@@ -272,51 +270,69 @@ def eval_spectral(x, probs, spectrum) -> float:
 def eval_evar(x, probs, alpha: float) -> float:
     """Entropic VaR: inf_{z>0} (log E[exp(-z x)] - log alpha) / z.
 
-    The objective is unimodal in z; the search runs over log z on
-    [1e-8, 1e8] with geometric expansion.  When the infimum is only
-    approached as z -> inf (alpha <= P[x = min x]) it equals the worst
-    case -min x, which is returned exactly.
+    The objective's slope has the sign of KL(Q_z || P) + log alpha, where
+    Q_z is the Gibbs tilt dQ_z/dP ~ exp(-z x); KL increases in z (slope
+    z Var_Q(x)) from 0 to -log P[x = min x].  So when P[x = min x] >= alpha
+    the infimum is the z -> inf limit, the worst case -min x, returned
+    exactly; otherwise the minimizer is the root of KL(Q_z || P) = -log
+    alpha, found on x - min x scaled to [0, 1].
     """
     alpha = _check_alpha(alpha)
     x, p = _validated(x, probs)
     m = float(x.min())
-    shifted = x - m
+    span = float(x.max()) - m
+    if not span > 0.0 or float(p[x == m].sum()) >= alpha:
+        return -m
+    u = (x - m) / span
+    pu = p * u
     log_alpha = math.log(alpha)
 
-    def f(u: float) -> float:
-        z = math.exp(min(u, 690.0))
-        s = float(p @ np.exp(-z * shifted))
-        return -m + (math.log(s) - log_alpha) / z
+    def tilt(z: float) -> tuple[float, float]:
+        # (KL(Q_z || P), log E[exp(-z u)]) for the tilt dQ_z/dP ~ exp(-z u)
+        w = u * -z
+        np.exp(w, out=w)
+        s = float(p @ w)
+        return -z * float(pu @ w) / s - math.log(s), math.log(s)
 
-    try:
-        _, val = minimize_1d_convex(f, (math.log(1e-8), math.log(1e8)), tol=1e-9)
-    except BracketError:
-        return -m  # decreasing all the way: the infimum is the worst case
-    return min(val, f(690.0))  # never exceed the z -> inf limit
+    z = increasing_root(lambda z: tilt(z)[0] + log_alpha, 0.0, 1.0)
+    return -m + span * (tilt(z)[1] - log_alpha) / z
 
 
 def eval_tnorm(x, probs, p_exp: float, alpha: float) -> float:
-    """Truncated-norm measure: min_s ||(s - x)+||_p / alpha - s."""
+    """Truncated-norm measure: min_s ||(s - x)+||_p / alpha - s.
+
+    With y = (s - x)+ the objective's slope is r(s) - 1, where
+    r(s) = E[y^(p-1)] / ||y||_p^(p-1) increases from P[x = min x]^(1/p)
+    (s -> min x) to 1 (s -> inf).  So when P[x = min x]^(1/p) >= alpha
+    the minimum is the worst case -min x, returned exactly; otherwise the
+    minimizer solves r(s) = alpha on (min x, inf).  With span = max x -
+    min x the root runs in t = span / (s - min x) on u = (x - min x) / span,
+    where y / (s - min x) = (1 - t u)+ and r rises as t falls to 0.
+    """
     alpha = _check_alpha(alpha)
     p_exp = float(p_exp)
     if not (p_exp > 1.0 and math.isfinite(p_exp)):
         raise ValueError("p must be finite and > 1")
     x, p = _validated(x, probs)
-    xmin, xmax = float(x.min()), float(x.max())
-    span = xmax - xmin
+    m = float(x.min())
+    span = float(x.max()) - m
+    if not span > 0.0 or float(p[x == m].sum()) ** (1.0 / p_exp) >= alpha:
+        return -m
+    u = (x - m) / span
 
-    def h(s: float) -> float:
-        y = np.maximum(s - x, 0.0)
-        ymax = float(y.max())
-        if ymax == 0.0:
-            return -s
-        norm = ymax * float(p @ (y / ymax) ** p_exp) ** (1.0 / p_exp)
-        return norm / alpha - s
+    def shape(t: float) -> tuple[float, float]:
+        # (r, ||v||_p) for v = (1 - t u)+, the shortfall y over s - min x
+        v = u * -t
+        v += 1.0
+        np.maximum(v, 0.0, out=v)
+        w = v ** (p_exp - 1.0)
+        low = float(p @ w)
+        w *= v
+        norm = float(p @ w) ** (1.0 / p_exp)
+        return low / norm ** (p_exp - 1.0), norm
 
-    lo = xmin - 1.0
-    hi = xmax + max(span, 1.0) / alpha
-    _, val = minimize_1d_convex(h, (lo, hi), tol=1e-9)
-    return val
+    t = increasing_root(lambda t: alpha - shape(t)[0], 0.0, 1.0)
+    return -m + span * (shape(t)[1] / alpha - 1.0) / t
 
 
 def evaluate(spec: RiskSpec, x, probs) -> float:

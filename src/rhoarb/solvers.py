@@ -1,7 +1,9 @@
-"""Scalar and structured minimizers used by the frontier and dual routes.
+"""Scalar roots and structured minimizers used by the measures and routes.
 
-A golden-section search for one-dimensional convex (or unimodal) objectives
-with geometric bracket expansion; one damped Newton loop with two kernels
+One bracketed root search for increasing scalar functions (Illinois false
+position with a bisection safeguard), which finds the minimizers of the
+EVaR and TNORM evaluators through their first-order conditions and the
+elliptical critical level; one damped Newton loop with two kernels
 for the smooth duals of the penalty minima over martingale densities, the
 cumulant log E exp(lam . e) of the entropy penalty and the power conjugate
 E[(nu + lam . e)+^p / p] - nu of E[Z^q / q] (the EVaR and TNORM slice roots
@@ -19,60 +21,49 @@ from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-WIDTH_EPS = 4.0 * float(np.finfo(np.float64).eps)
 LAMBDA_ESCAPE = 1e8          # scaled Newton iterate norm beyond this means divergence
 GRAD_ACCEPT = 1e-9           # scaled gradient norm a converged minimizer must reach
 STEP_ACCEPT = 1e-6           # final Newton step / (1 + |lam|) above this: still escaping
 FLAT_STEPS = 10              # Newton steps in a row that leave f flat end the loop
+ROOT_RTOL = 1e-13            # relative bracket width at which increasing_root stops
 
 
-class BracketError(RuntimeError):
-    """NO_BRACKET: the objective keeps decreasing past every expanded edge."""
+def increasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The point where an increasing f changes sign above lo (lo itself if f(lo) >= 0).
 
-
-def _golden(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    x1 = b - INVPHI * (b - a)
-    x2 = a + INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    # The relative floor keeps the loop finite when the endpoints are so
-    # large that tol sits below their ulp spacing and the width cannot shrink.
-    while b - a > tol + WIDTH_EPS * (abs(a) + abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + INVPHI * (b - a)
-            f2 = f(x2)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
-def minimize_1d_convex(f: Callable[[float], float], bracket: tuple[float, float],
-                       tol: float = 1e-9, max_expand: int = 6) -> tuple[float, float]:
-    """Minimize a convex/unimodal f, expanding the bracket if the minimum
-    sits outside it.
-
-    Returns (argmin, value).  Raises BracketError when f is still decreasing
-    at the edge after max_expand geometric doublings (no minimizer).
+    While f(hi) < 0 the bracket moves up to [hi, hi + 2 (hi - lo)], so its
+    width doubles; then Illinois false position narrows [lo, hi] until
+    hi - lo <= ROOT_RTOL max(|lo|, |hi|).  False position alone can keep
+    one end for many steps on a convex f, and crawls where f has a kink or
+    a near-jump, so a bracket still wider than half of what it was three
+    steps before is bisected instead.  Raises ValueError when hi overflows
+    before f changes sign.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise ValueError("bracket must satisfy lo < hi")
-    for _ in range(max_expand + 1):
-        width = hi - lo
-        xm, fm = _golden(f, lo, hi, tol)
-        edge = max(10.0 * tol, 1e-6 * width)
-        if xm > hi - edge and f(hi + width) < f(hi):
-            hi += 2.0 * width
-            continue
-        if xm < lo + edge and f(lo - width) < f(lo):
-            lo -= 2.0 * width
-            continue
-        return xm, fm
-    raise BracketError("NO_BRACKET: no minimizer within the expanded bracket")
+    f_lo, f_hi = f(lo), f(hi)
+    while f_hi < 0.0:
+        lo, f_lo, hi = hi, f_hi, hi + 2.0 * (hi - lo)
+        if not math.isfinite(hi):
+            raise ValueError("no sign change of f below the float range")
+        f_hi = f(hi)
+    if f_lo >= 0.0:
+        return lo
+    widths = [math.inf] * 3  # bracket widths before each of the last three steps
+    side = 0  # +1 if the last step moved hi, -1 if it moved lo
+    while hi - lo > ROOT_RTOL * max(abs(lo), abs(hi)) and f_hi != 0.0:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if hi - lo > 0.5 * widths[0] or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        widths = widths[1:] + [hi - lo]
+        fx = f(x)
+        if fx < 0.0:
+            if side == -1:
+                f_hi *= 0.5  # Illinois: an end kept twice in a row counts half
+            lo, f_lo, side = x, fx, -1
+        else:
+            if side == 1:
+                f_lo *= 0.5
+            hi, f_hi, side = x, fx, 1
+    return hi if f_hi == 0.0 else 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, eq=False)

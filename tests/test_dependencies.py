@@ -1,0 +1,33 @@
+"""The package needs numpy alone at run time (pyproject.toml declares no
+other dependency); scipy is a test-only reference."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+import rhoarb
+from rhoarb.measures import eval_evar, eval_tnorm
+x, p = np.array([1.0, -0.5, 0.25, 2.0]), np.full(4, 0.25)
+for rho in (eval_evar(x, p, 0.5), eval_tnorm(x, p, 2.0, 0.75)):
+    assert -0.6875 < rho < 0.5  # between E[-x] and the worst case
+assert 0.0 < rhoarb.critical_alpha(1.0, "ES") < 1.0
+market = rhoarb.ScenarioMarket(probs=[0.25, 0.25, 0.25, 0.25], riskless_rate=0.0,
+                               returns=[[0.3, -0.2, 0.1, -0.1], [-0.1, 0.2, 0.2, -0.25]])
+for spec in (rhoarb.RiskSpec.evar(0.25), rhoarb.RiskSpec.tnorm(2.0, 0.25)):
+    assert rhoarb.compute_rho1(market, spec).route == "ROOT"
+"""
+
+
+def test_package_runs_without_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

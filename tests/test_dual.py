@@ -8,7 +8,7 @@ import pytest
 import oracles
 from conftest import (binomial_market, duo_market, make_dominating_market,
                       make_priced_market, make_random_market)
-from rhoarb.dual import (build_polytope, classical_no_arbitrage, classify_dual,
+from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
                          cross_validate, es_min_supnorm, es_strict_check,
                          gentropic_check, spectral_check)
 from rhoarb.frontier import classify_primal, compute_rho1
@@ -32,7 +32,7 @@ def test_polytope_row_count_and_rhs():
     rng = np.random.default_rng(101)
     for _ in range(5):
         market = make_random_market(rng, n_max=7, d_max=3)
-        poly = build_polytope(market)
+        poly = MartingalePolytope.of(market)
         assert poly.A.shape == (market.n_assets + 1, market.n_scenarios)
         assert poly.b[0] == 1.0
         assert np.all(poly.b[1:] == 0.0)

@@ -21,7 +21,7 @@ import rhoarb.dual
 from conftest import (binomial_market, duo_market, make_drift_market, make_random_market,
                       make_tanh_priced_market)
 from oracles import build_ru_lp
-from rhoarb.dual import (build_polytope, classical_no_arbitrage, classify_dual,
+from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
                          cross_validate, es_min_supnorm, es_strict_check, spectral_check)
 from rhoarb.elliptical import EllipticalMarket, critical_alpha, gaussian_rho_z, sr_max
 from rhoarb.frontier import _tangency, compute_rho1
@@ -140,7 +140,7 @@ def test_martingale_programs_match_direct_forms():
             market = make_random_market(rng, n_max=25, d_max=4)
         else:
             market = make_tanh_priced_market(rng, int(rng.integers(10, 40)), 3)
-        poly = build_polytope(market)
+        poly = MartingalePolytope.of(market)
         A, b = poly.A, poly.b
         N = market.n_scenarios
         rows = A.shape[0]
@@ -317,7 +317,7 @@ def test_crash_start_cuts_slice_pivots(N, d, spec, zero_start):
 
 def highs_min_supnorm(market: ScenarioMarket) -> float:
     """min ||Z||_inf over M by HiGHS, with one z <= t row per scenario; inf if M is empty."""
-    poly = build_polytope(market)
+    poly = MartingalePolytope.of(market)
     rows, N = poly.A.shape
     res = _highs(np.r_[np.zeros(N), 1.0], np.hstack([poly.A, np.zeros((rows, 1))]), poly.b,
                  np.hstack([np.eye(N), -np.ones((N, 1))]), np.zeros(N))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import oracles
 from rhoarb.lp import LinearProgram, lp_solve
@@ -177,6 +178,53 @@ def test_tnorm_random_against_grid():
         p = float(rng.uniform(1.3, 4.0))
         ref = oracles.tnorm_grid(x, probs, alpha, p)
         assert abs(eval_tnorm(x, probs, p, alpha) - ref) < 1e-6
+
+
+def _polished_min(h, lo, hi):
+    """Least value of a convex h: a bounded search over [lo, hi], then one in
+    the offset from its answer, where the search's tolerance is absolute."""
+    s0 = float(minimize_scalar(h, bounds=(lo, hi), method="bounded",
+                               options={"xatol": 1e-12 * (hi - lo), "maxiter": 2000}).x)
+    w = 1e-6 * (hi - lo)
+    res = minimize_scalar(lambda d: h(s0 + d), bounds=(-w, w), method="bounded",
+                          options={"xatol": 1e-18 * (hi - lo), "maxiter": 2000})
+    return min(float(res.fun), h(s0), h(lo))
+
+
+def test_evaluators_match_a_wide_search_near_level_one():
+    # As alpha -> 1 the minimizing shift of TNORM runs off far above max x
+    # (and EVaR's z towards 0); the shift is searched here over 1e4 spans.
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        x, probs = random_rv(rng)
+        x = x * 10.0 ** rng.uniform(-3.0, 3.0)
+        m, span, tol = float(x.min()), float(np.ptp(x)), 1e-12 * float(np.abs(x).max())
+        u = (x - m) / span
+        for alpha in (0.99, 0.999):
+            for p in (1.1, 2.0, 6.0):
+                ref = _polished_min(
+                    lambda s: float(probs @ np.maximum(s - x, 0.0) ** p) ** (1.0 / p) / alpha - s,
+                    m, float(x.max()) + 1e4 * span / alpha)
+                assert abs(eval_tnorm(x, probs, p, alpha) - ref) <= tol, (p, alpha)
+            ref = _polished_min(
+                lambda z: -m + span * (math.log(float(probs @ np.exp(-z * u)))
+                                       - math.log(alpha)) / z, 1e-9, 1e4)
+            assert abs(eval_evar(x, probs, alpha) - ref) <= tol, alpha
+
+
+def test_evaluators_return_the_worst_case_exactly_at_their_corners():
+    # The minimum is the worst case -min x exactly when the atom at min x
+    # carries P0 >= alpha (EVaR) or P0^(1/p) >= alpha (TNORM); past those
+    # levels it falls strictly below.
+    x, probs = np.array([0.3, -1.25, 2.0, -1.25]), np.array([0.2, 0.3, 0.3, 0.2])
+    assert eval_evar(x, probs, 0.5) == 1.25
+    assert eval_evar(x, probs, 0.45) == 1.25
+    assert eval_evar(x, probs, 0.51) < 1.25
+    assert eval_tnorm(x, probs, 2.0, math.sqrt(0.5)) == 1.25
+    assert eval_tnorm(x, probs, 2.0, 0.6) == 1.25
+    assert eval_tnorm(x, probs, 2.0, 0.71) < 1.25
+    assert eval_tnorm(x, probs, 6.0, 0.89) == 1.25
+    assert eval_tnorm(x, probs, 6.0, 0.9) < 1.25
 
 
 # -- ordering and axioms (compact; the full suites live in acceptance) -----------

@@ -1,4 +1,5 @@
-"""Invariances of the ES dual test, as Hypothesis properties.
+"""Invariances of the ES dual test and of the EVaR and TNORM evaluators,
+as Hypothesis properties.
 
 min ||Z||_inf over the martingale densities, the dual verdict and the
 primal/dual agreement status depend on the market only through the law
@@ -6,7 +7,9 @@ of the excess returns, and t* and both verdicts are unitless.  So they
 must not change when the scenarios are listed in another order (which
 also reorders the ties the sup-norm LP's crash start breaks), when one
 scenario is split into two with the same returns, or when returns and
-the riskless rate are quoted in other units.
+the riskless rate are quoted in other units.  Likewise a law-invariant,
+positively homogeneous and cash-additive measure gives rho(c x + m) =
+c rho(x) - m and ignores the order and the splitting of scenarios.
 """
 
 import math
@@ -18,7 +21,7 @@ from conftest import (make_dominating_market, make_drift_market, make_random_mar
                       make_tanh_priced_market)
 from rhoarb.dual import cross_validate
 from rhoarb.market import ScenarioMarket
-from rhoarb.measures import RiskSpec
+from rhoarb.measures import RiskSpec, eval_evar, eval_tnorm
 
 KINDS = ("priced", "drift", "mild-drift", "random", "dominating")
 
@@ -83,3 +86,54 @@ def test_es_dual_invariant_under_units(drawn, alpha, k):
     other = ScenarioMarket(probs=market.probs, riskless_rate=market.riskless_rate * 10.0 ** k,
                            returns=market.returns * 10.0 ** k)
     assert_same_answers(market, other, alpha)
+
+
+# -- the EVaR and TNORM evaluators ------------------------------------------------
+
+payoffs = st.tuples(st.integers(0, 10**6), st.booleans())
+evaluator_levels = st.sampled_from((0.05, 0.25, 0.5, 0.9, 0.99, 0.999))
+
+
+def payoff(seed: int, atom: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A payoff on 2-40 scenarios; with atom, a quarter of them share min x,
+    which puts the small levels in the evaluators' worst-case corners."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    x = rng.normal(size=n)
+    if atom:
+        x[: max(1, n // 4)] = x.min()
+    return x, rng.dirichlet(np.ones(n))
+
+
+def risks(x: np.ndarray, probs: np.ndarray, alpha: float) -> np.ndarray:
+    """EVaR and TNORM(p) for p in {1.1, 2, 6}, all at level alpha."""
+    return np.array([eval_evar(x, probs, alpha)]
+                    + [eval_tnorm(x, probs, p, alpha) for p in (1.1, 2.0, 6.0)])
+
+
+@given(payoffs, evaluator_levels, st.integers(-6, 6), st.floats(-5.0, 5.0))
+def test_evaluators_scale_and_shift(drawn, alpha, k, shift):
+    x, probs = payoff(*drawn)
+    c = 10.0 ** k
+    m = c * shift
+    got = risks(c * x + m, probs, alpha)
+    want = c * risks(x, probs, alpha) - m
+    assert np.abs(got - want).max() <= 1e-12 * (c * np.abs(x).max() + abs(m))
+
+
+@given(payoffs, evaluator_levels, st.integers(0, 10**6))
+def test_evaluators_invariant_under_scenario_permutation(drawn, alpha, seed):
+    x, probs = payoff(*drawn)
+    order = np.random.default_rng(seed).permutation(x.size)
+    got = risks(x[order], probs[order], alpha)
+    assert np.abs(got - risks(x, probs, alpha)).max() <= 1e-12 * np.abs(x).max()
+
+
+@given(payoffs, evaluator_levels, st.integers(0, 10**6), st.floats(0.1, 0.9))
+def test_evaluators_invariant_under_scenario_split(drawn, alpha, pick, share):
+    x, probs = payoff(*drawn)
+    i = pick % x.size
+    p = probs.copy()
+    p[i] *= share
+    got = risks(np.append(x, x[i]), np.append(p, probs[i] - p[i]), alpha)
+    assert np.abs(got - risks(x, probs, alpha)).max() <= 1e-12 * np.abs(x).max()

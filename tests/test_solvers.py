@@ -1,4 +1,4 @@
-"""Tests for the 1-d minimizer, the cumulant Newton solver, and Kelley."""
+"""Tests for the bracketed root, the cumulant Newton solver, and Kelley."""
 
 import math
 
@@ -9,53 +9,19 @@ import oracles
 from conftest import make_random_market
 from rhoarb.lp import LinearProgram, lp_solve
 from oracles import BadOracleError, kelley_minimize
-from rhoarb.solvers import BracketError, minimize_1d_convex, newton_cumulant_min
+from rhoarb.solvers import ROOT_RTOL, increasing_root, newton_cumulant_min
 
 
-def test_golden_section_parabola():
-    arg, val = minimize_1d_convex(lambda s: (s - 3.0) ** 2, (0.0, 10.0))
-    assert abs(arg - 3.0) < 1e-7
-    assert val < 1e-13
-
-
-def test_golden_section_hyperbola():
-    arg, val = minimize_1d_convex(lambda z: z + 1.0 / z, (0.01, 100.0))
-    assert abs(arg - 1.0) < 1e-7
-    assert abs(val - 2.0) < 1e-12
-
-
-def test_bracket_expansion_reaches_distant_minimum():
-    arg, val = minimize_1d_convex(lambda s: (s - 20.0) ** 2, (0.0, 1.0))
-    assert abs(arg - 20.0) < 1e-6
-    assert val < 1e-10
-
-
-def test_no_bracket_raises():
-    with pytest.raises(BracketError):
-        minimize_1d_convex(lambda s: -s, (0.0, 1.0))
-
-
-def test_evar_inner_objective_matches_grid():
-    # Minimize f(z) = (log E[exp(-zX)] - log alpha)/z over z > 0 via the
-    # golden-section minimizer on log z; compare to dense grids.  The
-    # exponent is loss-shifted and the z cap keeps a decreasing-to-limit
-    # objective flat instead of overflowing.
-    cases = [
-        (np.array([1.0, -1.0]), 0.1),        # boundary: minimum at z -> inf
-        (np.array([2.0, 0.0, -1.0]), 0.6),   # interior minimum
-    ]
-    for x, alpha in cases:
-        probs = np.full(x.size, 1.0 / x.size)
-        m = float(np.min(x))
-
-        def f_log(u):
-            z = math.exp(min(u, 690.0))
-            lse = math.log(probs @ np.exp(-z * (x - m)))
-            return -m + (lse - math.log(alpha)) / z
-
-        _, val = minimize_1d_convex(f_log, (math.log(1e-8), math.log(1e8)))
-        ref = oracles.evar_grid(x, probs, alpha)
-        assert abs(val - ref) < 1e-6, (alpha, val, ref)
+def test_increasing_root_expands_and_pins_the_sign_change():
+    # Smooth, beyond the first bracket: the upper end doubles to reach 2^(1/3).
+    root = increasing_root(lambda s: s ** 3 - 2.0, 0.0, 0.1)
+    assert abs(root - 2.0 ** (1.0 / 3.0)) <= 2.0 * ROOT_RTOL * root
+    # A jump at 0.3 and a flat stretch: bisection closes the bracket on the jump.
+    root = increasing_root(lambda s: -1.0 if s < 0.3 else 1e-3 * (s - 0.3) + 1e-9, 0.0, 1.0)
+    assert abs(root - 0.3) <= 2.0 * ROOT_RTOL * 0.3
+    assert increasing_root(lambda s: s - 0.25, 0.0, 0.25) == 0.25
+    with pytest.raises(ValueError):
+        increasing_root(lambda s: -1.0, 0.0, 1.0)
 
 
 def test_cumulant_symmetric_market_is_flat():

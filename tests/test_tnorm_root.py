@@ -103,6 +103,30 @@ def test_seeded_sweep_meets_its_certificates():
         assert abs(rho1 - ref) <= 1e-6 * max(1.0, abs(rho1)), (label, rho1, ref)
 
 
+def test_levels_near_one_read_the_root_end_point():
+    # At alpha = 0.999 the evaluator's minimizing shift lies far above
+    # max X; a shift search bracketed near the data stopped short of it and
+    # read rho_1 = -0.82046 with a gap of 9.1e-3 here.
+    market = make_tanh_priced_market(np.random.default_rng(2), 40, 3)
+    res = compute_rho1(market, RiskSpec.tnorm(3.0, 0.999))
+    assert res.route == "ROOT" and res.attained and not res.annotations
+    assert abs(res.rho1 - -0.8296040877060733) <= 1e-9
+    assert 0.0 <= res.gap <= 1e-9 * (1.0 + abs(res.rho1))
+    # The same on 105 seeded priced, drift and equal-odds drift markets.
+    for seed in range(105):
+        rng = np.random.default_rng([seed, 7])
+        N, d = int(rng.integers(20, 121)), int(rng.integers(2, 6))
+        if seed % 3 == 0:
+            market = make_tanh_priced_market(rng, N, d)
+        else:
+            market = make_drift_market(rng, N, d, 1.0 if seed % 3 == 1 else 0.5,
+                                       equal_odds=seed % 3 == 2)
+        for alpha in (0.9, 0.99, 0.999):
+            res = compute_rho1(market, RiskSpec.tnorm(float(rng.choice(P_EXPS)), alpha))
+            assert res.route == "ROOT" and res.attained and not res.annotations, seed
+            assert 0.0 <= res.gap <= 1e-9 * (1.0 + abs(res.rho1)), (seed, alpha, res.gap)
+
+
 def _scaled(market: ScenarioMarket, k: float) -> ScenarioMarket:
     return ScenarioMarket(probs=market.probs, riskless_rate=market.riskless_rate * k,
                           returns=market.returns * k)
