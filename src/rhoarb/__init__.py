@@ -7,8 +7,7 @@ forms for elliptical models.
 """
 
 from .dual import (ClassicalResult, CrossValidation, DualWitness,
-                   GEntropicResult, MartingalePolytope, SpectralResult,
-                   StrictBoxResult, SupnormResult,
+                   GEntropicResult, SpectralResult, StrictBoxResult, SupnormResult,
                    classical_no_arbitrage, classify_dual, cross_validate,
                    es_min_supnorm, es_strict_check, gentropic_check,
                    spectral_check)
@@ -19,27 +18,27 @@ from .frontier import (ArbitrageVerdict, FrontierResult,
                        frontier_points)
 from .gaussian import Phi, Phi_inv, erf, erfc, phi
 from .lp import LinearProgram, LPSolution, SimplexError, lp_solve
-from .market import (DegenerateMarketError, ScenarioMarket, canonical_portfolio,
-                     excess_return, expected_excess, validate_market)
-from .measures import (DualSetDescriptor, RiskSpec, UnsupportedDualError,
-                       UnsupportedPrimalError, dual_descriptor, evaluate)
+from .market import (DegenerateMarketError, MartingalePolytope, ScenarioMarket,
+                     canonical_portfolio, excess_return, expected_excess,
+                     validate_market)
+from .measures import (RiskSpec, UnsupportedDualError, UnsupportedPrimalError,
+                       evaluate)
 from .solvers import CumulantResult, newton_cumulant_min
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArbitrageVerdict", "ClassicalResult", "CrossValidation",
-    "CumulantResult", "DegenerateMarketError", "DualSetDescriptor",
-    "DualWitness", "EllipticalMarket", "FrontierResult", "GEntropicResult",
-    "LPSolution", "LinearProgram", "MartingalePolytope", "Phi", "Phi_inv",
-    "RiskSpec", "ScenarioMarket", "SimplexError", "SpectralResult",
-    "StrictBoxResult", "SupnormResult", "UnsupportedDualError",
-    "UnsupportedGlobalMinError", "UnsupportedPrimalError",
-    "canonical_portfolio", "classical_no_arbitrage", "classify_dual",
-    "classify_primal", "classify_trichotomy", "compute_rho1", "critical_alpha",
-    "cross_validate", "dual_descriptor", "erf", "erfc", "es_min_supnorm",
+    "ArbitrageVerdict", "ClassicalResult", "CrossValidation", "CumulantResult",
+    "DegenerateMarketError", "DualWitness", "EllipticalMarket",
+    "FrontierResult", "GEntropicResult", "LPSolution", "LinearProgram",
+    "MartingalePolytope", "Phi", "Phi_inv", "RiskSpec", "ScenarioMarket",
+    "SimplexError", "SpectralResult", "StrictBoxResult", "SupnormResult",
+    "UnsupportedDualError", "UnsupportedGlobalMinError",
+    "UnsupportedPrimalError", "canonical_portfolio", "classical_no_arbitrage",
+    "classify_dual", "classify_primal", "classify_trichotomy", "compute_rho1",
+    "critical_alpha", "cross_validate", "erf", "erfc", "es_min_supnorm",
     "es_strict_check", "evaluate", "excess_return", "expected_excess",
     "frontier_points", "gaussian_rho_z", "gentropic_check", "lp_solve",
-    "newton_cumulant_min", "phase_curve_rows", "phi",
-    "spectral_check", "sr_max", "validate_market",
+    "newton_cumulant_min", "phase_curve_rows", "phi", "spectral_check",
+    "sr_max", "validate_market",
 ]

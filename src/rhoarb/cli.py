@@ -138,28 +138,26 @@ class AnalysisReport:
 
 
 def analyze_market(market: ScenarioMarket, spec: RiskSpec, *, tol: float = 1e-7,
-                   want_dual: bool | None = None,
+                   want_dual: bool = False,
                    market_file: str | None = None) -> AnalysisReport:
     """Primal + dual classification with cross-validation where both run.
 
-    want_dual None runs whatever the measure supports; True insists on the
-    dual route (raising UnsupportedDualError for VaR); False skips it.
+    Every measure but VaR has a dual route, and GENTROPIC has no primal
+    one, so the dual route always runs; VaR raises UnsupportedDualError
+    when want_dual insists on the dual route, UnsupportedGlobalMinError
+    otherwise.
     """
     timings: dict[str, float] = {}
     primal = dual = cross = None
     rho1 = None
-    verdict = None
 
-    primal_supported = spec.kind in ("WC", "ES", "SPECTRAL", "EVAR", "TNORM")
-    dual_supported = spec.kind != "VAR"
-    if want_dual and not dual_supported:
-        raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual route")
-    if not primal_supported and not dual_supported:
+    if spec.kind == "VAR":
+        if want_dual:
+            raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual route")
         raise UnsupportedGlobalMinError(
             "UNSUPPORTED_GLOBAL_MIN: VaR has neither a primal nor a dual route")
 
-    run_dual = dual_supported if want_dual is None else want_dual
-    if primal_supported and run_dual:
+    if spec.kind != "GENTROPIC":
         t0 = time.perf_counter()
         cv = cross_validate(market, spec, tol)
         timings["cross"] = time.perf_counter() - t0
@@ -168,12 +166,6 @@ def analyze_market(market: ScenarioMarket, spec: RiskSpec, *, tol: float = 1e-7,
         cross.pop("dual", None)
         rho1 = cv.rho1
         verdict = "DISAGREE" if cv.status == "DISAGREE" else cv.primal.verdict
-    elif primal_supported:
-        t0 = time.perf_counter()
-        res = compute_rho1(market, spec)
-        pv = classify_primal(res, tol)
-        timings["primal"] = time.perf_counter() - t0
-        primal, rho1, verdict = pv.to_dict(), res.rho1, pv.verdict
     else:
         t0 = time.perf_counter()
         dv = classify_dual(market, spec, tol)
@@ -246,8 +238,7 @@ def _emit_json(data: dict, out: str | None) -> None:
 def _cmd_analyze(args) -> int:
     market = load_market(args.market, args.market_format)
     spec = load_risk(args.risk, args.risk_file)
-    want_dual = True if args.dual else None
-    report = analyze_market(market, spec, tol=args.tol, want_dual=want_dual,
+    report = analyze_market(market, spec, tol=args.tol, want_dual=args.dual,
                             market_file=args.market)
     _emit_json(report.to_dict(), args.out)
     return EXIT_CODES.get(report.verdict, 1)

@@ -42,12 +42,11 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .frontier import (ArbitrageVerdict, CLASSIFY_TOL, _tangency, compute_rho1,
-                       classify_primal)
+from .frontier import (ArbitrageVerdict, CLASSIFY_TOL, _penalty_min, _tangency,
+                       compute_rho1, classify_primal)
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexError, lp_solve
-from .market import ScenarioMarket
-from .measures import DualSetDescriptor, RiskSpec, dual_descriptor, penalty_descriptor
-from .solvers import newton_cumulant_min, newton_power_min
+from .market import MartingalePolytope, ScenarioMarket
+from .measures import RiskSpec, UnsupportedDualError, penalty
 
 Vector = NDArray[np.float64]
 
@@ -55,31 +54,6 @@ ZERO_TOL = 1e-9          # LP vertex quantities at or below this count as zero
 RESIDUAL_TOL = 1e-8
 FW_TOL = 1e-8
 EMPTY_SCALE = 1e-12      # Charnes-Cooper scale s* = 1/t* at or below this: M is empty
-
-
-@dataclass(frozen=True, eq=False)
-class MartingalePolytope:
-    """Equality system A z = b cutting M out of the nonnegative orthant.
-
-    Row 0 is E[Z] = 1; row i prices asset i: sum_omega p_omega z_omega
-    (R_i,omega - r) = 0.
-    """
-
-    A: Vector
-    b: Vector
-
-    @classmethod
-    def of(cls, market: ScenarioMarket) -> "MartingalePolytope":
-        p = market.probs
-        A = np.vstack([p[None, :], market.excess_matrix * p[None, :]])
-        b = np.zeros(A.shape[0])
-        b[0] = 1.0
-        A.setflags(write=False)
-        b.setflags(write=False)
-        return cls(A=A, b=b)
-
-    def residual(self, z: Vector) -> float:
-        return float(np.abs(self.A @ z - self.b).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,22 +337,19 @@ class GEntropicResult:
     iterations: int = 0
 
 
-def _read_penalty(g, beta: float) -> DualSetDescriptor:
+def _read_penalty(g, beta: float) -> RiskSpec:
     if isinstance(g, str):
         if g.upper() == "ENTROPY":
-            return penalty_descriptor("ENTROPY", beta)
+            return RiskSpec.entropic(beta)
         raise ValueError(f"unknown penalty name {g!r}")
     if isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str):
         if g[0].upper() != "POWER":
             raise ValueError(f"unknown penalty family {g[0]!r}")
-        q = float(g[1])
-        if not q > 1.0:
-            raise ValueError("power penalty needs q > 1")
-        return penalty_descriptor("POWER", beta, q=q)
+        return RiskSpec.power(g[1], beta)
     if isinstance(g, tuple) and len(g) == 2 and callable(g[0]):
-        return penalty_descriptor("CUSTOM", beta, g=g[0], g_prime=g[1])
+        return RiskSpec.custom(g[0], beta, g_prime=g[1])
     if callable(g):
-        return penalty_descriptor("CUSTOM", beta, g=g)
+        return RiskSpec.custom(g, beta)
     raise TypeError("g must be 'entropy', ('power', q), or a callable (with "
                     "optional derivative)")
 
@@ -469,29 +440,28 @@ def _frank_wolfe_min(poly: MartingalePolytope, probs: Vector, gfun: Callable,
     return z, fval(z), max(gap, 0.0), it
 
 
-def gentropic_check(market: ScenarioMarket, g, beta: float,
-                    tol: float = FW_TOL) -> GEntropicResult:
+def gentropic_check(market: ScenarioMarket, g, beta: float) -> GEntropicResult:
     """Penalty test: v* = min E[g(Z)] over M against the budget beta.
 
     g is 'entropy', ('power', q), or a callable penalty (optionally paired
-    with its derivative).  No strong arbitrage iff v* <= beta; no arbitrage
+    with its derivative); beta must exceed g(1), as RiskSpec requires, or
+    ValueError is raised.  No strong arbitrage iff v* <= beta; no arbitrage
     iff additionally the classical margin is positive and v* < beta
     strictly (mixing the positive classical witness into a near-minimizer
     keeps the penalty below beta while making the density strictly
     positive).
     """
-    return _penalty_check(market, _read_penalty(g, float(beta)), tol)
+    return _penalty_check(market, _read_penalty(g, float(beta)))
 
 
-def _penalty_check(market: ScenarioMarket, desc: DualSetDescriptor,
-                   tol: float = FW_TOL) -> GEntropicResult:
-    """gentropic_check for a penalty already read into a descriptor.
+def _penalty_check(market: ScenarioMarket, pen: RiskSpec) -> GEntropicResult:
+    """gentropic_check for a GENTROPIC spec (a penalty ball).
 
     ENTROPY and POWER minimize through their unconstrained smooth duals
-    (newton_cumulant_min, newton_power_min), which have no gap on finite
-    scenario spaces; CUSTOM runs away-step Frank-Wolfe over M.
+    (frontier._penalty_min), which have no gap on finite scenario spaces;
+    CUSTOM runs away-step Frank-Wolfe over M to FW_TOL.
     """
-    beta = float(desc.beta)
+    beta = pen.beta
     poly = MartingalePolytope.of(market)
     cl = _classical(poly)
     if cl.status == INFEASIBLE:
@@ -499,29 +469,27 @@ def _penalty_check(market: ScenarioMarket, desc: DualSetDescriptor,
                                strong_ok=False, strict_ok=False, witness=None,
                                route="M_EMPTY", annotations=("M_EMPTY",))
 
-    def penalty(z: Vector) -> float:
-        return float(market.probs @ desc.penalty(np.maximum(z, 0.0)))
+    def expected_penalty(z: Vector) -> float:
+        return float(market.probs @ penalty(pen, np.maximum(z, 0.0)))
 
     annotations: list[str] = []
-    if desc.penalty_name in ("ENTROPY", "POWER"):
-        if desc.penalty_name == "ENTROPY":
-            res = newton_cumulant_min(market.probs, market.excess_matrix.T)
-            pen = res.value  # E[z log z] = lam . E[z e] - K = -K to the gradient
+    if pen.g_kind != "CUSTOM":
+        res = _penalty_min(pen, market.probs, market.excess_matrix.T)
+        if pen.g_kind == "ENTROPY":
+            z_pen = res.value  # E[z log z] = lam . E[z e] - K = -K to the gradient
         else:
-            res = newton_power_min(market.probs, market.excess_matrix.T, desc.q)
-            pen = penalty(res.z)
+            z_pen = expected_penalty(res.z)
         v_star, gap, iterations = res.value, res.gradient_norm, res.iterations
-        witness = DualWitness.of(poly, res.z, penalty=pen)
+        witness = DualWitness.of(poly, res.z, penalty=z_pen)
         route = "NEWTON"
         if res.status == "DIVERGENT":
             annotations.append("DIVERGENT")
     else:
-        gprime = desc.penalty_prime or _numeric_prime(desc.penalty)
-        z, v_star, gap, iterations = _frank_wolfe_min(poly, market.probs, desc.penalty,
-                                                      gprime, tol=tol)
+        gprime = pen.g_prime or _numeric_prime(pen.g)
+        z, v_star, gap, iterations = _frank_wolfe_min(poly, market.probs, pen.g, gprime)
         witness = DualWitness.of(poly, z, penalty=v_star)
         route = "FRANK_WOLFE"
-        if gap > tol:
+        if gap > FW_TOL:
             annotations.append("GAP_NOT_CLOSED")
 
     strong_ok = v_star <= beta + ZERO_TOL
@@ -530,11 +498,11 @@ def _penalty_check(market: ScenarioMarket, desc: DualSetDescriptor,
         # Mix the positive classical witness in to exhibit a strictly
         # positive density whose penalty still sits below beta.
         z_pos = cl.witness.z
-        pen_pos = penalty(z_pos)
+        pen_pos = expected_penalty(z_pos)
         room = beta - v_star
         eta = min(0.5, room / (2.0 * max(pen_pos - v_star, 1e-12))) if pen_pos > v_star else 0.5
         z_mix = (1.0 - eta) * witness.z + eta * z_pos
-        witness = DualWitness.of(poly, z_mix, penalty=penalty(z_mix))
+        witness = DualWitness.of(poly, z_mix, penalty=expected_penalty(z_mix))
     return GEntropicResult(v_star=v_star, beta=beta, delta_classical=cl.delta,
                            strong_ok=strong_ok, strict_ok=strict_ok, witness=witness,
                            route=route, gap=gap, annotations=tuple(annotations),
@@ -546,21 +514,24 @@ def _penalty_check(market: ScenarioMarket, desc: DualSetDescriptor,
 
 def classify_dual(market: ScenarioMarket, spec: RiskSpec,
                   tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:
-    """Trichotomy by the dual criteria for the measure's dual-set shape.
+    """Trichotomy by the dual criteria for the measure's dual set.
 
-    Raises UnsupportedDualError (via the descriptor) for VaR.  Certificates
-    carry the decisive scalars and a density witness where one exists;
-    BOUNDARY is annotated when the deciding comparison sits within tol of
-    its threshold.
+    WC, ES and SPECTRAL test their box mixtures over M; EVAR, TNORM and
+    GENTROPIC test their penalty ball (RiskSpec.penalty_ball).  Raises
+    UnsupportedDualError for VaR, which has no dual density set.
+    Certificates carry the decisive scalars and a density witness where one
+    exists; BOUNDARY is annotated when the deciding comparison sits within
+    tol of its threshold.
     """
-    desc = dual_descriptor(spec)
-    if desc.kind == "WC":
+    if spec.kind == "VAR":
+        raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual density set")
+    if spec.kind == "WC":
         return _classify_wc(market, tol)
-    if desc.kind == "ES":
+    if spec.kind == "ES":
         return _classify_es(market, spec.alpha, tol)
-    if desc.kind == "SPECTRAL":
-        return _classify_spectral(market, desc.atoms, tol)
-    return _classify_gentropic(market, desc, tol)
+    if spec.kind == "SPECTRAL":
+        return _classify_spectral(market, spec.spectrum, tol)
+    return _classify_gentropic(market, spec.penalty_ball, tol)
 
 
 def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
@@ -619,9 +590,9 @@ def _classify_spectral(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVe
     return ArbitrageVerdict(verdict="RHO_ARBITRAGE", route="DUAL", certificate=cert)
 
 
-def _classify_gentropic(market: ScenarioMarket, desc: DualSetDescriptor,
+def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
                         tol: float) -> ArbitrageVerdict:
-    res = _penalty_check(market, desc)
+    res = _penalty_check(market, pen)
     cert: dict = {"v_star": res.v_star, "beta": res.beta,
                   "delta_classical": res.delta_classical}
     if res.route != "M_EMPTY":

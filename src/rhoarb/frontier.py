@@ -29,9 +29,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .lp import OPTIMAL, LinearProgram, SimplexError, lp_solve
-from .market import (ScenarioMarket, canonical_portfolio, excess_return)
-from .measures import RiskSpec, evaluate
-from .solvers import newton_cumulant_min, newton_power_min
+from .market import (MartingalePolytope, ScenarioMarket, canonical_portfolio,
+                     excess_return)
+from .measures import RiskSpec, evaluate, penalty
+from .solvers import CumulantResult, newton_cumulant_min, newton_power_min
 
 Vector = NDArray[np.float64]
 
@@ -111,7 +112,7 @@ class ArbitrageVerdict:
 def _tangency(market: ScenarioMarket) -> Vector | None:
     """S^-1 (mu - r), with S the covariance of the excess returns: the
     Gaussian tangency direction, or None when S is singular."""
-    a = market.mean_returns - market.riskless_rate
+    a = market.mean_excess
     dev = market.excess_matrix - a[:, None]
     try:
         return np.linalg.solve((dev * market.probs) @ dev.T, a)
@@ -151,8 +152,8 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
         atoms = spec.spectrum
     d, N = market.n_assets, market.n_scenarios
     J = len(atoms)
-    p = market.probs
-    weighted = market.excess_matrix * p[None, :]
+    poly = MartingalePolytope.of(market)
+    p, weighted = poly.A[0], poly.A[1:]  # weighted @ v = E[v (R - r)]
     A_eq = np.zeros((J + d, J * N + 1))
     upper = np.full(J * N + 1, np.inf)
     for j, (alpha, w) in enumerate(atoms):
@@ -161,7 +162,7 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
         A_eq[J:, block] = w * weighted
         if alpha > 0.0:
             upper[block] = 1.0 / alpha
-    A_eq[J:, -1] = -(market.mean_returns - market.riskless_rate)
+    A_eq[J:, -1] = -market.mean_excess
     b_eq = np.concatenate([np.ones(J), np.zeros(d)])
     lower = np.zeros(J * N + 1)
     lower[-1] = -np.inf
@@ -180,19 +181,32 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
                          start=start), J
 
 
-def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierResult:
+def _penalty_min(pen: RiskSpec, probs: Vector, rows: Vector, lam0: Vector | None = None,
+                 nu0: float = 1.0) -> CumulantResult:
+    """Least E[g(Z)] over the densities Z that price the rows (shape (N, d)).
+
+    pen is an ENTROPY or POWER penalty ball; its Newton kernel is
+    newton_cumulant_min or newton_power_min, warm-started at lam0 (and nu0,
+    which only the power kernel has).
+    """
+    if pen.g_kind == "ENTROPY":
+        return newton_cumulant_min(probs, rows, lam0=lam0)
+    return newton_power_min(probs, rows, pen.q, lam0=lam0, nu0=nu0)
+
+
+def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     """EVaR or TNORM slice minimum as the root of a penalty dual in the shift t.
 
-    Both dual sets are penalty balls {Z in D : E[g(Z)] <= beta}: EVaR's with
-    g(z) = z log z and beta = -log alpha, TNORM(p)'s with g(z) = z^q / q
-    (q = p / (p - 1)) and beta = (1 / alpha)^q / q, the q-norm ball of
-    radius 1 / alpha.  The minimax argument of _slice_lp makes rho_1 the
-    largest t for which a density of penalty <= beta prices the shifted
-    excess e + t a, with a = mu - r.  The least such penalty V(t) is the
-    minimum of newton_cumulant_min (EVaR: Csiszar's I-projection,
-    V(t) = -min_lam log E exp(lam . (e + t a))) or newton_power_min (TNORM)
-    on the rows e + t a.  V is convex in t (E[Z (e + t a)] = 0 is linear in
-    (Z, t)), V(-1) = g(1) at Z = 1, and V'(t) = -lam* . a by the envelope
+    Both dual sets are penalty balls {Z in D : E[g(Z)] <= beta}, read from
+    spec.penalty_ball: EVaR's with g(z) = z log z, TNORM(p)'s with
+    g(z) = z^q / q, the q-norm ball of radius 1 / alpha.  The minimax
+    argument of _slice_lp makes rho_1 the largest t for which a density of
+    penalty <= beta prices the shifted excess e + t a, with a = mu - r.
+    The least such penalty V(t) is the minimum of _penalty_min on the rows
+    e + t a: newton_cumulant_min for EVaR (Csiszar's I-projection,
+    V(t) = -min_lam log E exp(lam . (e + t a))), newton_power_min for
+    TNORM.  V is convex in t (E[Z (e + t a)] = 0 is linear in (Z, t)),
+    V(-1) = g(1) at Z = 1, and V'(t) = -lam* . a by the envelope
     theorem.  No density prices e + t a above the WC slice minimum t_max,
     so rho_1 is the root of V(t) = beta in [-1, t_max].
 
@@ -210,19 +224,15 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierRe
     """
     E = market.excess_matrix
     p = market.probs
-    a = market.mean_returns - market.riskless_rate
-    if spec.kind == "EVAR":
-        beta, g1, g2 = -math.log(spec.alpha), 0.0, 1.0
+    a = market.mean_excess
+    pen = spec.penalty_ball
+    beta = pen.beta
+    g1 = float(penalty(pen, [1.0])[0])
+    g2 = pen.q - 1.0 if pen.g_kind == "POWER" else 1.0  # g''(1)
 
-        def solve(t: float, lam: Vector, nu0: float):
-            return newton_cumulant_min(p, (E + t * a[:, None]).T, lam0=lam), nu0
-    else:
-        q = spec.p / (spec.p - 1.0)
-        beta, g1, g2 = (1.0 / spec.alpha) ** q / q, 1.0 / q, q - 1.0
+    def solve(t: float, lam: Vector, nu0: float) -> CumulantResult:
+        return _penalty_min(pen, p, (E + t * a[:, None]).T, lam, nu0)
 
-        def solve(t: float, lam: Vector, nu0: float):
-            res = newton_power_min(p, (E + t * a[:, None]).T, q, lam0=lam, nu0=nu0)
-            return res, res.nu
     lp, J = _slice_lp(market, RiskSpec.wc())
     wc = lp_solve(lp)
     if wc.status != OPTIMAL:
@@ -238,8 +248,8 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierRe
         # rho_1 is the risk of the returned portfolio, evaluated afresh; gap
         # is its distance from the root's bound on that risk or, when the
         # root stopped short, its height above lo_sure.
-        pi = pi * (nu / float(pi @ a))
-        risk = evaluate(spec, excess_return(market, pi), p) / nu
+        pi = pi * (1.0 / float(pi @ a))
+        risk = evaluate(spec, excess_return(market, pi), p)
         if bound is not None:
             return FrontierResult(rho1=risk, attained=True, argmin=pi, spec=spec,
                                   route="ROOT", status=OPTIMAL, gap=abs(risk - bound),
@@ -266,7 +276,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierRe
     best_pi, best_bound, last_pi = wc_pi, t_max, wc_pi
     evals = overshoots = 0
     while evals < EVAR_ROOT_MAX_ITER:
-        res, nu_res = solve(t, lam, nu0)
+        res = solve(t, lam, nu0)
         evals += 1
         over = res.value - beta
         slope = -float(res.lam @ a)
@@ -287,7 +297,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierRe
             step = -over / slope
             if abs(step) <= EVAR_ROOT_TOL * (1.0 + abs(t)):
                 return result(-res.lam, evals, t + step)
-            lam, nu0 = res.lam, nu_res
+            lam, nu0 = res.lam, getattr(res, "nu", nu0)  # only PowerResult has nu
             t_new = t + step
             if t_new < best_bound:
                 best_pi, best_bound = -res.lam, t_new
@@ -298,7 +308,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierRe
                 # <= beta all the way up.
                 overshoots += 1
                 if top_open and overshoots >= 2:
-                    top, _ = solve(t_max, lam, nu0)
+                    top = solve(t_max, lam, nu0)
                     evals += 1
                     if top.value <= beta:
                         return result(wc_pi, evals, t_max)
@@ -322,10 +332,6 @@ def compute_rho1(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     WC slice LP.  VAR raises UnsupportedGlobalMinError, GENTROPIC has no
     primal route.
     """
-    return _compute_rho_nu(market, spec, 1.0)
-
-
-def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float) -> FrontierResult:
     if spec.kind == "VAR":
         raise UnsupportedGlobalMinError(
             "UNSUPPORTED_GLOBAL_MIN: VaR slice minima are not computed")
@@ -335,9 +341,9 @@ def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float) -> Fronti
             "use EVAR/TNORM for the primal route")
 
     if market.n_assets == 1:
-        pi = canonical_portfolio(market, nu)
+        pi = canonical_portfolio(market, 1.0)
         val = evaluate(spec, excess_return(market, pi), market.probs)
-        return FrontierResult(rho1=val / nu, attained=True, argmin=pi, spec=spec,
+        return FrontierResult(rho1=val, attained=True, argmin=pi, spec=spec,
                               route="DIRECT", status="OPTIMAL")
 
     if spec.kind in ("ES", "SPECTRAL", "WC"):
@@ -346,12 +352,12 @@ def _compute_rho_nu(market: ScenarioMarket, spec: RiskSpec, nu: float) -> Fronti
         if sol.status != OPTIMAL:
             raise SimplexError(f"slice LP returned {sol.status}")
         pi = -sol.duals[J:]
-        pi *= nu / float(pi @ (market.mean_returns - market.riskless_rate))
+        pi *= 1.0 / float(pi @ market.mean_excess)
         return FrontierResult(rho1=-float(sol.value), attained=True, argmin=pi,
                               spec=spec, route="LP", status=OPTIMAL,
                               iterations=sol.iterations)
 
-    return _root_route(market, spec, nu)
+    return _root_route(market, spec)
 
 
 def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:

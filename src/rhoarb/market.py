@@ -5,7 +5,8 @@ probabilities, one riskless asset earning r > -1, and d risky assets whose
 returns are tabulated per scenario.  A portfolio is the vector of fractions
 of wealth in the risky assets; the riskless fraction is implied and never
 stored.  The excess return of pi is X_pi = pi . (R - r 1), scenario by
-scenario.
+scenario.  MartingalePolytope is the equality system of the densities that
+price the market, shared by the primal slice LP and the dual tests.
 """
 
 from __future__ import annotations
@@ -89,9 +90,40 @@ class ScenarioMarket:
         return self.returns @ self.probs
 
     @property
+    def mean_excess(self) -> Vector:
+        """mu - r 1, the expected excess return of each asset."""
+        return self.mean_returns - self.riskless_rate
+
+    @property
     def excess_matrix(self) -> Vector:
         """R - r 1, shape (d, N)."""
         return self.returns - self.riskless_rate
+
+
+@dataclass(frozen=True, eq=False)
+class MartingalePolytope:
+    """Equality system A z = b cutting the martingale densities M out of the
+    nonnegative orthant.
+
+    Row 0 is E[Z] = 1; row i prices asset i: sum_omega p_omega z_omega
+    (R_i,omega - r) = 0.
+    """
+
+    A: Vector
+    b: Vector
+
+    @classmethod
+    def of(cls, market: ScenarioMarket) -> "MartingalePolytope":
+        p = market.probs
+        A = np.vstack([p[None, :], market.excess_matrix * p[None, :]])
+        b = np.zeros(A.shape[0])
+        b[0] = 1.0
+        A.setflags(write=False)
+        b.setflags(write=False)
+        return cls(A=A, b=b)
+
+    def residual(self, z: Vector) -> float:
+        return float(np.abs(self.A @ z - self.b).max())
 
 
 def _rank_pivoted(mat: Vector, tol: float) -> int:
@@ -136,7 +168,7 @@ def validate_market(market: ScenarioMarket) -> list[str]:
     if _rank_pivoted(gross, RANK_TOL) < market.n_assets + 1:
         report.append("NONREDUNDANT: some asset is a combination of the others "
                       "and the riskless asset")
-    if np.abs(market.mean_returns - market.riskless_rate).max() <= DEGENERACY_TOL:
+    if np.abs(market.mean_excess).max() <= DEGENERACY_TOL:
         report.append("NONDEGENERATE: every asset has mean return equal to r")
     return report
 
@@ -154,7 +186,7 @@ def expected_excess(market: ScenarioMarket, pi: Portfolio) -> float:
     pi = np.asarray(pi, dtype=np.float64)
     if pi.shape != (market.n_assets,):
         raise ValueError(f"portfolio must have shape ({market.n_assets},)")
-    return float(pi @ (market.mean_returns - market.riskless_rate))
+    return float(pi @ market.mean_excess)
 
 
 def canonical_portfolio(market: ScenarioMarket, nu: float) -> Portfolio:
@@ -163,7 +195,7 @@ def canonical_portfolio(market: ScenarioMarket, nu: float) -> Portfolio:
     This is the least-norm element of the slice Pi_nu; it exists whenever
     the market is nondegenerate.
     """
-    a = market.mean_returns - market.riskless_rate
+    a = market.mean_excess
     if np.abs(a).max() <= DEGENERACY_TOL:
         raise DegenerateMarketError("mu = r 1: expected-excess slices are empty")
     return nu * a / float(a @ a)

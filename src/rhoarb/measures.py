@@ -1,4 +1,4 @@
-"""Risk measures on scenario payoffs and their dual-set descriptors.
+"""Risk measures on scenario payoffs and the penalty balls of their dual sets.
 
 Conventions: x is the payoff vector (gains positive), probs the scenario
 probabilities.  Losses are -x, so every measure here satisfies cash
@@ -15,7 +15,9 @@ kinds:
 
 A level-1 spectral atom is ES^1 = E[-x].  The GENTROPIC kind never gets a
 primal evaluator here; EVAR and TNORM are its two closed-form instances and
-are evaluated directly.
+are evaluated directly.  RiskSpec.penalty_ball maps EVAR, TNORM and
+GENTROPIC to the GENTROPIC spec of their dual set {Z : E[g(Z)] <= beta},
+and penalty(spec, z) is that set's g.
 """
 
 from __future__ import annotations
@@ -98,18 +100,14 @@ class RiskSpec:
             if self.g_kind not in G_KINDS:
                 raise ValueError(f"g_kind must be one of {G_KINDS}")
             beta = float(self.beta)
-            if self.g_kind == "ENTROPY":
-                g1 = 0.0
-            elif self.g_kind == "POWER":
+            if self.g_kind == "POWER":
                 q = float(self.q)
                 if not q > 1.0:
                     raise ValueError("POWER needs q > 1")
                 object.__setattr__(self, "q", q)
-                g1 = 1.0 / q
-            else:
-                if self.g is None:
-                    raise ValueError("CUSTOM needs a callable g")
-                g1 = float(self.g(np.asarray([1.0]))[0])
+            if self.g_kind == "CUSTOM" and self.g is None:
+                raise ValueError("CUSTOM needs a callable g")
+            g1 = float(penalty(self, [1.0])[0])
             if not beta > g1:
                 raise ValueError(f"beta must exceed g(1) = {g1!r}")
             object.__setattr__(self, "beta", beta)
@@ -151,6 +149,24 @@ class RiskSpec:
     @classmethod
     def custom(cls, g, beta: float, g_prime=None) -> "RiskSpec":
         return cls(kind="GENTROPIC", g_kind="CUSTOM", g=g, g_prime=g_prime, beta=beta)
+
+    @property
+    def penalty_ball(self) -> "RiskSpec":
+        """The GENTROPIC spec of this measure's dual set {Z : E[g(Z)] <= beta}.
+
+        EVAR's is the relative-entropy ball entropic(-log alpha); TNORM(p)'s
+        is the q-norm ball of radius 1/alpha, power(q, (1/alpha)^q / q) with
+        q = p / (p - 1); a GENTROPIC spec is its own.  Every other kind
+        raises ValueError: its dual set is no penalty ball.
+        """
+        if self.kind == "EVAR":
+            return RiskSpec.entropic(-math.log(self.alpha))
+        if self.kind == "TNORM":
+            q = self.p / (self.p - 1.0)
+            return RiskSpec.power(q, (1.0 / self.alpha) ** q / q)
+        if self.kind == "GENTROPIC":
+            return self
+        raise ValueError(f"{self.kind} has no penalty-ball dual set")
 
     # -- serialization ----------------------------------------------------
 
@@ -353,89 +369,14 @@ def evaluate(spec: RiskSpec, x, probs) -> float:
         "GENTROPIC measures are dual-side only; use EVAR/TNORM for evaluation")
 
 
-# -- dual descriptors -----------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DualSetDescriptor:
-    """Shape of the dual density set {Z >= 0, E[Z] = 1, <constraint>}.
-
-    Exactly one of the constraint families is populated:
-    box_upper         ES box 0 <= Z <= box_upper;
-    atoms             spectral mixture Z = sum_j w_j zeta_j, each zeta_j in
-                      a level-alpha_j ES box;
-    penalty/beta      g-entropic E[g(Z)] <= beta (penalty_name ENTROPY,
-                      POWER with exponent q, or CUSTOM).
-    WC has no extra constraint (any density qualifies).
-    """
-
-    kind: str
-    box_upper: float | None = None
-    atoms: tuple[tuple[float, float], ...] | None = None
-    penalty_name: str | None = None
-    penalty: Callable[[Vector], Vector] | None = None
-    penalty_prime: Callable[[Vector], Vector] | None = None
-    beta: float | None = None
-    q: float | None = None
-
-    def contains_unit(self) -> bool:
-        """Z = 1 must always be admissible; used as a sanity invariant."""
-        if self.box_upper is not None and self.box_upper < 1.0:
-            return False
-        if self.atoms is not None and any(1.0 / a < 1.0 for a, _ in self.atoms):
-            return False
-        if self.penalty is not None:
-            return float(self.penalty(np.asarray([1.0]))[0]) <= self.beta
-        return True
-
-
-def _entropy_g(z: Vector) -> Vector:
-    out = np.zeros_like(z)
-    pos = z > 0.0
-    out[pos] = z[pos] * np.log(z[pos])
-    return out
-
-
-def _entropy_g_prime(z: Vector) -> Vector:
-    with np.errstate(divide="ignore"):
-        return np.log(np.maximum(z, 1e-300)) + 1.0
-
-
-def penalty_descriptor(name: str, beta: float, *, q: float | None = None,
-                       g: Callable[[Vector], Vector] | None = None,
-                       g_prime: Callable[[Vector], Vector] | None = None) -> DualSetDescriptor:
-    """The g-entropic dual set {E[g(Z)] <= beta} of a penalty family.
-
-    name ENTROPY is g(z) = z log z, POWER is g(z) = |z|^q / q, CUSTOM is the
-    callable g with its optional derivative g_prime.
-    """
-    if name == "ENTROPY":
-        return DualSetDescriptor(kind="GENTROPIC", penalty_name="ENTROPY",
-                                 penalty=_entropy_g, penalty_prime=_entropy_g_prime,
-                                 beta=beta)
-    if name == "POWER":
-        return DualSetDescriptor(kind="GENTROPIC", penalty_name="POWER",
-                                 penalty=lambda z: np.abs(z) ** q / q,
-                                 penalty_prime=lambda z: np.abs(z) ** (q - 1.0),
-                                 beta=beta, q=q)
-    return DualSetDescriptor(kind="GENTROPIC", penalty_name="CUSTOM", penalty=g,
-                             penalty_prime=g_prime, beta=beta)
-
-
-def dual_descriptor(spec: RiskSpec) -> DualSetDescriptor:
-    """Map a RiskSpec to its dual-set shape; VAR raises UnsupportedDualError."""
-    if spec.kind == "VAR":
-        raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual density set")
-    if spec.kind == "WC":
-        return DualSetDescriptor(kind="WC")
-    if spec.kind == "ES":
-        return DualSetDescriptor(kind="ES", box_upper=1.0 / spec.alpha)
-    if spec.kind == "SPECTRAL":
-        return DualSetDescriptor(kind="SPECTRAL", atoms=spec.spectrum)
-    if spec.kind == "EVAR":
-        return penalty_descriptor("ENTROPY", -math.log(spec.alpha))
-    if spec.kind == "TNORM":
-        q = spec.p / (spec.p - 1.0)
-        return penalty_descriptor("POWER", (1.0 / spec.alpha) ** q / q, q=q)
-    return penalty_descriptor(spec.g_kind, spec.beta, q=spec.q, g=spec.g,
-                              g_prime=spec.g_prime)
+def penalty(spec: RiskSpec, z) -> Vector:
+    """g(z) of a GENTROPIC spec: z log z (0 at z = 0), |z|^q / q, or the custom g."""
+    z = np.asarray(z, dtype=np.float64)
+    if spec.g_kind == "ENTROPY":
+        out = np.zeros_like(z)
+        pos = z > 0.0
+        out[pos] = z[pos] * np.log(z[pos])
+        return out
+    if spec.g_kind == "POWER":
+        return np.abs(z) ** spec.q / spec.q
+    return spec.g(z)

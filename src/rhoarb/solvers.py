@@ -26,6 +26,8 @@ GRAD_ACCEPT = 1e-9           # scaled gradient norm a converged minimizer must r
 STEP_ACCEPT = 1e-6           # final Newton step / (1 + |lam|) above this: still escaping
 FLAT_STEPS = 10              # Newton steps in a row that leave f flat end the loop
 ROOT_RTOL = 1e-13            # relative bracket width at which increasing_root stops
+NEWTON_GRAD_TOL = 1e-11      # scaled gradient norm at which the Newton loop stops
+NEWTON_MAX_ITER = 500        # Newton steps after which the loop stops
 
 
 def increasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -117,8 +119,7 @@ class _NewtonRun:
 
 def _damped_newton(value: Callable[[Vector], tuple[float, Vector]],
                    derivatives: Callable[[Vector], tuple[Vector, Vector]],
-                   x0: Vector, *, floor: float, grad_tol: float, max_iter: int,
-                   step_test: bool = True) -> _NewtonRun:
+                   x0: Vector, *, floor: float, step_test: bool = True) -> _NewtonRun:
     """Minimize a convex f given on scaled rows by damped Newton steps.
 
     value(x) returns (f(x), state) and derivatives(state) the gradient and
@@ -160,8 +161,8 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Vector]],
     receded = False
     flat = 0  # consecutive steps that lowered f by no more than rounding
     it = 0
-    for it in range(1, max_iter + 1):
-        if float(np.abs(grad).max()) < grad_tol or np.abs(x).max() > LAMBDA_ESCAPE:
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if float(np.abs(grad).max()) < NEWTON_GRAD_TOL or np.abs(x).max() > LAMBDA_ESCAPE:
             break
         if f < floor:
             receded = True
@@ -204,8 +205,8 @@ def _scaled_rows(excess: Vector) -> tuple[Vector, float]:
     return np.asarray(excess, dtype=np.float64) / scale, scale
 
 
-def newton_cumulant_min(probs: Vector, excess: Vector, *, lam0: Vector | None = None,
-                        grad_tol: float = 1e-11, max_iter: int = 500) -> CumulantResult:
+def newton_cumulant_min(probs: Vector, excess: Vector, *,
+                        lam0: Vector | None = None) -> CumulantResult:
     """Minimize K(lam) = log E[exp(lam . e)] over lam in R^d.
 
     probs has shape (N,), excess has shape (N, d) with rows e_omega; lam0
@@ -232,8 +233,7 @@ def newton_cumulant_min(probs: Vector, excess: Vector, *, lam0: Vector | None = 
         grad = E.T @ w
         return grad, E.T @ (w[:, None] * E) - np.outer(grad, grad)
 
-    run = _damped_newton(value, derivatives, lam, floor=float(logp.min()),
-                         grad_tol=grad_tol, max_iter=max_iter)
+    run = _damped_newton(value, derivatives, lam, floor=float(logp.min()))
     # Gibbs density: z_omega = exp(lam.e_omega) / E[exp(lam.e)]
     return CumulantResult(lam=run.x / scale, value=-run.value, z=run.state / p,
                           status=run.status, gradient_norm=run.gradient_norm,
@@ -241,8 +241,7 @@ def newton_cumulant_min(probs: Vector, excess: Vector, *, lam0: Vector | None = 
 
 
 def newton_power_min(probs: Vector, excess: Vector, q: float, *,
-                     lam0: Vector | None = None, nu0: float = 1.0,
-                     grad_tol: float = 1e-11, max_iter: int = 500) -> PowerResult:
+                     lam0: Vector | None = None, nu0: float = 1.0) -> PowerResult:
     """Minimize E[Z^q / q] over the densities Z >= 0 with E[Z] = 1, E[Z e] = 0.
 
     With p = q / (q - 1) the conjugate of z^q / q on z >= 0 is s+^p / p, so
@@ -284,8 +283,7 @@ def newton_power_min(probs: Vector, excess: Vector, q: float, *,
         return grad, rows.T @ (curv[:, None] * rows)
 
     floor = -float(pr.min()) ** (1.0 - q) / q
-    run = _damped_newton(value, derivatives, x0, floor=floor, grad_tol=grad_tol,
-                         max_iter=max_iter, step_test=False)
+    run = _damped_newton(value, derivatives, x0, floor=floor, step_test=False)
     return PowerResult(lam=run.x[1:] / scale, value=-run.value,
                        z=run.state ** (p_exp - 1.0), status=run.status,
                        gradient_norm=run.gradient_norm, iterations=run.iterations,

@@ -142,6 +142,42 @@ def test_analyze_var_without_dual_is_unsupported(binomial_file, capsys):
     assert "UNSUPPORTED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("market, risk, code", [
+    ("duo", {"kind": "WC"}, 0),
+    ("duo", {"kind": "ES", "alpha": 0.5}, 0),
+    ("duo", {"kind": "ES", "alpha": 0.9}, 3),
+    ("binomial", {"kind": "ES", "alpha": 0.4}, 2),
+    ("duo", {"kind": "SPECTRAL", "atoms": [[0.25, 0.5], [1.0, 0.5]]}, 0),
+    ("duo", {"kind": "EVAR", "alpha": 0.9}, 0),
+    ("duo", {"kind": "EVAR", "alpha": 0.96}, 3),
+    ("duo", {"kind": "TNORM", "p": 2, "alpha": 0.9}, 0),
+    ("duo", {"kind": "TNORM", "p": 2, "alpha": 0.96}, 3),
+    ("duo", {"kind": "GENTROPIC", "g_kind": "ENTROPY", "beta": 0.5}, 0),
+    ("duo", {"kind": "GENTROPIC", "g_kind": "ENTROPY", "beta": 0.05}, 3),
+    ("binomial", {"kind": "GENTROPIC", "g_kind": "POWER", "q": 2, "beta": 3.0}, 2),
+    ("duo", {"kind": "VAR", "alpha": 0.3}, 1),
+])
+def test_analyze_dual_flag_changes_only_the_var_error(market, risk, code, duo_file,
+                                                      binomial_file, capsys):
+    # Every measure but VaR runs its dual route anyway, so --dual leaves the
+    # report (but its timings) and the exit code as they are.
+    path = duo_file if market == "duo" else binomial_file
+    reports = []
+    for flag in ([], ["--dual"]):
+        assert main(["analyze", "--market", path, "--risk", json.dumps(risk)] + flag) == code
+        out = capsys.readouterr()
+        if code == 1:
+            assert out.out == "" and "UNSUPPORTED" in out.err
+            continue
+        report = json.loads(out.out)
+        timings = report.pop("timings")
+        assert list(timings) == (["dual"] if risk["kind"] == "GENTROPIC" else ["cross"])
+        assert report["dual"]["route"] == "DUAL"
+        assert (report["primal"] is None) == (risk["kind"] == "GENTROPIC")
+        reports.append(report)
+    assert code == 1 or reports[0] == reports[1]
+
+
 # -- frontier -----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """The package needs numpy alone at run time (pyproject.toml declares no
-other dependency); scipy is a test-only reference."""
+other dependency); scipy is a test-only reference.  Its public names all
+resolve."""
 
 import os
 import subprocess
@@ -22,6 +23,9 @@ market = rhoarb.ScenarioMarket(probs=[0.25, 0.25, 0.25, 0.25], riskless_rate=0.0
                                returns=[[0.3, -0.2, 0.1, -0.1], [-0.1, 0.2, 0.2, -0.25]])
 for spec in (rhoarb.RiskSpec.evar(0.25), rhoarb.RiskSpec.tnorm(2.0, 0.25)):
     assert rhoarb.compute_rho1(market, spec).route == "ROOT"
+for spec in (rhoarb.RiskSpec.evar(0.25), rhoarb.RiskSpec.tnorm(2.0, 0.25),
+             rhoarb.RiskSpec.entropic(0.5), rhoarb.RiskSpec.power(2.0, 2.0)):
+    assert rhoarb.classify_dual(market, spec).certificate["beta"] > 0.0
 """
 
 
@@ -31,3 +35,10 @@ def test_package_runs_without_scipy():
     run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_public_names_resolve_once():
+    import rhoarb
+    assert len(set(rhoarb.__all__)) == len(rhoarb.__all__)
+    for name in rhoarb.__all__:
+        assert getattr(rhoarb, name) is not None, name

@@ -170,6 +170,16 @@ def test_gentropic_empty_set_is_infinite():
     assert "M_EMPTY" in res.annotations
 
 
+def test_gentropic_budget_must_exceed_the_penalty_at_one():
+    # Z = 1 has penalty g(1): a budget at or below it is no dual set at all,
+    # and gentropic_check rejects it as RiskSpec does.
+    for g, g1 in (("entropy", 0.0), (("power", 2.0), 0.5), (("power", 4.0), 0.25),
+                  (lambda z: (z - 1.0) ** 2, 0.0)):
+        for beta in (g1, g1 - 0.1):
+            with pytest.raises(ValueError):
+                gentropic_check(duo_market(), g, beta)
+
+
 def test_gentropic_power_matches_grid_oracle():
     rng = np.random.default_rng(109)
     q = 2.0

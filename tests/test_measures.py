@@ -1,4 +1,4 @@
-"""Tests for risk measure evaluation, specs, and dual descriptors."""
+"""Tests for risk measure evaluation, specs, and penalty balls."""
 
 import json
 import math
@@ -9,10 +9,9 @@ from scipy.optimize import minimize_scalar
 
 import oracles
 from rhoarb.lp import LinearProgram, lp_solve
-from rhoarb.measures import (RiskSpec, UnsupportedDualError,
-                             UnsupportedPrimalError, dual_descriptor, eval_es,
-                             eval_evar, eval_spectral, eval_tnorm, eval_var,
-                             eval_wc, evaluate)
+from rhoarb.measures import (RiskSpec, UnsupportedPrimalError, eval_es, eval_evar,
+                             eval_spectral, eval_tnorm, eval_var, eval_wc, evaluate,
+                             penalty)
 
 P2 = np.array([0.5, 0.5])
 X20 = np.array([2.0, 0.0])
@@ -308,51 +307,34 @@ def test_custom_spec_not_serializable():
         spec.to_json_dict()
 
 
-# -- dual descriptors ---------------------------------------------------------------
+# -- penalty balls -------------------------------------------------------------------
 
 
-def test_es_descriptor_box():
-    desc = dual_descriptor(RiskSpec.es(0.5))
-    assert desc.kind == "ES"
-    assert abs(desc.box_upper - 2.0) < 1e-15
-    assert desc.contains_unit()
-
-
-def test_wc_descriptor_unbounded_box():
-    desc = dual_descriptor(RiskSpec.wc())
-    assert desc.kind == "WC"
-    assert desc.box_upper is None
-    assert desc.contains_unit()
-
-
-def test_evar_descriptor_entropy_budget():
+def test_evar_penalty_ball_is_the_entropy_ball():
     alpha = 0.2
-    desc = dual_descriptor(RiskSpec.evar(alpha))
-    assert desc.kind == "GENTROPIC"
-    assert desc.penalty_name == "ENTROPY"
-    assert abs(desc.beta + math.log(alpha)) < 1e-15
-    assert desc.contains_unit()
+    ball = RiskSpec.evar(alpha).penalty_ball
+    assert (ball.kind, ball.g_kind) == ("GENTROPIC", "ENTROPY")
+    assert abs(ball.beta + math.log(alpha)) < 1e-15
+    assert penalty(ball, [1.0])[0] == 0.0 <= ball.beta  # Z = 1 is admissible
 
 
-def test_tnorm_descriptor_power_budget():
+def test_tnorm_penalty_ball_is_the_q_norm_ball():
     p, alpha = 3.0, 0.25
     q = p / (p - 1.0)
-    desc = dual_descriptor(RiskSpec.tnorm(p, alpha))
-    assert desc.kind == "GENTROPIC"
-    assert desc.penalty_name == "POWER"
-    assert abs(desc.q - q) < 1e-15
-    assert abs(desc.beta - (1.0 / alpha) ** q / q) < 1e-12
-    assert desc.contains_unit()
+    ball = RiskSpec.tnorm(p, alpha).penalty_ball
+    assert (ball.kind, ball.g_kind) == ("GENTROPIC", "POWER")
+    assert abs(ball.q - q) < 1e-15
+    assert abs(ball.beta - (1.0 / alpha) ** q / q) < 1e-12
+    assert abs(penalty(ball, [1.0])[0] - 1.0 / q) < 1e-15
+    assert penalty(ball, [1.0])[0] <= ball.beta  # Z = 1 is admissible
+    z = np.array([0.0, 0.5, 2.0])
+    assert np.allclose(penalty(ball, z), z ** q / q, rtol=1e-15, atol=0.0)
 
 
-def test_spectral_descriptor_atoms():
-    spec = RiskSpec.spectral([(0.25, 0.5), (0.75, 0.5)])
-    desc = dual_descriptor(spec)
-    assert desc.kind == "SPECTRAL"
-    assert desc.atoms == ((0.25, 0.5), (0.75, 0.5))
-    assert desc.contains_unit()
-
-
-def test_var_has_no_dual_descriptor():
-    with pytest.raises(UnsupportedDualError):
-        dual_descriptor(RiskSpec.var(0.1))
+def test_penalty_ball_of_the_other_kinds():
+    spec = RiskSpec.power(2.0, 3.0)
+    assert spec.penalty_ball is spec
+    for spec in (RiskSpec.es(0.5), RiskSpec.wc(), RiskSpec.var(0.1),
+                 RiskSpec.spectral([(0.25, 0.5), (0.75, 0.5)])):
+        with pytest.raises(ValueError):
+            spec.penalty_ball
