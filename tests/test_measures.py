@@ -8,10 +8,12 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import oracles
+from conftest import binomial_market, duo_market
+from rhoarb.dual import classify_dual
 from rhoarb.lp import LinearProgram, lp_solve
-from rhoarb.measures import (RiskSpec, UnsupportedPrimalError, eval_es, eval_evar,
-                             eval_spectral, eval_tnorm, eval_var, eval_wc, evaluate,
-                             penalty)
+from rhoarb.measures import (RiskSpec, UnsupportedDualError, UnsupportedPrimalError,
+                             eval_es, eval_evar, eval_spectral, eval_tnorm, eval_var,
+                             eval_wc, evaluate, penalty)
 
 P2 = np.array([0.5, 0.5])
 X20 = np.array([2.0, 0.0])
@@ -331,10 +333,41 @@ def test_tnorm_penalty_ball_is_the_q_norm_ball():
     assert np.allclose(penalty(ball, z), z ** q / q, rtol=1e-15, atol=0.0)
 
 
-def test_penalty_ball_of_the_other_kinds():
+def test_gentropic_spec_is_its_own_penalty_ball():
     spec = RiskSpec.power(2.0, 3.0)
     assert spec.penalty_ball is spec
-    for spec in (RiskSpec.es(0.5), RiskSpec.wc(), RiskSpec.var(0.1),
-                 RiskSpec.spectral([(0.25, 0.5), (0.75, 0.5)])):
-        with pytest.raises(ValueError):
-            spec.penalty_ball
+
+
+def test_es_descriptor_box():
+    spec = RiskSpec.es(0.5)
+    assert spec.kind == "ES"
+    box_upper = classify_dual(binomial_market(), spec).certificate["box_upper"]
+    assert abs(box_upper - 2.0) < 1e-15
+    assert box_upper >= 1.0  # Z = 1 is admissible
+    with pytest.raises(ValueError):
+        spec.penalty_ball
+
+
+def test_wc_descriptor_unbounded_box():
+    spec = RiskSpec.wc()
+    assert spec.kind == "WC"
+    assert "box_upper" not in classify_dual(binomial_market(), spec).certificate
+    with pytest.raises(ValueError):
+        spec.penalty_ball
+
+
+def test_spectral_descriptor_atoms():
+    spec = RiskSpec.spectral([(0.25, 0.5), (0.75, 0.5)])
+    assert spec.kind == "SPECTRAL"
+    assert spec.spectrum == ((0.25, 0.5), (0.75, 0.5))
+    assert abs(sum(w for _, w in spec.spectrum) - 1.0) < 1e-15  # Z = 1 is admissible
+    with pytest.raises(ValueError):
+        spec.penalty_ball
+
+
+def test_var_has_no_dual_descriptor():
+    spec = RiskSpec.var(0.1)
+    with pytest.raises(UnsupportedDualError):
+        classify_dual(duo_market(), spec)
+    with pytest.raises(ValueError):
+        spec.penalty_ball
