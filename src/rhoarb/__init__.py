@@ -7,10 +7,9 @@ forms for elliptical models.
 """
 
 from .dual import (ClassicalResult, CrossValidation, DualWitness,
-                   GEntropicResult, SpectralResult, StrictBoxResult, SupnormResult,
+                   GEntropicResult, SpectralResult, SupnormResult,
                    classical_no_arbitrage, classify_dual, cross_validate,
-                   es_min_supnorm, es_strict_check, gentropic_check,
-                   spectral_check)
+                   es_min_supnorm, gentropic_check, spectral_check)
 from .elliptical import (EllipticalMarket, classify_trichotomy, critical_alpha,
                          gaussian_rho_z, phase_curve_rows, sr_max)
 from .frontier import (ArbitrageVerdict, FrontierResult,
@@ -32,13 +31,12 @@ __all__ = [
     "DegenerateMarketError", "DualWitness", "EllipticalMarket",
     "FrontierResult", "GEntropicResult", "LPSolution", "LinearProgram",
     "MartingalePolytope", "Phi", "Phi_inv", "RiskSpec", "ScenarioMarket",
-    "SimplexError", "SpectralResult", "StrictBoxResult", "SupnormResult",
-    "UnsupportedDualError", "UnsupportedGlobalMinError",
-    "UnsupportedPrimalError", "canonical_portfolio", "classical_no_arbitrage",
-    "classify_dual", "classify_primal", "classify_trichotomy", "compute_rho1",
+    "SimplexError", "SpectralResult", "SupnormResult", "UnsupportedDualError",
+    "UnsupportedGlobalMinError", "UnsupportedPrimalError",
+    "canonical_portfolio", "classical_no_arbitrage", "classify_dual",
+    "classify_primal", "classify_trichotomy", "compute_rho1",
     "critical_alpha", "cross_validate", "erf", "erfc", "es_min_supnorm",
-    "es_strict_check", "evaluate", "excess_return", "expected_excess",
-    "frontier_points", "gaussian_rho_z", "gentropic_check", "lp_solve",
-    "newton_cumulant_min", "phase_curve_rows", "phi", "spectral_check",
-    "sr_max", "validate_market",
+    "evaluate", "excess_return", "expected_excess", "frontier_points",
+    "gaussian_rho_z", "gentropic_check", "lp_solve", "newton_cumulant_min",
+    "phase_curve_rows", "phi", "spectral_check", "sr_max", "validate_market",
 ]

@@ -11,20 +11,25 @@ statement about M:
 
     WC        strong-form: M nonempty;     strict: max-min-entry delta* > 0
     ES        strong-form: min sup-norm t* over M is <= 1/alpha;
-              strict: some Z in M with delta <= Z <= 1/alpha - delta, delta > 0
+              strict: t* < 1/alpha and classical delta* > 0
     SPECTRAL  strong-form: a mixture Z = sum_j w_j zeta_j in M with each
               zeta_j in the level-alpha_j box; strict: same with margins
     GENTROPIC strong-form: v* = min_{Z in M} E[g(Z)] <= beta;
               strict: classical delta* > 0 and v* < beta
 
-The ES strict test and both SPECTRAL tests are one box-mixture LP (ES is
-its one-atom case).  It maximizes the relative margin eps with which each
-atom's zeta_j, E[zeta_j] = 1, stays in [cap_j eps, cap_j (1 - eps)],
-cap_j = 1/alpha_j.  The Charnes-Cooper scaling zeta_j = cap_j ((s - 1)/2
-+ y_j)/s, y_j in [0, 1]^N, s >= 1, eps = (s - 1)/(2 s) makes it linear,
-with one row per free atom and one per asset.  Infeasible means the strong
-form fails, eps* = 0 means rho-arbitrage, eps* > 0 means no arbitrage.
-The classical and sup-norm tests keep the d + 1 rows of M.
+M is convex, so a strict test splits into the classical LP and the
+strong-form program: mixing a little of the strictly positive classical
+witness into a density strictly inside the dual set keeps it inside and
+makes it strictly positive (_mix_positive).  The classical and sup-norm
+LPs keep the d + 1 rows of M.
+
+Both SPECTRAL tests are one box-mixture LP.  It maximizes the relative
+margin eps with which each atom's zeta_j, E[zeta_j] = 1, stays in
+[cap_j eps, cap_j (1 - eps)], cap_j = 1/alpha_j.  The Charnes-Cooper
+scaling zeta_j = cap_j ((s - 1)/2 + y_j)/s, y_j in [0, 1]^N, s >= 1,
+eps = (s - 1)/(2 s) makes it linear, with one row per free atom and one
+per asset.  Infeasible means the strong form fails, eps* = 0 means
+rho-arbitrage, eps* > 0 means no arbitrage.
 
 The entropy and power penalties minimize through unconstrained smooth
 duals in (d + 1) or fewer variables, the cumulant log E exp(lam . e) and
@@ -42,8 +47,8 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .frontier import (ArbitrageVerdict, CLASSIFY_TOL, _penalty_min, _tangency,
-                       compute_rho1, classify_primal)
+from .frontier import (ArbitrageVerdict, CLASSIFY_TOL, _penalty_min, compute_rho1,
+                       classify_primal)
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexError, lp_solve
 from .market import MartingalePolytope, ScenarioMarket
 from .measures import RiskSpec, UnsupportedDualError, penalty
@@ -95,10 +100,7 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
     With Z = delta + w, w >= 0: maximize delta subject to
     A w + delta A1 = b, so the program keeps the d + 1 rows of M.
     """
-    return _classical(MartingalePolytope.of(market))
-
-
-def _classical(poly: MartingalePolytope) -> ClassicalResult:
+    poly = market.polytope
     N = poly.A.shape[1]
     c = np.zeros(N + 1)
     c[N] = -1.0
@@ -128,37 +130,32 @@ def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
 
     Charnes-Cooper scaling Z = y / s with y in [0, 1]^N turns it into
     max s subject to A y = s b, with the d + 1 rows of M; t* = 1 / s*.
-    s* = 0 means M is empty.  The simplex starts at the optimum of the
-    program with only the pricing row of the Gaussian tangency portfolio
-    kept (_supnorm), not at y = 0.
+    s* = 0 means M is empty.
+
+    The simplex starts at the optimum of the program with only the pricing
+    row of the Gaussian tangency portfolio pi_T (ScenarioMarket.tangency)
+    kept, not at y = 0.  With excess x = pi_T . e, that row relaxes M to
+    M_1 = {Z >= 0 : E[Z] = 1, E[Z x] = 0}, and the program to max E[y]
+    subject to E[y x] = 0, y in [0, 1]^N: a fractional knapsack.  Its
+    optimum takes y = 1 on the scenarios in ascending order of x as long as
+    the partial sums S_k = sum_{i <= k} p_(i) x_(i) stay <= 0, then one
+    fractional y.  The simplex starts at that break-even tail without the
+    fractional scenario, y = 1 on the k* scenarios with S_k* <= 0 and
+    s = their probability, i.e. Z = 1 / P_k* there; this minimizes
+    ||Z||_inf over M_1 up to that one scenario.  With no S_k <= 0, x > 0
+    everywhere: pi_T is an arbitrage, M is empty, and the start stays
+    y = 0, as it does when the covariance is singular.  The start moves
+    only the pivot path; full pricing and the refactor at the optimum
+    certify t*.
     """
-    return _supnorm(market, MartingalePolytope.of(market))
-
-
-def _supnorm(market: ScenarioMarket, poly: MartingalePolytope) -> SupnormResult:
-    """es_min_supnorm on the market's polytope, crash-started.
-
-    Keeping only the row of the tangency portfolio pi_T (frontier._tangency),
-    with excess x = pi_T . e, relaxes M to M_1 = {Z >= 0 : E[Z] = 1,
-    E[Z x] = 0}, and the program to max E[y] subject to E[y x] = 0,
-    y in [0, 1]^N: a fractional knapsack.  Its optimum takes y = 1 on the
-    scenarios in ascending order of x as long as the partial sums
-    S_k = sum_{i <= k} p_(i) x_(i) stay <= 0, then one fractional y.  The
-    simplex starts at that break-even tail without the fractional scenario,
-    y = 1 on the k* scenarios with S_k* <= 0 and s = their probability,
-    i.e. Z = 1 / P_k* there; this minimizes ||Z||_inf over M_1 up to that
-    one scenario.  With no S_k <= 0, x > 0 everywhere: pi_T is an
-    arbitrage, M is empty, and the start stays y = 0, as it does when the
-    covariance is singular.  The start moves only the pivot path; full
-    pricing and the refactor at the optimum certify t*.
-    """
+    poly = market.polytope
     rows, N = poly.A.shape
     c = np.zeros(N + 1)
     c[N] = -1.0
     A_eq = np.hstack([poly.A, -poly.b[:, None]])
     upper = np.concatenate([np.ones(N), [np.inf]])
     start = None
-    tangency = _tangency(market)
+    tangency = market.tangency
     if tangency is not None:
         x = tangency @ market.excess_matrix
         order = np.argsort(x, kind="stable")
@@ -181,10 +178,10 @@ def _supnorm(market: ScenarioMarket, poly: MartingalePolytope) -> SupnormResult:
                          iterations=sol.iterations)
 
 
-# -- box mixtures (ES and SPECTRAL) ------------------------------------------
+# -- box mixtures (SPECTRAL) -------------------------------------------------
 
 
-def _box_mixture(poly: MartingalePolytope,
+def _box_mixture(market: ScenarioMarket,
                  atoms) -> tuple[float, float, DualWitness | None, int]:
     """Largest relative margin eps of a mixture Z = sum_j w_j zeta_j in M.
 
@@ -206,6 +203,7 @@ def _box_mixture(poly: MartingalePolytope,
     mixture, None when the strong form fails, and iterations counts the
     LP's simplex pivots and bound flips.
     """
+    poly = market.polytope
     p, mart = poly.A[0], poly.A[1:]  # mart @ v = E[v e]
     d, N = mart.shape
     free = [(1.0 / a, w) for a, w in atoms if a < 1.0]
@@ -242,36 +240,6 @@ def _box_mixture(poly: MartingalePolytope,
 
 
 @dataclass(frozen=True, eq=False)
-class StrictBoxResult:
-    status: str
-    delta: float                     # best two-sided margin; 0.0 when infeasible
-    witness: DualWitness | None
-    iterations: int = 0              # simplex pivots and bound flips of its LP
-
-
-def es_strict_check(market: ScenarioMarket, alpha: float) -> StrictBoxResult:
-    """Max delta with delta <= Z <= 1/alpha - delta over Z in M.
-
-    delta* > 0 iff some strictly positive density prices the market with
-    sup-norm strictly below 1/alpha, i.e. no ES-arbitrage at level alpha.
-    This is the one-atom box mixture: delta* = eps* / alpha, and an
-    unbounded scale is the constant density 1/(2 alpha) in M.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return _es_strict(MartingalePolytope.of(market), alpha)
-
-
-def _es_strict(poly: MartingalePolytope, alpha: float) -> StrictBoxResult:
-    _, margin, witness, iterations = _box_mixture(poly, ((alpha, 1.0),))
-    if witness is None:
-        return StrictBoxResult(status=INFEASIBLE, delta=0.0, witness=None,
-                               iterations=iterations)
-    return StrictBoxResult(status=OPTIMAL, delta=margin, witness=witness,
-                           iterations=iterations)
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralResult:
     """Spectral dual outcome: strong-form feasibility and the strict margins."""
 
@@ -297,8 +265,7 @@ def spectral_check(market: ScenarioMarket, spectrum) -> SpectralResult:
     With every atom at level 1 there is no box to be inside, so strict
     never holds.
     """
-    eps, margin, witness, iterations = _box_mixture(MartingalePolytope.of(market),
-                                                    tuple(spectrum))
+    eps, margin, witness, iterations = _box_mixture(market, tuple(spectrum))
     strict = margin > ZERO_TOL
     return SpectralResult(strong_feasible=witness is not None, strict_ok=strict,
                           delta=eps / (1.0 - eps) if strict else 0.0,
@@ -306,6 +273,17 @@ def spectral_check(market: ScenarioMarket, spectrum) -> SpectralResult:
                           witness_strong=witness,
                           witness_strict=witness if strict else None,
                           iterations=iterations)
+
+
+def _mix_positive(z: Vector, z_pos: Vector, value: float, value_pos: float,
+                  bound: float) -> Vector:
+    """(1 - eta) z + eta z_pos for a convex f with f(z) = value < bound and
+    f(z_pos) = value_pos: eta = min(1/2, room / (2 excess)) keeps
+    f <= value + room / 2 < bound, and a strictly positive z_pos makes the
+    mixture strictly positive."""
+    room = bound - value
+    eta = min(0.5, room / (2.0 * max(value_pos - value, 1e-12))) if value_pos > value else 0.5
+    return (1.0 - eta) * z + eta * z_pos
 
 
 # -- g-entropic penalties ----------------------------------------------------
@@ -462,8 +440,8 @@ def _penalty_check(market: ScenarioMarket, pen: RiskSpec) -> GEntropicResult:
     CUSTOM runs away-step Frank-Wolfe over M to FW_TOL.
     """
     beta = pen.beta
-    poly = MartingalePolytope.of(market)
-    cl = _classical(poly)
+    poly = market.polytope
+    cl = classical_no_arbitrage(market)
     if cl.status == INFEASIBLE:
         return GEntropicResult(v_star=math.inf, beta=beta, delta_classical=0.0,
                                strong_ok=False, strict_ok=False, witness=None,
@@ -498,10 +476,7 @@ def _penalty_check(market: ScenarioMarket, pen: RiskSpec) -> GEntropicResult:
         # Mix the positive classical witness in to exhibit a strictly
         # positive density whose penalty still sits below beta.
         z_pos = cl.witness.z
-        pen_pos = expected_penalty(z_pos)
-        room = beta - v_star
-        eta = min(0.5, room / (2.0 * max(pen_pos - v_star, 1e-12))) if pen_pos > v_star else 0.5
-        z_mix = (1.0 - eta) * witness.z + eta * z_pos
+        z_mix = _mix_positive(witness.z, z_pos, v_star, expected_penalty(z_pos), beta)
         witness = DualWitness.of(poly, z_mix, penalty=expected_penalty(z_mix))
     return GEntropicResult(v_star=v_star, beta=beta, delta_classical=cl.delta,
                            strong_ok=strong_ok, strict_ok=strict_ok, witness=witness,
@@ -516,8 +491,9 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
                   tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:
     """Trichotomy by the dual criteria for the measure's dual set.
 
-    WC, ES and SPECTRAL test their box mixtures over M; EVAR, TNORM and
-    GENTROPIC test their penalty ball (RiskSpec.penalty_ball).  Raises
+    WC runs the classical LP, ES the sup-norm LP and then the classical LP,
+    SPECTRAL its box-mixture LP; EVAR, TNORM and GENTROPIC test their
+    penalty ball (RiskSpec.penalty_ball).  Raises
     UnsupportedDualError for VaR, which has no dual density set.
     Certificates carry the decisive scalars and a density witness where one
     exists; BOUNDARY is annotated when the deciding comparison sits within
@@ -549,29 +525,38 @@ def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
 
 
 def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageVerdict:
-    poly = MartingalePolytope.of(market)
-    sup = _supnorm(market, poly)
+    """ES at level alpha: no arbitrage iff some Z > 0 in M has ||Z||_inf < 1/alpha.
+
+    t* > 1/alpha is strong arbitrage.  Otherwise no arbitrage iff
+    t* < 1/alpha and the classical delta* > 0; the witness is then the
+    sup-norm minimizer, with the classical witness mixed in (_mix_positive)
+    when it has a zero entry.
+    """
+    sup = es_min_supnorm(market)
     bound = 1.0 / alpha
     cert: dict = {"t_star": sup.t, "box_upper": bound, "iterations": sup.iterations}
     if sup.status == INFEASIBLE:
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                                 certificate=cert, annotations=("M_EMPTY",))
     cert["witness"] = sup.witness.to_dict()
-    boundary = abs(sup.t - bound) <= tol
+    ann = ("BOUNDARY",) if abs(sup.t - bound) <= tol else ()
     if sup.t > bound + ZERO_TOL:
-        ann = ("BOUNDARY",) if boundary else ()
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                                 certificate=cert, annotations=ann)
-    strict = _es_strict(poly, alpha)
-    cert["delta_star"] = strict.delta
-    cert["iterations"] += strict.iterations
-    if strict.status == OPTIMAL and strict.delta > ZERO_TOL:
-        cert["witness"] = strict.witness.to_dict()
+    cl = classical_no_arbitrage(market)
+    cert["delta_classical"] = cl.delta
+    cert["iterations"] += cl.iterations
+    if sup.t < bound - ZERO_TOL and cl.delta > ZERO_TOL:
+        witness = sup.witness
+        if witness.min_entry <= 0.0:
+            z = _mix_positive(witness.z, cl.witness.z, witness.sup_norm,
+                              cl.witness.sup_norm, bound)
+            witness = DualWitness.of(market.polytope, z)
+        cert["witness"] = witness.to_dict()
         return ArbitrageVerdict(verdict="NO_ARBITRAGE", route="DUAL",
-                                certificate=cert,
-                                annotations=("BOUNDARY",) if boundary else ())
+                                certificate=cert, annotations=ann)
     return ArbitrageVerdict(verdict="RHO_ARBITRAGE", route="DUAL", certificate=cert,
-                            annotations=("BOUNDARY",) if boundary else ())
+                            annotations=ann)
 
 
 def _classify_spectral(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
@@ -643,7 +628,7 @@ class CrossValidation:
 def _dual_margin(verdict: ArbitrageVerdict) -> float:
     """Distance of the deciding dual comparisons from their thresholds.
 
-    Confident zeros (a vertex-exact delta* = 0) are not near-threshold
+    Confident zeros (a vertex-exact delta = 0) are not near-threshold
     evidence, so they do not shrink the margin.
     """
     cert = verdict.certificate
@@ -652,7 +637,7 @@ def _dual_margin(verdict: ArbitrageVerdict) -> float:
         candidates.append(abs(cert["t_star"] - cert["box_upper"]))
     if "v_star" in cert and math.isfinite(cert["v_star"]):
         candidates.append(abs(cert["v_star"] - cert["beta"]))
-    for key in ("delta_star", "delta_classical", "delta_prime"):
+    for key in ("delta_classical", "delta_prime"):
         if key in cert and cert[key] > ZERO_TOL:
             candidates.append(cert[key])
     return min(candidates) if candidates else math.inf

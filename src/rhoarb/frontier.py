@@ -29,8 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .lp import OPTIMAL, LinearProgram, SimplexError, lp_solve
-from .market import (MartingalePolytope, ScenarioMarket, canonical_portfolio,
-                     excess_return)
+from .market import ScenarioMarket, canonical_portfolio, excess_return
 from .measures import RiskSpec, evaluate, penalty
 from .solvers import CumulantResult, newton_cumulant_min, newton_power_min
 
@@ -109,17 +108,6 @@ class ArbitrageVerdict:
         return out
 
 
-def _tangency(market: ScenarioMarket) -> Vector | None:
-    """S^-1 (mu - r), with S the covariance of the excess returns: the
-    Gaussian tangency direction, or None when S is singular."""
-    a = market.mean_excess
-    dev = market.excess_matrix - a[:, None]
-    try:
-        return np.linalg.solve((dev * market.probs) @ dev.T, a)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, int]:
     """Dual form of the ES/SPECTRAL/WC slice minimum; returns (lp, J).
 
@@ -138,10 +126,10 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
 
     At the optimum each zeta_j sits at its cap 1/alpha_j on the worst
     alpha_j-tail of the minimizing portfolio.  The simplex starts there for
-    the Gaussian tangency portfolio (_tangency): scenarios ordered by its
-    excess return, each capped zeta_j starts at 1/alpha_j on the worst of
-    them until their probability reaches CRASH_TAIL alpha_j, and at 0
-    elsewhere.  The start moves only the pivot path; full pricing
+    the Gaussian tangency portfolio (ScenarioMarket.tangency): scenarios
+    ordered by its excess return, each capped zeta_j starts at 1/alpha_j on
+    the worst of them until their probability reaches CRASH_TAIL alpha_j,
+    and at 0 elsewhere.  The start moves only the pivot path; full pricing
     certifies the optimum.  WC has no cap and starts at 0.
     """
     if spec.kind == "WC":
@@ -152,7 +140,7 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
         atoms = spec.spectrum
     d, N = market.n_assets, market.n_scenarios
     J = len(atoms)
-    poly = MartingalePolytope.of(market)
+    poly = market.polytope
     p, weighted = poly.A[0], poly.A[1:]  # weighted @ v = E[v (R - r)]
     A_eq = np.zeros((J + d, J * N + 1))
     upper = np.full(J * N + 1, np.inf)
@@ -169,7 +157,7 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     c = np.zeros(J * N + 1)
     c[-1] = 1.0
     start = None
-    tangency = None if spec.kind == "WC" else _tangency(market)
+    tangency = None if spec.kind == "WC" else market.tangency
     if tangency is not None:
         order = np.argsort(tangency @ market.excess_matrix, kind="stable")
         tail = np.cumsum(p[order])
@@ -263,7 +251,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     # reached at Z = 1 + (e - a) . w with w = -(t + 1) S^-1 a.  g''(1) is 1
     # for the entropy and q - 1 for the power penalty; the dual variables
     # there are lam = g''(1) w and, for the power penalty, nu = 1 - (t + 1) lam . a.
-    tilt = _tangency(market)
+    tilt = market.tangency
     curvature = 0.0 if tilt is None else float(a @ tilt)
     if curvature > 0.0:
         t = -1.0 + math.sqrt(2.0 * (beta - g1) / (g2 * curvature))

@@ -6,12 +6,15 @@ returns are tabulated per scenario.  A portfolio is the vector of fractions
 of wealth in the risky assets; the riskless fraction is implied and never
 stored.  The excess return of pi is X_pi = pi . (R - r 1), scenario by
 scenario.  MartingalePolytope is the equality system of the densities that
-price the market, shared by the primal slice LP and the dual tests.
+price the market, shared by the primal slice LP and the dual tests; a market
+builds it, and its Gaussian tangency portfolio, once (ScenarioMarket.polytope,
+ScenarioMarket.tangency).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -98,6 +101,22 @@ class ScenarioMarket:
     def excess_matrix(self) -> Vector:
         """R - r 1, shape (d, N)."""
         return self.returns - self.riskless_rate
+
+    @cached_property
+    def polytope(self) -> "MartingalePolytope":
+        """The martingale polytope of this market, built on first use."""
+        return MartingalePolytope.of(self)
+
+    @cached_property
+    def tangency(self) -> Vector | None:
+        """S^-1 (mu - r), with S the covariance of the excess returns: the
+        Gaussian tangency direction, or None when S is singular."""
+        a = self.mean_excess
+        dev = self.excess_matrix - a[:, None]
+        try:
+            return _frozen_array(np.linalg.solve((dev * self.probs) @ dev.T, a))
+        except np.linalg.LinAlgError:
+            return None
 
 
 @dataclass(frozen=True, eq=False)

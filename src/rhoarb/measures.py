@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -150,7 +151,7 @@ class RiskSpec:
     def custom(cls, g, beta: float, g_prime=None) -> "RiskSpec":
         return cls(kind="GENTROPIC", g_kind="CUSTOM", g=g, g_prime=g_prime, beta=beta)
 
-    @property
+    @cached_property
     def penalty_ball(self) -> "RiskSpec":
         """The GENTROPIC spec of this measure's dual set {Z : E[g(Z)] <= beta}.
 

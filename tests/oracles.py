@@ -4,6 +4,8 @@ Everything here recomputes a quantity by a different algorithm than the
 library (definitional scans, exact step-function integrals, dense grids,
 vertex enumeration, Dykstra-projected gradient descent, scipy quadrature,
 the primal shortfall LP, Kelley cutting planes) so agreement is meaningful evidence and not a tautology.
+The one exception, es_strict_check, keeps the former ES strict test (the
+one-atom box-mixture LP) as a reference for the sup-norm plus classical rule.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import integrate, optimize, special, stats
 
-from rhoarb.lp import OPTIMAL, LinearProgram, lp_solve
+from rhoarb.dual import DualWitness, _box_mixture
+from rhoarb.lp import INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
 
 Vector = NDArray[np.float64]
 
@@ -242,11 +245,44 @@ def spectral_mixture_feasible(probs, target_z, atoms, delta=0.0, n=2001):
         ok = (other >= delta - 1e-12) & (other <= cap - delta + 1e-12)
         grids.append(np.stack([t[ok], other[ok]], axis=1))
     weights = [w for _, w in atoms]
+    if any(g.size == 0 for g in grids):
+        return np.inf
+    # Every combination of grid points, broadcast one axis per atom and
+    # summed in atom order, in blocks of the first atom's points.
     best = np.inf
-    for combo in itertools.product(*grids):
-        mix = sum(w * zeta for w, zeta in zip(weights, combo))
-        best = min(best, float(np.max(np.abs(mix - target_z))))
+    first = weights[0] * grids[0]
+    for lo in range(0, len(first), 256):
+        mix = first[lo:lo + 256]
+        for w, g in zip(weights[1:], grids[1:]):
+            mix = mix[..., None, :] + w * g
+        best = min(best, float(np.abs(mix - target_z).max(axis=-1).min()))
     return best
+
+
+@dataclass(frozen=True, eq=False)
+class StrictBoxResult:
+    status: str
+    delta: float                     # best two-sided margin; 0.0 when infeasible
+    witness: DualWitness | None
+    iterations: int = 0              # simplex pivots and bound flips of its LP
+
+
+def es_strict_check(market, alpha: float) -> StrictBoxResult:
+    """Max delta with delta <= Z <= 1/alpha - delta over Z in M.
+
+    delta* > 0 iff some strictly positive density prices the market with
+    sup-norm strictly below 1/alpha, i.e. no ES-arbitrage at level alpha.
+    This is the one-atom box mixture: delta* = eps* / alpha, and an
+    unbounded scale is the constant density 1/(2 alpha) in M.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _, margin, witness, iterations = _box_mixture(market, ((alpha, 1.0),))
+    if witness is None:
+        return StrictBoxResult(status=INFEASIBLE, delta=0.0, witness=None,
+                               iterations=iterations)
+    return StrictBoxResult(status=OPTIMAL, delta=margin, witness=witness,
+                           iterations=iterations)
 
 
 # -- Gaussian references --------------------------------------------------------

@@ -26,6 +26,11 @@ for spec in (rhoarb.RiskSpec.evar(0.25), rhoarb.RiskSpec.tnorm(2.0, 0.25)):
 for spec in (rhoarb.RiskSpec.evar(0.25), rhoarb.RiskSpec.tnorm(2.0, 0.25),
              rhoarb.RiskSpec.entropic(0.5), rhoarb.RiskSpec.power(2.0, 2.0)):
     assert rhoarb.classify_dual(market, spec).certificate["beta"] > 0.0
+for spec in (rhoarb.RiskSpec.wc(), rhoarb.RiskSpec.es(0.25),
+             rhoarb.RiskSpec.spectral([(0.1, 0.5), (0.5, 0.5)])):
+    assert rhoarb.classify_dual(market, spec).verdict == "NO_ARBITRAGE"
+cert = rhoarb.classify_dual(market, rhoarb.RiskSpec.es(0.25)).certificate
+assert cert["t_star"] < 4.0 and cert["delta_classical"] > 0.0
 """
 
 

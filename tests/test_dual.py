@@ -7,10 +7,11 @@ import pytest
 
 import oracles
 from conftest import (binomial_market, duo_market, make_dominating_market,
-                      make_priced_market, make_random_market)
+                      make_drift_market, make_priced_market, make_random_market,
+                      make_tanh_priced_market)
+from oracles import es_strict_check
 from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
-                         cross_validate, es_min_supnorm, es_strict_check,
-                         gentropic_check, spectral_check)
+                         cross_validate, es_min_supnorm, gentropic_check, spectral_check)
 from rhoarb.frontier import classify_primal, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, evaluate
@@ -302,6 +303,44 @@ def test_es_equivalence_strict_vs_classical_and_supnorm():
         expected = cl.delta > 1e-9 and sup.t < 1.0 / alpha
         assert (strict.delta > 1e-9) == expected
         checked += 1
+
+
+def test_es_sweep_matches_the_box_mixture_rule():
+    # The ES dual decides strictness by the classical LP, t* < 1/alpha and
+    # delta_classical > 0; the reference decides it by the one-atom
+    # box-mixture margin delta* > 0.  Over M convex the two agree, and
+    # the NO_ARBITRAGE witness is strictly positive, strictly inside the box.
+    rng = np.random.default_rng(2027)
+    makers = (lambda: make_random_market(rng, n_max=10, d_max=3),
+              lambda: make_priced_market(rng, n_max=10, d_max=3),
+              lambda: make_tanh_priced_market(rng, int(rng.integers(12, 40)), 3),
+              lambda: make_drift_market(rng, int(rng.integers(12, 40)), 3,
+                                        float(rng.choice([0.3, 1.0, 2.0]))),
+              lambda: make_dominating_market(rng, n_max=9))
+    seen = {"NO_ARBITRAGE": 0, "RHO_ARBITRAGE": 0, "STRONG_RHO_ARBITRAGE": 0}
+    for _ in range(24):
+        for make in makers:
+            market = make()
+            sup = es_min_supnorm(market)
+            for alpha in (0.05, 0.25, 0.5):
+                v = classify_dual(market, RiskSpec.es(alpha))
+                cert = v.certificate
+                if sup.status == "INFEASIBLE" or sup.t > 1.0 / alpha + 1e-9:
+                    expected = "STRONG_RHO_ARBITRAGE"
+                elif es_strict_check(market, alpha).delta > 1e-9:
+                    expected = "NO_ARBITRAGE"
+                else:
+                    expected = "RHO_ARBITRAGE"
+                assert v.verdict == expected
+                assert "delta_star" not in cert
+                assert ("delta_classical" in cert) == (expected != "STRONG_RHO_ARBITRAGE")
+                if expected == "NO_ARBITRAGE":
+                    z = np.asarray(cert["witness"]["z"])
+                    assert z.min() > 0.0 and z.max() < 1.0 / alpha
+                    assert cert["witness"]["residual"] <= 1e-9
+                seen[expected] += 1
+    assert seen["RHO_ARBITRAGE"] >= 20
+    assert min(seen.values()) >= 20
 
 
 def test_dual_strong_has_primal_certificate():

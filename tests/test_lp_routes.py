@@ -20,11 +20,11 @@ from scipy.stats import chi2
 import rhoarb.dual
 from conftest import (binomial_market, duo_market, make_drift_market, make_random_market,
                       make_tanh_priced_market)
-from oracles import build_ru_lp
+from oracles import build_ru_lp, es_strict_check
 from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
-                         cross_validate, es_min_supnorm, es_strict_check, spectral_check)
+                         cross_validate, es_min_supnorm, spectral_check)
 from rhoarb.elliptical import EllipticalMarket, critical_alpha, gaussian_rho_z, sr_max
-from rhoarb.frontier import _tangency, compute_rho1
+from rhoarb.frontier import compute_rho1
 from rhoarb.gaussian import Phi_inv, phi
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, evaluate
@@ -338,7 +338,7 @@ def test_supnorm_crash_cuts_pivots():
     # Here the tangency portfolio earns more than r in every scenario: M is
     # empty, and the LP keeps the zero start.
     market = make_drift_market(np.random.default_rng(0), 150, 6, 2.0)
-    assert (_tangency(market) @ market.excess_matrix).min() > 0.0
+    assert (market.tangency @ market.excess_matrix).min() > 0.0
     res = es_min_supnorm(market)
     assert res.status == "INFEASIBLE" and highs_min_supnorm(market) == math.inf
     assert res.iterations == 12
