@@ -137,7 +137,8 @@ def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
     kept, not at y = 0.  With excess x = pi_T . e, that row relaxes M to
     M_1 = {Z >= 0 : E[Z] = 1, E[Z x] = 0}, and the program to max E[y]
     subject to E[y x] = 0, y in [0, 1]^N: a fractional knapsack.  Its
-    optimum takes y = 1 on the scenarios in ascending order of x as long as
+    optimum takes y = 1 on the scenarios in ascending order of x
+    (ScenarioMarket.tangency_order) as long as
     the partial sums S_k = sum_{i <= k} p_(i) x_(i) stay <= 0, then one
     fractional y.  The simplex starts at that break-even tail without the
     fractional scenario, y = 1 on the k* scenarios with S_k* <= 0 and
@@ -155,10 +156,9 @@ def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
     A_eq = np.hstack([poly.A, -poly.b[:, None]])
     upper = np.concatenate([np.ones(N), [np.inf]])
     start = None
-    tangency = market.tangency
-    if tangency is not None:
-        x = tangency @ market.excess_matrix
-        order = np.argsort(x, kind="stable")
+    order = market.tangency_order
+    if order is not None:
+        x = market.tangency @ market.excess_matrix
         even = np.flatnonzero(np.cumsum(poly.A[0, order] * x[order]) <= 0.0)
         if even.size:
             tail = order[:even[-1] + 1]

@@ -126,8 +126,8 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
 
     At the optimum each zeta_j sits at its cap 1/alpha_j on the worst
     alpha_j-tail of the minimizing portfolio.  The simplex starts there for
-    the Gaussian tangency portfolio (ScenarioMarket.tangency): scenarios
-    ordered by its excess return, each capped zeta_j starts at 1/alpha_j on
+    the Gaussian tangency portfolio: scenarios ordered by its excess return
+    (ScenarioMarket.tangency_order), each capped zeta_j starts at 1/alpha_j on
     the worst of them until their probability reaches CRASH_TAIL alpha_j,
     and at 0 elsewhere.  The start moves only the pivot path; full pricing
     certifies the optimum.  WC has no cap and starts at 0.
@@ -157,9 +157,8 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     c = np.zeros(J * N + 1)
     c[-1] = 1.0
     start = None
-    tangency = None if spec.kind == "WC" else market.tangency
-    if tangency is not None:
-        order = np.argsort(tangency @ market.excess_matrix, kind="stable")
+    order = None if spec.kind == "WC" else market.tangency_order
+    if order is not None:
         tail = np.cumsum(p[order])
         start = np.zeros(J * N + 1)
         for j, (alpha, _) in enumerate(atoms):

@@ -40,10 +40,25 @@ raises SimplexError.
 At the optimum the basis is refactored from the scaled data: the basic
 values and the row duals come from direct solves, and pricing is rechecked,
 so update error does not reach the answer.
+
+The programs of this package are short and wide: d + 1 rows for the
+martingale polytope, J + d for the slice, against N to J N columns.  An
+iteration prices the reduced-cost row (one product with the sign vector
+and an argmax), runs the ratio test down the m rows and, on a pivot, makes
+one rank-one update of the (m + 1) x n tableau.  At m near 10 the update's
+arithmetic takes a microsecond or two, and the fixed cost of each call into
+numpy, one to a few microseconds, sets the time of an iteration.  So the ratio
+test scans the rows once in Python floats rather than making some fifteen
+numpy calls over arrays of m entries; its expressions and their order are
+those of the vectorized test, so every ratio, Harris cap and tie-break is
+the same to the bit, and a pivot makes about nine array operations.
+The scan is O(m) against the update's O(m n); at m = 50 it costs about
+what the vectorized test did.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +252,21 @@ class _Tableau:
         self.iterations = 0
 
     def price(self, cost: Vector) -> None:
+        """Reduced costs of cost in row m of T, and the pricing state: the
+        tolerance on reduced costs, the sign they must have against the way
+        a nonbasic variable can move (-1 up from a lower bound, +1 down from
+        an upper one, 0 for basic or fixed), the nonbasic variables strictly
+        inside their range (either way), and the bounds of the basics.
+        Flips and pivots keep the state current, and refactor leaves it as
+        it is, so it is built once per phase."""
         self.T[self.m] = cost - cost[self.basis] @ self.T[:self.m]
+        lo, hi, x = self.lo, self.hi, self.x
+        self.cost_tol = COST_TOL * max(float(np.abs(cost).max(initial=0.0)), 1e-300)
+        self.sense = np.where(x >= hi, 1.0, -1.0)
+        self.sense[(hi <= lo) | self.is_basic] = 0.0
+        self.inside = set(np.flatnonzero(~self.is_basic & (x > lo) & (x < hi)).tolist())
+        self.bl = lo[self.basis]
+        self.bu = hi[self.basis]
 
     def solve_basics(self) -> None:
         """Basic values from the data, the basis and the nonbasic values."""
@@ -254,44 +283,29 @@ class _Tableau:
         B = self.K[:, self.basis]
         self.y = np.linalg.solve(B.T, cost[self.basis]) if self.m else np.zeros(0)
         self.T[self.m] = cost - self.y @ self.K
-        self._directions(cost)
         if self._entering(bland=False) < 0:
             return False
         if self.m:
             self.T[:self.m] = np.linalg.solve(B, self.K)
         return True
 
-    def _directions(self, cost: Vector) -> None:
-        """Pricing state: the tolerance on reduced costs, the sign they must
-        have against the way a nonbasic variable can move (-1 up from a lower
-        bound, +1 down from an upper one, 0 for basic or fixed), the nonbasic
-        variables strictly inside their range (either way), and the bounds
-        of the basics."""
-        lo, hi, x = self.lo, self.hi, self.x
-        self.cost_tol = COST_TOL * max(float(np.abs(cost).max(initial=0.0)), 1e-300)
-        self.sense = np.where(x >= hi, 1.0, -1.0)
-        self.sense[(hi <= lo) | self.is_basic] = 0.0
-        self.inside = ~self.is_basic & (x > lo) & (x < hi)
-        self.bl = lo[self.basis]
-        self.bu = hi[self.basis]
-
     def _entering(self, bland: bool) -> int:
         """Entering column, or -1 at optimality."""
         d = self.T[self.m]
-        tol = self.cost_tol
         score = d * self.sense
-        if self.inside.any():
-            score[self.inside] = np.abs(d[self.inside])
+        for j in self.inside:
+            score[j] = abs(d[j])
         if bland:
-            cands = np.flatnonzero(score > tol)
-            return int(cands[0]) if cands.size else -1
-        q = int(np.argmax(score))
-        return q if score[q] > tol else -1
+            eligible = score > self.cost_tol
+            q = int(eligible.argmax())
+            return q if eligible[q] else -1
+        q = int(score.argmax())
+        return q if score[q] > self.cost_tol else -1
 
-    def run(self, cost: Vector) -> str:
-        """Primal simplex from the current (primal feasible) basis."""
+    def run(self) -> str:
+        """Primal simplex from the current (primal feasible) basis, on the
+        costs last priced."""
         m, T, lo, hi, x = self.m, self.T, self.lo, self.hi, self.x
-        self._directions(cost)
         bland = False
         degenerate = 0
         while True:
@@ -303,14 +317,15 @@ class _Tableau:
             s = 1.0 if T[m, q] < 0.0 else -1.0       # direction the entering variable moves
             g = s * T[:m, q]                         # basic i moves by -theta g_i
             row, theta = self._ratio(g, bland)
-            flip = hi[q] - x[q] if s > 0.0 else x[q] - lo[q]   # run to its own bound
-            if row < 0 and flip == np.inf:
+            xq = x.item(q)
+            flip = hi.item(q) - xq if s > 0.0 else xq - lo.item(q)   # run to its own bound
+            if row < 0 and flip == math.inf:
                 return UNBOUNDED
             if row < 0 or flip <= theta:
                 theta = flip
                 x[q] = hi[q] if s > 0.0 else lo[q]
                 self.sense[q] = s
-                self.inside[q] = False
+                self.inside.discard(q)
                 self.xB -= theta * g
             else:
                 self._pivot(row, q, s, theta, g)
@@ -323,48 +338,62 @@ class _Tableau:
                 bland = degenerate >= DEGENERATE_RUN
 
     def _ratio(self, g: Vector, bland: bool) -> tuple[int, float]:
-        """Leaving row and step length; (-1, inf) when nothing blocks."""
-        if not self.m:
-            return -1, np.inf
-        den = np.abs(g)
-        rows = np.flatnonzero(den > PIVOT_TOL * max(1.0, float(den.max())))
-        g, den = g[rows], den[rows]
-        bound = np.where(g > 0.0, self.bl[rows], self.bu[rows])
-        # Step to each blocking bound; a basic value already past its bound
-        # (by at most the Harris tolerance) blocks at once.
-        ratio = np.maximum((self.xB[rows] - bound) / g, 0.0)
+        """Leaving row and step length; (-1, inf) when nothing blocks.
+
+        One scan of the rows in Python floats: with m near d + 1, each call
+        into numpy would cost more than the arithmetic it does.
+        """
+        gs = g.tolist()
+        tol = PIVOT_TOL * max(1.0, max(map(abs, gs), default=0.0))
+        rows = []                        # (row, ratio, |g|) of the rows that can block
+        cap = math.inf                   # Harris: the least relaxed step
+        for i, gi, xi, lo, up in zip(range(self.m), gs, self.xB.tolist(),
+                                     self.bl.tolist(), self.bu.tolist()):
+            den = abs(gi)
+            if den > tol:
+                bound = lo if gi > 0.0 else up
+                # Step to the blocking bound; a basic value already past its
+                # bound (by at most the Harris tolerance) blocks at once.
+                # "<=" maps -0.0 to 0.0 as well, as np.maximum(ratio, 0.0) does.
+                ratio = (xi - bound) / gi
+                if ratio <= 0.0:
+                    ratio = 0.0
+                rows.append((i, ratio, den))
+                if ratio < cap:          # else its relaxed step >= ratio >= cap
+                    relaxed = ratio + PRIMAL_TOL * (1.0 + abs(bound)) / den
+                    if relaxed < cap:
+                        cap = relaxed
         if bland:
-            best = float(ratio.min(initial=np.inf))
-            if best == np.inf:
+            best = min((ratio for _, ratio, _ in rows), default=math.inf)
+            if best == math.inf:
                 return -1, best
-            tied = rows[ratio <= best + 1e-12 * (1.0 + best)]
-            return int(tied[np.argmin(self.basis[tied])]), best
-        # Harris: the largest pivot among rows blocking within the relaxed step.
-        cap = float((ratio + PRIMAL_TOL * (1.0 + np.abs(bound)) / den).min(initial=np.inf))
-        if cap == np.inf:
+            tie = best + 1e-12 * (1.0 + best)
+            return min((i for i, ratio, _ in rows if ratio <= tie), key=self.basis.item), best
+        if cap == math.inf:
             return -1, cap
-        k = int(np.argmax(np.where(ratio <= cap, den, -1.0)))
-        return int(rows[k]), float(ratio[k])
+        # Harris: the largest pivot among rows blocking within the relaxed
+        # step, the first of them on a tie.
+        i, ratio, _ = max((r for r in rows if r[1] <= cap), key=lambda r: r[2])
+        return i, ratio
 
     def _pivot(self, row: int, q: int, s: float, theta: float, g: Vector) -> None:
-        T = self.T
-        leaving = int(self.basis[row])
-        to_upper = g[row] < 0.0
-        self.x[leaving] = self.hi[leaving] if to_upper else self.lo[leaving]
-        entering_value = self.x[q] + s * theta
+        T, x, lo, hi = self.T, self.x, self.lo, self.hi
+        leaving = self.basis.item(row)
+        to_upper = g.item(row) < 0.0
+        x[leaving] = hi[leaving] if to_upper else lo[leaving]
+        entering_value = x[q] + s * theta
         self.xB -= theta * g
         self.xB[row] = entering_value
         self.is_basic[leaving] = False
         self.is_basic[q] = True
         self.basis[row] = q
-        fixed = self.hi[leaving] <= self.lo[leaving]
+        fixed = hi[leaving] <= lo[leaving]
         self.sense[leaving] = 0.0 if fixed else (1.0 if to_upper else -1.0)
         self.sense[q] = 0.0
-        self.inside[q] = False
-        self.bl[row], self.bu[row] = self.lo[q], self.hi[q]
-        col = T[:, q].copy()
-        prow = T[row] / col[row]
-        T -= np.outer(col, prow)
+        self.inside.discard(q)
+        self.bl[row], self.bu[row] = lo[q], hi[q]
+        prow = T[row] / T[row, q]
+        T -= T[:, q, None] * prow           # the product is formed before T changes
         T[row] = prow
 
     def size(self) -> float:
@@ -401,7 +430,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
         phase1 = np.zeros(tab.x.size)
         phase1[tab.n_real:] = 1.0
         tab.price(phase1)
-        if tab.run(phase1) != OPTIMAL:
+        if tab.run() != OPTIMAL:
             raise SimplexError("phase 1 cannot be unbounded")
         tab.solve_basics()
         left = float(tab.xB[tab.basis >= tab.n_real].sum())
@@ -415,7 +444,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     cost = tab.cost
     tab.price(cost)
     for _ in range(MAX_REFACTORS):
-        if tab.run(cost) == UNBOUNDED:
+        if tab.run() == UNBOUNDED:
             return LPSolution(UNBOUNDED, -np.inf, None, tab.iterations, 0.0)
         if not tab.refactor(cost):
             break

@@ -7,8 +7,9 @@ of wealth in the risky assets; the riskless fraction is implied and never
 stored.  The excess return of pi is X_pi = pi . (R - r 1), scenario by
 scenario.  MartingalePolytope is the equality system of the densities that
 price the market, shared by the primal slice LP and the dual tests; a market
-builds it, and its Gaussian tangency portfolio, once (ScenarioMarket.polytope,
-ScenarioMarket.tangency).
+builds it, its Gaussian tangency portfolio and the scenario order of that
+portfolio's excess return once (ScenarioMarket.polytope,
+ScenarioMarket.tangency, ScenarioMarket.tangency_order).
 """
 
 from __future__ import annotations
@@ -117,6 +118,17 @@ class ScenarioMarket:
             return _frozen_array(np.linalg.solve((dev * self.probs) @ dev.T, a))
         except np.linalg.LinAlgError:
             return None
+
+    @cached_property
+    def tangency_order(self) -> NDArray[np.intp] | None:
+        """Scenarios from the worst to the best excess return of the
+        tangency portfolio (a stable sort), or None without one: the order
+        in which the crash starts of the slice and sup-norm LPs fill their
+        densities."""
+        if self.tangency is None:
+            return None
+        return _frozen_array(np.argsort(self.tangency @ self.excess_matrix, kind="stable"),
+                             dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)

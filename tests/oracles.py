@@ -2,10 +2,13 @@
 
 Everything here recomputes a quantity by a different algorithm than the
 library (definitional scans, exact step-function integrals, dense grids,
-vertex enumeration, Dykstra-projected gradient descent, scipy quadrature,
-the primal shortfall LP, Kelley cutting planes) so agreement is meaningful evidence and not a tautology.
-The one exception, es_strict_check, keeps the former ES strict test (the
-one-atom box-mixture LP) as a reference for the sup-norm plus classical rule.
+vertex enumeration, gradient descent under an exact projection found by
+enumerating active sets, scipy quadrature, the primal shortfall LP, Kelley
+cutting planes) so agreement is meaningful evidence and not a tautology.
+Two exceptions keep former code of the library as the reference for its
+replacement: es_strict_check, the former ES strict test (the one-atom
+box-mixture LP), for the sup-norm plus classical rule, and
+lp_ratio_reference, the vectorized ratio test, for the scalar one.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from numpy.typing import NDArray
 from scipy import integrate, optimize, special, stats
 
 from rhoarb.dual import DualWitness, _box_mixture
-from rhoarb.lp import INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
+from rhoarb.lp import INFEASIBLE, OPTIMAL, PIVOT_TOL, PRIMAL_TOL, LinearProgram, lp_solve
 
 Vector = NDArray[np.float64]
 
@@ -132,48 +135,92 @@ def lp_vertex_enum(c, A, b):
     return best_val, best_x
 
 
+def lp_ratio_reference(self, g, bland):
+    """The vectorized ratio test of lp._Tableau, kept verbatim as the
+    reference for its scalar scan; a method, to be set on _Tableau."""
+    if not self.m:
+        return -1, np.inf
+    den = np.abs(g)
+    rows = np.flatnonzero(den > PIVOT_TOL * max(1.0, float(den.max())))
+    g, den = g[rows], den[rows]
+    bound = np.where(g > 0.0, self.bl[rows], self.bu[rows])
+    # Step to each blocking bound; a basic value already past its bound
+    # (by at most the Harris tolerance) blocks at once.
+    ratio = np.maximum((self.xB[rows] - bound) / g, 0.0)
+    if bland:
+        best = float(ratio.min(initial=np.inf))
+        if best == np.inf:
+            return -1, best
+        tied = rows[ratio <= best + 1e-12 * (1.0 + best)]
+        return int(tied[np.argmin(self.basis[tied])]), best
+    # Harris: the largest pivot among rows blocking within the relaxed step.
+    cap = float((ratio + PRIMAL_TOL * (1.0 + np.abs(bound)) / den).min(initial=np.inf))
+    if cap == np.inf:
+        return -1, cap
+    k = int(np.argmax(np.where(ratio <= cap, den, -1.0)))
+    return int(rows[k]), float(ratio[k])
+
+
 # -- penalty minimization over the martingale polytope --------------------------
 
 
-def _dykstra_project(v, A, b, iters=600):
-    """Project onto {z >= 0} intersect {A z = b} by Dykstra's alternation."""
-    AAt_inv = np.linalg.pinv(A @ A.T)
+def nonnegative_affine_projector(A, b):
+    """The Euclidean projection onto {z >= 0, A z = b}, as a function of v.
 
-    def onto_affine(u):
-        return u - A.T @ (AAt_inv @ (A @ u - b))
+    The projection is the projection onto {A z = b, z_S = 0} for its own
+    zero set S, and it is the nearest point of {z >= 0, A z = b}; so it is
+    the nearest feasible point among the projections for every S.  Those
+    are affine in v, z = P_S v + c_S, and are built once for all 2^N sets
+    (N <= 10).
+    """
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    N = A.shape[1]
+    if N > 10:
+        raise ValueError(f"enumerating 2^{N} zero sets is too many")
+    free = np.array(list(itertools.product((0.0, 1.0), repeat=N)))      # (2^N, N)
+    AF = A[None, :, :] * free[:, None, :]                                 # A D_S
+    inv = np.linalg.pinv(AF @ AF.transpose(0, 2, 1))
+    back = AF.transpose(0, 2, 1) @ inv                                    # D_S A' (A D_S A')^+
+    P = free[:, :, None] * np.eye(N) - back @ AF
+    c = back @ b
+    scale = 1.0 + np.abs(b).max()
 
-    z = v.copy()
-    p_corr = np.zeros_like(v)
-    q_corr = np.zeros_like(v)
-    for _ in range(iters):
-        y = onto_affine(z + p_corr)
-        p_corr = z + p_corr - y
-        z = np.maximum(y + q_corr, 0.0)
-        q_corr = y + q_corr - z
-    return z
+    def project(v):
+        Z = P @ v + c
+        feasible = Z.min(axis=1) >= -1e-12 * scale
+        ok = feasible & (np.abs(Z @ A.T - b).max(axis=1) <= 1e-10 * scale)
+        if not ok.any():
+            raise ValueError("{z >= 0, A z = b} is empty")
+        dist = np.where(ok, ((Z - v) ** 2).sum(axis=1), np.inf)
+        return np.maximum(Z[int(np.argmin(dist))], 0.0)
+
+    return project
 
 
 def projected_gradient_min(probs, excess, gfun, gprime, steps=4000):
     """min E[g(Z)] over {Z >= 0, E[Z] = 1, E[Z a_i] = 0} by projected descent.
 
     Adaptive step: a projected move is kept only if it lowers the
-    objective; otherwise the step length is halved in place.
+    objective; otherwise the step length is halved in place.  The
+    projection is exact (nonnegative_affine_projector), so N stays small.
     """
     probs = np.asarray(probs, dtype=np.float64)
     excess = np.atleast_2d(np.asarray(excess, dtype=np.float64))
     A = np.vstack([probs, excess * probs])
     b = np.zeros(A.shape[0])
     b[0] = 1.0
+    project = nonnegative_affine_projector(A, b)
 
     def f(z):
         return float(probs @ gfun(np.maximum(z, 1e-300)))
 
-    z = _dykstra_project(np.ones_like(probs), A, b)
+    z = project(np.ones_like(probs))
     lr = 0.25
     best = f(z)
     for _ in range(steps):
         grad = probs * gprime(np.maximum(z, 1e-12))
-        trial = _dykstra_project(z - lr * grad, A, b)
+        trial = project(z - lr * grad)
         val = f(trial)
         if val < best - 1e-15:
             z, best = trial, val

@@ -1,13 +1,20 @@
 """Tests for the bounded-variable two-phase simplex solver."""
 
+import types
+
 import numpy as np
 import pytest
 
 from scipy import optimize
 
 import oracles
+import rhoarb.dual
 import rhoarb.lp as lp_module
+from conftest import make_drift_market, make_tanh_priced_market
+from rhoarb.dual import _box_mixture, classical_no_arbitrage, es_min_supnorm
+from rhoarb.frontier import _slice_lp
 from rhoarb.lp import LinearProgram, lp_solve
+from rhoarb.measures import RiskSpec
 
 ATOL = 1e-8
 
@@ -312,3 +319,89 @@ def test_starts_reach_the_highs_optimum():
             assert abs(sol.value - base.value) < 1e-9 * (1.0 + abs(base.value))
             assert abs(sol.value - ref.fun) < 1e-9 * (1.0 + abs(ref.fun))
             assert sol.residual < 1e-9
+
+
+# -- the scalar ratio test against the vectorized reference ----------------------
+
+
+def ratio_state(rng, m):
+    """(tableau state, column g) for one ratio test on m rows: near-ties in
+    the ratios and exact ties in |g|, infinite bounds, entries below the
+    pivot threshold, and basics at or just past their bounds."""
+    g = rng.normal(size=m) * 10.0 ** rng.integers(-3, 3, size=m)
+    g = np.where(rng.random(m) < 0.3, np.copysign(np.abs(g).max(initial=1.0), g), g)
+    g[rng.random(m) < 0.2] *= 1e-11                  # below PIVOT_TOL * max|g|
+    g[rng.random(m) < 0.05] = 0.0
+    finite = rng.normal(size=m)
+    bl = np.where(rng.random(m) < 0.2, -np.inf, finite)
+    bu = np.where(rng.random(m) < 0.3, np.inf, finite + rng.uniform(0.0, 2.0, m))
+    bound = np.where(g > 0.0, bl, bu)
+    xB = np.where(bl > -np.inf, bl, np.minimum(finite, bu - 1.0)) + rng.uniform(0.0, 1.0, m)
+    # A block of rows stepping to their bounds within a few ulps of one
+    # ratio, rows sitting on their bound, rows past it by less than the
+    # Harris tolerance.
+    theta = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+    tie = np.isfinite(bound) & (rng.random(m) < 0.5)
+    wiggle = 1.0 + rng.integers(-3, 4, size=m) * 2.0 ** -52
+    xB = np.where(tie, bound + theta * g * wiggle, xB)
+    past = np.isfinite(bound) & (rng.random(m) < 0.1)
+    xB = np.where(past, bound - np.sign(g) * 1e-13, xB)
+    state = types.SimpleNamespace(m=m, xB=xB, bl=bl, bu=bu,
+                                  basis=rng.permutation(3 * m + 1)[:m])
+    return state, g
+
+
+def test_scalar_ratio_test_matches_the_vectorized_reference():
+    rng = np.random.default_rng(1313)
+    blocked = open_ = 0
+    for _ in range(3000):
+        m = int(rng.choice([0, 1, 2, 3, 5, 7, 13, 50]))
+        state, g = ratio_state(rng, m)
+        for bland in (False, True):
+            row, theta = lp_module._Tableau._ratio(state, g, bland)
+            ref_row, ref_theta = oracles.lp_ratio_reference(state, g, bland)
+            assert row == ref_row, (m, bland)
+            assert float(theta).hex() == float(ref_theta).hex(), (m, bland)
+            blocked += row >= 0
+            open_ += row < 0
+    assert blocked > 1000 and open_ > 100
+
+
+def bench_shaped_programs(monkeypatch):
+    """The slice, sup-norm, classical and box-mixture LPs of priced and
+    high-drift markets shaped like those of the lp_cross benchmark."""
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(rhoarb.dual, "lp_solve", record)
+    atoms = ((0.05, 0.3), (0.25, 0.7))
+    for market in (make_tanh_priced_market(np.random.default_rng(1), 80, 4),
+                   make_tanh_priced_market(np.random.default_rng(2), 150, 5),
+                   make_drift_market(np.random.default_rng(3), 150, 6, 2.0),
+                   make_drift_market(np.random.default_rng(4), 100, 4, 2.0)):
+        for spec in (RiskSpec.es(0.1), RiskSpec.spectral(atoms), RiskSpec.wc()):
+            programs.append(_slice_lp(market, spec)[0])
+        es_min_supnorm(market)
+        classical_no_arbitrage(market)
+        _box_mixture(market, atoms)
+    monkeypatch.undo()
+    return programs
+
+
+def solution_bits(sol):
+    return (sol.status, sol.iterations, float(sol.value).hex(),
+            None if sol.x is None else sol.x.tobytes(),
+            None if sol.duals is None else sol.duals.tobytes())
+
+
+def test_reference_ratio_test_takes_the_same_pivot_path(monkeypatch):
+    programs = bench_shaped_programs(monkeypatch)
+    assert len(programs) == 24
+    got = [solution_bits(lp_solve(lp)) for lp in programs]
+    monkeypatch.setattr(lp_module._Tableau, "_ratio", oracles.lp_ratio_reference)
+    want = [solution_bits(lp_solve(lp)) for lp in programs]
+    assert got == want
+    assert sum(bits[1] for bits in got) > 500

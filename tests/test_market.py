@@ -146,3 +146,20 @@ def test_canonical_portfolio_degenerate_market_raises():
                             returns=[[0.02, 0.02]])
     with pytest.raises(DegenerateMarketError):
         canonical_portfolio(market, 1.0)
+
+
+def test_tangency_order_sorts_the_tangency_excess_stably_once():
+    # Scenarios 1 and 3 have the same returns: the stable order keeps them
+    # in index order.
+    market = ScenarioMarket(probs=(0.2, 0.3, 0.1, 0.4), riskless_rate=0.01,
+                            returns=[[0.3, -0.1, 0.2, -0.1], [0.0, 0.1, -0.2, 0.1]])
+    order = market.tangency_order
+    x = market.tangency @ market.excess_matrix
+    assert sorted(order.tolist()) == [0, 1, 2, 3]
+    assert np.all(np.diff(x[order]) >= 0.0)
+    assert order.tolist().index(1) < order.tolist().index(3)
+    assert market.tangency_order is order
+    assert not order.flags.writeable
+    # A riskless-looking asset leaves the covariance singular: no tangency.
+    flat = ScenarioMarket(probs=(0.5, 0.5), riskless_rate=0.0, returns=[[0.1, 0.1]])
+    assert flat.tangency is None and flat.tangency_order is None

@@ -1,5 +1,5 @@
-"""Invariances of the ES dual test and of the EVaR and TNORM evaluators,
-as Hypothesis properties.
+"""Invariances of the ES dual test, of rho1 and the verdicts, and of the
+EVaR and TNORM evaluators, as Hypothesis properties.
 
 min ||Z||_inf over the martingale densities, the dual verdict and the
 primal/dual agreement status depend on the market only through the law
@@ -7,7 +7,10 @@ of the excess returns, and t* and both verdicts are unitless.  So they
 must not change when the scenarios are listed in another order (which
 also reorders the ties the sup-norm LP's crash start breaks), when one
 scenario is split into two with the same returns, or when returns and
-the riskless rate are quoted in other units.  Likewise a law-invariant,
+the riskless rate are quoted in other units.  rho1 and every verdict
+depend on the assets only through the span of their excess returns, so
+they must not change when the assets are replaced by invertible
+combinations of themselves.  Likewise a law-invariant,
 positively homogeneous and cash-additive measure gives rho(c x + m) =
 c rho(x) - m and ignores the order and the splitting of scenarios.
 """
@@ -15,6 +18,7 @@ c rho(x) - m and ignores the order and the splitting of scenarios.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (make_dominating_market, make_drift_market, make_random_market,
@@ -86,6 +90,37 @@ def test_es_dual_invariant_under_units(drawn, alpha, k):
     other = ScenarioMarket(probs=market.probs, riskless_rate=market.riskless_rate * 10.0 ** k,
                            returns=market.returns * 10.0 ** k)
     assert_same_answers(market, other, alpha)
+
+
+ASSET_SPECS = {
+    "ES": RiskSpec.es(0.1),
+    "SPECTRAL": RiskSpec.spectral(((0.05, 0.3), (0.25, 0.7))),
+    "WC": RiskSpec.wc(),
+    "EVAR": RiskSpec.evar(0.25),
+    "TNORM": RiskSpec.tnorm(2.0, 0.25),
+}
+
+
+@pytest.mark.parametrize("kind", ASSET_SPECS)
+@given(markets, st.integers(0, 10**6))
+def test_rho1_and_verdicts_invariant_under_change_of_assets(kind, drawn, seed):
+    # R' - r = G (R - r) with G invertible: pi' . (R' - r) = (G' pi') . (R - r),
+    # so both markets have the same excess returns on the same slices and
+    # the same martingale densities.  G rotates and rescales the assets
+    # (condition number up to 1e4).
+    market = build(*drawn)
+    rng = np.random.default_rng(seed)
+    d = market.n_assets
+    G = np.linalg.qr(rng.normal(size=(d, d)))[0] * 10.0 ** rng.uniform(-2.0, 2.0, size=d)
+    r = market.riskless_rate
+    other = ScenarioMarket(probs=market.probs, riskless_rate=r,
+                           returns=r + G @ market.excess_matrix)
+    spec = ASSET_SPECS[kind]
+    cv, cv_other = cross_validate(market, spec), cross_validate(other, spec)
+    assert abs(cv_other.rho1 - cv.rho1) <= 1e-9 * (1.0 + abs(cv.rho1))
+    assert cv_other.primal.verdict == cv.primal.verdict
+    assert cv_other.dual.verdict == cv.dual.verdict
+    assert cv_other.status == cv.status
 
 
 # -- the EVaR and TNORM evaluators ------------------------------------------------
