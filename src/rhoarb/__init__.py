@@ -15,7 +15,6 @@ from .elliptical import (EllipticalMarket, classify_trichotomy, critical_alpha,
 from .frontier import (ArbitrageVerdict, FrontierResult,
                        UnsupportedGlobalMinError, classify_primal, compute_rho1,
                        frontier_points)
-from .gaussian import Phi, Phi_inv, erf, erfc, phi
 from .lp import LinearProgram, LPSolution, SimplexError, lp_solve
 from .market import (DegenerateMarketError, MartingalePolytope, ScenarioMarket,
                      canonical_portfolio, excess_return, expected_excess,
@@ -30,13 +29,13 @@ __all__ = [
     "ArbitrageVerdict", "ClassicalResult", "CrossValidation", "CumulantResult",
     "DegenerateMarketError", "DualWitness", "EllipticalMarket",
     "FrontierResult", "GEntropicResult", "LPSolution", "LinearProgram",
-    "MartingalePolytope", "Phi", "Phi_inv", "RiskSpec", "ScenarioMarket",
+    "MartingalePolytope", "RiskSpec", "ScenarioMarket",
     "SimplexError", "SpectralResult", "SupnormResult", "UnsupportedDualError",
     "UnsupportedGlobalMinError", "UnsupportedPrimalError",
     "canonical_portfolio", "classical_no_arbitrage", "classify_dual",
     "classify_primal", "classify_trichotomy", "compute_rho1",
-    "critical_alpha", "cross_validate", "erf", "erfc", "es_min_supnorm",
+    "critical_alpha", "cross_validate", "es_min_supnorm",
     "evaluate", "excess_return", "expected_excess", "frontier_points",
     "gaussian_rho_z", "gentropic_check", "lp_solve", "newton_cumulant_min",
-    "phase_curve_rows", "phi", "spectral_check", "sr_max", "validate_market",
+    "phase_curve_rows", "spectral_check", "sr_max", "validate_market",
 ]

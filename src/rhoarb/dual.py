@@ -31,18 +31,18 @@ eps = (s - 1)/(2 s) makes it linear, with one row per free atom and one
 per asset.  Infeasible means the strong form fails, eps* = 0 means
 rho-arbitrage, eps* > 0 means no arbitrage.
 
-The entropy and power penalties minimize through unconstrained smooth
-duals in (d + 1) or fewer variables, the cumulant log E exp(lam . e) and
-the power conjugate E[(nu + lam . e)+^p / p] - nu, by damped Newton (no
-gap on finite scenario spaces).  Custom penalties, which supply no
-conjugate, run away-step Frank-Wolfe over M with LP vertex oracles.
+Every penalty minimizes through an unconstrained smooth dual in d + 1 or
+fewer variables by damped Newton (no gap on finite scenario spaces): the
+entropy through the cumulant log E exp(lam . e), every other g through
+its conjugate, E[g*(nu + lam . e)] - nu.  A custom g takes its
+conjugate over the box 0 <= z <= 1/p_omega, which holds every density
+in M (measures.conjugate).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,7 +57,6 @@ Vector = NDArray[np.float64]
 
 ZERO_TOL = 1e-9          # LP vertex quantities at or below this count as zero
 RESIDUAL_TOL = 1e-8
-FW_TOL = 1e-8
 EMPTY_SCALE = 1e-12      # Charnes-Cooper scale s* = 1/t* at or below this: M is empty
 
 
@@ -293,14 +292,11 @@ def _mix_positive(z: Vector, z_pos: Vector, value: float, value_pos: float,
 class GEntropicResult:
     """Penalty-minimization outcome over M.
 
-    v_star is min E[g(Z)] to the solver tolerance (for ENTROPY and POWER
-    the value of the smooth dual, for CUSTOM the penalty of the
-    Frank-Wolfe iterate); strong_ok means no strong arbitrage
-    (v* <= beta), strict_ok means no arbitrage at all (classical
-    delta* > 0 and v* < beta).  gap and iterations come from the solver:
-    the scaled gradient norm and Newton iterations on the NEWTON route,
-    the Frank-Wolfe gap and iterations on the FRANK_WOLFE route, 0 when M
-    is empty.
+    v_star is min E[g(Z)] to the solver tolerance, the value of the smooth
+    dual; strong_ok means no strong arbitrage (v* <= beta), strict_ok
+    means no arbitrage at all (classical delta* > 0 and v* < beta).  gap
+    and iterations come from the solver: the scaled gradient norm and the
+    Newton iterations on the NEWTON route, 0 when M is empty.
     """
 
     v_star: float
@@ -332,92 +328,6 @@ def _read_penalty(g, beta: float) -> RiskSpec:
                     "optional derivative)")
 
 
-def _numeric_prime(gfun: Callable) -> Callable:
-    def prime(z: Vector) -> Vector:
-        z = np.asarray(z, dtype=np.float64)
-        h = 1e-6
-        lo = np.maximum(z - h, 0.0)
-        hi = z + h
-        return (gfun(hi) - gfun(lo)) / (hi - lo)
-    return prime
-
-
-def _frank_wolfe_min(poly: MartingalePolytope, probs: Vector, gfun: Callable,
-                     gprime: Callable, tol: float = FW_TOL,
-                     max_iter: int = 2000) -> tuple[Vector, float, float, int]:
-    """Away-step Frank-Wolfe for min E[g(Z)] over the polytope.
-
-    LP vertex oracles keep iterates inside M exactly; away steps restore
-    the linear rate that plain FW loses at boundary optima.  Returns
-    (z, value, fw_gap, iterations); value - fw_gap lower-bounds the minimum.
-    """
-    N = probs.size
-
-    def fval(z: Vector) -> float:
-        return float(probs @ gfun(np.maximum(z, 0.0)))
-
-    def grad(z: Vector) -> Vector:
-        return probs * gprime(np.maximum(z, 0.0))
-
-    start = lp_solve(LinearProgram(c=np.zeros(N), A_eq=poly.A, b_eq=poly.b))
-    if start.status != OPTIMAL:
-        raise RuntimeError("Frank-Wolfe called on an empty polytope")
-    z = start.x.copy()
-    def key(v: Vector) -> bytes:
-        return np.round(v, 12).tobytes()
-    vertices: dict[bytes, Vector] = {key(z): z.copy()}
-    weights: dict[bytes, float] = {key(z): 1.0}
-    gap = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        gz = grad(z)
-        lmo = lp_solve(LinearProgram(c=gz, A_eq=poly.A, b_eq=poly.b))
-        if lmo.status != OPTIMAL:
-            raise RuntimeError("LMO solve failed inside Frank-Wolfe")
-        s = lmo.x
-        gap = float(gz @ (z - s))
-        if gap <= tol:
-            break
-        away_key = max(weights, key=lambda k: float(gz @ vertices[k]))
-        v_away = vertices[away_key]
-        w_away = weights[away_key]
-        use_away = (float(gz @ (v_away - z)) > gap) and (1.0 - w_away > 1e-12)
-        if use_away:
-            d = z - v_away
-            gamma_max = w_away / (1.0 - w_away)
-        else:
-            d = s - z
-            gamma_max = 1.0
-        slope_end = float(grad(z + gamma_max * d) @ d)
-        if slope_end <= 0.0:
-            gamma = gamma_max
-        else:
-            lo_g, hi_g = 0.0, gamma_max
-            for _ in range(80):
-                mid = 0.5 * (lo_g + hi_g)
-                if float(grad(z + mid * d) @ d) <= 0.0:
-                    lo_g = mid
-                else:
-                    hi_g = mid
-            gamma = lo_g
-        if gamma <= 0.0:
-            break
-        z = z + gamma * d
-        if use_away:
-            factor = 1.0 + gamma
-            weights = {k: w * factor for k, w in weights.items()}
-            weights[away_key] -= gamma
-        else:
-            factor = 1.0 - gamma
-            weights = {k: w * factor for k, w in weights.items()}
-            sk = key(s)
-            vertices.setdefault(sk, s.copy())
-            weights[sk] = weights.get(sk, 0.0) + gamma
-        weights = {k: w for k, w in weights.items() if w > 1e-15}
-        vertices = {k: vertices[k] for k in weights}
-    return z, fval(z), max(gap, 0.0), it
-
-
 def gentropic_check(market: ScenarioMarket, g, beta: float) -> GEntropicResult:
     """Penalty test: v* = min E[g(Z)] over M against the budget beta.
 
@@ -435,9 +345,9 @@ def gentropic_check(market: ScenarioMarket, g, beta: float) -> GEntropicResult:
 def _penalty_check(market: ScenarioMarket, pen: RiskSpec) -> GEntropicResult:
     """gentropic_check for a GENTROPIC spec (a penalty ball).
 
-    ENTROPY and POWER minimize through their unconstrained smooth duals
-    (frontier._penalty_min), which have no gap on finite scenario spaces;
-    CUSTOM runs away-step Frank-Wolfe over M to FW_TOL.
+    Every g minimizes through its unconstrained smooth dual
+    (frontier._penalty_min), which has no gap on finite scenario spaces:
+    the cumulant for ENTROPY, the conjugate for POWER and CUSTOM.
     """
     beta = pen.beta
     poly = market.polytope
@@ -450,25 +360,13 @@ def _penalty_check(market: ScenarioMarket, pen: RiskSpec) -> GEntropicResult:
     def expected_penalty(z: Vector) -> float:
         return float(market.probs @ penalty(pen, np.maximum(z, 0.0)))
 
-    annotations: list[str] = []
-    if pen.g_kind != "CUSTOM":
-        res = _penalty_min(pen, market.probs, market.excess_matrix.T)
-        if pen.g_kind == "ENTROPY":
-            z_pen = res.value  # E[z log z] = lam . E[z e] - K = -K to the gradient
-        else:
-            z_pen = expected_penalty(res.z)
-        v_star, gap, iterations = res.value, res.gradient_norm, res.iterations
-        witness = DualWitness.of(poly, res.z, penalty=z_pen)
-        route = "NEWTON"
-        if res.status == "DIVERGENT":
-            annotations.append("DIVERGENT")
+    res = _penalty_min(pen, market.probs, market.excess_matrix.T)
+    if pen.g_kind == "ENTROPY":
+        z_pen = res.value  # E[z log z] = lam . E[z e] - K = -K to the gradient
     else:
-        gprime = pen.g_prime or _numeric_prime(pen.g)
-        z, v_star, gap, iterations = _frank_wolfe_min(poly, market.probs, pen.g, gprime)
-        witness = DualWitness.of(poly, z, penalty=v_star)
-        route = "FRANK_WOLFE"
-        if gap > FW_TOL:
-            annotations.append("GAP_NOT_CLOSED")
+        z_pen = expected_penalty(res.z)
+    v_star = res.value
+    witness = DualWitness.of(poly, res.z, penalty=z_pen)
 
     strong_ok = v_star <= beta + ZERO_TOL
     strict_ok = (cl.delta > ZERO_TOL) and (v_star < beta - ZERO_TOL)
@@ -480,8 +378,9 @@ def _penalty_check(market: ScenarioMarket, pen: RiskSpec) -> GEntropicResult:
         witness = DualWitness.of(poly, z_mix, penalty=expected_penalty(z_mix))
     return GEntropicResult(v_star=v_star, beta=beta, delta_classical=cl.delta,
                            strong_ok=strong_ok, strict_ok=strict_ok, witness=witness,
-                           route=route, gap=gap, annotations=tuple(annotations),
-                           iterations=iterations)
+                           route="NEWTON", gap=res.gradient_norm,
+                           annotations=("DIVERGENT",) if res.status == "DIVERGENT" else (),
+                           iterations=res.iterations)
 
 
 # -- classification ----------------------------------------------------------

@@ -30,8 +30,8 @@ from numpy.typing import NDArray
 
 from .lp import OPTIMAL, LinearProgram, SimplexError, lp_solve
 from .market import ScenarioMarket, canonical_portfolio, excess_return
-from .measures import RiskSpec, evaluate, penalty
-from .solvers import CumulantResult, newton_cumulant_min, newton_power_min
+from .measures import RiskSpec, conjugate, evaluate, penalty
+from .solvers import CumulantResult, newton_conjugate_min, newton_cumulant_min
 
 Vector = NDArray[np.float64]
 
@@ -172,13 +172,14 @@ def _penalty_min(pen: RiskSpec, probs: Vector, rows: Vector, lam0: Vector | None
                  nu0: float = 1.0) -> CumulantResult:
     """Least E[g(Z)] over the densities Z that price the rows (shape (N, d)).
 
-    pen is an ENTROPY or POWER penalty ball; its Newton kernel is
-    newton_cumulant_min or newton_power_min, warm-started at lam0 (and nu0,
-    which only the power kernel has).
+    pen is a penalty ball.  ENTROPY runs newton_cumulant_min, every other g
+    newton_conjugate_min on measures.conjugate, warm-started at lam0 (and
+    nu0, which only the conjugate kernel has).
     """
     if pen.g_kind == "ENTROPY":
         return newton_cumulant_min(probs, rows, lam0=lam0)
-    return newton_power_min(probs, rows, pen.q, lam0=lam0, nu0=nu0)
+    conj, floor = conjugate(pen, probs)
+    return newton_conjugate_min(probs, rows, conj, floor, lam0=lam0, nu0=nu0)
 
 
 def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
@@ -191,8 +192,8 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     penalty <= beta prices the shifted excess e + t a, with a = mu - r.
     The least such penalty V(t) is the minimum of _penalty_min on the rows
     e + t a: newton_cumulant_min for EVaR (Csiszar's I-projection,
-    V(t) = -min_lam log E exp(lam . (e + t a))), newton_power_min for
-    TNORM.  V is convex in t (E[Z (e + t a)] = 0 is linear in (Z, t)),
+    V(t) = -min_lam log E exp(lam . (e + t a))), newton_conjugate_min
+    for TNORM.  V is convex in t (E[Z (e + t a)] = 0 is linear in (Z, t)),
     V(-1) = g(1) at Z = 1, and V'(t) = -lam* . a by the envelope
     theorem.  No density prices e + t a above the WC slice minimum t_max,
     so rho_1 is the root of V(t) = beta in [-1, t_max].
@@ -284,7 +285,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
             step = -over / slope
             if abs(step) <= EVAR_ROOT_TOL * (1.0 + abs(t)):
                 return result(-res.lam, evals, t + step)
-            lam, nu0 = res.lam, getattr(res, "nu", nu0)  # only PowerResult has nu
+            lam, nu0 = res.lam, getattr(res, "nu", nu0)  # only ConjugateResult has nu
             t_new = t + step
             if t_new < best_bound:
                 best_pi, best_bound = -res.lam, t_new

@@ -17,7 +17,12 @@ A level-1 spectral atom is ES^1 = E[-x].  The GENTROPIC kind never gets a
 primal evaluator here; EVAR and TNORM are its two closed-form instances and
 are evaluated directly.  RiskSpec.penalty_ball maps EVAR, TNORM and
 GENTROPIC to the GENTROPIC spec of their dual set {Z : E[g(Z)] <= beta},
-and penalty(spec, z) is that set's g.
+penalty(spec, z) is that set's g, and conjugate(spec, probs) its conjugate
+g*(s) = max over z of s z - g(z), on which the least penalty over the
+martingale densities is minimized by Newton (solvers.newton_conjugate_min).
+A POWER g has the closed form s+^p / p; a CUSTOM g is maximized over the
+box 0 <= z <= 1/p_omega, which holds every density (E[Z] = 1, Z >= 0),
+so the box changes no minimum and keeps g* finite.
 """
 
 from __future__ import annotations
@@ -381,3 +386,71 @@ def penalty(spec: RiskSpec, z) -> Vector:
     if spec.g_kind == "POWER":
         return np.abs(z) ** spec.q / spec.q
     return spec.g(z)
+
+
+def _numeric_prime(gfun: Callable) -> Callable:
+    def prime(z: Vector) -> Vector:
+        z = np.asarray(z, dtype=np.float64)
+        h = 1e-6
+        lo = np.maximum(z - h, 0.0)
+        hi = z + h
+        return (gfun(hi) - gfun(lo)) / (hi - lo)
+    return prime
+
+
+def conjugate(spec: RiskSpec, probs) -> tuple[Callable[[Vector], tuple[float, Vector, Vector]],
+                                               float]:
+    """The conjugate g*(s) = max over z of s z - g(z) of a POWER or CUSTOM
+    spec, and the floor of its dual.
+
+    The returned function maps s (one entry per scenario) to E[g*(s)]
+    under probs, the density (g*)'(s), which is the maximizing z, and the
+    curvature (g*)''(s).  The floor is minus the largest penalty a density
+    can have, which puts all its mass 1/p_omega on one scenario: max over
+    omega of p_omega g(1/p_omega) + (1 - p_omega) g(0), (min p)^(1-q) / q
+    for POWER.  POWER has the closed form g*(s) = s+^p / p,
+    p = q / (q - 1), with density s+^(p-1).  CUSTOM maximizes over the box
+    0 <= z <= 1/p_omega: every density in M has E[Z] = 1 and Z >= 0, so
+    Z <= 1/p_omega, and the box changes no minimum over M while it keeps
+    g* finite for every s.  The maximizer solves g'(z) = s (g' from
+    spec.g_prime, else a central difference of g) by a 64-halving
+    bisection of the box, and sits at 0 or 1/p_omega where g' does not
+    cross s there; its curvature is 1/g''(z) inside the box (g'' a central
+    difference of g'), 0 on its ends.
+    """
+    pr = np.asarray(probs, dtype=np.float64)
+    if spec.g_kind == "POWER":
+        p_exp = spec.q / (spec.q - 1.0)
+
+        def power(s: Vector) -> tuple[float, Vector, Vector]:
+            s = np.maximum(s, 0.0)
+            pos = s > 0.0
+            # s+^(p-2) is unbounded at the kink for p < 2; the clip keeps it finite.
+            curv = np.zeros_like(s)
+            curv[pos] = (p_exp - 1.0) * np.maximum(s[pos], 1e-150) ** (p_exp - 2.0)
+            return float(pr @ s ** p_exp) / p_exp, s ** (p_exp - 1.0), curv
+
+        return power, -float(pr.min()) ** (1.0 - spec.q) / spec.q
+    g = spec.g
+    g_prime = spec.g_prime or _numeric_prime(g)
+    g_second = _numeric_prime(g_prime)
+    top = 1.0 / pr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope_lo, slope_hi = g_prime(np.zeros_like(pr)), g_prime(top)
+        floor = -float(np.max(pr * g(top) + (1.0 - pr) * g(np.zeros(1))))
+
+    def custom(s: Vector) -> tuple[float, Vector, Vector]:
+        # Bisection keeps g'(z) < s (or z = 0) with the root in [z, z + 2 w].
+        z, w = np.zeros_like(pr), top.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(64):
+                w *= 0.5
+                mid = z + w
+                np.copyto(z, mid, where=g_prime(mid) < s)
+            z = np.where(slope_hi <= s, top, z)
+            inside = (slope_lo < s) & (s < slope_hi)
+            bend = g_second(z)
+            curv = np.where(inside & (bend > 0.0), 1.0 / bend, 0.0)
+            return float(pr @ (s * z - g(z))), z, curv
+
+    return custom, floor

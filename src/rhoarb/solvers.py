@@ -3,18 +3,21 @@
 One bracketed root search for increasing scalar functions (Illinois false
 position with a bisection safeguard), which finds the minimizers of the
 EVaR and TNORM evaluators through their first-order conditions and the
-elliptical critical level; one damped Newton loop with two kernels
-for the smooth duals of the penalty minima over martingale densities, the
-cumulant log E exp(lam . e) of the entropy penalty and the power conjugate
-E[(nu + lam . e)+^p / p] - nu of E[Z^q / q] (the EVaR and TNORM slice roots
-evaluate them along a shift).  Both are deterministic.
+elliptical critical level; one damped Newton loop with two kernels for
+the smooth duals of the penalty minima min E[g(Z)] over martingale
+densities: the cumulant log E exp(lam . e) of the entropy penalty, and
+the conjugate E[g*(nu + lam . e)] - nu of any other penalty, where
+g*(s) = max over z of s z - g(z) comes from measures.conjugate (for a
+custom g over the box 0 <= z <= 1/p_omega, which holds every density).
+The EVaR and TNORM slice roots evaluate them along a shift.  Both are
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -92,12 +95,12 @@ class CumulantResult:
 
 
 @dataclass(frozen=True, eq=False)
-class PowerResult(CumulantResult):
-    """Outcome of the power-penalty minimization.
+class ConjugateResult(CumulantResult):
+    """Outcome of the conjugate minimization of a penalty E[g(Z)].
 
-    value is v* = max over (nu, lam) of nu - E[(nu + lam . e)+^p / p], the
-    least E[Z^q / q] over the martingale densities of the rows; z is the
-    density (nu + lam . e)+^(p-1) at the final iterate, so E[z] = 1 holds
+    value is v* = max over (nu, lam) of nu - E[g*(nu + lam . e)], the
+    least E[g(Z)] over the martingale densities of the rows; z is the
+    density (g*)'(nu + lam . e) at the final iterate, so E[z] = 1 holds
     only to the gradient tolerance, and value is +inf when no density
     prices the rows.  gradient_norm is the max-norm of
     (E[z] - 1, E[z e] / max |e|).  The other fields read as in
@@ -111,14 +114,14 @@ class PowerResult(CumulantResult):
 class _NewtonRun:
     x: Vector
     value: float
-    state: Vector
+    state: Any
     gradient_norm: float
     status: str
     iterations: int
 
 
-def _damped_newton(value: Callable[[Vector], tuple[float, Vector]],
-                   derivatives: Callable[[Vector], tuple[Vector, Vector]],
+def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
+                   derivatives: Callable[[Any], tuple[Vector, Vector]],
                    x0: Vector, *, floor: float, step_test: bool = True) -> _NewtonRun:
     """Minimize a convex f given on scaled rows by damped Newton steps.
 
@@ -240,27 +243,26 @@ def newton_cumulant_min(probs: Vector, excess: Vector, *,
                           iterations=run.iterations)
 
 
-def newton_power_min(probs: Vector, excess: Vector, q: float, *,
-                     lam0: Vector | None = None, nu0: float = 1.0) -> PowerResult:
-    """Minimize E[Z^q / q] over the densities Z >= 0 with E[Z] = 1, E[Z e] = 0.
+def newton_conjugate_min(probs: Vector, excess: Vector,
+                         conjugate: Callable[[Vector], tuple[float, Vector, Vector]],
+                         floor: float, *, lam0: Vector | None = None,
+                         nu0: float = 1.0) -> ConjugateResult:
+    """Minimize E[g(Z)] over the densities Z >= 0 with E[Z] = 1, E[Z e] = 0.
 
-    With p = q / (q - 1) the conjugate of z^q / q on z >= 0 is s+^p / p, so
-    the minimum is max over (nu, lam) of nu - E[(nu + lam . e)+^p / p],
-    attained with Z = (nu + lam . e)+^(p-1) whenever some density prices
-    the rows.  Newton runs on F = E[s+^p / p] - nu, s = nu + lam . e, whose
-    Hessian (p - 1) E[s+^(p-2) (1, e)(1, e)'] is piecewise constant at
-    p = 2, where the method is semismooth Newton.  lam0 (in the units of
-    e) and nu0 warm-start it; the default start is Z = 1.  F >= -E[Z^q] / q
-    >= -(min p)^(1-q) / q for every pricing density Z, the floor of
-    _damped_newton.  The maximum is attained whenever a density prices the
-    rows, but on a face of M it need not be unique (rows with s <= 0 add
-    no curvature), so DIVERGENT here means that no density prices the rows
-    or that the gradient did not close.
+    The minimum is the max over (nu, lam) of nu - E[g*(nu + lam . e)],
+    attained with Z = (g*)'(nu + lam . e) whenever some density prices the
+    rows.  conjugate(s) returns E[g*(s)], the density (g*)'(s) and the
+    curvature (g*)''(s) (measures.conjugate).  Newton runs on
+    F = E[g*(s)] - nu, s = nu + lam . e, with gradient E[Z (1, e)] - (1, 0)
+    and Hessian E[(g*)''(s) (1, e)(1, e)'].  lam0 (in the units of e) and
+    nu0 warm-start it; the default start is nu = 1, lam = 0.  F >= -E[g(Z)]
+    for every pricing density Z, so floor, the negated largest penalty a
+    density can have, is the floor of _damped_newton.  The maximum is
+    attained whenever a density prices the rows, but on a face of M it
+    need not be unique (rows where g* is flat add no curvature), so
+    DIVERGENT here means that no density prices the rows or that the
+    gradient did not close.
     """
-    q = float(q)
-    if not q > 1.0:
-        raise ValueError("power penalty needs q > 1")
-    p_exp = q / (q - 1.0)
     pr = np.asarray(probs, dtype=np.float64)
     E, scale = _scaled_rows(excess)
     rows = np.hstack([np.ones((E.shape[0], 1)), E])
@@ -269,22 +271,17 @@ def newton_power_min(probs: Vector, excess: Vector, q: float, *,
     if lam0 is not None:
         x0[1:] = np.asarray(lam0, dtype=np.float64) * scale
 
-    def value(x: Vector) -> tuple[float, Vector]:
-        s = np.maximum(rows @ x, 0.0)
-        return float(pr @ s ** p_exp) / p_exp - x[0], s
+    def value(x: Vector) -> tuple[float, tuple[Vector, Vector]]:
+        g_star, z, curv = conjugate(rows @ x)
+        return g_star - x[0], (z, curv)
 
-    def derivatives(s: Vector) -> tuple[Vector, Vector]:
-        grad = rows.T @ (pr * s ** (p_exp - 1.0))
+    def derivatives(state: tuple[Vector, Vector]) -> tuple[Vector, Vector]:
+        z, curv = state
+        grad = rows.T @ (pr * z)
         grad[0] -= 1.0
-        pos = s > 0.0
-        # s+^(p-2) is unbounded at the kink for p < 2; the clip keeps it finite.
-        curv = np.zeros_like(s)
-        curv[pos] = (p_exp - 1.0) * pr[pos] * np.maximum(s[pos], 1e-150) ** (p_exp - 2.0)
-        return grad, rows.T @ (curv[:, None] * rows)
+        return grad, rows.T @ ((pr * curv)[:, None] * rows)
 
-    floor = -float(pr.min()) ** (1.0 - q) / q
     run = _damped_newton(value, derivatives, x0, floor=floor, step_test=False)
-    return PowerResult(lam=run.x[1:] / scale, value=-run.value,
-                       z=run.state ** (p_exp - 1.0), status=run.status,
-                       gradient_norm=run.gradient_norm, iterations=run.iterations,
-                       nu=float(run.x[0]))
+    return ConjugateResult(lam=run.x[1:] / scale, value=-run.value, z=run.state[0],
+                           status=run.status, gradient_norm=run.gradient_norm,
+                           iterations=run.iterations, nu=float(run.x[0]))

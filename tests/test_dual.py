@@ -197,6 +197,54 @@ def test_gentropic_power_matches_grid_oracle():
         done += 1
 
 
+def test_custom_penalty_matches_the_closed_form_kernels():
+    # A CUSTOM g runs the conjugate kernel on its conjugate over the box
+    # 0 <= z <= 1/p, found by bisection on g' (given, or a central difference
+    # of g).  On z^q / q and z log z it must give the closed-form kernels'
+    # numbers: the POWER conjugate and the ENTROPY cumulant.
+    rng = np.random.default_rng(113)
+    markets = ([make_random_market(rng, n_max=10, d_max=3) for _ in range(4)]
+               + [make_tanh_priced_market(rng, 15, 3) for _ in range(2)]
+               + [make_drift_market(rng, 15, 3, 0.5) for _ in range(2)])
+    entropy = (lambda z: z * np.log(np.maximum(z, 1e-300)), lambda z: np.log(z) + 1.0)
+    for market in markets:
+        pairs = [("entropy", entropy)]
+        for q in (1.5, 2.0, 3.0, 6.0):
+            g = lambda z, q=q: z ** q / q
+            pairs += [(("power", q), g), (("power", q), (g, lambda z, q=q: z ** (q - 1.0)))]
+        for closed, custom in pairs:
+            ref, res = gentropic_check(market, closed, 10.0), gentropic_check(market, custom, 10.0)
+            assert res.route == "NEWTON"
+            assert abs(res.v_star - ref.v_star) <= 1e-12 * ref.v_star, (closed, res.v_star, ref.v_star)
+            assert (res.strong_ok, res.strict_ok) == (ref.strong_ok, ref.strict_ok)
+            if "DIVERGENT" not in ref.annotations:
+                assert "DIVERGENT" not in res.annotations, (closed, res.gap)
+
+
+def test_custom_penalties_match_frank_wolfe():
+    # g whose plain conjugate is infinite somewhere (sqrt(1 + z^2) above
+    # s = 1), whose g' is flat (Huber-like) or unbounded (-log z at 0), or
+    # whose g' is negative at 1 ((z - 1)^2): the box 0 <= z <= 1/p keeps g*
+    # finite and every root of g'(z) = s bracketed.  The reference is
+    # away-step Frank-Wolfe over M, run until its gap is at most 1e-8 (its
+    # LP oracle needs a finite gradient at the vertices, hence the clip).
+    market = make_tanh_priced_market(np.random.default_rng(83), 30, 3)
+    cases = [
+        (lambda z: np.sqrt(1.0 + z ** 2), lambda z: z / np.sqrt(1.0 + z ** 2), 1.6),
+        (lambda z: np.where(z < 2.0, z ** 2 / 4.0, z - 1.0),
+         lambda z: np.where(z < 2.0, z / 2.0, 1.0), 0.5),
+        (lambda z: -np.log(z), lambda z: -1.0 / np.maximum(z, 1e-12), 0.5),
+        (lambda z: (z - 1.0) ** 2, lambda z: 2.0 * (z - 1.0), 0.5),
+    ]
+    for g, g_prime, beta in cases:
+        res = gentropic_check(market, g, beta)
+        z, v, gap, _ = oracles.frank_wolfe_min(market.polytope, market.probs, g, g_prime)
+        assert gap <= 1e-8
+        assert res.route == "NEWTON" and not res.annotations
+        assert abs(res.v_star - v) <= 1e-9 * abs(v), (res.v_star, v)
+        assert res.witness.residual <= 1e-9
+
+
 # -- spectral mixtures ----------------------------------------------------------
 
 

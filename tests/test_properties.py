@@ -1,5 +1,6 @@
-"""Invariances of the ES dual test, of rho1 and the verdicts, and of the
-EVaR and TNORM evaluators, as Hypothesis properties.
+"""Invariances of the ES dual test, of rho1 and the verdicts, of a custom
+penalty's least value, and of the EVaR and TNORM evaluators, as
+Hypothesis properties.
 
 min ||Z||_inf over the martingale densities, the dual verdict and the
 primal/dual agreement status depend on the market only through the law
@@ -7,10 +8,11 @@ of the excess returns, and t* and both verdicts are unitless.  So they
 must not change when the scenarios are listed in another order (which
 also reorders the ties the sup-norm LP's crash start breaks), when one
 scenario is split into two with the same returns, or when returns and
-the riskless rate are quoted in other units.  rho1 and every verdict
-depend on the assets only through the span of their excess returns, so
-they must not change when the assets are replaced by invertible
-combinations of themselves.  Likewise a law-invariant,
+the riskless rate are quoted in other units; nor must rho1, every
+verdict, or v* = min E[g(Z)] over the martingale densities.  rho1 and
+every verdict depend on the assets only through the span of their
+excess returns, so they must not change when the assets are replaced by
+invertible combinations of themselves.  Likewise a law-invariant,
 positively homogeneous and cash-additive measure gives rho(c x + m) =
 c rho(x) - m and ignores the order and the splitting of scenarios.
 """
@@ -23,7 +25,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (make_dominating_market, make_drift_market, make_random_market,
                       make_tanh_priced_market)
-from rhoarb.dual import cross_validate
+from rhoarb.dual import cross_validate, gentropic_check
 from rhoarb.market import ScenarioMarket
 from rhoarb.measures import RiskSpec, eval_evar, eval_tnorm
 
@@ -121,6 +123,60 @@ def test_rho1_and_verdicts_invariant_under_change_of_assets(kind, drawn, seed):
     assert cv_other.primal.verdict == cv.primal.verdict
     assert cv_other.dual.verdict == cv.dual.verdict
     assert cv_other.status == cv.status
+
+
+def changed(market: ScenarioMarket, change: str, seed: int, share: float,
+            k: int) -> ScenarioMarket:
+    """market with its scenarios permuted, one scenario split in two (share
+    and 1 - share of its probability, same returns), or returns and the
+    riskless rate quoted in units 10^k times smaller."""
+    r, R, p = market.riskless_rate, market.returns, market.probs
+    if change == "permutation":
+        order = np.random.default_rng(seed).permutation(market.n_scenarios)
+        return ScenarioMarket(probs=p[order], riskless_rate=r, returns=R[:, order])
+    if change == "split":
+        i = seed % market.n_scenarios
+        q = p.copy()
+        q[i] *= share
+        return ScenarioMarket(probs=np.append(q, p[i] - q[i]), riskless_rate=r,
+                              returns=np.hstack([R, R[:, [i]]]))
+    return ScenarioMarket(probs=p, riskless_rate=r * 10.0 ** k, returns=R * 10.0 ** k)
+
+
+SCENARIO_CHANGES = ("permutation", "split", "units")
+scenario_changes = (st.integers(0, 10**6), st.floats(0.1, 0.9), st.integers(-6, 6))
+
+
+@pytest.mark.parametrize("change", SCENARIO_CHANGES)
+@pytest.mark.parametrize("kind", ASSET_SPECS)
+@given(markets, *scenario_changes)
+def test_rho1_and_verdicts_invariant_under_scenario_changes(kind, change, drawn, seed,
+                                                            share, k):
+    market = build(*drawn)
+    other = changed(market, change, seed, share, k)
+    spec = ASSET_SPECS[kind]
+    cv, cv_other = cross_validate(market, spec), cross_validate(other, spec)
+    assert abs(cv_other.rho1 - cv.rho1) <= 1e-9 * (1.0 + abs(cv.rho1))
+    assert cv_other.primal.verdict == cv.primal.verdict
+    assert cv_other.dual.verdict == cv.dual.verdict
+    assert cv_other.status == cv.status
+
+
+@pytest.mark.parametrize("change", SCENARIO_CHANGES)
+@given(markets, *scenario_changes)
+def test_custom_penalty_invariant_under_scenario_changes(change, drawn, seed, share, k):
+    # v* = min E[sqrt(1 + Z^2)] over M.  A custom g takes its conjugate over
+    # the box 0 <= z <= 1/p_omega, and splitting a scenario widens the box of
+    # both halves, which must not move v*: every density of M lies inside.
+    market = build(*drawn)
+    other = changed(market, change, seed, share, k)
+    g = (lambda z: np.sqrt(1.0 + z ** 2), lambda z: z / np.sqrt(1.0 + z ** 2))
+    res, res_other = gentropic_check(market, g, 1.6), gentropic_check(other, g, 1.6)
+    if math.isinf(res.v_star):
+        assert math.isinf(res_other.v_star)
+    else:
+        assert abs(res_other.v_star - res.v_star) <= 1e-9 * res.v_star
+    assert (res_other.strong_ok, res_other.strict_ok) == (res.strong_ok, res.strict_ok)
 
 
 # -- the EVaR and TNORM evaluators ------------------------------------------------
