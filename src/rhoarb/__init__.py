@@ -7,9 +7,8 @@ forms for elliptical models.
 """
 
 from .dual import (ClassicalResult, CrossValidation, DualWitness,
-                   GEntropicResult, SpectralResult, SupnormResult,
-                   classical_no_arbitrage, classify_dual, cross_validate,
-                   es_min_supnorm, gentropic_check, spectral_check)
+                   GEntropicResult, SupnormResult, classical_no_arbitrage,
+                   classify_dual, cross_validate, es_min_supnorm, gentropic_check)
 from .elliptical import (EllipticalMarket, classify_trichotomy, critical_alpha,
                          gaussian_rho_z, phase_curve_rows, sr_max)
 from .frontier import (ArbitrageVerdict, FrontierResult,
@@ -30,12 +29,12 @@ __all__ = [
     "DegenerateMarketError", "DualWitness", "EllipticalMarket",
     "FrontierResult", "GEntropicResult", "LPSolution", "LinearProgram",
     "MartingalePolytope", "RiskSpec", "ScenarioMarket",
-    "SimplexError", "SpectralResult", "SupnormResult", "UnsupportedDualError",
+    "SimplexError", "SupnormResult", "UnsupportedDualError",
     "UnsupportedGlobalMinError", "UnsupportedPrimalError",
     "canonical_portfolio", "classical_no_arbitrage", "classify_dual",
     "classify_primal", "classify_trichotomy", "compute_rho1",
     "critical_alpha", "cross_validate", "es_min_supnorm",
     "evaluate", "excess_return", "expected_excess", "frontier_points",
     "gaussian_rho_z", "gentropic_check", "lp_solve", "newton_cumulant_min",
-    "phase_curve_rows", "spectral_check", "sr_max", "validate_market",
+    "phase_curve_rows", "sr_max", "validate_market",
 ]

@@ -13,7 +13,8 @@ statement about M:
     ES        strong-form: min sup-norm t* over M is <= 1/alpha;
               strict: t* < 1/alpha and classical delta* > 0
     SPECTRAL  strong-form: a mixture Z = sum_j w_j zeta_j in M with each
-              zeta_j in the level-alpha_j box; strict: same with margins
+              zeta_j in the level-alpha_j box; strict: same, strictly
+              inside the boxes, and classical delta* > 0
     GENTROPIC strong-form: v* = min_{Z in M} E[g(Z)] <= beta;
               strict: classical delta* > 0 and v* < beta
 
@@ -23,13 +24,13 @@ witness into a density strictly inside the dual set keeps it inside and
 makes it strictly positive (_mix_positive).  The classical and sup-norm
 LPs keep the d + 1 rows of M.
 
-Both SPECTRAL tests are one box-mixture LP.  It maximizes the relative
-margin eps with which each atom's zeta_j, E[zeta_j] = 1, stays in
-[cap_j eps, cap_j (1 - eps)], cap_j = 1/alpha_j.  The Charnes-Cooper
-scaling zeta_j = cap_j ((s - 1)/2 + y_j)/s, y_j in [0, 1]^N, s >= 1,
-eps = (s - 1)/(2 s) makes it linear, with one row per free atom and one
-per asset.  Infeasible means the strong form fails, eps* = 0 means
-rho-arbitrage, eps* > 0 means no arbitrage.
+A spectral measure is a mixture of ES atoms, and its strong form is one
+box-scale LP: the least common scale kappa* of the boxes zeta_j <=
+kappa / alpha_j at which a mixture lies in M, with one block of N
+variables and one row per atom below level 1, plus one row per asset
+(es_min_supnorm with a spectrum).  Read as t* = kappa* / alpha_1 it is
+the sup-norm LP when the spectrum is one atom, so ES and SPECTRAL share
+the LP, the bound t* < 1/alpha_1 and the classifier.
 
 Every penalty minimizes through an unconstrained smooth dual in d + 1 or
 fewer variables by damped Newton (no gap on finite scenario spaces): the
@@ -49,7 +50,7 @@ from numpy.typing import NDArray
 
 from .frontier import (ArbitrageVerdict, CLASSIFY_TOL, _penalty_min, compute_rho1,
                        classify_primal)
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, SimplexError, lp_solve
+from .lp import INFEASIBLE, OPTIMAL, LinearProgram, SimplexError, lp_solve
 from .market import MartingalePolytope, ScenarioMarket
 from .measures import RiskSpec, UnsupportedDualError, penalty
 
@@ -124,154 +125,106 @@ class SupnormResult:
     iterations: int = 0              # simplex pivots and bound flips of its LP
 
 
-def es_min_supnorm(market: ScenarioMarket) -> SupnormResult:
-    """t* = min ||Z||_inf over M; no strong ES-arbitrage iff t* <= 1/alpha.
+def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
+    """t* = min ||Z||_inf over M, or the least box scale of a spectral mixture.
 
-    Charnes-Cooper scaling Z = y / s with y in [0, 1]^N turns it into
-    max s subject to A y = s b, with the d + 1 rows of M; t* = 1 / s*.
-    s* = 0 means M is empty.
+    A spectrum, (level, weight) atoms sorted by level as RiskSpec keeps
+    them, has the dual set of densities Z = w_pin + sum_j w_j zeta_j with
+    E[zeta_j] = 1 and 0 <= zeta_j <= 1/alpha_j: j runs over the atoms below
+    level 1, and w_pin is the weight of the level-1 atoms, whose zeta is 1.
+    (With no atom below level 1, j runs over the level-1 atoms and
+    w_pin = 0.)  Scaling every box by kappa, the program has one block
+    y_j in [0, 1]^N per atom and the scale sigma = E[y_1] of the first:
+
+        E[y_j] - (alpha_j / alpha_1) sigma = 0                 (each atom)
+        sum_j (w_j alpha_1)/(w_1 alpha_j) E[y_j e] + (w_pin/w_1) sigma E[e] = 0,
+
+    the J + d rows; it maximizes sigma, with zeta_j = alpha_1 y_j /
+    (alpha_j sigma) and t* = 1/sigma* = kappa*/alpha_1.  So the mixture
+    fits its boxes iff t* <= 1/alpha_1, and the witness is
+    Z = w_pin + sum_j (w_j/alpha_j)(alpha_1/sigma) y_j.  The default, one
+    atom, is the Charnes-Cooper scaling Z = y / s of min ||Z||_inf over M:
+    max s subject to A y = s b, with the d + 1 rows of M; no strong
+    ES-arbitrage iff t* <= 1/alpha.  sigma* = 0 means no mixture lies in M
+    (M is empty unless w_pin > 0).
 
     The simplex starts at the optimum of the program with only the pricing
     row of the Gaussian tangency portfolio pi_T (ScenarioMarket.tangency)
-    kept, not at y = 0.  With excess x = pi_T . e, that row relaxes M to
-    M_1 = {Z >= 0 : E[Z] = 1, E[Z x] = 0}, and the program to max E[y]
-    subject to E[y x] = 0, y in [0, 1]^N: a fractional knapsack.  Its
-    optimum takes y = 1 on the scenarios in ascending order of x
-    (ScenarioMarket.tangency_order) as long as
-    the partial sums S_k = sum_{i <= k} p_(i) x_(i) stay <= 0, then one
-    fractional y.  The simplex starts at that break-even tail without the
-    fractional scenario, y = 1 on the k* scenarios with S_k* <= 0 and
-    s = their probability, i.e. Z = 1 / P_k* there; this minimizes
-    ||Z||_inf over M_1 up to that one scenario.  With no S_k <= 0, x > 0
-    everywhere: pi_T is an arbitrage, M is empty, and the start stays
-    y = 0, as it does when the covariance is singular.  The start moves
-    only the pivot path; full pricing and the refactor at the optimum
-    certify t*.
+    kept, not at y = 0.  With excess x = pi_T . e and one atom, that row
+    relaxes M to M_1 = {Z >= 0 : E[Z] = 1, E[Z x] = 0}, and the program to
+    max E[y] subject to E[y x] = 0, y in [0, 1]^N: a fractional knapsack.
+    Its optimum takes y = 1 on the scenarios in ascending order of x
+    (ScenarioMarket.tangency_order) as long as the partial sums
+    S_k = sum_{i <= k} p_(i) x_(i) stay <= 0, then one fractional y.  The
+    simplex starts at that break-even tail without the fractional scenario,
+    y = 1 on the k* scenarios with S_k* <= 0 and s = their probability,
+    i.e. Z = 1 / P_k* there; this minimizes ||Z||_inf over M_1 up to that
+    one scenario.  With J atoms the relaxation is a J-block knapsack with
+    nested worst tails: at each breakpoint u = P_k of the first block,
+    block j takes the worst scenarios up to probability u alpha_j/alpha_1
+    (the last one fractional), and the start is the largest u at which the
+    weighted pricing-row sum stays <= 0.  With no such u, pi_T is an
+    arbitrage of M_1 and the start stays y = 0, as it does when the
+    covariance is singular.  The start moves only the pivot path; full
+    pricing and the refactor at the optimum certify t*.
     """
+    atoms = tuple(spectrum or ((1.0, 1.0),))
+    blocks = [(a, w) for a, w in atoms if a < 1.0]
+    w_pin = sum((w for a, w in atoms if a >= 1.0), 0.0) if blocks else 0.0
+    blocks = blocks or list(atoms)
+    a1, w1 = blocks[0]
+    ratio = [a / a1 for a, _ in blocks]
+    coef = np.array([(w * a1) / (w1 * a) for a, w in blocks])
     poly = market.polytope
-    rows, N = poly.A.shape
-    c = np.zeros(N + 1)
-    c[N] = -1.0
-    A_eq = np.hstack([poly.A, -poly.b[:, None]])
-    upper = np.concatenate([np.ones(N), [np.inf]])
+    p, mart = poly.A[0], poly.A[1:]
+    J, (d, N) = len(blocks), mart.shape
+    A_eq = np.zeros((J + d, J * N + 1))
+    for j in range(J):
+        A_eq[j, j * N:(j + 1) * N] = p
+        A_eq[j, -1] = -ratio[j]
+        A_eq[J:, j * N:(j + 1) * N] = coef[j] * mart
+    if w_pin:
+        A_eq[J:, -1] = (w_pin / w1) * market.mean_excess
+    c = np.zeros(J * N + 1)
+    c[-1] = -1.0
+    upper = np.concatenate([np.ones(J * N), [np.inf]])
     start = None
     order = market.tangency_order
     if order is not None:
-        x = market.tangency @ market.excess_matrix
-        even = np.flatnonzero(np.cumsum(poly.A[0, order] * x[order]) <= 0.0)
+        x = (market.tangency @ market.excess_matrix)[order]
+        P, C = np.cumsum(p[order]), np.cumsum(p[order] * x)
+        P0, C0 = np.r_[0.0, P], np.r_[0.0, C]
+
+        def cut(mass):  # the scenario, in order, where the worst tail of this mass ends
+            return np.minimum(np.searchsorted(P, mass), N - 1)
+
+        # The weighted pricing-row sum at each breakpoint u = P_k of block 1.
+        row = C + (w_pin / w1) * float(market.tangency @ market.mean_excess) * P
+        for j in range(1, J):
+            i = cut(P * ratio[j])
+            row = row + coef[j] * (C0[i] + (P * ratio[j] - P0[i]) * x[i])
+        even = np.flatnonzero((row <= 0.0) & (P * ratio[-1] <= P[-1]))
         if even.size:
-            tail = order[:even[-1] + 1]
-            start = np.zeros(N + 1)
-            start[tail] = 1.0
-            start[N] = poly.A[0, tail].sum()
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(rows), upper=upper,
+            start = np.zeros(J * N + 1)
+            start[order[:even[-1] + 1]] = 1.0
+            start[-1] = sigma = p[order[:even[-1] + 1]].sum()
+            for j in range(1, J):
+                mass = sigma * ratio[j]
+                i = int(cut(mass))
+                start[j * N + order[:i]] = 1.0
+                start[j * N + order[i]] = min(max((mass - P0[i]) / p[order[i]], 0.0), 1.0)
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(J + d), upper=upper,
                                  start=start))
     if sol.status != OPTIMAL:
         raise SimplexError(f"sup-norm LP returned {sol.status}")
-    s = float(sol.x[N])
+    s = float(sol.x[-1])
     if s <= EMPTY_SCALE:
         return SupnormResult(status=INFEASIBLE, t=math.inf, witness=None,
                              iterations=sol.iterations)
+    z = coef @ sol.x[:-1].reshape(J, N) / (s / w1)
     return SupnormResult(status=OPTIMAL, t=1.0 / s,
-                         witness=DualWitness.of(poly, sol.x[:N] / s),
+                         witness=DualWitness.of(poly, z + w_pin if w_pin else z),
                          iterations=sol.iterations)
-
-
-# -- box mixtures (SPECTRAL) -------------------------------------------------
-
-
-def _box_mixture(market: ScenarioMarket,
-                 atoms) -> tuple[float, float, DualWitness | None, int]:
-    """Largest relative margin eps of a mixture Z = sum_j w_j zeta_j in M.
-
-    Atoms with alpha_j >= 1 are pinned to zeta_j = 1 (total weight w_pin);
-    every free atom has cap_j = 1/alpha_j, E[zeta_j] = 1 and
-    zeta_j in [cap_j eps, cap_j (1 - eps)].  Charnes-Cooper scaling
-    zeta_j = cap_j ((s - 1)/2 + y_j) / s with y_j in [0, 1]^N and s >= 1
-    (so eps = (s - 1)/(2 s)) makes every row linear: maximize s subject to
-
-        cap_j E[y_j] + s (cap_j/2 - 1) = cap_j/2           (each free atom)
-        sum_j w_j cap_j E[y_j e] + s (h + w_pin) E[e] = h E[e],
-
-    h = sum_j w_j cap_j / 2, the J_free + d rows.  Infeasible is the strong
-    form failing; s* = 1 is eps = 0; an unbounded s is eps = 1/2, every
-    zeta_j the constant cap_j / 2.
-
-    Returns (eps*, margin, witness, iterations): margin = eps* min_j cap_j
-    bounds every zeta_j from below (0 with no free atom), the witness is the
-    mixture, None when the strong form fails, and iterations counts the
-    LP's simplex pivots and bound flips.
-    """
-    poly = market.polytope
-    p, mart = poly.A[0], poly.A[1:]  # mart @ v = E[v e]
-    d, N = mart.shape
-    free = [(1.0 / a, w) for a, w in atoms if a < 1.0]
-    w_pin = sum((w for a, w in atoms if a >= 1.0), 0.0)
-    J = len(free)
-    h = sum(w * cap for cap, w in free) / 2.0
-    mean_e = mart.sum(axis=1)
-    A_eq = np.zeros((J + d, J * N + 1))
-    b_eq = np.empty(J + d)
-    for j, (cap, w) in enumerate(free):
-        A_eq[j, j * N:(j + 1) * N] = cap * p
-        A_eq[j, -1] = cap / 2.0 - 1.0
-        b_eq[j] = cap / 2.0
-        A_eq[J:, j * N:(j + 1) * N] = w * cap * mart
-    A_eq[J:, -1] = (h + w_pin) * mean_e
-    b_eq[J:] = h * mean_e
-    c = np.zeros(J * N + 1)
-    c[-1] = -1.0
-    lower = np.concatenate([np.zeros(J * N), [1.0]])
-    upper = np.concatenate([np.ones(J * N), [np.inf]])
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper))
-    if sol.status == INFEASIBLE:
-        return 0.0, 0.0, None, sol.iterations
-    if sol.status == UNBOUNDED:
-        eps, y, s = 0.5, np.zeros(J * N), math.inf
-    else:
-        s = float(sol.x[-1])
-        eps, y = 0.5 * (s - 1.0) / s, sol.x[:-1]
-    z = np.full(N, w_pin)
-    for j, (cap, w) in enumerate(free):
-        z += w * cap * (eps + y[j * N:(j + 1) * N] / s)
-    margin = eps * min((cap for cap, _ in free), default=0.0)
-    return eps, margin, DualWitness.of(poly, z), sol.iterations
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralResult:
-    """Spectral dual outcome: strong-form feasibility and the strict margins."""
-
-    strong_feasible: bool
-    strict_ok: bool
-    delta: float                     # cap shrink eps/(1 - eps): zeta_j <= cap_j/(1 + delta)
-    delta_prime: float               # lower margin eps min_j cap_j: zeta_j >= delta_prime
-    witness_strong: DualWitness | None
-    witness_strict: DualWitness | None
-    iterations: int = 0              # simplex pivots and bound flips of its LP
-
-
-def spectral_check(market: ScenarioMarket, spectrum) -> SpectralResult:
-    """Strong and strict mixture tests for a spectral measure, in one LP.
-
-    The box-mixture program maximizes the margin eps with which every free
-    atom's zeta_j stays inside [cap_j eps, cap_j (1 - eps)], cap_j =
-    1/alpha_j.  Infeasible: no mixture lies in M (strong rho-arbitrage).
-    eps* = 0: the mixture touches its boxes (rho-arbitrage).  eps* > 0:
-    a strictly positive mixture lies strictly inside (no arbitrage), read
-    as the shrink delta = eps/(1 - eps) of every cap and the lower margin
-    delta' = eps min_j cap_j; a delta' within ZERO_TOL of 0 counts as 0.
-    With every atom at level 1 there is no box to be inside, so strict
-    never holds.
-    """
-    eps, margin, witness, iterations = _box_mixture(market, tuple(spectrum))
-    strict = margin > ZERO_TOL
-    return SpectralResult(strong_feasible=witness is not None, strict_ok=strict,
-                          delta=eps / (1.0 - eps) if strict else 0.0,
-                          delta_prime=margin if strict else 0.0,
-                          witness_strong=witness,
-                          witness_strict=witness if strict else None,
-                          iterations=iterations)
 
 
 def _mix_positive(z: Vector, z_pos: Vector, value: float, value_pos: float,
@@ -390,8 +343,8 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
                   tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:
     """Trichotomy by the dual criteria for the measure's dual set.
 
-    WC runs the classical LP, ES the sup-norm LP and then the classical LP,
-    SPECTRAL its box-mixture LP; EVAR, TNORM and GENTROPIC test their
+    WC runs the classical LP, ES and SPECTRAL the sup-norm (box-scale) LP
+    and then the classical LP; EVAR, TNORM and GENTROPIC test their
     penalty ball (RiskSpec.penalty_ball).  Raises
     UnsupportedDualError for VaR, which has no dual density set.
     Certificates carry the decisive scalars and a density witness where one
@@ -402,10 +355,8 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
         raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual density set")
     if spec.kind == "WC":
         return _classify_wc(market, tol)
-    if spec.kind == "ES":
-        return _classify_es(market, spec.alpha, tol)
-    if spec.kind == "SPECTRAL":
-        return _classify_spectral(market, spec.spectrum, tol)
+    if spec.kind in ("ES", "SPECTRAL"):
+        return _classify_es(market, spec.spectrum or ((spec.alpha, 1.0),), tol)
     return _classify_gentropic(market, spec.penalty_ball, tol)
 
 
@@ -423,20 +374,28 @@ def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
     return ArbitrageVerdict(verdict="RHO_ARBITRAGE", route="DUAL", certificate=cert)
 
 
-def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageVerdict:
-    """ES at level alpha: no arbitrage iff some Z > 0 in M has ||Z||_inf < 1/alpha.
+def _classify_es(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
+    """ES (the spectrum ((alpha, 1),)) or SPECTRAL: no arbitrage iff some
+    Z > 0 in M lies strictly inside every box of the mixture.
 
-    t* > 1/alpha is strong arbitrage.  Otherwise no arbitrage iff
-    t* < 1/alpha and the classical delta* > 0; the witness is then the
-    sup-norm minimizer, with the classical witness mixed in (_mix_positive)
-    when it has a zero entry.
+    t* (es_min_supnorm) > 1/alpha_1, alpha_1 the lowest level below 1 (1
+    if there is none), is strong arbitrage.  Otherwise no arbitrage iff
+    t* < 1/alpha_1 and the classical delta* > 0; the witness is then the
+    minimizer, with the classical witness mixed in (_mix_positive) when it
+    has a zero entry (which a level-1 atom, Z >= w_pin, rules out).  Put
+    in every box, zeta_j = Z_cl, the classical witness needs the scale
+    ||Z_cl||_inf alpha_J, alpha_J the highest level below 1: that is
+    ||Z_cl||_inf alpha_J / alpha_1 in units of t*.
     """
-    sup = es_min_supnorm(market)
-    bound = 1.0 / alpha
+    levels = [a for a, _ in atoms if a < 1.0] or [1.0]
+    bound = 1.0 / levels[0]
+    sup = es_min_supnorm(market, atoms)
     cert: dict = {"t_star": sup.t, "box_upper": bound, "iterations": sup.iterations}
     if sup.status == INFEASIBLE:
+        # A level-1 atom keeps Z >= w_pin: then sigma* = 0 does not mean M is empty.
+        pinned = atoms[0][0] < 1.0 <= atoms[-1][0]
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=("M_EMPTY",))
+                                certificate=cert, annotations=() if pinned else ("M_EMPTY",))
     cert["witness"] = sup.witness.to_dict()
     ann = ("BOUNDARY",) if abs(sup.t - bound) <= tol else ()
     if sup.t > bound + ZERO_TOL:
@@ -448,30 +407,14 @@ def _classify_es(market: ScenarioMarket, alpha: float, tol: float) -> ArbitrageV
     if sup.t < bound - ZERO_TOL and cl.delta > ZERO_TOL:
         witness = sup.witness
         if witness.min_entry <= 0.0:
-            z = _mix_positive(witness.z, cl.witness.z, witness.sup_norm,
-                              cl.witness.sup_norm, bound)
+            z = _mix_positive(witness.z, cl.witness.z, sup.t,
+                              cl.witness.sup_norm * (levels[-1] / levels[0]), bound)
             witness = DualWitness.of(market.polytope, z)
         cert["witness"] = witness.to_dict()
         return ArbitrageVerdict(verdict="NO_ARBITRAGE", route="DUAL",
                                 certificate=cert, annotations=ann)
     return ArbitrageVerdict(verdict="RHO_ARBITRAGE", route="DUAL", certificate=cert,
                             annotations=ann)
-
-
-def _classify_spectral(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
-    res = spectral_check(market, atoms)
-    cert: dict = {"delta": res.delta, "delta_prime": res.delta_prime,
-                  "strong_feasible": res.strong_feasible, "iterations": res.iterations}
-    if not res.strong_feasible:
-        return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                certificate=cert)
-    cert["witness"] = res.witness_strong.to_dict()
-    if res.strict_ok:
-        cert["witness"] = res.witness_strict.to_dict()
-        ann = ("BOUNDARY",) if res.delta_prime <= tol else ()
-        return ArbitrageVerdict(verdict="NO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=ann)
-    return ArbitrageVerdict(verdict="RHO_ARBITRAGE", route="DUAL", certificate=cert)
 
 
 def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
@@ -536,9 +479,8 @@ def _dual_margin(verdict: ArbitrageVerdict) -> float:
         candidates.append(abs(cert["t_star"] - cert["box_upper"]))
     if "v_star" in cert and math.isfinite(cert["v_star"]):
         candidates.append(abs(cert["v_star"] - cert["beta"]))
-    for key in ("delta_classical", "delta_prime"):
-        if key in cert and cert[key] > ZERO_TOL:
-            candidates.append(cert[key])
+    if cert.get("delta_classical", 0.0) > ZERO_TOL:
+        candidates.append(cert["delta_classical"])
     return min(candidates) if candidates else math.inf
 
 

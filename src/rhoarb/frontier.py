@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 
 from .lp import OPTIMAL, LinearProgram, SimplexError, lp_solve
 from .market import ScenarioMarket, canonical_portfolio, excess_return
-from .measures import RiskSpec, conjugate, evaluate, penalty
+from .measures import RiskSpec, _numeric_prime, conjugate, evaluate, penalty
 from .solvers import CumulantResult, newton_conjugate_min, newton_cumulant_min
 
 Vector = NDArray[np.float64]
@@ -169,16 +169,20 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
 
 
 def _penalty_min(pen: RiskSpec, probs: Vector, rows: Vector, lam0: Vector | None = None,
-                 nu0: float = 1.0) -> CumulantResult:
+                 nu0: float | None = None) -> CumulantResult:
     """Least E[g(Z)] over the densities Z that price the rows (shape (N, d)).
 
     pen is a penalty ball.  ENTROPY runs newton_cumulant_min, every other g
     newton_conjugate_min on measures.conjugate, warm-started at lam0 (and
-    nu0, which only the conjugate kernel has).
+    nu0, which only the conjugate kernel has).  The default start lam = 0,
+    nu = g'(1) is Z = 1; g'(1) is 1 for POWER.
     """
     if pen.g_kind == "ENTROPY":
         return newton_cumulant_min(probs, rows, lam0=lam0)
     conj, floor = conjugate(pen, probs)
+    if nu0 is None:
+        nu0 = 1.0 if pen.g_kind == "POWER" else float(
+            (pen.g_prime or _numeric_prime(pen.g))(np.ones(1))[0])
     return newton_conjugate_min(probs, rows, conj, floor, lam0=lam0, nu0=nu0)
 
 

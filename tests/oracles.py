@@ -6,11 +6,12 @@ vertex enumeration, gradient descent under an exact projection found by
 enumerating active sets, scipy quadrature, the primal shortfall LP, Kelley
 cutting planes) so agreement is meaningful evidence and not a tautology.
 Three exceptions keep former code of the library as the reference for its
-replacement: es_strict_check, the former ES strict test (the one-atom
-box-mixture LP), for the sup-norm plus classical rule;
-lp_ratio_reference, the vectorized ratio test, for the scalar one; and
-frank_wolfe_min, the former away-step Frank-Wolfe over M with LP vertex
-oracles, for the conjugate Newton kernel of the penalty minima.
+replacement: box_mixture, the former ES and SPECTRAL strict test (the
+Charnes-Cooper box-mixture LP, whose one-atom case is es_strict_check),
+for the box-scale plus classical rule; lp_ratio_reference, the vectorized
+ratio test, for the scalar one; and frank_wolfe_min, the former away-step
+Frank-Wolfe over M with LP vertex oracles, for the conjugate Newton kernel
+of the penalty minima.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import integrate, optimize, special, stats
+from scipy import integrate, optimize, sparse, special, stats
 
-from rhoarb.dual import DualWitness, _box_mixture
-from rhoarb.lp import INFEASIBLE, OPTIMAL, PIVOT_TOL, PRIMAL_TOL, LinearProgram, lp_solve
-from rhoarb.market import MartingalePolytope
+from rhoarb.dual import DualWitness
+from rhoarb.lp import (INFEASIBLE, OPTIMAL, PIVOT_TOL, PRIMAL_TOL, UNBOUNDED, LinearProgram,
+                       lp_solve)
+from rhoarb.market import MartingalePolytope, ScenarioMarket
 
 Vector = NDArray[np.float64]
 
@@ -386,6 +388,102 @@ def spectral_mixture_feasible(probs, target_z, atoms, delta=0.0, n=2001):
     return best
 
 
+def spectral_box_scale(market, atoms, z=None) -> float:
+    """Least kappa with Z = w_pin + sum_j w_j zeta_j, E[zeta_j] = 1 and
+    0 <= zeta_j <= kappa / alpha_j, by HiGHS on this direct form.
+
+    j runs over the atoms below level 1 and w_pin is the weight of the
+    level-1 atoms (with no atom below 1, j runs over all of them and
+    w_pin = 0).  Z is the given density z, or any density in the martingale
+    polytope of the market when z is None; inf when no such Z exists.
+    """
+    p = market.probs
+    N = p.size
+    free = [(a, w) for a, w in atoms if a < 1.0]
+    w_pin = sum(w for a, w in atoms if a >= 1.0) if free else 0.0
+    free = free or list(atoms)
+    J = len(free)
+    if z is None:
+        E = market.excess_matrix * p[None, :]
+        mix = sparse.hstack([sparse.csr_matrix(w * E) for _, w in free])
+        rhs = -w_pin * E.sum(axis=1)
+    else:
+        mix = sparse.hstack([w * sparse.identity(N) for _, w in free])
+        rhs = np.asarray(z, dtype=np.float64) - w_pin
+    A_eq = sparse.vstack([sparse.hstack([sparse.kron(sparse.identity(J), p[None, :]),
+                                         sparse.csr_matrix((J, 1))]),
+                          sparse.hstack([mix, sparse.csr_matrix((mix.shape[0], 1))])])
+    caps = np.repeat([1.0 / a for a, _ in free], N)
+    A_ub = sparse.hstack([sparse.identity(J * N), sparse.csr_matrix(-caps[:, None])])
+    c = np.zeros(J * N + 1)
+    c[-1] = 1.0
+    res = optimize.linprog(c, A_ub=A_ub, b_ub=np.zeros(J * N), A_eq=A_eq,
+                           b_eq=np.concatenate([np.ones(J), rhs]),
+                           bounds=[(0, None)] * (J * N + 1), method="highs")
+    if res.status == 2:
+        return math.inf
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def box_mixture(market: ScenarioMarket,
+                atoms) -> tuple[float, float, DualWitness | None, int]:
+    """Largest relative margin eps of a mixture Z = sum_j w_j zeta_j in M.
+
+    Atoms with alpha_j >= 1 are pinned to zeta_j = 1 (total weight w_pin);
+    every free atom has cap_j = 1/alpha_j, E[zeta_j] = 1 and
+    zeta_j in [cap_j eps, cap_j (1 - eps)].  Charnes-Cooper scaling
+    zeta_j = cap_j ((s - 1)/2 + y_j) / s with y_j in [0, 1]^N and s >= 1
+    (so eps = (s - 1)/(2 s)) makes every row linear: maximize s subject to
+
+        cap_j E[y_j] + s (cap_j/2 - 1) = cap_j/2           (each free atom)
+        sum_j w_j cap_j E[y_j e] + s (h + w_pin) E[e] = h E[e],
+
+    h = sum_j w_j cap_j / 2, the J_free + d rows.  Infeasible is the strong
+    form failing; s* = 1 is eps = 0; an unbounded s is eps = 1/2, every
+    zeta_j the constant cap_j / 2.
+
+    Returns (eps*, margin, witness, iterations): margin = eps* min_j cap_j
+    bounds every zeta_j from below (0 with no free atom), the witness is the
+    mixture, None when the strong form fails, and iterations counts the
+    LP's simplex pivots and bound flips.
+    """
+    poly = market.polytope
+    p, mart = poly.A[0], poly.A[1:]  # mart @ v = E[v e]
+    d, N = mart.shape
+    free = [(1.0 / a, w) for a, w in atoms if a < 1.0]
+    w_pin = sum((w for a, w in atoms if a >= 1.0), 0.0)
+    J = len(free)
+    h = sum(w * cap for cap, w in free) / 2.0
+    mean_e = mart.sum(axis=1)
+    A_eq = np.zeros((J + d, J * N + 1))
+    b_eq = np.empty(J + d)
+    for j, (cap, w) in enumerate(free):
+        A_eq[j, j * N:(j + 1) * N] = cap * p
+        A_eq[j, -1] = cap / 2.0 - 1.0
+        b_eq[j] = cap / 2.0
+        A_eq[J:, j * N:(j + 1) * N] = w * cap * mart
+    A_eq[J:, -1] = (h + w_pin) * mean_e
+    b_eq[J:] = h * mean_e
+    c = np.zeros(J * N + 1)
+    c[-1] = -1.0
+    lower = np.concatenate([np.zeros(J * N), [1.0]])
+    upper = np.concatenate([np.ones(J * N), [np.inf]])
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper))
+    if sol.status == INFEASIBLE:
+        return 0.0, 0.0, None, sol.iterations
+    if sol.status == UNBOUNDED:
+        eps, y, s = 0.5, np.zeros(J * N), math.inf
+    else:
+        s = float(sol.x[-1])
+        eps, y = 0.5 * (s - 1.0) / s, sol.x[:-1]
+    z = np.full(N, w_pin)
+    for j, (cap, w) in enumerate(free):
+        z += w * cap * (eps + y[j * N:(j + 1) * N] / s)
+    margin = eps * min((cap for cap, _ in free), default=0.0)
+    return eps, margin, DualWitness.of(poly, z), sol.iterations
+
+
 @dataclass(frozen=True, eq=False)
 class StrictBoxResult:
     status: str
@@ -404,7 +502,7 @@ def es_strict_check(market, alpha: float) -> StrictBoxResult:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    _, margin, witness, iterations = _box_mixture(market, ((alpha, 1.0),))
+    _, margin, witness, iterations = box_mixture(market, ((alpha, 1.0),))
     if witness is None:
         return StrictBoxResult(status=INFEASIBLE, delta=0.0, witness=None,
                                iterations=iterations)

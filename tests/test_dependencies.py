@@ -31,6 +31,8 @@ for spec in (rhoarb.RiskSpec.wc(), rhoarb.RiskSpec.es(0.25),
     assert rhoarb.classify_dual(market, spec).verdict == "NO_ARBITRAGE"
 cert = rhoarb.classify_dual(market, rhoarb.RiskSpec.es(0.25)).certificate
 assert cert["t_star"] < 4.0 and cert["delta_classical"] > 0.0
+cert = rhoarb.classify_dual(market, rhoarb.RiskSpec.spectral([(0.1, 0.5), (0.5, 0.5)])).certificate
+assert cert["t_star"] < 10.0 and cert["delta_classical"] > 0.0
 res = rhoarb.gentropic_check(market, lambda z: np.sqrt(1.0 + z ** 2), 1.6)
 assert res.route == "NEWTON" and not res.annotations
 assert 2.0 ** 0.5 <= res.v_star < 1.6  # E[g(Z)] >= g(E[Z]) = g(1)

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 import oracles
+import rhoarb.frontier
 from conftest import (binomial_market, duo_market, make_dominating_market,
                       make_drift_market, make_priced_market, make_random_market,
                       make_tanh_priced_market)
-from oracles import es_strict_check
+from oracles import box_mixture, es_strict_check, spectral_box_scale
 from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
-                         cross_validate, es_min_supnorm, gentropic_check, spectral_check)
-from rhoarb.frontier import classify_primal, compute_rho1
+                         cross_validate, es_min_supnorm, gentropic_check)
+from rhoarb.frontier import CLASSIFY_TOL, classify_primal, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
-from rhoarb.measures import RiskSpec, evaluate
+from rhoarb.measures import RiskSpec, conjugate, evaluate
 
 DUO_ENTROPY = 0.0566330122651324  # E[Z log Z] at Z = (2/3, 4/3), equal odds
 
@@ -245,15 +246,53 @@ def test_custom_penalties_match_frank_wolfe():
         assert res.witness.residual <= 1e-9
 
 
+def test_custom_penalty_newton_starts_at_the_unit_density(monkeypatch):
+    # lam = 0 and nu = g'(1) put every scenario at Z = 1 on the first call
+    # of the conjugate, with g' given or a central difference of g (then to
+    # the rounding of that difference); POWER starts there too, at nu = 1.
+    densities = []
+
+    def recording(spec, probs):
+        conj, floor = conjugate(spec, probs)
+
+        def record(s):
+            out = conj(s)
+            densities.append(out[1])
+            return out
+        return record, floor
+
+    monkeypatch.setattr(rhoarb.frontier, "conjugate", recording)
+    market = make_tanh_priced_market(np.random.default_rng(83), 30, 3)
+    for g, beta in ((lambda z: np.sqrt(1.0 + z ** 2), 1.6),
+                    ((lambda z: -np.log(z), lambda z: -1.0 / z), 0.5),
+                    ((lambda z: np.where(z < 2.0, z ** 2 / 4.0, z - 1.0),
+                      lambda z: np.where(z < 2.0, z / 2.0, 1.0)), 0.5),
+                    (("power", 1.5), 2.0)):
+        densities.clear()
+        res = gentropic_check(market, g, beta)
+        assert res.route == "NEWTON" and not res.annotations
+        assert np.abs(densities[0] - 1.0).max() <= 1e-8
+
+
 # -- spectral mixtures ----------------------------------------------------------
 
 
 def test_spectral_point_mass_reduces_to_es():
-    for alpha in (0.25, 0.5, 0.75):
-        for market in (binomial_market(), duo_market()):
-            mix = classify_dual(market, RiskSpec.spectral([(alpha, 1.0)]))
+    # One atom (alpha, 1) is ES at alpha: the same LP, so the same t*,
+    # pivots, witness and verdict.
+    rng = np.random.default_rng(2031)
+    for market in (binomial_market(), duo_market(),
+                   make_tanh_priced_market(rng, 60, 3), make_drift_market(rng, 60, 3, 1.0)):
+        sup = es_min_supnorm(market)
+        for alpha in (0.05, 0.25, 0.5, 0.75):
+            one = es_min_supnorm(market, ((alpha, 1.0),))
+            assert (one.t, one.iterations) == (sup.t, sup.iterations)
+            assert one.witness.z.tobytes() == sup.witness.z.tobytes()
             es = classify_dual(market, RiskSpec.es(alpha))
+            mix = classify_dual(market, RiskSpec.spectral([(alpha, 1.0)]))
             assert mix.verdict == es.verdict
+            assert mix.certificate["t_star"] == es.certificate["t_star"]
+            assert mix.certificate["iterations"] == es.certificate["iterations"]
 
 
 def test_spectral_binomial_never_arbitrage_free():
@@ -263,38 +302,105 @@ def test_spectral_binomial_never_arbitrage_free():
         verdict = classify_dual(binomial_market(), RiskSpec.spectral(spectrum))
         assert verdict.verdict != "NO_ARBITRAGE"
     # Caps >= 2 admit the unique density, so the strong form holds exactly.
-    res = spectral_check(binomial_market(), ((0.25, 0.5), (0.5, 0.5)))
-    assert res.strong_feasible and not res.strict_ok
+    v = classify_dual(binomial_market(), RiskSpec.spectral([(0.25, 0.5), (0.5, 0.5)]))
+    assert v.verdict == "RHO_ARBITRAGE"
+    assert v.certificate["t_star"] <= v.certificate["box_upper"]
 
 
 def test_spectral_duo_matches_grid_oracle():
     atoms = ((0.25, 0.5), (0.8, 0.5))
-    res = spectral_check(duo_market(), atoms)
+    v = classify_dual(duo_market(), RiskSpec.spectral(atoms))
+    cert = v.certificate
     target = np.array([2.0 / 3.0, 4.0 / 3.0])
     # The grid oracle's residual scales with its mesh width, so feasible
     # cases land near 1e-5 while infeasible ones stay at order 0.1.
     mismatch = oracles.spectral_mixture_feasible(
         np.array([0.5, 0.5]), target, atoms)
-    assert res.strong_feasible
     assert mismatch < 1e-3
-    assert res.strict_ok
-    assert res.delta_prime > 1e-9
+    assert v.verdict == "NO_ARBITRAGE"
+    assert cert["t_star"] < cert["box_upper"] - 1e-9 and cert["delta_classical"] > 1e-9
+    # Strictly inside: the grid finds the mixture with every box shrunk.
     mismatch = oracles.spectral_mixture_feasible(
-        np.array([0.5, 0.5]), target, atoms, delta=res.delta)
+        np.array([0.5, 0.5]), target, atoms, delta=1e-3)
     assert mismatch < 1e-3
-    assert np.allclose(res.witness_strict.z, target, atol=1e-8)
+    assert np.allclose(cert["witness"]["z"], target, atol=1e-8)
 
 
 def test_spectral_witness_is_in_m():
     rng = np.random.default_rng(113)
     for _ in range(5):
         market = make_random_market(rng, n_max=6, d_max=2)
-        res = spectral_check(market, ((0.3, 0.4), (0.7, 0.6)))
-        if res.witness_strong is not None:
-            assert res.witness_strong.residual < 1e-8
-        if res.witness_strict is not None:
-            assert res.witness_strict.residual < 1e-8
-            assert res.witness_strict.min_entry > 0.0
+        v = classify_dual(market, RiskSpec.spectral([(0.3, 0.4), (0.7, 0.6)]))
+        if "witness" in v.certificate:
+            assert v.certificate["witness"]["residual"] < 1e-8
+        if v.verdict == "NO_ARBITRAGE":
+            assert v.certificate["witness"]["min_entry"] > 0.0
+
+
+def test_spectral_sweep_matches_the_box_mixture_rule():
+    # The SPECTRAL dual decides by the box-scale LP, t* < 1/alpha_1, and
+    # the classical LP; the reference decides by the margin of the former
+    # box-mixture LP.  Over M convex the two agree.  A witness fits its
+    # boxes at the scale alpha_1 t* (below 1 and strictly positive for
+    # NO_ARBITRAGE); M_EMPTY marks an empty M when no level-1 atom pins
+    # Z >= w_pin, and BOUNDARY a t* within tol of 1/alpha_1.
+    rng = np.random.default_rng(2029)
+    makers = (lambda: make_random_market(rng, n_max=10, d_max=3),
+              lambda: make_priced_market(rng, n_max=10, d_max=3),
+              lambda: make_tanh_priced_market(rng, int(rng.integers(12, 40)), 3),
+              lambda: make_drift_market(rng, int(rng.integers(12, 40)), 3,
+                                        float(rng.choice([0.3, 1.0, 2.0]))),
+              lambda: make_dominating_market(rng, n_max=9))
+    spectra = (((0.05, 0.3), (0.25, 0.7)), ((0.1, 0.4), (0.5, 0.3), (1.0, 0.3)),
+               ((0.2, 0.25), (0.4, 0.25), (0.9, 0.5)))
+    seen = {"NO_ARBITRAGE": 0, "RHO_ARBITRAGE": 0, "STRONG_RHO_ARBITRAGE": 0}
+    for _ in range(16):
+        for make in makers:
+            market = make()
+            m_empty = classical_no_arbitrage(market).status == "INFEASIBLE"
+            for atoms in spectra:
+                v = classify_dual(market, RiskSpec.spectral(atoms))
+                cert = v.certificate
+                _, margin, witness, _ = box_mixture(market, atoms)
+                if witness is None:
+                    expected = "STRONG_RHO_ARBITRAGE"
+                elif margin > 1e-9:
+                    expected = "NO_ARBITRAGE"
+                else:
+                    expected = "RHO_ARBITRAGE"
+                assert v.verdict == expected
+                assert {"delta", "delta_prime", "strong_feasible"}.isdisjoint(cert)
+                pinned = atoms[-1][0] == 1.0
+                assert ("M_EMPTY" in v.annotations) == (m_empty and not pinned)
+                assert ("BOUNDARY" in v.annotations) == (
+                    abs(cert["t_star"] - cert["box_upper"]) <= CLASSIFY_TOL)
+                assert ("delta_classical" in cert) == (cert["t_star"] <= cert["box_upper"] + 1e-9)
+                if "witness" in cert:
+                    z = np.asarray(cert["witness"]["z"])
+                    assert cert["witness"]["residual"] <= 1e-9
+                    scale = spectral_box_scale(market, atoms, z)
+                    if expected == "NO_ARBITRAGE":
+                        assert z.min() > 0.0 and scale < 1.0
+                    else:
+                        assert abs(scale - atoms[0][0] * cert["t_star"]) <= 1e-7 * scale
+                else:
+                    assert cert["t_star"] == math.inf
+                seen[expected] += 1
+    assert seen["RHO_ARBITRAGE"] >= 5
+    assert seen["NO_ARBITRAGE"] >= 50 and seen["STRONG_RHO_ARBITRAGE"] >= 50
+
+
+def test_level_one_spectrum_is_strong():
+    # E[-X] at level 1 has the dual set {1}: a market with E[R] != r is a
+    # strong arbitrage, and t* >= 1 = 1/alpha_1, so strict never holds.
+    rng = np.random.default_rng(2033)
+    for market in (binomial_market(), duo_market(), make_priced_market(rng),
+                   make_drift_market(rng, 30, 3, 1.0)):
+        for atoms in ([(1.0, 1.0)], [(1.0, 0.5), (1.0, 0.5)]):
+            v = classify_dual(market, RiskSpec.spectral(atoms))
+            assert v.verdict == "STRONG_RHO_ARBITRAGE"
+            assert v.certificate["box_upper"] == 1.0
+            assert v.certificate["t_star"] > 1.0
 
 
 # -- dual classification ---------------------------------------------------------

@@ -11,7 +11,7 @@ import oracles
 import rhoarb.dual
 import rhoarb.lp as lp_module
 from conftest import make_drift_market, make_tanh_priced_market
-from rhoarb.dual import _box_mixture, classical_no_arbitrage, es_min_supnorm
+from rhoarb.dual import classical_no_arbitrage, es_min_supnorm
 from rhoarb.frontier import _slice_lp
 from rhoarb.lp import LinearProgram, lp_solve
 from rhoarb.measures import RiskSpec
@@ -368,8 +368,9 @@ def test_scalar_ratio_test_matches_the_vectorized_reference():
 
 
 def bench_shaped_programs(monkeypatch):
-    """The slice, sup-norm, classical and box-mixture LPs of priced and
-    high-drift markets shaped like those of the lp_cross benchmark."""
+    """The slice, sup-norm, box-scale, classical and box-mixture LPs of
+    priced and high-drift markets shaped like those of the lp_cross
+    benchmark."""
     programs = []
 
     def record(lp):
@@ -377,6 +378,7 @@ def bench_shaped_programs(monkeypatch):
         return lp_solve(lp)
 
     monkeypatch.setattr(rhoarb.dual, "lp_solve", record)
+    monkeypatch.setattr(oracles, "lp_solve", record)
     atoms = ((0.05, 0.3), (0.25, 0.7))
     for market in (make_tanh_priced_market(np.random.default_rng(1), 80, 4),
                    make_tanh_priced_market(np.random.default_rng(2), 150, 5),
@@ -385,8 +387,9 @@ def bench_shaped_programs(monkeypatch):
         for spec in (RiskSpec.es(0.1), RiskSpec.spectral(atoms), RiskSpec.wc()):
             programs.append(_slice_lp(market, spec)[0])
         es_min_supnorm(market)
+        es_min_supnorm(market, atoms)
         classical_no_arbitrage(market)
-        _box_mixture(market, atoms)
+        oracles.box_mixture(market, atoms)
     monkeypatch.undo()
     return programs
 
@@ -399,7 +402,7 @@ def solution_bits(sol):
 
 def test_reference_ratio_test_takes_the_same_pivot_path(monkeypatch):
     programs = bench_shaped_programs(monkeypatch)
-    assert len(programs) == 24
+    assert len(programs) == 28
     got = [solution_bits(lp_solve(lp)) for lp in programs]
     monkeypatch.setattr(lp_module._Tableau, "_ratio", oracles.lp_ratio_reference)
     want = [solution_bits(lp_solve(lp)) for lp in programs]

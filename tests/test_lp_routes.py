@@ -4,8 +4,9 @@ ES, SPECTRAL and WC reach rho_1 through the dual form of the slice minimum,
 and the ES/WC dual tests through Charnes-Cooper scaled programs over M.
 These tests hold them to HiGHS on the shortfall (Rockafellar-Uryasev) and
 epigraph forms, to the invariances rho_1 must have, and to the
-direct-form martingale LPs, and the one box-mixture LP of the ES and
-SPECTRAL dual tests to a direct form with explicit margin rows.
+direct-form martingale LPs, and the SPECTRAL dual test (the box-scale LP,
+then the classical LP) to direct forms with explicit margin and scale
+rows.
 """
 
 import math
@@ -20,9 +21,9 @@ from scipy.stats import chi2
 import rhoarb.dual
 from conftest import (binomial_market, duo_market, make_drift_market, make_random_market,
                       make_tanh_priced_market)
-from oracles import build_ru_lp, es_strict_check
+from oracles import build_ru_lp, es_strict_check, spectral_box_scale
 from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
-                         cross_validate, es_min_supnorm, spectral_check)
+                         cross_validate, es_min_supnorm)
 from rhoarb.elliptical import EllipticalMarket, critical_alpha, gaussian_rho_z, sr_max
 from rhoarb.frontier import compute_rho1
 from rhoarb.gaussian import Phi_inv, phi
@@ -190,7 +191,7 @@ def test_strict_box_unbounded_scale_is_the_constant_density():
     assert es_strict_check(binomial_market(), 0.5).delta < 1e-12
 
 
-# -- the box-mixture LP against a direct form with margin rows -----------------
+# -- the box-scale LP against direct forms with margin and scale rows ----------
 
 
 def highs_spectral_margin(market: ScenarioMarket, atoms) -> float | None:
@@ -229,32 +230,37 @@ SPECTRA = (((0.05, 0.3), (0.25, 0.7)), ((0.2, 0.5), (0.6, 0.5)),
 
 
 def _check_spectral_against_highs(market, atoms):
-    res = spectral_check(market, atoms)
+    v = classify_dual(market, RiskSpec.spectral(atoms))
+    cert = v.certificate
     t_star = highs_spectral_margin(market, atoms)
-    assert res.strong_feasible == (t_star is not None)
+    # t* = kappa* / alpha_1, kappa* the least common scale of the boxes.
+    a1 = min((a for a, _ in atoms if a < 1.0), default=1.0)
+    kappa = spectral_box_scale(market, atoms)
+    assert cert["box_upper"] == 1.0 / a1
+    if kappa == math.inf:
+        assert cert["t_star"] == math.inf
+    else:
+        assert abs(cert["t_star"] - kappa / a1) <= 1e-9 * kappa / a1
+    assert (v.verdict != "STRONG_RHO_ARBITRAGE") == (t_star is not None)
     if t_star is None:
         return "strong"
-    assert res.witness_strong.residual < 1e-8
+    assert cert["witness"]["residual"] < 1e-8
     if 0.0 < t_star < 1e-6:
         return "boundary"
-    assert res.strict_ok == (t_star > 1e-9)
-    if not res.strict_ok:
+    assert (v.verdict == "NO_ARBITRAGE") == (t_star > 1e-9)
+    if v.verdict != "NO_ARBITRAGE":
         return "strict-fails"
-    # The relative margin eps and the absolute margin t* bound each other:
-    # eps min_j cap_j <= t* <= eps max_j cap_j.
-    caps = [1.0 / a for a, _ in atoms if a < 1.0]
-    eps = res.delta / (1.0 + res.delta)
-    assert abs(res.delta_prime - eps * min(caps)) <= 1e-12 * max(caps)
-    assert res.delta_prime <= t_star + 1e-9
-    assert t_star <= eps * max(caps) + 1e-9
-    assert res.witness_strict.min_entry >= res.delta_prime - 1e-12
+    assert cert["t_star"] < cert["box_upper"] and cert["delta_classical"] > 1e-9
+    z = np.asarray(cert["witness"]["z"])
+    assert z.min() > 0.0 and spectral_box_scale(market, atoms, z) < 1.0
     return "strict"
 
 
 def test_spectral_box_mixture_matches_highs_margin_rows():
     # Strong-form feasibility and the sign of the strict margin, from the
-    # one (J + d)-row program, against HiGHS on the form with one
-    # t <= zeta and one zeta <= cap - t row per scenario and atom.
+    # (J + d)-row box-scale program and the classical LP, against HiGHS on
+    # the form with one t <= zeta and one zeta <= cap - t row per scenario
+    # and atom; t* against HiGHS on the direct form of the box scale.
     rng = np.random.default_rng(6060)
     seen = {"strong": 0, "strict-fails": 0, "strict": 0, "boundary": 0}
     for i in range(36):
@@ -276,7 +282,7 @@ def test_spectral_box_mixture_matches_highs_margin_rows():
     assert _check_spectral_against_highs(market, SPECTRA[0]) == "strict"
 
 
-def test_spectral_check_solves_one_lp(monkeypatch):
+def test_spectral_dual_solves_the_box_scale_lp_then_the_classical_lp(monkeypatch):
     calls = []
     solve = rhoarb.dual.lp_solve
 
@@ -288,12 +294,12 @@ def test_spectral_check_solves_one_lp(monkeypatch):
     market = make_tanh_priced_market(np.random.default_rng(11), 200, 4)
     for atoms in SPECTRA:
         calls.clear()
-        res = spectral_check(market, atoms)
-        assert len(calls) == 1
-        n_free = sum(1 for a, _ in atoms if a < 1.0)
-        assert calls[0].A_eq.shape[0] == n_free + market.n_assets
+        v = classify_dual(market, RiskSpec.spectral(atoms))
+        n_free, d = sum(1 for a, _ in atoms if a < 1.0), market.n_assets
+        strong = v.verdict == "STRONG_RHO_ARBITRAGE"
+        assert [lp.A_eq.shape[0] for lp in calls] == [n_free + d] + ([] if strong else [d + 1])
         assert calls[0].A_le.shape[0] == 0
-    assert res.strict_ok
+    assert v.verdict == "NO_ARBITRAGE"
 
 
 # -- the crash start of the slice LP --------------------------------------------
@@ -444,5 +450,5 @@ def test_dual_certificate_counts_its_lp_iterations(monkeypatch, kind):
     market = make_tanh_priced_market(np.random.default_rng(12), 80, 4)
     verdict = classify_dual(market, SPECS[kind])
     assert verdict.verdict == "NO_ARBITRAGE"
-    assert len(counted) == (2 if kind == "ES" else 1)
+    assert len(counted) == (1 if kind == "WC" else 2)
     assert verdict.certificate["iterations"] == sum(counted) > 0
