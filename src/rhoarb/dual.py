@@ -18,6 +18,10 @@ statement about M:
     GENTROPIC strong-form: v* = min_{Z in M} E[g(Z)] <= beta;
               strict: classical delta* > 0 and v* < beta
 
+Before any LP, the tests try to prove M empty from the Gaussian tangency
+portfolio pi_T alone: pi_T . e > 0 in every scenario leaves no density
+that prices it (_tangency_proves_empty).
+
 M is convex, so a strict test splits into the classical LP and the
 strong-form program: mixing a little of the strictly positive classical
 witness into a density strictly inside the dual set keeps it inside and
@@ -59,6 +63,7 @@ Vector = NDArray[np.float64]
 ZERO_TOL = 1e-9          # LP vertex quantities at or below this count as zero
 RESIDUAL_TOL = 1e-8
 EMPTY_SCALE = 1e-12      # Charnes-Cooper scale s* = 1/t* at or below this: M is empty
+EMPTY_MARGIN = 1e-9      # least min pi_T . e, relative to max |pi_T . e|, that proves M empty
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +91,29 @@ class DualWitness:
         return out
 
 
+def _tangency_proves_empty(market: ScenarioMarket) -> float | None:
+    """min pi_T . e when it proves M empty, else None.
+
+    Every Z in M prices each asset, E[Z e] = 0, so it prices the tangency
+    portfolio too: E[Z pi_T . e] = 0.  If pi_T . e > 0 in every scenario,
+    no Z >= 0 with E[Z] = 1 does that, and M is empty.  The least excess
+    must clear the rounding of the product, EMPTY_MARGIN times the largest
+    |pi_T . e|.  This costs one pass over the scenarios, so the tests run
+    it before any LP.
+    """
+    x = market.tangency_excess
+    if x is None:
+        return None
+    low = float(x.min())
+    return low if low > EMPTY_MARGIN * float(np.abs(x).max()) else None
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalResult:
     status: str                      # OPTIMAL or INFEASIBLE (M empty)
     delta: float                     # max over M of the minimal entry; 0.0 if empty
     witness: DualWitness | None
-    iterations: int = 0              # simplex pivots and bound flips of its LP
+    iterations: int = 0              # simplex iterations of its LP (LPSolution.iterations)
 
 
 def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
@@ -122,7 +144,7 @@ class SupnormResult:
     status: str                      # OPTIMAL or INFEASIBLE
     t: float                         # min over M of ||Z||_inf; +inf if M empty
     witness: DualWitness | None
-    iterations: int = 0              # simplex pivots and bound flips of its LP
+    iterations: int = 0              # simplex iterations of its LP (LPSolution.iterations)
 
 
 def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
@@ -148,25 +170,28 @@ def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
     ES-arbitrage iff t* <= 1/alpha.  sigma* = 0 means no mixture lies in M
     (M is empty unless w_pin > 0).
 
-    The simplex starts at the optimum of the program with only the pricing
-    row of the Gaussian tangency portfolio pi_T (ScenarioMarket.tangency)
-    kept, not at y = 0.  With excess x = pi_T . e and one atom, that row
-    relaxes M to M_1 = {Z >= 0 : E[Z] = 1, E[Z x] = 0}, and the program to
-    max E[y] subject to E[y x] = 0, y in [0, 1]^N: a fractional knapsack.
-    Its optimum takes y = 1 on the scenarios in ascending order of x
+    Every column but sigma is boxed, and the program carries a basis hint
+    for the dual simplex (lp module): sigma first, then the y_j in order of
+    how far their scenario lies from the end of block j's tail at the
+    break-even mass below (ScenarioMarket.tail_hint).  The mass comes from
+    the program with only the pricing row of the Gaussian tangency
+    portfolio pi_T (ScenarioMarket.tangency) kept.  With excess
+    x = pi_T . e and one atom, that row relaxes M to
+    M_1 = {Z >= 0 : E[Z] = 1, E[Z x] = 0}, and the program to max E[y]
+    subject to E[y x] = 0, y in [0, 1]^N: a fractional knapsack.  Its
+    optimum takes y = 1 on the scenarios in ascending order of x
     (ScenarioMarket.tangency_order) as long as the partial sums
-    S_k = sum_{i <= k} p_(i) x_(i) stay <= 0, then one fractional y.  The
-    simplex starts at that break-even tail without the fractional scenario,
-    y = 1 on the k* scenarios with S_k* <= 0 and s = their probability,
-    i.e. Z = 1 / P_k* there; this minimizes ||Z||_inf over M_1 up to that
-    one scenario.  With J atoms the relaxation is a J-block knapsack with
-    nested worst tails: at each breakpoint u = P_k of the first block,
-    block j takes the worst scenarios up to probability u alpha_j/alpha_1
-    (the last one fractional), and the start is the largest u at which the
-    weighted pricing-row sum stays <= 0.  With no such u, pi_T is an
-    arbitrage of M_1 and the start stays y = 0, as it does when the
-    covariance is singular.  The start moves only the pivot path; full
-    pricing and the refactor at the optimum certify t*.
+    S_k = sum_{i <= k} p_(i) x_(i) stay <= 0, then one fractional y; the
+    mass is that of the k* scenarios with S_k* <= 0, where Z = 1 / P_k*
+    minimizes ||Z||_inf over M_1 up to one scenario.  With J atoms the
+    relaxation is a J-block knapsack with nested worst tails: at each
+    breakpoint u = P_k of the first block, block j takes the worst
+    scenarios up to probability u alpha_j/alpha_1, and the mass is the
+    largest u at which the weighted pricing-row sum stays <= 0 (block j's
+    tail ends at u alpha_j/alpha_1).  With no such u, pi_T is an arbitrage
+    of M_1 and the tails are empty; with a singular covariance there is no
+    hint and the primal simplex runs from y = 0.  The hint moves only the
+    pivot path; full pricing and the refactor at the optimum certify t*.
     """
     atoms = tuple(spectrum or ((1.0, 1.0),))
     blocks = [(a, w) for a, w in atoms if a < 1.0]
@@ -188,33 +213,22 @@ def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
     c = np.zeros(J * N + 1)
     c[-1] = -1.0
     upper = np.concatenate([np.ones(J * N), [np.inf]])
-    start = None
+    hint = None
     order = market.tangency_order
     if order is not None:
-        x = (market.tangency @ market.excess_matrix)[order]
+        x = market.tangency_excess[order]
         P, C = np.cumsum(p[order]), np.cumsum(p[order] * x)
         P0, C0 = np.r_[0.0, P], np.r_[0.0, C]
-
-        def cut(mass):  # the scenario, in order, where the worst tail of this mass ends
-            return np.minimum(np.searchsorted(P, mass), N - 1)
-
         # The weighted pricing-row sum at each breakpoint u = P_k of block 1.
         row = C + (w_pin / w1) * float(market.tangency @ market.mean_excess) * P
         for j in range(1, J):
-            i = cut(P * ratio[j])
+            i = np.minimum(np.searchsorted(P, P * ratio[j]), N - 1)
             row = row + coef[j] * (C0[i] + (P * ratio[j] - P0[i]) * x[i])
         even = np.flatnonzero((row <= 0.0) & (P * ratio[-1] <= P[-1]))
-        if even.size:
-            start = np.zeros(J * N + 1)
-            start[order[:even[-1] + 1]] = 1.0
-            start[-1] = sigma = p[order[:even[-1] + 1]].sum()
-            for j in range(1, J):
-                mass = sigma * ratio[j]
-                i = int(cut(mass))
-                start[j * N + order[:i]] = 1.0
-                start[j * N + order[i]] = min(max((mass - P0[i]) / p[order[i]], 0.0), 1.0)
+        mass = P[even[-1]] if even.size else 0.0
+        hint = np.concatenate(([J * N], market.tail_hint([mass * r for r in ratio])))
     sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(J + d), upper=upper,
-                                 start=start))
+                                 hint=hint))
     if sol.status != OPTIMAL:
         raise SimplexError(f"sup-norm LP returned {sol.status}")
     s = float(sol.x[-1])
@@ -249,7 +263,9 @@ class GEntropicResult:
     dual; strong_ok means no strong arbitrage (v* <= beta), strict_ok
     means no arbitrage at all (classical delta* > 0 and v* < beta).  gap
     and iterations come from the solver: the scaled gradient norm and the
-    Newton iterations on the NEWTON route, 0 when M is empty.
+    Newton iterations on the NEWTON route.  On the M_EMPTY route iterations
+    counts the classical LP's, 0 when the tangency portfolio proved M empty
+    without it.
     """
 
     v_star: float
@@ -304,11 +320,12 @@ def _penalty_check(market: ScenarioMarket, pen: RiskSpec) -> GEntropicResult:
     """
     beta = pen.beta
     poly = market.polytope
-    cl = classical_no_arbitrage(market)
-    if cl.status == INFEASIBLE:
+    cl = None if _tangency_proves_empty(market) is not None else classical_no_arbitrage(market)
+    if cl is None or cl.status == INFEASIBLE:
         return GEntropicResult(v_star=math.inf, beta=beta, delta_classical=0.0,
                                strong_ok=False, strict_ok=False, witness=None,
-                               route="M_EMPTY", annotations=("M_EMPTY",))
+                               route="M_EMPTY", annotations=("M_EMPTY",),
+                               iterations=0 if cl is None else cl.iterations)
 
     def expected_penalty(z: Vector) -> float:
         return float(market.probs @ penalty(pen, np.maximum(z, 0.0)))
@@ -345,11 +362,14 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
 
     WC runs the classical LP, ES and SPECTRAL the sup-norm (box-scale) LP
     and then the classical LP; EVAR, TNORM and GENTROPIC test their
-    penalty ball (RiskSpec.penalty_ball).  Raises
-    UnsupportedDualError for VaR, which has no dual density set.
-    Certificates carry the decisive scalars and a density witness where one
-    exists; BOUNDARY is annotated when the deciding comparison sits within
-    tol of its threshold.
+    penalty ball (RiskSpec.penalty_ball).  Each first tries to prove M
+    empty from the tangency portfolio (_tangency_proves_empty): then the
+    verdict is STRONG_RHO_ARBITRAGE with the annotation M_EMPTY, and its
+    certificate carries iterations 0 and tangency_excess_min, the least
+    pi_T . e.  Raises UnsupportedDualError for VaR, which has no dual
+    density set.  Certificates carry the decisive scalars and a density
+    witness where one exists; BOUNDARY is annotated when the deciding
+    comparison sits within tol of its threshold.
     """
     if spec.kind == "VAR":
         raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual density set")
@@ -360,7 +380,18 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
     return _classify_gentropic(market, spec.penalty_ball, tol)
 
 
+def _empty_verdict(cert: dict, low: float) -> ArbitrageVerdict:
+    """Strong arbitrage on a market whose tangency portfolio proves M empty
+    (_tangency_proves_empty), with no LP solved."""
+    cert.update(iterations=0, tangency_excess_min=low)
+    return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
+                            certificate=cert, annotations=("M_EMPTY",))
+
+
 def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
+    low = _tangency_proves_empty(market)
+    if low is not None:
+        return _empty_verdict({"delta_classical": 0.0}, low)
     cl = classical_no_arbitrage(market)
     cert: dict = {"delta_classical": cl.delta, "iterations": cl.iterations}
     if cl.status == INFEASIBLE:
@@ -389,6 +420,9 @@ def _classify_es(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
     """
     levels = [a for a, _ in atoms if a < 1.0] or [1.0]
     bound = 1.0 / levels[0]
+    low = _tangency_proves_empty(market)
+    if low is not None:
+        return _empty_verdict({"t_star": math.inf, "box_upper": bound}, low)
     sup = es_min_supnorm(market, atoms)
     cert: dict = {"t_star": sup.t, "box_upper": bound, "iterations": sup.iterations}
     if sup.status == INFEASIBLE:
@@ -421,10 +455,13 @@ def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
                         tol: float) -> ArbitrageVerdict:
     res = _penalty_check(market, pen)
     cert: dict = {"v_star": res.v_star, "beta": res.beta,
-                  "delta_classical": res.delta_classical}
-    if res.route != "M_EMPTY":
+                  "delta_classical": res.delta_classical, "iterations": res.iterations}
+    if res.route == "M_EMPTY":
+        low = _tangency_proves_empty(market)
+        if low is not None:
+            cert["tangency_excess_min"] = low
+    else:
         cert["gap"] = res.gap
-        cert["iterations"] = res.iterations
     if res.witness is not None:
         cert["witness"] = res.witness.to_dict()
     ann = list(res.annotations)

@@ -39,7 +39,6 @@ CLASSIFY_TOL = 1e-7
 STRICT_NEG_TOL = 1e-9
 EVAR_ROOT_TOL = 1e-12  # relative Newton step in t at which the EVaR or TNORM root is taken
 EVAR_ROOT_MAX_ITER = 60
-CRASH_TAIL = 0.9      # the crash puts a density at its cap on this share of its atom's tail
 
 
 class UnsupportedGlobalMinError(ValueError):
@@ -53,9 +52,9 @@ class FrontierResult:
     rho1 is finite on every route: it is at least -1, the expected loss at
     unit expected excess.  attained is False exactly when the solver
     stopped short (then argmin is the best iterate seen, for diagnostics).
-    rho0 is always 0.0 for the supported measures: pi = 0 attains it.
-    route is DIRECT (d = 1 canonical slice), LP (ES/SPECTRAL/WC) or ROOT
-    (EVAR/TNORM); iterations counts the LP's simplex iterations or the
+    rho_0 is 0 for the supported measures (pi = 0 attains it) and is not
+    stored.  route is DIRECT (d = 1 canonical slice), LP (ES/SPECTRAL/WC)
+    or ROOT (EVAR/TNORM); iterations counts the LP's simplex iterations or the
     root's steps in t (0 on the DIRECT route).  On the ROOT route rho1 is
     the risk of argmin, evaluated afresh, and gap is its distance from the
     root's end point, an upper bound on that risk from the dual side; when
@@ -70,7 +69,6 @@ class FrontierResult:
     spec: RiskSpec
     route: str
     status: str
-    rho0: float = 0.0
     gap: float = 0.0
     annotations: tuple[str, ...] = ()
     iterations: int = 0
@@ -125,12 +123,14 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     an optimum: rho_1 >= -1, never -inf, for these measures.
 
     At the optimum each zeta_j sits at its cap 1/alpha_j on the worst
-    alpha_j-tail of the minimizing portfolio.  The simplex starts there for
-    the Gaussian tangency portfolio: scenarios ordered by its excess return
-    (ScenarioMarket.tangency_order), each capped zeta_j starts at 1/alpha_j on
-    the worst of them until their probability reaches CRASH_TAIL alpha_j,
-    and at 0 elsewhere.  The start moves only the pivot path; full pricing
-    certifies the optimum.  WC has no cap and starts at 0.
+    alpha_j-tail of the minimizing portfolio, and at 0 beyond it, so the
+    basic columns are c and densities near the tail boundaries.  Every
+    column but c is boxed, and the program carries a basis hint for the
+    dual simplex (lp module): c first, then the densities in order of how
+    far their scenario lies from the alpha_j quantile of the Gaussian
+    tangency portfolio's excess return (ScenarioMarket.tail_hint).  The
+    hint moves only the pivot path; full pricing certifies the optimum.
+    WC has no cap and runs the primal simplex from 0.
     """
     if spec.kind == "WC":
         atoms = ((0.0, 1.0),)
@@ -156,16 +156,11 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     lower[-1] = -np.inf
     c = np.zeros(J * N + 1)
     c[-1] = 1.0
-    start = None
-    order = None if spec.kind == "WC" else market.tangency_order
-    if order is not None:
-        tail = np.cumsum(p[order])
-        start = np.zeros(J * N + 1)
-        for j, (alpha, _) in enumerate(atoms):
-            worst = order[:np.searchsorted(tail, CRASH_TAIL * alpha, side="right")]
-            start[j * N + worst] = 1.0 / alpha
+    hint = None if spec.kind == "WC" else market.tail_hint([alpha for alpha, _ in atoms])
+    if hint is not None:
+        hint = np.concatenate(([J * N], hint))
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper,
-                         start=start), J
+                         hint=hint), J
 
 
 def _penalty_min(pen: RiskSpec, probs: Vector, rows: Vector, lam0: Vector | None = None,
@@ -358,8 +353,7 @@ def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> Arbitr
     Strong iff rho_1 < 0.  At rho_1 = 0 (within tol) there is rho-arbitrage
     when the slice minimum is attained; an unattained zero infimum leaves no
     optimal portfolio to scale, so no rho-arbitrage (boundary annotated
-    either way).  The unreachable branch rho_0 != 0 (empty zero-slice
-    optimizer set) would force rho-arbitrage outright.
+    either way).
     """
     rho1 = result.rho1
     annotations = list(result.annotations)
@@ -375,9 +369,7 @@ def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> Arbitr
         verdict = "STRONG_RHO_ARBITRAGE"
     elif rho1 <= tol:
         annotations.append("BOUNDARY")
-        if result.rho0 != 0.0:
-            verdict = "RHO_ARBITRAGE"  # empty zero-slice case, unreachable here
-        elif result.attained:
+        if result.attained:
             verdict = "RHO_ARBITRAGE"
         else:
             verdict = "NO_ARBITRAGE"
@@ -401,7 +393,7 @@ def frontier_points(result: FrontierResult, levels) -> list[tuple[float, float]]
         if nu < 0.0:
             raise ValueError("frontier levels must be >= 0")
         if nu == 0.0:
-            pts.append((0.0, result.rho0))
+            pts.append((0.0, 0.0))
             continue
         if not math.isfinite(result.rho1):
             raise ValueError("rho_1 = -inf: the frontier is undefined beyond nu = 0")

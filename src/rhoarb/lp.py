@@ -1,4 +1,4 @@
-"""Dense linear programming by the bounded-variable primal simplex method.
+"""Dense linear programming by the bounded-variable simplex method.
 
 Programs are stated as
 
@@ -11,49 +11,79 @@ Each inequality gets a slack; bounds stay implicit.  A nonbasic variable
 rests at one of its finite bounds, and the ratio test lets the entering
 variable run to its opposite bound without a pivot, so a finite upper bound
 costs no row and a pivot touches an m x n tableau whose m counts only the
-real constraints.  Variables start at the program's start point when it
-has one (a crash start, which can put variables at the bounds the caller
-expects them to take at the optimum) and otherwise at the point of their
-range nearest 0 (a free one at 0), so a box around 0 does not start at a
-remote corner.  A variable strictly inside its range is priced both ways
-until it reaches a bound or enters the basis.
+real constraints.
 
 Rows, then columns, are first scaled by powers of two (exact in floating
 point) so that each has its largest entry in [1, 2).  The pivot, pricing
 and feasibility tolerances act on that unit-size data, which makes them
-relative to the program: rescaling a row, a right-hand side or a variable
-by a power of two leaves the pivot path unchanged, and by any other
-constant changes it only through rounding.
+relative to the program: rescaling a row with its right-hand side, the
+objective, or every variable at once by a power of two leaves the pivot
+path unchanged.  A power of two on one variable can move the largest
+entry of a row, and with it the row's scale; that, and any other
+constant, changes the path only through the scales and rounding.
 
-Phase I minimizes the sum of artificials placed on the rows that the
-starting point violates; Phase II then fixes the artificials at zero.
-Pricing is Dantzig's (largest scaled reduced cost), with a Harris two-pass
-ratio test that prefers large pivots among near-ties.  The reduced costs
-ride along as an extra tableau row, so each pivot is one rank-one update.
-After DEGENERATE_RUN consecutive degenerate pivots the solver switches to
-Bland's rule (smallest eligible index enters, smallest basic index breaks
-ratio ties) until the objective moves again, which keeps every run finite;
-every run on the same input takes the same pivot path.  A run that still
-exceeds MAX_PIVOTS, or ends on a point that fails the residual check,
-raises SimplexError.
+A program without a basis hint runs the primal simplex.  Variables start
+at the point of their range nearest 0 (a free one at 0), so a box around 0
+does not start at a remote corner; a variable strictly inside its range is
+priced both ways until it reaches a bound or enters the basis.  Phase I
+minimizes the sum of artificials placed on the rows that the starting point
+violates; Phase II then fixes the artificials at zero.  Pricing is
+Dantzig's (largest scaled reduced cost), with a Harris two-pass ratio test
+that prefers large pivots among near-ties.  The reduced costs ride along as
+an extra tableau row, so each pivot is one rank-one update.  After
+DEGENERATE_RUN consecutive degenerate pivots the solver switches to Bland's
+rule (smallest eligible index enters, smallest basic index breaks ratio
+ties) until the objective moves again, which keeps every run finite.
 
-At the optimum the basis is refactored from the scaled data: the basic
-values and the row duals come from direct solves, and pricing is rechecked,
-so update error does not reach the answer.
+A program with a basis hint, variable indices in order of preference, runs
+the dual simplex first.  It suits programs whose columns are all boxed but
+one, and whose hint names that column first: the basis is the first m
+independent columns of the hint, found by Gaussian elimination with partial
+pivoting on the scaled data, and every other column starts at the bound its
+reduced cost asks for (the upper one when it is negative).  That start is
+dual feasible by construction, so the dual run needs no Phase I and no
+artificials.  Each iteration lets the most infeasible basic variable leave
+and runs the long-step (bound-flipping) ratio test along its tableau row:
+the dual objective rises along the step at a slope that starts at the
+leaving variable's infeasibility and falls at each breakpoint, where a
+column's reduced cost reaches zero, by the column's entry times its range.
+While the slope stays positive the column flips to its opposite bound and
+the step goes on; the column at which it would turn negative enters, the
+largest entry among the breakpoints within the Harris tolerance.  So one
+iteration can move many boxed columns across their bounds (Kostina, Math.
+Methods Oper. Res. 55(3), 2002; Koberstein, Comput. Optim. Appl. 41(2),
+2008).  An iteration in which the dual objective does not move (the
+entering reduced cost is zero to tolerance: dual degeneracy, on which the
+dual run can cycle) pushes the reduced costs of the nonbasic columns away
+from zero by small fixed amounts, the way their bounds ask.  Once the basis
+is primal feasible the true costs are priced again, if they were perturbed,
+and the primal run above cleans up from that basis; it takes no pivot
+unless the perturbation changed the optimal basis.  A start that is not
+dual feasible (a hint with fewer than m independent columns, or a column
+that would rest at an infinite bound) and a dual run that finds no entering
+column (a sign that the program may be infeasible) fall back to the primal
+run from its default start.
+
+Every run on the same input takes the same path.  A run that exceeds
+MAX_PIVOTS, or ends on a point that fails the residual check, raises
+SimplexError.  At the optimum the basis is refactored from the scaled
+data: the basic values and the row duals come from direct solves, and
+pricing is rechecked, so update error does not reach the answer.
 
 The programs of this package are short and wide: d + 1 rows for the
-martingale polytope, J + d for the slice, against N to J N columns.  An
-iteration prices the reduced-cost row (one product with the sign vector
-and an argmax), runs the ratio test down the m rows and, on a pivot, makes
-one rank-one update of the (m + 1) x n tableau.  At m near 10 the update's
-arithmetic takes a microsecond or two, and the fixed cost of each call into
-numpy, one to a few microseconds, sets the time of an iteration.  So the ratio
-test scans the rows once in Python floats rather than making some fifteen
-numpy calls over arrays of m entries; its expressions and their order are
-those of the vectorized test, so every ratio, Harris cap and tie-break is
-the same to the bit, and a pivot makes about nine array operations.
-The scan is O(m) against the update's O(m n); at m = 50 it costs about
-what the vectorized test did.
+martingale polytope, J + d for the slice, against N to J N columns.  A
+primal iteration prices the reduced-cost row (one product with the sign
+vector and an argmax), runs the ratio test down the m rows and, on a pivot,
+makes one rank-one update of the (m + 1) x n tableau.  At m near 10 the
+update's arithmetic takes a microsecond or two, and the fixed cost of each
+call into numpy, one to a few microseconds, sets the time of an iteration.
+So the primal ratio test scans the rows once in Python floats rather than
+making some fifteen numpy calls over arrays of m entries; its expressions
+and their order are those of the vectorized test, so every ratio, Harris
+cap and tie-break is the same to the bit, and a pivot makes about nine
+array operations.  The dual ratio test finds and sorts the breakpoints of
+its row of n entries in numpy, then walks them in Python floats only as
+far as the long step and the Harris pass reach.
 """
 
 from __future__ import annotations
@@ -77,6 +107,8 @@ PRIMAL_TOL = 1e-12      # bound violation allowed in the ratio test, per unit of
 FEAS_TOL = 1e-9         # Phase I artificials above this share of the program's size: infeasible
 RESIDUAL_TOL = 1e-6     # relative residual above this at the optimum raises
 DEGENERATE_RUN = 50     # consecutive degenerate pivots before Bland's rule takes over
+HINT_PIVOT_TOL = 1e-6   # least pivot, on unit-size columns, that admits a hint column to the basis
+DUAL_PERTURB = 1e-7     # size of the reduced-cost perturbation, per unit of the largest cost
 MAX_PIVOTS = 50_000
 MAX_REFACTORS = 5
 
@@ -102,9 +134,9 @@ def _as_matrix(a, ncols: int, name: str) -> Vector:
 class LinearProgram:
     """Immutable problem statement; bounds default to v >= 0.
 
-    start, if given, is where the simplex starts: one finite entry per
-    variable, within its bounds.  It changes the pivot path, not the
-    optimum.
+    hint, if given, is a basis hint: distinct variable indices in order of
+    preference, from which the dual simplex takes its starting basis (see
+    the module docstring).  It changes the pivot path, not the optimum.
     """
 
     c: Vector
@@ -114,7 +146,7 @@ class LinearProgram:
     b_le: Vector | None = None
     lower: Vector | None = None
     upper: Vector | None = None
-    start: Vector | None = None
+    hint: NDArray[np.intp] | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=np.float64)
@@ -137,16 +169,21 @@ class LinearProgram:
             raise ValueError("bounds must have one entry per variable")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
             raise ValueError("bounds may be +-inf but not nan")
-        start = self.start
-        if start is not None:
-            start = np.asarray(start, dtype=np.float64).ravel()
-            if start.size != n or not np.all(np.isfinite(start)):
-                raise ValueError("start must have one finite entry per variable")
-            if np.any(start < lower) or np.any(start > upper):
-                raise ValueError("start must lie within the bounds")
+        hint = self.hint
+        if hint is not None:
+            hint = np.asarray(hint)
+            if hint.ndim != 1 or not np.issubdtype(hint.dtype, np.integer):
+                raise ValueError("hint must be a 1-D sequence of variable indices")
+            hint = hint.astype(np.intp, copy=False)
+            if hint.size and (hint.min() < 0 or hint.max() >= n):
+                raise ValueError("hint must hold distinct indices of variables")
+            seen = np.zeros(n, dtype=bool)
+            seen[hint] = True
+            if np.count_nonzero(seen) != hint.size:
+                raise ValueError("hint must hold distinct indices of variables")
         for name, val in (("c", c), ("A_eq", A_eq), ("b_eq", b_eq), ("A_le", A_le),
                           ("b_le", b_le), ("lower", lower), ("upper", upper),
-                          ("start", start)):
+                          ("hint", hint)):
             object.__setattr__(self, name, val)
 
     @property
@@ -163,10 +200,13 @@ class LPSolution:
     status : one of OPTIMAL, UNBOUNDED, INFEASIBLE.
     value : objective at the optimum; -inf if UNBOUNDED, nan if INFEASIBLE.
     x : optimal point in the original variables, or None.
-    iterations : total simplex pivots and bound flips across both phases.
+    iterations : simplex iterations: one per primal pivot or primal bound
+        flip, and one per dual iteration however many bounds its long step
+        flips.
     residual : max constraint/bound violation at x (0.0 when x is None).
     duals : at the optimum, the equality-row multipliers y (the rate of change
         of the optimal value with b_eq), else None.
+    flips : the bounds that the dual iterations' long steps flipped.
     """
 
     status: str
@@ -175,6 +215,7 @@ class LPSolution:
     iterations: int
     residual: float
     duals: Vector | None = None
+    flips: int = 0
 
 
 def _pow2_scale(mags: Vector) -> Vector:
@@ -183,16 +224,57 @@ def _pow2_scale(mags: Vector) -> Vector:
     return np.where(mags > 0.0, np.ldexp(1.0, 1 - exp), 1.0)
 
 
+def _independent_columns(K: Vector, hint: NDArray[np.intp]) -> NDArray[np.intp] | None:
+    """The first m = K.shape[0] linearly independent columns of hint, in
+    hint order, or None if it holds fewer.
+
+    Gaussian elimination with partial pivoting over the rows not yet
+    pivoted: a column joins when its largest eliminated entry there exceeds
+    HINT_PIVOT_TOL (the columns are unit-size).  With m near 10 the
+    elimination runs faster in Python floats than in numpy calls; the hint
+    is read 2 m columns at a time, so only its head is touched.
+    """
+    m = K.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.intp)
+
+    def columns():
+        for lo in range(0, hint.size, 2 * m):
+            window = hint[lo:lo + 2 * m]
+            yield from zip(window.tolist(), K[:, window].T.tolist())
+
+    chosen: list[int] = []
+    steps: list[tuple[int, list[float]]] = []   # (pivot row, eliminated column / its pivot)
+    free = list(range(m))                       # the rows not yet pivoted
+    for j, v in columns():
+        for i, w in steps:
+            f = v[i]
+            if f:
+                v = [vk - f * wk for vk, wk in zip(v, w)]
+        i = max(free, key=lambda r: abs(v[r]))
+        pivot = v[i]
+        if abs(pivot) <= HINT_PIVOT_TOL:
+            continue
+        chosen.append(j)
+        if len(chosen) == m:
+            return np.array(chosen, dtype=np.intp)
+        steps.append((i, [vk / pivot for vk in v]))
+        free.remove(i)
+    return None
+
+
 class _Tableau:
     """Scaled standard form K x = b, lo <= x <= hi, and the simplex state.
 
-    Columns are the structural variables, one slack per inequality, then one
-    artificial per row that the starting point violates.  T holds B^-1 K in
-    its first m rows and the reduced costs in row m; xB holds basic values
-    and x the values of nonbasic variables.  A structural variable starts
-    at the program's start when it has one, else at the point of its range
-    nearest 0 (so a free one, or a box around 0, starts at 0, and no
+    Columns are the structural variables, one slack per inequality, then,
+    on the primal start, one artificial per row that the starting point
+    violates.  T holds B^-1 K in its first m rows and the reduced costs in
+    row m; xB holds basic values and x the values of nonbasic variables.
+    The primal start puts each structural variable at the point of its
+    range nearest 0 (so a free one, or a box around 0, starts at 0, and no
     starting point sits at a remote bound); slacks start basic or at 0.
+    The dual start (dual is True) takes its basis from the program's hint
+    and puts every other column at the bound its reduced cost asks for.
     Once a variable moves it comes to rest at a bound or enters the basis.
     """
 
@@ -218,29 +300,38 @@ class _Tableau:
         hi = hi / self.col_scale
         cost = cost * self.col_scale
 
-        if lp.start is None:
-            x = np.clip(0.0, lo, hi)           # the point of the box nearest 0
-        else:
-            x = np.concatenate([lp.start, np.zeros(mi)]) / self.col_scale
-        r = b - K @ x
+        self.m, self.n, self.n_real = m, n, n + mi
+        self.b = b
+        self.iterations = 0
+        self.flips = 0
+        self.dual = lp.hint is not None and self._dual_start(K, lo, hi, cost, lp.hint)
+        if not self.dual:
+            self.primal_start(K, lo, hi, cost)
+
+    def primal_start(self, K: Vector, lo: Vector, hi: Vector, cost: Vector) -> None:
+        """The primal start on the scaled data K, lo, hi and cost; it also
+        takes over from a dual run, whose scaled data stay as they were."""
+        m, n = self.m, self.n
+        me = m - (self.n_real - n)                  # the equality rows come first
+        self.dual = False
+        x = np.clip(0.0, lo, hi)                # the point of the box nearest 0
+        r = self.b - K @ x
         # Slacks start basic where the starting point leaves them >= 0;
         # every other row gets an artificial, signed so that it starts at |r|.
         slack_ok = np.zeros(m, dtype=bool)
         slack_ok[me:] = r[me:] >= 0.0
         art_rows = np.flatnonzero(~slack_ok)
         nart = art_rows.size
-        self.n_real = n + mi
         basis = np.empty(m, dtype=np.int64)
         basis[slack_ok] = n + np.flatnonzero(slack_ok[me:])
         basis[art_rows] = self.n_real + np.arange(nart)
         art = np.zeros((m, nart))
         art[art_rows, np.arange(nart)] = np.where(r[art_rows] >= 0.0, 1.0, -1.0)
         self.K = np.hstack([K, art])
-        self.b = b
         self.lo = np.concatenate([lo, np.zeros(nart)])
         self.hi = np.concatenate([hi, np.full(nart, np.inf)])
         self.cost = np.concatenate([cost, np.zeros(nart)])
-        self.m, self.n, self.n_art = m, n, nart
+        self.n_art = nart
         self.x = np.concatenate([x, np.zeros(nart)])
         self.basis = basis
         self.is_basic = np.zeros(self.x.size, dtype=bool)
@@ -249,7 +340,45 @@ class _Tableau:
         self.xB = r / diag
         self.T = np.empty((m + 1, self.x.size))
         self.T[:m] = self.K / diag[:, None]
-        self.iterations = 0
+
+    def _dual_start(self, K: Vector, lo: Vector, hi: Vector, cost: Vector,
+                    hint: NDArray[np.intp]) -> bool:
+        """Basis from the hint, nonbasic columns at the bounds their reduced
+        costs ask for; False, with nothing set, when that start is not dual
+        feasible."""
+        basis = _independent_columns(K, hint)
+        if basis is None:
+            return False
+        m = self.m
+        T = np.empty((m + 1, K.shape[1]))
+        if m:
+            # B^-1 [K | b] in one solve: the tableau and the basic values at 0.
+            solved = np.linalg.solve(K[:, basis], np.hstack([K, self.b[:, None]]))
+            T[:m], base = solved[:, :-1], solved[:, -1]
+        else:
+            base = np.zeros(0)
+        d = cost - cost[basis] @ T[:m]
+        x = np.where(d < 0.0, hi, lo)
+        x[basis] = 0.0
+        if not np.isfinite(x).all():
+            # A reduced cost within tolerance of 0 lets a column rest at
+            # either bound; one that must rest at an infinite bound is dual
+            # infeasible.
+            tol = COST_TOL * max(float(np.abs(cost).max(initial=0.0)), 1e-300)
+            x = np.where(np.isfinite(x) | (np.abs(d) > tol), x, np.where(d < 0.0, lo, hi))
+            x[basis] = 0.0
+            if not np.isfinite(x).all():
+                return False
+        self.K, self.lo, self.hi, self.cost = K, lo, hi, cost
+        self.n_art = 0
+        self.x = x
+        self.basis = basis
+        self.is_basic = np.zeros(x.size, dtype=bool)
+        self.is_basic[basis] = True
+        self.xB = base - T[:m] @ x
+        self.T = T
+        self.price(cost)
+        return True
 
     def price(self, cost: Vector) -> None:
         """Reduced costs of cost in row m of T, and the pricing state: the
@@ -328,7 +457,7 @@ class _Tableau:
                 self.inside.discard(q)
                 self.xB -= theta * g
             else:
-                self._pivot(row, q, s, theta, g)
+                self._pivot(row, q, s, theta, g, g.item(row) < 0.0)
             self.iterations += 1
             if theta > 0.0:
                 degenerate = 0
@@ -376,10 +505,13 @@ class _Tableau:
         i, ratio, _ = max((r for r in rows if r[1] <= cap), key=lambda r: r[2])
         return i, ratio
 
-    def _pivot(self, row: int, q: int, s: float, theta: float, g: Vector) -> None:
+    def _pivot(self, row: int, q: int, s: float, theta: float, g: Vector,
+               to_upper: bool) -> None:
+        """Column q enters at row row, moving by s theta (basic i by
+        -theta g_i); the leaving variable rests at its upper bound if
+        to_upper, else at its lower one."""
         T, x, lo, hi = self.T, self.x, self.lo, self.hi
         leaving = self.basis.item(row)
-        to_upper = g.item(row) < 0.0
         x[leaving] = hi[leaving] if to_upper else lo[leaving]
         entering_value = x[q] + s * theta
         self.xB -= theta * g
@@ -395,6 +527,120 @@ class _Tableau:
         prow = T[row] / T[row, q]
         T -= T[:, q, None] * prow           # the product is formed before T changes
         T[row] = prow
+
+    def dual_run(self) -> str:
+        """Dual simplex with the long-step ratio test from the current
+        (dual feasible) basis and pricing state; OPTIMAL once every basic
+        value lies in its range, INFEASIBLE when an infeasible row admits no
+        entering column.  A perturbation acts on the reduced costs alone, so
+        pricing the costs again restores them."""
+        m, T, x, lo, hi = self.m, self.T, self.x, self.lo, self.hi
+        span = hi - lo
+        nudge = None
+        self.perturbed = False
+        while True:
+            if self.iterations > MAX_PIVOTS:
+                raise SimplexError("simplex pivot limit exceeded")
+            row, excess = self._leaving()
+            if row < 0:
+                return OPTIMAL
+            q, moved, flipped = self._long_step(row, excess, span)
+            if q < 0:
+                return INFEASIBLE
+            if flipped.size:
+                to = np.where(self.sense[flipped] > 0.0, lo[flipped], hi[flipped])
+                self.xB -= T[:m, flipped] @ (to - x[flipped])
+                x[flipped] = to
+                self.sense[flipped] *= -1.0
+                self.flips += flipped.size
+            # The entering column moves until the leaving variable reaches
+            # the bound it violates.
+            bound = self.bu.item(row) if excess > 0.0 else self.bl.item(row)
+            move = (self.xB.item(row) - bound) / T.item(row, q)
+            s = 1.0 if move >= 0.0 else -1.0
+            self._pivot(row, q, s, abs(move), s * T[:m, q], excess > 0.0)
+            self.iterations += 1
+            if moved <= self.cost_tol:
+                # A dual-degenerate iteration: the entering reduced cost,
+                # the dual objective's gain per unit of slope, was zero to
+                # tolerance.  Push every nonbasic reduced cost away from
+                # zero the way its bound asks (up at a lower bound, down at
+                # an upper one) by fixed, index-dependent multiples in
+                # [1, 2) of DUAL_PERTURB times the largest cost.
+                if nudge is None:
+                    nudge = (DUAL_PERTURB * max(float(np.abs(self.cost).max()), 1e-300)
+                             * (1.0 + (np.arange(x.size) * 0.6180339887498949) % 1.0))
+                T[m] -= self.sense * nudge
+                self.perturbed = True
+
+    def _leaving(self) -> tuple[int, float]:
+        """Row of the basic variable furthest outside its range, by more
+        than PRIMAL_TOL per unit of the bound, and its signed excess (> 0
+        above the upper bound, < 0 below the lower one); (-1, 0.0) if none.
+        One scan of the rows in Python floats, as in _ratio."""
+        row, worst, excess = -1, 0.0, 0.0
+        for i, xi, lo, up in zip(range(self.m), self.xB.tolist(), self.bl.tolist(),
+                                 self.bu.tolist()):
+            if xi < lo:
+                gap = lo - xi
+                if gap > worst and gap > PRIMAL_TOL * (1.0 + abs(lo)):
+                    row, worst, excess = i, gap, -gap
+            elif xi > up:
+                gap = xi - up
+                if gap > worst and gap > PRIMAL_TOL * (1.0 + abs(up)):
+                    row, worst, excess = i, gap, gap
+        return row, excess
+
+    def _long_step(self, row: int, excess: float,
+                   span: Vector) -> tuple[int, float, NDArray[np.intp]]:
+        """Entering column, its |reduced cost| and the columns that flip, for
+        leaving row row with signed excess excess; (-1, inf, []) when no
+        column can enter.
+
+        The dual step t >= 0 moves each nonbasic reduced cost d_j by
+        -s t alpha_j (alpha the tableau row, s the sign of excess).  Column j
+        breaks at t_j = |d_j| / |alpha_j| when that moves d_j toward zero,
+        i.e. when s alpha_j points against the bound it rests at.  Past its
+        breakpoint a column keeps its reduced cost's sign right by flipping
+        to its opposite bound, which takes |alpha_j| times its range off the
+        slope of the dual objective, |excess| at t = 0.  The breakpoints are
+        passed in order while the slope stays positive; among those left,
+        the column with the largest |alpha_j| whose breakpoint lies within
+        the Harris tolerance of the first one left enters (the first of
+        them on a tie).
+        """
+        alpha, sense = self.T[row], self.sense
+        toward = alpha * sense                   # -s alpha_j sense_j: |alpha_j| where column j breaks
+        if excess > 0.0:
+            np.negative(toward, out=toward)
+        tol = PIVOT_TOL * max(alpha.max(), -alpha.min())
+        cand = np.flatnonzero(toward > tol)
+        if not cand.size:
+            return -1, math.inf, cand
+        a = toward[cand]
+        dist = self.T[self.m, cand] * sense[cand]
+        np.negative(dist, out=dist)
+        np.maximum(dist, 0.0, out=dist)          # |d_j|, 0 when rounding put it past zero
+        ratio = dist / a
+        order = np.argsort(ratio, kind="stable").tolist()
+        # The walk and the Harris pass visit the breakpoints in order, and
+        # only as far as they reach, in Python floats.
+        slope = abs(excess)
+        for k, j in enumerate(order):
+            slope -= a.item(j) * span.item(cand.item(j))
+            if slope <= 0.0:
+                break
+        else:
+            return -1, math.inf, cand[:0]
+        cap, pick, best = math.inf, -1, 0.0
+        for j in order[k:]:
+            if ratio.item(j) > cap:
+                break
+            aj = a.item(j)
+            cap = min(cap, (dist.item(j) + self.cost_tol) / aj)
+            if aj > best:
+                pick, best = j, aj
+        return cand.item(pick), dist.item(pick), cand[order[:k]]
 
     def size(self) -> float:
         """Scale of the scaled program at its current point: the largest
@@ -425,6 +671,11 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     if np.any(lp.lower > lp.upper):
         return LPSolution(INFEASIBLE, np.nan, None, 0, 0.0)
     tab = _Tableau(lp)
+    if tab.dual and tab.dual_run() != OPTIMAL:
+        # No column can enter an infeasible row: the program may be
+        # infeasible, which the two-phase primal run decides.
+        tab.primal_start(tab.K, tab.lo, tab.hi, tab.cost)
+    cost = tab.cost
 
     if tab.n_art:
         phase1 = np.zeros(tab.x.size)
@@ -435,17 +686,19 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
         tab.solve_basics()
         left = float(tab.xB[tab.basis >= tab.n_real].sum())
         if left > FEAS_TOL * tab.size():
-            return LPSolution(INFEASIBLE, np.nan, None, tab.iterations, 0.0)
+            return LPSolution(INFEASIBLE, np.nan, None, tab.iterations, 0.0,
+                              flips=tab.flips)
         # Artificials are fixed at 0 from here on.  One left basic blocks
         # every move that would change it, so Phase II pivots it out the
         # first time a column touches its row; on a redundant row it stays.
         tab.hi[tab.n_real:] = 0.0
 
-    cost = tab.cost
-    tab.price(cost)
+    if not tab.dual or tab.perturbed:     # else the dual run left the true costs priced
+        tab.price(cost)
     for _ in range(MAX_REFACTORS):
         if tab.run() == UNBOUNDED:
-            return LPSolution(UNBOUNDED, -np.inf, None, tab.iterations, 0.0)
+            return LPSolution(UNBOUNDED, -np.inf, None, tab.iterations, 0.0,
+                              flips=tab.flips)
         if not tab.refactor(cost):
             break
 
@@ -460,4 +713,4 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     v = point[:tab.n] * tab.col_scale[:tab.n]
     y = tab.y * tab.row_scale
     return LPSolution(OPTIMAL, float(lp.c @ v), v, tab.iterations, _residual(lp, v),
-                      duals=y[:lp.A_eq.shape[0]])
+                      duals=y[:lp.A_eq.shape[0]], flips=tab.flips)

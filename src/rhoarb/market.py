@@ -7,9 +7,10 @@ of wealth in the risky assets; the riskless fraction is implied and never
 stored.  The excess return of pi is X_pi = pi . (R - r 1), scenario by
 scenario.  MartingalePolytope is the equality system of the densities that
 price the market, shared by the primal slice LP and the dual tests; a market
-builds it, its Gaussian tangency portfolio and the scenario order of that
-portfolio's excess return once (ScenarioMarket.polytope,
-ScenarioMarket.tangency, ScenarioMarket.tangency_order).
+builds it, its Gaussian tangency portfolio, that portfolio's excess return
+and the scenario order of it once (ScenarioMarket.polytope,
+ScenarioMarket.tangency, ScenarioMarket.tangency_excess,
+ScenarioMarket.tangency_order).
 """
 
 from __future__ import annotations
@@ -120,15 +121,43 @@ class ScenarioMarket:
             return None
 
     @cached_property
-    def tangency_order(self) -> NDArray[np.intp] | None:
-        """Scenarios from the worst to the best excess return of the
-        tangency portfolio (a stable sort), or None without one: the order
-        in which the crash starts of the slice and sup-norm LPs fill their
-        densities."""
+    def tangency_excess(self) -> Vector | None:
+        """pi_T . (R - r 1), the excess return of the tangency portfolio in
+        each scenario, or None without one."""
         if self.tangency is None:
             return None
-        return _frozen_array(np.argsort(self.tangency @ self.excess_matrix, kind="stable"),
-                             dtype=np.intp)
+        return _frozen_array(self.tangency @ self.excess_matrix)
+
+    @cached_property
+    def tangency_order(self) -> NDArray[np.intp] | None:
+        """Scenarios from the worst to the best excess return of the
+        tangency portfolio (a stable sort), or None without one."""
+        if self.tangency is None:
+            return None
+        return _frozen_array(np.argsort(self.tangency_excess, kind="stable"), dtype=np.intp)
+
+    @cached_property
+    def _tangency_middles(self) -> Vector | None:
+        """Probability mass below the middle of each scenario's own
+        probability, scenarios in tangency_order."""
+        if self.tangency is None:
+            return None
+        p = self.probs[self.tangency_order]
+        return _frozen_array(np.cumsum(p) - 0.5 * p)
+
+    def tail_hint(self, masses) -> NDArray[np.intp] | None:
+        """Columns j N + omega of J blocks of scenario densities, ordered by
+        how far scenario omega lies, along tangency_order, from the end of
+        block j's worst tail of probability masses[j] (measured from the
+        middle of the scenario's own probability; a stable sort): the basis
+        hint of the slice and box-scale LPs, whose optima cap each block on
+        such a tail.  None without a tangency portfolio."""
+        middles = self._tangency_middles
+        if middles is None:
+            return None
+        dist = np.abs(middles - np.asarray(masses, dtype=np.float64)[:, None])
+        block, pos = np.divmod(np.argsort(dist, axis=None, kind="stable"), self.n_scenarios)
+        return block * self.n_scenarios + self.tangency_order[pos]
 
 
 @dataclass(frozen=True, eq=False)

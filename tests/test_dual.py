@@ -11,8 +11,8 @@ from conftest import (binomial_market, duo_market, make_dominating_market,
                       make_drift_market, make_priced_market, make_random_market,
                       make_tanh_priced_market)
 from oracles import box_mixture, es_strict_check, spectral_box_scale
-from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
-                         cross_validate, es_min_supnorm, gentropic_check)
+from rhoarb.dual import (MartingalePolytope, _tangency_proves_empty, classical_no_arbitrage,
+                         classify_dual, cross_validate, es_min_supnorm, gentropic_check)
 from rhoarb.frontier import CLASSIFY_TOL, classify_primal, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, conjugate, evaluate
@@ -343,7 +343,8 @@ def test_spectral_sweep_matches_the_box_mixture_rule():
     # box-mixture LP.  Over M convex the two agree.  A witness fits its
     # boxes at the scale alpha_1 t* (below 1 and strictly positive for
     # NO_ARBITRAGE); M_EMPTY marks an empty M when no level-1 atom pins
-    # Z >= w_pin, and BOUNDARY a t* within tol of 1/alpha_1.
+    # Z >= w_pin or the tangency portfolio proves it empty, and BOUNDARY a
+    # t* within tol of 1/alpha_1.
     rng = np.random.default_rng(2029)
     makers = (lambda: make_random_market(rng, n_max=10, d_max=3),
               lambda: make_priced_market(rng, n_max=10, d_max=3),
@@ -370,7 +371,9 @@ def test_spectral_sweep_matches_the_box_mixture_rule():
                     expected = "RHO_ARBITRAGE"
                 assert v.verdict == expected
                 assert {"delta", "delta_prime", "strong_feasible"}.isdisjoint(cert)
-                pinned = atoms[-1][0] == 1.0
+                # A level-1 atom hides an empty M from the box-scale LP,
+                # but not from the tangency portfolio's proof.
+                pinned = atoms[-1][0] == 1.0 and _tangency_proves_empty(market) is None
                 assert ("M_EMPTY" in v.annotations) == (m_empty and not pinned)
                 assert ("BOUNDARY" in v.annotations) == (
                     abs(cert["t_star"] - cert["box_upper"]) <= CLASSIFY_TOL)

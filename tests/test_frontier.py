@@ -60,7 +60,6 @@ def test_rho1_binomial_es_boundary():
     assert abs(res.rho1) < 1e-12
     assert res.attained
     assert np.allclose(res.argmin, [2.0], atol=1e-9)
-    assert res.rho0 == 0.0
 
 
 def test_rho1_duo_es_levels():

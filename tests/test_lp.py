@@ -247,56 +247,84 @@ def test_rescaled_program_takes_the_same_path(k):
     assert np.allclose(got.duals * s, ref.duals, rtol=1e-8, atol=1e-12)
 
 
-# -- starting points -------------------------------------------------------------
+# -- starting points: the default start and the basis hint ----------------------
 
 
 def test_start_at_upper_bounds_is_already_optimal():
-    # The optimum puts both variables at their upper bounds; starting there
-    # leaves nothing to pivot or flip.
-    lp = LinearProgram(c=[-1.0, -1.0], upper=[2.0, 3.0], start=[2.0, 3.0])
+    # The hint makes x2 basic; both other variables have negative reduced
+    # costs, so the dual start puts them at their upper bounds, which is the
+    # optimum: nothing to pivot or flip.
+    lp = LinearProgram(c=[-1.0, -1.0, 0.0], A_eq=[[1.0, 1.0, -1.0]], b_eq=[0.0],
+                       upper=[2.0, 3.0, np.inf], hint=[2])
     sol = lp_solve(lp)
     assert sol.status == "OPTIMAL"
-    assert sol.iterations == 0
-    assert np.all(sol.x == [2.0, 3.0])
+    assert sol.iterations == sol.flips == 0
+    assert np.all(sol.x == [2.0, 3.0, 5.0])
 
 
 def test_interior_start_is_priced_both_ways():
-    # From the middle of the box x0 must fall to its lower bound and x1 rise
-    # to its upper one.
+    # Boxes around 0 start at 0, inside their range: x0 must fall to its
+    # lower bound and x1 rise to its upper one.
     lp = LinearProgram(c=[1.0, -1.0], A_le=[[1.0, 1.0]], b_le=[1.5],
-                       upper=[1.0, 1.0], start=[0.5, 0.5])
+                       lower=[-1.0, -1.0], upper=[1.0, 1.0])
     sol = lp_solve(lp)
     assert sol.status == "OPTIMAL"
-    assert abs(sol.value + 1.0) < ATOL
-    assert np.allclose(sol.x, [0.0, 1.0], atol=ATOL)
+    assert abs(sol.value + 2.0) < ATOL
+    assert np.allclose(sol.x, [-1.0, 1.0], atol=ATOL)
 
 
-def test_start_that_violates_rows_runs_phase_one_from_it():
-    # The start overshoots the equality row and breaks the inequality row:
-    # Phase I repairs both from there and Phase II reaches the optimum of the
-    # default start.
-    lp = dict(c=[1.0, 2.0, 3.0], A_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0],
-              A_le=[[1.0, -1.0, 0.0]], b_le=[0.0], upper=[1.0, 1.0, 1.0])
+def test_hint_start_that_violates_rows_runs_the_dual_from_it():
+    # The basis {x2, x1} puts x0 at its upper bound and leaves x2 = -1: the
+    # dual run repairs that and reaches the primal run's optimum.
+    lp = dict(c=[1.0, 2.0, 3.0], A_eq=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b_eq=[1.0, 0.0],
+              upper=[1.0, 1.0, 1.0])
     ref = lp_solve(LinearProgram(**lp))
-    sol = lp_solve(LinearProgram(**lp, start=[1.0, 0.0, 1.0]))
+    sol = lp_solve(LinearProgram(**lp, hint=[2, 1]))
     assert ref.status == sol.status == "OPTIMAL"
+    assert sol.iterations >= 1
     assert abs(sol.value - 1.5) < ATOL
     assert abs(sol.value - ref.value) < ATOL
     assert np.allclose(sol.x, [0.5, 0.5, 0.0], atol=ATOL)
 
 
-@pytest.mark.parametrize("start", [[1.5, 0.0], [-0.1, 0.0], [0.0], [np.nan, 0.0],
-                                   [np.inf, 0.0]])
+@pytest.mark.parametrize("start", [[2], [-1], [0, 2], [-2, 1], [1, 0, 7]])
 def test_start_outside_the_bounds_is_rejected(start):
+    # A hint start names variables by index; one outside 0..n-1 is rejected.
     with pytest.raises(ValueError):
-        LinearProgram(c=[1.0, 1.0], lower=[0.0, -np.inf], upper=[1.0, np.inf],
-                      start=start)
+        LinearProgram(c=[1.0, 1.0], lower=[0.0, -np.inf], upper=[1.0, np.inf], hint=start)
+
+
+@pytest.mark.parametrize("hint", [[0, 0], [0.5], [[0, 1]], ["0"]])
+def test_malformed_hint_is_rejected(hint):
+    with pytest.raises(ValueError):
+        LinearProgram(c=[1.0, 1.0], upper=[1.0, 1.0], hint=hint)
+
+
+def test_hint_falls_back_to_the_primal_run():
+    # No column can enter the row that x0 + x1 = 3 leaves infeasible: the
+    # dual run hands over, and the two-phase primal run finds the program
+    # infeasible.  A hint with a dependent column short of a basis, and a
+    # start that would put an unbounded column at infinity, fall back too.
+    lp = dict(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[3.0], upper=[1.0, 1.0])
+    assert lp_solve(LinearProgram(**lp, hint=[0])).status == "INFEASIBLE"
+    lp = dict(c=[1.0, 1.0, 0.0], A_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]], b_eq=[1.0, 3.0],
+              upper=[1.0, 1.0, 5.0])
+    ref = lp_solve(LinearProgram(**lp))
+    for hint in ([0, 1], [2, 0]):
+        sol = lp_solve(LinearProgram(**lp, hint=hint))
+        assert sol.status == ref.status == "OPTIMAL"
+        assert abs(sol.value - ref.value) < ATOL
+    lp = dict(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0], upper=[np.inf, 1.0])
+    sol = lp_solve(LinearProgram(**lp, hint=[1]))
+    assert sol.status == "OPTIMAL" and abs(sol.value + 1.0) < ATOL and sol.flips == 0
 
 
 def test_starts_reach_the_highs_optimum():
     # The seeded sweep of random bounded programs, solved from the default
-    # start, from every upper bound and from a random interior point: the
-    # optimum is the same from each, and equals HiGHS's.
+    # start and from two hints (the variables in order and reversed): the
+    # optimum is the same from each, and equals HiGHS's.  A program with an
+    # inequality row whose slack the dual start would put at an infinite
+    # bound falls back to the primal run.
     rng = np.random.default_rng(2024)
     for _ in range(60):
         me = int(rng.integers(1, 4))
@@ -313,12 +341,101 @@ def test_starts_reach_the_highs_optimum():
                                bounds=list(zip(np.zeros(n), upper)), method="highs")
         assert ref.status == 0
         base = lp_solve(LinearProgram(**lp))
-        for start in (upper, rng.uniform(0.0, 1.0, n) * upper):
-            sol = lp_solve(LinearProgram(**lp, start=start))
+        for hint in (np.arange(n), np.arange(n)[::-1]):
+            sol = lp_solve(LinearProgram(**lp, hint=hint))
             assert sol.status == "OPTIMAL"
             assert abs(sol.value - base.value) < 1e-9 * (1.0 + abs(base.value))
             assert abs(sol.value - ref.fun) < 1e-9 * (1.0 + abs(ref.fun))
             assert sol.residual < 1e-9
+
+
+def boxed_program(rng, degenerate: bool):
+    """(LinearProgram fields, hint) of a random equality program whose
+    columns are all boxed but one, free or bounded below only, which the
+    hint names first.  A degenerate program puts the cost on that column
+    alone, as the slice and box-scale LPs do, and adds a capacity row that
+    only the upper bounds of its columns meet, as a saturated block of the
+    box-scale LP does."""
+    m = int(rng.integers(2, 6))
+    n = m + int(rng.integers(3, 25))
+    lower, upper = np.zeros(n), rng.uniform(0.5, 2.0, n)
+    A = rng.normal(size=(m, n))
+    x0 = rng.uniform(0.0, 1.0, n) * upper
+    f = int(rng.integers(n))
+    upper[f] = np.inf
+    if rng.random() < 0.5:
+        lower[f], x0[f] = -np.inf, rng.normal()
+    c = rng.normal(size=n)
+    if degenerate:
+        c = np.where(np.arange(n) == f, 1.0, 0.0)
+        cap = rng.permutation(np.flatnonzero(np.arange(n) != f))[:int(rng.integers(1, n // 2 + 1))]
+        A[0] = 0.0
+        A[0, cap] = rng.uniform(0.5, 1.5, cap.size)
+        x0[cap] = upper[cap]
+    others = rng.permutation(np.flatnonzero(np.arange(n) != f))
+    return dict(c=c, A_eq=A, b_eq=A @ x0, lower=lower, upper=upper), np.r_[f, others]
+
+
+def test_dual_run_matches_the_primal_run_and_is_scale_free(monkeypatch):
+    # Random boxed programs with one free or unbounded column, half of them
+    # degenerate: from the hint and from the default start they reach the
+    # same value to 1e-9 and a feasible point.  Rows scaled by powers of two
+    # each, the variables by one power of two and the costs by another take
+    # the same path to the same bits.  (A power of two on one variable
+    # alone can move a row's largest entry, and with it the row's scale.)
+    runs = []
+    dual_run = lp_module._Tableau.dual_run
+
+    def spy(self):
+        status = dual_run(self)
+        runs.append(self.perturbed)
+        return status
+
+    monkeypatch.setattr(lp_module._Tableau, "dual_run", spy)
+    rng = np.random.default_rng(1717)
+    flips = 0
+    for k in range(120):
+        fields, hint = boxed_program(rng, degenerate=k % 2 == 1)
+        ref = lp_solve(LinearProgram(**fields))
+        got = lp_solve(LinearProgram(**fields, hint=hint))
+        assert got.status == ref.status == "OPTIMAL"
+        assert abs(got.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value))
+        assert got.residual <= 1e-9
+        flips += got.flips
+        r = 2.0 ** rng.integers(-8, 9, size=fields["A_eq"].shape[0])
+        s, t = 2.0 ** rng.integers(-8, 9, size=2)
+        scaled = lp_solve(LinearProgram(
+            c=t * s * fields["c"], A_eq=r[:, None] * fields["A_eq"] * s, b_eq=r * fields["b_eq"],
+            lower=fields["lower"] / s, upper=fields["upper"] / s, hint=hint))
+        assert (scaled.iterations, scaled.flips) == (got.iterations, got.flips)
+        assert scaled.value == t * got.value
+        assert np.array_equal(scaled.x * s, got.x)
+    assert len(runs) == 2 * 120                 # every hinted program ran the dual
+    assert any(runs) and not all(runs)         # and some of them were perturbed
+    assert flips > 100
+
+
+def test_dual_run_finishes_on_the_saturated_spectral_box_scale_lp(monkeypatch):
+    # The box-scale LP of SPECTRAL {(0.05, .3), (0.25, .7)} on this priced
+    # market saturates its second block at sigma* = 0.05/0.25: the dual
+    # degeneracy on which the dual run cycles without its perturbation.  It
+    # finishes, and matches the primal run.
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(rhoarb.dual, "lp_solve", record)
+    market = make_tanh_priced_market(np.random.default_rng([1000, 10, 7]), 1000, 10)
+    res = es_min_supnorm(market, ((0.05, 0.3), (0.25, 0.7)))
+    assert abs(res.t - 5.0) <= 1e-12 * 5.0
+    lp = programs[0]
+    got = lp_solve(lp)
+    ref = lp_solve(LinearProgram(c=lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, upper=lp.upper))
+    assert got.status == ref.status == "OPTIMAL"
+    assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+    assert got.iterations < 0.1 * ref.iterations
 
 
 # -- the scalar ratio test against the vectorized reference ----------------------
@@ -395,16 +512,26 @@ def bench_shaped_programs(monkeypatch):
 
 
 def solution_bits(sol):
-    return (sol.status, sol.iterations, float(sol.value).hex(),
+    return (sol.status, sol.iterations, sol.flips, float(sol.value).hex(),
             None if sol.x is None else sol.x.tobytes(),
             None if sol.duals is None else sol.duals.tobytes())
 
 
 def test_reference_ratio_test_takes_the_same_pivot_path(monkeypatch):
+    # The primal ratio test runs in WC's slice LP and the classical LP from
+    # their default start, and in the clean-up after each dual run.
     programs = bench_shaped_programs(monkeypatch)
     assert len(programs) == 28
+    scans = []
+    ratio = lp_module._Tableau._ratio
+
+    def counted(self, g, bland):
+        scans.append(bland)
+        return ratio(self, g, bland)
+
+    monkeypatch.setattr(lp_module._Tableau, "_ratio", counted)
     got = [solution_bits(lp_solve(lp)) for lp in programs]
     monkeypatch.setattr(lp_module._Tableau, "_ratio", oracles.lp_ratio_reference)
     want = [solution_bits(lp_solve(lp)) for lp in programs]
     assert got == want
-    assert sum(bits[1] for bits in got) > 500
+    assert len(scans) > 200

@@ -6,7 +6,7 @@ min ||Z||_inf over the martingale densities, the dual verdict and the
 primal/dual agreement status depend on the market only through the law
 of the excess returns, and t* and both verdicts are unitless.  So they
 must not change when the scenarios are listed in another order (which
-also reorders the ties the sup-norm LP's crash start breaks), when one
+also reorders the ties the sup-norm LP's basis hint breaks), when one
 scenario is split into two with the same returns, or when returns and
 the riskless rate are quoted in other units; nor must rho1, every
 verdict, or v* = min E[g(Z)] over the martingale densities.  rho1 and
