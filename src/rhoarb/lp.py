@@ -604,10 +604,10 @@ class _Tableau:
         breakpoint a column keeps its reduced cost's sign right by flipping
         to its opposite bound, which takes |alpha_j| times its range off the
         slope of the dual objective, |excess| at t = 0.  The breakpoints are
-        passed in order while the slope stays positive; among those left,
-        the column with the largest |alpha_j| whose breakpoint lies within
-        the Harris tolerance of the first one left enters (the first of
-        them on a tie).
+        passed in order while the slope stays above FEAS_TOL |excess|; among
+        those left, the column with the largest |alpha_j| whose breakpoint
+        lies within the Harris tolerance of the first one left enters (the
+        first of them on a tie).
         """
         alpha, sense = self.T[row], self.sense
         toward = alpha * sense                   # -s alpha_j sense_j: |alpha_j| where column j breaks
@@ -625,10 +625,14 @@ class _Tableau:
         order = np.argsort(ratio, kind="stable").tolist()
         # The walk and the Harris pass visit the breakpoints in order, and
         # only as far as they reach, in Python floats.
+        # A row that the flips fix with zero slack (a block whose bounds fix
+        # it, such as E[zeta] = 1 under zeta <= 1) ends its walk at a slope of
+        # rounding size: FEAS_TOL of the excess counts as zero.
         slope = abs(excess)
+        flat = FEAS_TOL * slope
         for k, j in enumerate(order):
             slope -= a.item(j) * span.item(cand.item(j))
-            if slope <= 0.0:
+            if slope <= flat:
                 break
         else:
             return -1, math.inf, cand[:0]

@@ -415,6 +415,30 @@ def test_dual_run_matches_the_primal_run_and_is_scale_free(monkeypatch):
     assert flips > 100
 
 
+def test_dual_run_fixes_a_row_with_zero_slack(monkeypatch):
+    # A level-1 atom's block of the slice LP is fixed by its bounds
+    # (E[zeta] = 1 under zeta <= 1).  The long step that fixes its row
+    # leaves a slope of rounding size, which must count as zero, not as a
+    # row no column can fix: that would hand the LP to the primal run.
+    statuses = []
+    dual_run = lp_module._Tableau.dual_run
+
+    def spy(self):
+        statuses.append(dual_run(self))
+        return statuses[-1]
+
+    monkeypatch.setattr(lp_module._Tableau, "dual_run", spy)
+    market = make_tanh_priced_market(np.random.default_rng(1003), 150, 5)
+    lp, _ = _slice_lp(market, RiskSpec.spectral(((0.1, 0.4), (0.5, 0.3), (1.0, 0.3))))
+    got = lp_solve(lp)
+    assert statuses == ["OPTIMAL"]
+    ref = lp_solve(LinearProgram(c=lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, lower=lp.lower,
+                                 upper=lp.upper))
+    assert got.status == ref.status == "OPTIMAL"
+    assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+    assert got.iterations < 0.25 * ref.iterations
+
+
 def test_dual_run_finishes_on_the_saturated_spectral_box_scale_lp(monkeypatch):
     # The box-scale LP of SPECTRAL {(0.05, .3), (0.25, .7)} on this priced
     # market saturates its second block at sigma* = 0.05/0.25: the dual
