@@ -6,9 +6,8 @@ primal optimization, dual martingale-density certificates, and closed
 forms for elliptical models.
 """
 
-from .dual import (ClassicalResult, CrossValidation, DualWitness,
-                   GEntropicResult, SupnormResult, classical_no_arbitrage,
-                   classify_dual, cross_validate, es_min_supnorm, gentropic_check)
+from .dual import (ClassicalResult, CrossValidation, DualWitness, SupnormResult,
+                   classical_no_arbitrage, classify_dual, cross_validate, es_min_supnorm)
 from .elliptical import (EllipticalMarket, classify_trichotomy, critical_alpha,
                          gaussian_rho_z, phase_curve_rows, sr_max)
 from .frontier import (ArbitrageVerdict, FrontierResult,
@@ -20,14 +19,13 @@ from .market import (DegenerateMarketError, MartingalePolytope, ScenarioMarket,
                      validate_market)
 from .measures import (RiskSpec, UnsupportedDualError, UnsupportedPrimalError,
                        evaluate)
-from .solvers import CumulantResult, newton_cumulant_min
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArbitrageVerdict", "ClassicalResult", "CrossValidation", "CumulantResult",
+    "ArbitrageVerdict", "ClassicalResult", "CrossValidation",
     "DegenerateMarketError", "DualWitness", "EllipticalMarket",
-    "FrontierResult", "GEntropicResult", "LPSolution", "LinearProgram",
+    "FrontierResult", "LPSolution", "LinearProgram",
     "MartingalePolytope", "RiskSpec", "ScenarioMarket",
     "SimplexError", "SupnormResult", "UnsupportedDualError",
     "UnsupportedGlobalMinError", "UnsupportedPrimalError",
@@ -35,6 +33,6 @@ __all__ = [
     "classify_primal", "classify_trichotomy", "compute_rho1",
     "critical_alpha", "cross_validate", "es_min_supnorm",
     "evaluate", "excess_return", "expected_excess", "frontier_points",
-    "gaussian_rho_z", "gentropic_check", "lp_solve", "newton_cumulant_min",
+    "gaussian_rho_z", "lp_solve",
     "phase_curve_rows", "sr_max", "validate_market",
 ]

@@ -252,107 +252,6 @@ def _mix_positive(z: Vector, z_pos: Vector, value: float, value_pos: float,
     return (1.0 - eta) * z + eta * z_pos
 
 
-# -- g-entropic penalties ----------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GEntropicResult:
-    """Penalty-minimization outcome over M.
-
-    v_star is min E[g(Z)] to the solver tolerance, the value of the smooth
-    dual; strong_ok means no strong arbitrage (v* <= beta), strict_ok
-    means no arbitrage at all (classical delta* > 0 and v* < beta).  gap
-    and iterations come from the solver: the scaled gradient norm and the
-    Newton iterations on the NEWTON route.  On the M_EMPTY route iterations
-    counts the classical LP's, 0 when the tangency portfolio proved M empty
-    without it.
-    """
-
-    v_star: float
-    beta: float
-    delta_classical: float
-    strong_ok: bool
-    strict_ok: bool
-    witness: DualWitness | None
-    route: str
-    gap: float = 0.0
-    annotations: tuple[str, ...] = ()
-    iterations: int = 0
-
-
-def _read_penalty(g, beta: float) -> RiskSpec:
-    if isinstance(g, str):
-        if g.upper() == "ENTROPY":
-            return RiskSpec.entropic(beta)
-        raise ValueError(f"unknown penalty name {g!r}")
-    if isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str):
-        if g[0].upper() != "POWER":
-            raise ValueError(f"unknown penalty family {g[0]!r}")
-        return RiskSpec.power(g[1], beta)
-    if isinstance(g, tuple) and len(g) == 2 and callable(g[0]):
-        return RiskSpec.custom(g[0], beta, g_prime=g[1])
-    if callable(g):
-        return RiskSpec.custom(g, beta)
-    raise TypeError("g must be 'entropy', ('power', q), or a callable (with "
-                    "optional derivative)")
-
-
-def gentropic_check(market: ScenarioMarket, g, beta: float) -> GEntropicResult:
-    """Penalty test: v* = min E[g(Z)] over M against the budget beta.
-
-    g is 'entropy', ('power', q), or a callable penalty (optionally paired
-    with its derivative); beta must exceed g(1), as RiskSpec requires, or
-    ValueError is raised.  No strong arbitrage iff v* <= beta; no arbitrage
-    iff additionally the classical margin is positive and v* < beta
-    strictly (mixing the positive classical witness into a near-minimizer
-    keeps the penalty below beta while making the density strictly
-    positive).
-    """
-    return _penalty_check(market, _read_penalty(g, float(beta)))
-
-
-def _penalty_check(market: ScenarioMarket, pen: RiskSpec) -> GEntropicResult:
-    """gentropic_check for a GENTROPIC spec (a penalty ball).
-
-    Every g minimizes through its unconstrained smooth dual
-    (frontier._penalty_min), which has no gap on finite scenario spaces:
-    the cumulant for ENTROPY, the conjugate for POWER and CUSTOM.
-    """
-    beta = pen.beta
-    poly = market.polytope
-    cl = None if _tangency_proves_empty(market) is not None else classical_no_arbitrage(market)
-    if cl is None or cl.status == INFEASIBLE:
-        return GEntropicResult(v_star=math.inf, beta=beta, delta_classical=0.0,
-                               strong_ok=False, strict_ok=False, witness=None,
-                               route="M_EMPTY", annotations=("M_EMPTY",),
-                               iterations=0 if cl is None else cl.iterations)
-
-    def expected_penalty(z: Vector) -> float:
-        return float(market.probs @ penalty(pen, np.maximum(z, 0.0)))
-
-    res = _penalty_min(pen, market.probs, market.excess_matrix.T)
-    if pen.g_kind == "ENTROPY":
-        z_pen = res.value  # E[z log z] = lam . E[z e] - K = -K to the gradient
-    else:
-        z_pen = expected_penalty(res.z)
-    v_star = res.value
-    witness = DualWitness.of(poly, res.z, penalty=z_pen)
-
-    strong_ok = v_star <= beta + ZERO_TOL
-    strict_ok = (cl.delta > ZERO_TOL) and (v_star < beta - ZERO_TOL)
-    if strict_ok and witness.min_entry <= 0.0:
-        # Mix the positive classical witness in to exhibit a strictly
-        # positive density whose penalty still sits below beta.
-        z_pos = cl.witness.z
-        z_mix = _mix_positive(witness.z, z_pos, v_star, expected_penalty(z_pos), beta)
-        witness = DualWitness.of(poly, z_mix, penalty=expected_penalty(z_mix))
-    return GEntropicResult(v_star=v_star, beta=beta, delta_classical=cl.delta,
-                           strong_ok=strong_ok, strict_ok=strict_ok, witness=witness,
-                           route="NEWTON", gap=res.gradient_norm,
-                           annotations=("DIVERGENT",) if res.status == "DIVERGENT" else (),
-                           iterations=res.iterations)
-
-
 # -- classification ----------------------------------------------------------
 
 
@@ -453,28 +352,51 @@ def _classify_es(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
 
 def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
                         tol: float) -> ArbitrageVerdict:
-    res = _penalty_check(market, pen)
-    cert: dict = {"v_star": res.v_star, "beta": res.beta,
-                  "delta_classical": res.delta_classical, "iterations": res.iterations}
-    if res.route == "M_EMPTY":
-        low = _tangency_proves_empty(market)
-        if low is not None:
-            cert["tangency_excess_min"] = low
-    else:
-        cert["gap"] = res.gap
-    if res.witness is not None:
-        cert["witness"] = res.witness.to_dict()
-    ann = list(res.annotations)
-    if math.isfinite(res.v_star) and abs(res.v_star - res.beta) <= tol:
-        ann.append("BOUNDARY")
-    if not res.strong_ok:
+    """EVAR, TNORM or GENTROPIC: the penalty ball {E[g(Z)] <= beta} of pen.
+
+    v* = min E[g(Z)] over M comes from the smooth dual (frontier._penalty_min),
+    which has no gap on finite scenario spaces: the cumulant for ENTROPY, the
+    conjugate for POWER and CUSTOM.  v* > beta (or NaN) is strong arbitrage.
+    Otherwise no arbitrage iff v* < beta and the classical delta* > 0; the
+    witness is then the minimizer, with the classical witness mixed in
+    (_mix_positive) when it has a zero entry.  The certificate carries the
+    Newton iterations and the scaled gradient norm as gap.
+    """
+    beta = pen.beta
+    low = _tangency_proves_empty(market)
+    if low is not None:
+        return _empty_verdict({"v_star": math.inf, "beta": beta, "delta_classical": 0.0}, low)
+    cl = classical_no_arbitrage(market)
+    cert: dict = {"v_star": math.inf, "beta": beta, "delta_classical": cl.delta,
+                  "iterations": cl.iterations}
+    if cl.status == INFEASIBLE:
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=tuple(ann))
-    if res.strict_ok:
-        return ArbitrageVerdict(verdict="NO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=tuple(ann))
-    return ArbitrageVerdict(verdict="RHO_ARBITRAGE", route="DUAL",
-                            certificate=cert, annotations=tuple(ann))
+                                certificate=cert, annotations=("M_EMPTY",))
+    poly = market.polytope
+
+    def expected_penalty(z: Vector) -> float:
+        return float(market.probs @ penalty(pen, np.maximum(z, 0.0)))
+
+    res = _penalty_min(pen, market.probs, market.excess_matrix.T)
+    v_star = res.value
+    # E[z log z] = lam . E[z e] - K = -K to the gradient
+    z_pen = v_star if pen.g_kind == "ENTROPY" else expected_penalty(res.z)
+    witness = DualWitness.of(poly, res.z, penalty=z_pen)
+    strict = cl.delta > ZERO_TOL and v_star < beta - ZERO_TOL
+    if strict and witness.min_entry <= 0.0:
+        z_mix = _mix_positive(witness.z, cl.witness.z, v_star,
+                              expected_penalty(cl.witness.z), beta)
+        witness = DualWitness.of(poly, z_mix, penalty=expected_penalty(z_mix))
+    cert.update(v_star=v_star, iterations=res.iterations, gap=res.gradient_norm,
+                witness=witness.to_dict())
+    ann = ("DIVERGENT",) if res.status == "DIVERGENT" else ()
+    if math.isfinite(v_star) and abs(v_star - beta) <= tol:
+        ann += ("BOUNDARY",)
+    if not v_star <= beta + ZERO_TOL:
+        verdict = "STRONG_RHO_ARBITRAGE"
+    else:
+        verdict = "NO_ARBITRAGE" if strict else "RHO_ARBITRAGE"
+    return ArbitrageVerdict(verdict=verdict, route="DUAL", certificate=cert, annotations=ann)
 
 
 # -- two-route agreement -----------------------------------------------------

@@ -646,10 +646,10 @@ class _Tableau:
                 pick, best = j, aj
         return cand.item(pick), dist.item(pick), cand[order[:k]]
 
-    def size(self) -> float:
-        """Scale of the scaled program at its current point: the largest
-        right-hand side or variable, the unit of primal feasibility."""
-        v = self.point()[:self.n_real]
+    def size(self, v: Vector) -> float:
+        """Scale of the scaled program at its point v (the real columns of
+        point()): the largest right-hand side or variable, the unit of
+        primal feasibility."""
         return max(float(np.abs(self.b).max(initial=0.0)),
                    float(np.abs(v).max(initial=0.0)), np.finfo(float).tiny)
 
@@ -689,7 +689,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
             raise SimplexError("phase 1 cannot be unbounded")
         tab.solve_basics()
         left = float(tab.xB[tab.basis >= tab.n_real].sum())
-        if left > FEAS_TOL * tab.size():
+        if left > FEAS_TOL * tab.size(tab.point()[:tab.n_real]):
             return LPSolution(INFEASIBLE, np.nan, None, tab.iterations, 0.0,
                               flips=tab.flips)
         # Artificials are fixed at 0 from here on.  One left basic blocks
@@ -710,7 +710,7 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
     # size, against the size of its right-hand side and of the point.
     point = tab.point()[:tab.n_real]
     gap = float(np.abs(tab.K[:, :tab.n_real] @ point - tab.b).max(initial=0.0))
-    size = tab.size()
+    size = tab.size(point)
     if gap > RESIDUAL_TOL * size:
         raise SimplexError(f"simplex returned an infeasible point (relative residual "
                            f"{gap / size:.3e})")

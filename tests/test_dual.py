@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
+import rhoarb.dual
 import rhoarb.frontier
 from conftest import (binomial_market, duo_market, make_dominating_market,
                       make_drift_market, make_priced_market, make_random_market,
                       make_tanh_priced_market)
 from oracles import box_mixture, es_strict_check, spectral_box_scale
 from rhoarb.dual import (MartingalePolytope, _tangency_proves_empty, classical_no_arbitrage,
-                         classify_dual, cross_validate, es_min_supnorm, gentropic_check)
+                         classify_dual, cross_validate, es_min_supnorm)
 from rhoarb.frontier import CLASSIFY_TOL, classify_primal, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, conjugate, evaluate
@@ -130,32 +131,54 @@ def test_strict_es_rejects_bad_alpha():
         es_strict_check(duo_market(), 1.0)
 
 
+# -- M empty from the tangency portfolio ---------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    RiskSpec.wc(), RiskSpec.es(0.25), RiskSpec.spectral([(0.1, 0.5), (0.5, 0.5)]),
+    RiskSpec.evar(0.25), RiskSpec.tnorm(2.0, 0.25), RiskSpec.entropic(0.5),
+    RiskSpec.power(2.0, 2.0), RiskSpec.custom(lambda z: np.sqrt(1.0 + z ** 2), 1.6),
+], ids=lambda spec: spec.g_kind or spec.kind)
+def test_tangency_proof_of_an_empty_m_solves_no_lp(spec, monkeypatch):
+    # pi_T . e is 12 and 6 on the two scenarios: min 6 > 0 proves M empty,
+    # and every test returns that proof before any LP.
+    calls = []
+    solve = rhoarb.dual.lp_solve
+    monkeypatch.setattr(rhoarb.dual, "lp_solve", lambda lp: calls.append(lp) or solve(lp))
+    verdict = classify_dual(unpriceable_market(), spec)
+    assert not calls
+    assert verdict.verdict == "STRONG_RHO_ARBITRAGE"
+    assert verdict.annotations == ("M_EMPTY",)
+    assert verdict.certificate["iterations"] == 0
+    assert verdict.certificate["tangency_excess_min"] == pytest.approx(6.0, rel=1e-12)
+
+
 # -- g-entropic penalties ------------------------------------------------------
 
 
 def test_gentropic_duo_entropy_value_and_threshold():
-    res = gentropic_check(duo_market(), "entropy", beta=-math.log(0.9))
-    assert abs(res.v_star - DUO_ENTROPY) < 1e-8
-    assert res.strong_ok and res.strict_ok
-    assert abs(res.witness.penalty - DUO_ENTROPY) < 1e-6
+    res = classify_dual(duo_market(), RiskSpec.entropic(-math.log(0.9)))
+    assert abs(res.certificate["v_star"] - DUO_ENTROPY) < 1e-8
+    assert res.verdict == "NO_ARBITRAGE"
+    assert abs(res.certificate["witness"]["penalty"] - DUO_ENTROPY) < 1e-6
     # Budget below the minimal entropy: strong arbitrage.
-    res = gentropic_check(duo_market(), "entropy", beta=-math.log(0.96))
-    assert not res.strong_ok
+    res = classify_dual(duo_market(), RiskSpec.entropic(-math.log(0.96)))
+    assert res.verdict == "STRONG_RHO_ARBITRAGE"
 
 
 def test_gentropic_binomial_entropy_divergent():
-    res = gentropic_check(binomial_market(), "entropy", beta=1.0)
-    assert abs(res.v_star - math.log(2.0)) < 1e-9
+    res = classify_dual(binomial_market(), RiskSpec.entropic(1.0))
+    assert abs(res.certificate["v_star"] - math.log(2.0)) < 1e-9
     assert "DIVERGENT" in res.annotations
-    assert not res.strict_ok  # P empty: never arbitrage-free
+    assert res.verdict != "NO_ARBITRAGE"  # P empty: never arbitrage-free
     for alpha in (0.2, 0.5, 0.9):
         verdict = classify_dual(binomial_market(), RiskSpec.evar(alpha))
         assert verdict.verdict != "NO_ARBITRAGE"
 
 
 def test_gentropic_duo_power_value_and_threshold():
-    res = gentropic_check(duo_market(), ("power", 2.0), beta=1.0)
-    assert abs(res.v_star - 5.0 / 9.0) < 1e-6
+    res = classify_dual(duo_market(), RiskSpec.power(2.0, 1.0))
+    assert abs(res.certificate["v_star"] - 5.0 / 9.0) < 1e-6
     # TNORM p = 2 budget is 1/(2 alpha^2); the no-arbitrage region ends at
     # alpha = 3/sqrt(10).
     a_star = 3.0 / math.sqrt(10.0)
@@ -166,20 +189,21 @@ def test_gentropic_duo_power_value_and_threshold():
 
 
 def test_gentropic_empty_set_is_infinite():
-    res = gentropic_check(unpriceable_market(), "entropy", beta=5.0)
-    assert res.v_star == math.inf
-    assert not res.strong_ok
+    res = classify_dual(unpriceable_market(), RiskSpec.entropic(5.0))
+    assert res.certificate["v_star"] == math.inf
+    assert res.verdict == "STRONG_RHO_ARBITRAGE"
     assert "M_EMPTY" in res.annotations
 
 
 def test_gentropic_budget_must_exceed_the_penalty_at_one():
     # Z = 1 has penalty g(1): a budget at or below it is no dual set at all,
-    # and gentropic_check rejects it as RiskSpec does.
-    for g, g1 in (("entropy", 0.0), (("power", 2.0), 0.5), (("power", 4.0), 0.25),
-                  (lambda z: (z - 1.0) ** 2, 0.0)):
+    # and RiskSpec rejects it.
+    for make, g1 in ((RiskSpec.entropic, 0.0), (lambda b: RiskSpec.power(2.0, b), 0.5),
+                     (lambda b: RiskSpec.power(4.0, b), 0.25),
+                     (lambda b: RiskSpec.custom(lambda z: (z - 1.0) ** 2, b), 0.0)):
         for beta in (g1, g1 - 0.1):
             with pytest.raises(ValueError):
-                gentropic_check(duo_market(), g, beta)
+                make(beta)
 
 
 def test_gentropic_power_matches_grid_oracle():
@@ -192,9 +216,9 @@ def test_gentropic_power_matches_grid_oracle():
         cl = classical_no_arbitrage(market)
         if cl.status != "OPTIMAL":
             continue
-        res = gentropic_check(market, ("power", q), beta=1e9)
+        v_star = classify_dual(market, RiskSpec.power(q, 1e9)).certificate["v_star"]
         ref, _ = oracles.penalty_grid_min(market.probs, market.excess_matrix, gfun)
-        assert abs(res.v_star - ref) < 1e-5, (res.v_star, ref)
+        assert abs(v_star - ref) < 1e-5, (v_star, ref)
         done += 1
 
 
@@ -207,19 +231,23 @@ def test_custom_penalty_matches_the_closed_form_kernels():
     markets = ([make_random_market(rng, n_max=10, d_max=3) for _ in range(4)]
                + [make_tanh_priced_market(rng, 15, 3) for _ in range(2)]
                + [make_drift_market(rng, 15, 3, 0.5) for _ in range(2)])
-    entropy = (lambda z: z * np.log(np.maximum(z, 1e-300)), lambda z: np.log(z) + 1.0)
+    entropy = lambda z: z * np.log(np.maximum(z, 1e-300))
     for market in markets:
-        pairs = [("entropy", entropy)]
+        pairs = [(RiskSpec.entropic(10.0), RiskSpec.custom(entropy, 10.0,
+                                                            g_prime=lambda z: np.log(z) + 1.0))]
         for q in (1.5, 2.0, 3.0, 6.0):
             g = lambda z, q=q: z ** q / q
-            pairs += [(("power", q), g), (("power", q), (g, lambda z, q=q: z ** (q - 1.0)))]
+            pairs += [(RiskSpec.power(q, 10.0), RiskSpec.custom(g, 10.0)),
+                      (RiskSpec.power(q, 10.0),
+                       RiskSpec.custom(g, 10.0, g_prime=lambda z, q=q: z ** (q - 1.0)))]
         for closed, custom in pairs:
-            ref, res = gentropic_check(market, closed, 10.0), gentropic_check(market, custom, 10.0)
-            assert res.route == "NEWTON"
-            assert abs(res.v_star - ref.v_star) <= 1e-12 * ref.v_star, (closed, res.v_star, ref.v_star)
-            assert (res.strong_ok, res.strict_ok) == (ref.strong_ok, ref.strict_ok)
+            ref, res = classify_dual(market, closed), classify_dual(market, custom)
+            v_ref, v = ref.certificate["v_star"], res.certificate["v_star"]
+            assert "M_EMPTY" not in res.annotations
+            assert abs(v - v_ref) <= 1e-12 * v_ref, (closed, v, v_ref)
+            assert res.verdict == ref.verdict
             if "DIVERGENT" not in ref.annotations:
-                assert "DIVERGENT" not in res.annotations, (closed, res.gap)
+                assert "DIVERGENT" not in res.annotations, (closed, res.certificate["gap"])
 
 
 def test_custom_penalties_match_frank_wolfe():
@@ -238,12 +266,13 @@ def test_custom_penalties_match_frank_wolfe():
         (lambda z: (z - 1.0) ** 2, lambda z: 2.0 * (z - 1.0), 0.5),
     ]
     for g, g_prime, beta in cases:
-        res = gentropic_check(market, g, beta)
+        res = classify_dual(market, RiskSpec.custom(g, beta))
         z, v, gap, _ = oracles.frank_wolfe_min(market.polytope, market.probs, g, g_prime)
         assert gap <= 1e-8
-        assert res.route == "NEWTON" and not res.annotations
-        assert abs(res.v_star - v) <= 1e-9 * abs(v), (res.v_star, v)
-        assert res.witness.residual <= 1e-9
+        assert not res.annotations
+        cert = res.certificate
+        assert abs(cert["v_star"] - v) <= 1e-9 * abs(v), (cert["v_star"], v)
+        assert cert["witness"]["residual"] <= 1e-9
 
 
 def test_custom_penalty_newton_starts_at_the_unit_density(monkeypatch):
@@ -263,14 +292,14 @@ def test_custom_penalty_newton_starts_at_the_unit_density(monkeypatch):
 
     monkeypatch.setattr(rhoarb.frontier, "conjugate", recording)
     market = make_tanh_priced_market(np.random.default_rng(83), 30, 3)
-    for g, beta in ((lambda z: np.sqrt(1.0 + z ** 2), 1.6),
-                    ((lambda z: -np.log(z), lambda z: -1.0 / z), 0.5),
-                    ((lambda z: np.where(z < 2.0, z ** 2 / 4.0, z - 1.0),
-                      lambda z: np.where(z < 2.0, z / 2.0, 1.0)), 0.5),
-                    (("power", 1.5), 2.0)):
+    for spec in (RiskSpec.custom(lambda z: np.sqrt(1.0 + z ** 2), 1.6),
+                 RiskSpec.custom(lambda z: -np.log(z), 0.5, g_prime=lambda z: -1.0 / z),
+                 RiskSpec.custom(lambda z: np.where(z < 2.0, z ** 2 / 4.0, z - 1.0), 0.5,
+                                 g_prime=lambda z: np.where(z < 2.0, z / 2.0, 1.0)),
+                 RiskSpec.power(1.5, 2.0)):
         densities.clear()
-        res = gentropic_check(market, g, beta)
-        assert res.route == "NEWTON" and not res.annotations
+        res = classify_dual(market, spec)
+        assert not res.annotations
         assert np.abs(densities[0] - 1.0).max() <= 1e-8
 
 

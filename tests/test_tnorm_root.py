@@ -20,8 +20,7 @@ from scipy.optimize import linprog, minimize
 
 import oracles
 from conftest import make_drift_market, make_random_market, make_tanh_priced_market
-from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
-                         gentropic_check)
+from rhoarb.dual import MartingalePolytope, classical_no_arbitrage, classify_dual
 from rhoarb.frontier import _penalty_min, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, eval_tnorm
@@ -182,11 +181,13 @@ def test_power_dual_matches_frank_wolfe():
 
 def test_dual_routes_and_solver_numbers():
     market = make_tanh_priced_market(np.random.default_rng(83), 30, 3)
-    power = gentropic_check(market, ("power", 2.0), beta=10.0)
-    assert power.route == "NEWTON" and 0 < power.iterations and power.gap <= 1e-9
-    custom = gentropic_check(market, lambda z: z ** 2 / 2.0, beta=10.0)
-    assert custom.route == "NEWTON" and custom.iterations > 0
-    assert abs(custom.v_star - power.v_star) <= 1e-12 * power.v_star
+    power = classify_dual(market, RiskSpec.power(2.0, 10.0))
+    custom = classify_dual(market, RiskSpec.custom(lambda z: z ** 2 / 2.0, 10.0))
+    assert "M_EMPTY" not in power.annotations + custom.annotations
+    power, custom = power.certificate, custom.certificate
+    assert 0 < power["iterations"] and power["gap"] <= 1e-9
+    assert custom["iterations"] > 0
+    assert abs(custom["v_star"] - power["v_star"]) <= 1e-12 * power["v_star"]
     cert = classify_dual(market, RiskSpec.tnorm(2.0, 0.5)).certificate
     assert cert["iterations"] > 0 and cert["gap"] <= 1e-9
     assert abs(cert["witness"]["penalty"] - cert["v_star"]) <= 1e-9 * cert["v_star"]
