@@ -12,16 +12,18 @@ rho_nu = nu rho_1 for nu > 0.  The sign of rho_1 decides everything:
 ES, SPECTRAL and WC solve the slice minimum in its dual form: one LP over
 the measure's box-bounded densities with J + d equality rows (J mixture
 atoms, d assets), whose asset-row multipliers are the minimizing
-portfolio.  EVAR and TNORM find rho_1 as the root of the least penalty
-(relative entropy, or E[Z^q / q] for TNORM) of a martingale density for
-the shifted excess e + t (mu - r), a convex function of the shift t, by
-safeguarded Newton steps in t between -1 and the WC slice minimum; the
-dual multipliers at the root give the portfolio.  VaR is not
+portfolio.  EVAR and TNORM minimize a ratio bound over the multipliers
+of their penalty dual (relative entropy, or E[Z^q / q] for TNORM): every
+value of the ratio bounds the risk of a portfolio from above, and its
+infimum is rho_1.  One damped Newton run finds it, guarded by the WC
+slice minimum, the largest shift t for which a martingale density prices
+the shifted excess e + t (mu - r).  VaR is not
 positively-homogeneous-convex and has no global minimizer route here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,14 +33,16 @@ from numpy.typing import NDArray
 from .lp import OPTIMAL, LinearProgram, SimplexError, lp_solve
 from .market import ScenarioMarket, canonical_portfolio, excess_return
 from .measures import RiskSpec, _numeric_prime, conjugate, evaluate, penalty
-from .solvers import CumulantResult, newton_conjugate_min, newton_cumulant_min
+from .solvers import (NEWTON_GRAD_TOL, CumulantResult, _conjugate_kernel, _cumulant_kernel,
+                      _damped_newton, _ratio_kernel, _scaled_rows, _shifted_kernel,
+                      newton_conjugate_min, newton_cumulant_min)
 
 Vector = NDArray[np.float64]
 
 CLASSIFY_TOL = 1e-7
 STRICT_NEG_TOL = 1e-9
-EVAR_ROOT_TOL = 1e-12  # relative Newton step in t at which the EVaR or TNORM root is taken
-EVAR_ROOT_MAX_ITER = 60
+ROOT_MAX_ITER = 500    # Newton steps of the ROOT route, ratio runs and penalty solves, before it stops
+ROOT_RUN_STEPS = 20    # ratio steps after which an open run takes an exact Dinkelbach step
 
 
 class UnsupportedGlobalMinError(ValueError):
@@ -54,13 +58,14 @@ class FrontierResult:
     stopped short (then argmin is the best iterate seen, for diagnostics).
     rho_0 is 0 for the supported measures (pi = 0 attains it) and is not
     stored.  route is DIRECT (d = 1 canonical slice), LP (ES/SPECTRAL/WC)
-    or ROOT (EVAR/TNORM); iterations counts the LP's simplex iterations or the
-    root's steps in t (0 on the DIRECT route).  On the ROOT route rho1 is
-    the risk of argmin, evaluated afresh, and gap is its distance from the
-    root's end point, an upper bound on that risk from the dual side; when
-    the root stopped short (MAX_ITER) gap is rho1 minus the largest shift
-    that a converged inner solve showed feasible, a lower bound on the
-    minimum.  gap is 0 on DIRECT and LP.
+    or ROOT (EVAR/TNORM); iterations counts the LP's simplex iterations or,
+    on ROOT, the Newton steps of the ratio run and of the penalty solves at
+    fixed shifts that guard it (0 on the DIRECT route).  On the ROOT route
+    rho1 is the risk of argmin, evaluated afresh, and gap is its distance
+    from the ratio bound on that risk at the final iterate; when the run
+    stopped short (MAX_ITER) gap is rho1 minus the largest shift that a
+    converged penalty solve showed feasible (-1 without one), a lower bound
+    on the minimum.  gap is 0 on DIRECT and LP.
     """
 
     rho1: float
@@ -182,43 +187,42 @@ def _penalty_min(pen: RiskSpec, probs: Vector, rows: Vector, lam0: Vector | None
 
 
 def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
-    """EVaR or TNORM slice minimum as the root of a penalty dual in the shift t.
+    """EVaR or TNORM slice minimum as the least value of a penalty ratio.
 
     Both dual sets are penalty balls {Z in D : E[g(Z)] <= beta}, read from
     spec.penalty_ball: EVaR's with g(z) = z log z, TNORM(p)'s with
     g(z) = z^q / q, the q-norm ball of radius 1 / alpha.  The minimax
-    argument of _slice_lp makes rho_1 the largest t for which a density of
-    penalty <= beta prices the shifted excess e + t a, with a = mu - r.
-    The least such penalty V(t) is the minimum of _penalty_min on the rows
-    e + t a: newton_cumulant_min for EVaR (Csiszar's I-projection,
-    V(t) = -min_lam log E exp(lam . (e + t a))), newton_conjugate_min
-    for TNORM.  V is convex in t (E[Z (e + t a)] = 0 is linear in (Z, t)),
-    V(-1) = g(1) at Z = 1, and V'(t) = -lam* . a by the envelope
-    theorem.  No density prices e + t a above the WC slice minimum t_max,
-    so rho_1 is the root of V(t) = beta in [-1, t_max].
+    argument of _slice_lp makes rho_1 the largest t with V(t) <= beta, V(t)
+    the least penalty of a density that prices the shifted excess e + t a,
+    a = mu - r.  By duality V(t) = -min over x of f(x) + t c . x, with f the
+    kernel of _penalty_min on the unshifted rows: the cumulant
+    log E exp(lam . e) (x = lam, c = a) or the conjugate
+    E[g*(nu + lam . e)] - nu (x = (nu, lam), c = (0, a)).  So rho_1 is the
+    infimum of R(x) = (beta + f(x)) / D over D = -c . x > 0 (for EVaR, of
+    EVaR's own formula jointly in the portfolio and z = D), and R(x)
+    bounds the risk of the portfolio pi = lam / (lam . a) from above.
 
-    A Newton step from t is also a certificate: with lam* at t, the
-    portfolio pi = lam* / (lam* . a) has risk at most t + (beta - V(t)) / V'(t).
-    For EVaR take z = -lam* . a in its infimum over z; for TNORM take the
-    shift s with (s - X_pi)+^(p-1) proportional to Z*, and use that
-    (q V)^(1/p) / alpha - q V is concave in V with slope -1 at beta.  The
-    iteration stops when that step is negligible and returns that
-    portfolio; rho_1 is its risk evaluated afresh, and gap is the distance
-    of that risk from the step's end point, which agree to rounding and the
-    evaluator's tolerance.  Steps that leave the bracket, and inner solves
-    that do not converge, are replaced by bisection.  If V <= beta holds up
-    to t_max, the root is t_max and the WC slice portfolio attains it.
+    Damped Newton with the Dinkelbach step (solvers._ratio_kernel)
+    minimizes R from the Gaussian root.  The WC slice minimum t_max, above
+    which no density prices e + t a, guards the start: if R >= t_max there,
+    the kernel shifted by t_max is minimized until it falls below -beta,
+    which proves V(t_max) > beta and reaches an x with R < t_max.  If it
+    never does, V <= beta up to t_max, so rho_1 = t_max and the WC slice
+    portfolio attains it.  R only falls from then on, and its sublevel sets
+    below t_max are bounded.  A run that stalls, or is still open after
+    ROOT_RUN_STEPS steps, takes an exact Dinkelbach step: the kernel
+    shifted by t = R minimized from the run's end, whose minimizer lowers R
+    by the Newton step in t, (beta - V(R)) / V'(R).  The run has converged
+    when the gradient of the kernel shifted by R is below NEWTON_GRAD_TOL.
     """
-    E = market.excess_matrix
-    p = market.probs
     a = market.mean_excess
+    p = market.probs
+    d = market.n_assets
     pen = spec.penalty_ball
     beta = pen.beta
+    power = pen.g_kind != "ENTROPY"
     g1 = float(penalty(pen, [1.0])[0])
-    g2 = pen.q - 1.0 if pen.g_kind == "POWER" else 1.0  # g''(1)
-
-    def solve(t: float, lam: Vector, nu0: float) -> CumulantResult:
-        return _penalty_min(pen, p, (E + t * a[:, None]).T, lam, nu0)
+    g2 = pen.q - 1.0 if power else 1.0  # g''(1)
 
     lp, J = _slice_lp(market, RiskSpec.wc())
     wc = lp_solve(lp)
@@ -226,97 +230,93 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
         raise SimplexError(f"slice LP returned {wc.status}")
     t_max = -float(wc.value)
     wc_pi = -wc.duals[J:]
-    # lo_sure is the largest t at which a converged solve put V(t) <= beta,
-    # a lower bound on rho_1; a solve that did not converge reports a value
-    # below V, so it moves only the bracket's lo.
-    lo, hi, top_open, lo_sure = -1.0, t_max, True, -1.0
 
-    def result(pi: Vector, evals: int, bound: float | None = None) -> FrontierResult:
+    rows, scale = _scaled_rows(market.excess_matrix.T)
+    c = a / scale
+    if power:
+        conj, floor = conjugate(pen, p)
+        value, derivatives = _conjugate_kernel(p, rows, conj)
+        c = np.concatenate(([0.0], c))
+    else:
+        value, derivatives = _cumulant_kernel(p, rows)
+        floor = float(np.log(p).min())
+    ratio, ratio_derivatives, residual = _ratio_kernel(value, derivatives, beta, c)
+    newton = functools.partial(_damped_newton, ratio, ratio_derivatives, floor=-math.inf,
+                               step_test=False, residual=residual)
+
+    def solve(t: float, x: Vector, stop: float):
+        # The kernel on the rows e + t a, whose minimum is -V(t), minimized
+        # from x; the run stops early once it falls below stop.
+        return _damped_newton(*_shifted_kernel(value, derivatives, t, c), x, floor=stop,
+                              step_test=not power)
+
+    lo = -1.0  # largest t at which a converged solve showed V(t) <= beta
+
+    def result(pi: Vector, steps: int, bound: float | None = None) -> FrontierResult:
         # rho_1 is the risk of the returned portfolio, evaluated afresh; gap
-        # is its distance from the root's bound on that risk or, when the
-        # root stopped short, its height above lo_sure.
+        # is its distance from the bound R on that risk or, when the run
+        # stopped short (no bound), its height above lo.
         pi = pi * (1.0 / float(pi @ a))
         risk = evaluate(spec, excess_return(market, pi), p)
-        if bound is not None:
-            return FrontierResult(rho1=risk, attained=True, argmin=pi, spec=spec,
-                                  route="ROOT", status=OPTIMAL, gap=abs(risk - bound),
-                                  iterations=evals)
-        return FrontierResult(rho1=risk, attained=False, argmin=pi, spec=spec,
-                              route="ROOT", status=OPTIMAL, gap=risk - lo_sure,
-                              annotations=("MAX_ITER",), iterations=evals)
+        short = bound is None
+        return FrontierResult(rho1=risk, attained=not short, argmin=pi, spec=spec, route="ROOT",
+                              status=OPTIMAL, gap=risk - lo if short else abs(risk - bound),
+                              annotations=("MAX_ITER",) if short else (), iterations=steps)
 
     # Start from the Gaussian root.  With S the covariance of e, the least
     # penalty near t = -1 is V(t) ~ g(1) + g''(1) (t + 1)^2 a' S^-1 a / 2,
     # reached at Z = 1 + (e - a) . w with w = -(t + 1) S^-1 a.  g''(1) is 1
     # for the entropy and q - 1 for the power penalty; the dual variables
-    # there are lam = g''(1) w and, for the power penalty, nu = 1 - (t + 1) lam . a.
+    # there are lam = g''(1) w and, on the unshifted rows, nu = 1 - lam . a.
     tilt = market.tangency
-    curvature = 0.0 if tilt is None else float(a @ tilt)
-    if curvature > 0.0:
-        t = -1.0 + math.sqrt(2.0 * (beta - g1) / (g2 * curvature))
-    else:
-        tilt, t = np.zeros_like(a), math.inf
-    if not t < hi:
-        t = 0.5 * (lo + hi)
+    if tilt is None:  # S is singular: any tilt with a . tilt > 0 will do
+        tilt = a / float(a @ a)
+    t = -1.0 + math.sqrt(2.0 * (beta - g1) / (g2 * float(a @ tilt)))
+    if not t < t_max:
+        t = 0.5 * (t_max - 1.0)
     lam = -g2 * (t + 1.0) * tilt
-    nu0 = 1.0 - (t + 1.0) * float(lam @ a)
-    best_pi, best_bound, last_pi = wc_pi, t_max, wc_pi
-    evals = overshoots = 0
-    while evals < EVAR_ROOT_MAX_ITER:
-        res = solve(t, lam, nu0)
-        evals += 1
-        over = res.value - beta
-        slope = -float(res.lam @ a)
-        if slope > 0.0 and math.isfinite(res.value):
-            last_pi = -res.lam
-        if over > 0.0:
-            hi, top_open = t, False
-        else:
-            lo = t
-            if res.status == "OK":
-                lo_sure = t
-        if hi - lo <= EVAR_ROOT_TOL * (1.0 + abs(hi)):
-            if top_open:  # V <= beta all the way up to t_max
-                return result(wc_pi, evals, t_max)
-            break  # the inner solves never closed near the root
-        t_new = math.nan
-        if res.status == "OK" and slope > 0.0:
-            step = -over / slope
-            if abs(step) <= EVAR_ROOT_TOL * (1.0 + abs(t)):
-                return result(-res.lam, evals, t + step)
-            lam, nu0 = res.lam, getattr(res, "nu", nu0)  # only ConjugateResult has nu
-            t_new = t + step
-            if t_new < best_bound:
-                best_pi, best_bound = -res.lam, t_new
-            if t_new >= hi:
-                # From the left, convexity makes Newton overshoot; past the
-                # bracket, step in u = -log(t_max - t) instead, which stays
-                # below t_max.  A second such overshoot asks whether V stays
-                # <= beta all the way up.
-                overshoots += 1
-                if top_open and overshoots >= 2:
-                    top = solve(t_max, lam, nu0)
-                    evals += 1
-                    if top.value <= beta:
-                        return result(wc_pi, evals, t_max)
-                    top_open = False
-                width = t_max - t
-                t_new = t_max - width * math.exp(-step / width)
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    # Stopped short: the last solve, near the root if the bracket closed,
-    # may give a better portfolio than the last converged Newton step.
-    return min((result(pi, evals) for pi in (best_pi, last_pi)), key=lambda r: r.rho1)
+    x = lam * scale
+    if power:
+        x = np.concatenate(([1.0 - float(lam @ a)], x))
+
+    steps = 0
+    if ratio(x)[0] >= t_max:
+        # Minimize at t_max until the value falls below -beta, which proves
+        # V(t_max) > beta and reaches an x with R < t_max.
+        top = solve(t_max, x, -beta)
+        steps = top.iterations
+        if top.value > -math.inf:  # V <= beta all the way up to t_max
+            return result(wc_pi, steps, t_max)
+        x = top.x
+    while steps < ROOT_MAX_ITER:
+        run = newton(x, max_iter=min(ROOT_MAX_ITER - steps, ROOT_RUN_STEPS))
+        steps += run.iterations
+        x, R = run.x, run.value
+        if run.gradient_norm < NEWTON_GRAD_TOL:
+            return result(-x[-d:], steps, R)
+        if steps >= ROOT_MAX_ITER:
+            break
+        # The run stalled or is still open: take an exact Dinkelbach step.
+        res = solve(R, x, floor)
+        steps += res.iterations
+        converged = res.status == "OK"
+        if converged and res.value >= -beta:
+            lo = R
+        if not ratio(res.x)[0] < R:
+            if converged:  # V(R) is exact and R cannot fall further
+                return result(-x[-d:], steps, R)
+            break
+        x = res.x
+    return result(-x[-d:], steps)
 
 
 def compute_rho1(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     """Minimal risk over the unit expected-excess slice Pi_1.
 
     d = 1 takes the direct route (the slice is the canonical singleton);
-    ES/SPECTRAL/WC solve one LP (_slice_lp); EVAR and TNORM find the root
-    of their penalty dual in the shift t (_root_route), bracketed by the
-    WC slice LP.  VAR raises UnsupportedGlobalMinError, GENTROPIC has no
+    ES/SPECTRAL/WC solve one LP (_slice_lp); EVAR and TNORM minimize the
+    ratio bound of their penalty dual (_root_route), guarded by the WC
+    slice LP.  VAR raises UnsupportedGlobalMinError, GENTROPIC has no
     primal route.
     """
     if spec.kind == "VAR":

@@ -9,8 +9,9 @@ densities: the cumulant log E exp(lam . e) of the entropy penalty, and
 the conjugate E[g*(nu + lam . e)] - nu of any other penalty, where
 g*(s) = max over z of s z - g(z) comes from measures.conjugate (for a
 custom g over the box 0 <= z <= 1/p_omega, which holds every density).
-The EVaR and TNORM slice roots evaluate them along a shift.  Both are
-deterministic.
+The EVaR and TNORM slice minima run the same loop on a ratio of a kernel
+(_ratio_kernel) and on the kernel along a shift (_shifted_kernel).  Both
+are deterministic.
 """
 
 from __future__ import annotations
@@ -122,13 +123,18 @@ class _NewtonRun:
 
 def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
                    derivatives: Callable[[Any], tuple[Vector, Vector]],
-                   x0: Vector, *, floor: float, step_test: bool = True) -> _NewtonRun:
+                   x0: Vector, *, floor: float, step_test: bool = True,
+                   max_iter: int | None = None,
+                   residual: Callable[[Any, Vector], float] | None = None) -> _NewtonRun:
     """Minimize a convex f given on scaled rows by damped Newton steps.
 
     value(x) returns (f(x), state) and derivatives(state) the gradient and
-    Hessian there.  The kernels divide their rows by max |e| first
-    (_scaled_rows), so the Armijo (1e-4) and Hessian-ridge (1e-12)
-    constants and every test below are relative to the data.  floor is the least value f can take
+    Hessian there; residual(state, gradient), the max-norm of the gradient
+    by default, is what the gradient tests below read, and max_iter
+    (NEWTON_MAX_ITER by default) caps the steps.  The kernels divide their
+    rows by max |e| first (_scaled_rows), so the Armijo (1e-4) and
+    Hessian-ridge (1e-12) constants and every test below are relative to
+    the data.  floor is the least value f can take
     when a minimizer exists (M nonempty); an iterate below it is following
     a recession direction, so the loop stops there instead of stepping on
     while f falls linearly and the gradient stays large, and reports the
@@ -152,11 +158,15 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
 
     def newton_step(grad: Vector, H: Vector) -> Vector:
         H = H.copy()
-        H[np.diag_indices_from(H)] += 1e-12
+        H.flat[::H.shape[0] + 1] += 1e-12
         try:
             return np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
             return -grad
+
+    if residual is None:
+        def residual(state: Any, grad: Vector) -> float:
+            return float(np.abs(grad).max())
 
     x = np.asarray(x0, dtype=np.float64)
     f, state = value(x)
@@ -164,8 +174,8 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
     receded = False
     flat = 0  # consecutive steps that lowered f by no more than rounding
     it = 0
-    for it in range(1, NEWTON_MAX_ITER + 1):
-        if float(np.abs(grad).max()) < NEWTON_GRAD_TOL or np.abs(x).max() > LAMBDA_ESCAPE:
+    for it in range(1, (NEWTON_MAX_ITER if max_iter is None else max_iter) + 1):
+        if residual(state, grad) < NEWTON_GRAD_TOL or np.abs(x).max() > LAMBDA_ESCAPE:
             break
         if f < floor:
             receded = True
@@ -191,7 +201,7 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
         if flat >= FLAT_STEPS:
             break  # f sits at its rounding floor; classify with this iterate
 
-    gnorm = float(np.abs(grad).max())
+    gnorm = residual(state, grad)
     x_norm = float(np.abs(x).max())
     running = step_test and (float(np.abs(newton_step(grad, H)).max())
                              > STEP_ACCEPT * (1.0 + x_norm))
@@ -208,21 +218,11 @@ def _scaled_rows(excess: Vector) -> tuple[Vector, float]:
     return np.asarray(excess, dtype=np.float64) / scale, scale
 
 
-def newton_cumulant_min(probs: Vector, excess: Vector, *,
-                        lam0: Vector | None = None) -> CumulantResult:
-    """Minimize K(lam) = log E[exp(lam . e)] over lam in R^d.
-
-    probs has shape (N,), excess has shape (N, d) with rows e_omega; lam0
-    (in the units of e) warm-starts the iteration, which otherwise starts
-    at 0.  The Hessian is the Gibbs covariance of the rows, positive
-    definite whenever the rows plus the constant span d+1 dimensions.
-    When some density Z prices the rows, K >= -E[Z log Z] >= log min p,
-    which is the floor of _damped_newton.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    E, scale = _scaled_rows(excess)
+def _cumulant_kernel(p: Vector, E: Vector) -> tuple[Callable, Callable]:
+    """value and derivatives of K(lam) = log E[exp(lam . e)] on the rows E
+    (shape (N, d)), for _damped_newton; the state is the Gibbs weights
+    p exp(lam . e) / E[exp(lam . e)]."""
     logp = np.log(p)
-    lam = np.zeros(E.shape[1]) if lam0 is None else np.asarray(lam0, dtype=np.float64) * scale
 
     def value(l: Vector) -> tuple[float, Vector]:
         a = logp + E @ l
@@ -236,7 +236,97 @@ def newton_cumulant_min(probs: Vector, excess: Vector, *,
         grad = E.T @ w
         return grad, E.T @ (w[:, None] * E) - np.outer(grad, grad)
 
-    run = _damped_newton(value, derivatives, lam, floor=float(logp.min()))
+    return value, derivatives
+
+
+def _conjugate_kernel(pr: Vector, E: Vector,
+                      conjugate: Callable[[Vector], tuple[float, Vector, Vector]]
+                      ) -> tuple[Callable, Callable]:
+    """value and derivatives of F(nu, lam) = E[g*(nu + lam . e)] - nu on the
+    rows E (shape (N, d)), for _damped_newton; the state is the density
+    (g*)'(s) and the curvature (g*)''(s) at s = nu + lam . e."""
+    rows = np.hstack([np.ones((E.shape[0], 1)), E])
+
+    def value(x: Vector) -> tuple[float, tuple[Vector, Vector]]:
+        g_star, z, curv = conjugate(rows @ x)
+        return g_star - x[0], (z, curv)
+
+    def derivatives(state: tuple[Vector, Vector]) -> tuple[Vector, Vector]:
+        z, curv = state
+        grad = rows.T @ (pr * z)
+        grad[0] -= 1.0
+        return grad, rows.T @ ((pr * curv)[:, None] * rows)
+
+    return value, derivatives
+
+
+def _shifted_kernel(value: Callable, derivatives: Callable, t: float,
+                    c: Vector) -> tuple[Callable, Callable]:
+    """value and derivatives of f(x) + t c . x, from those of a kernel f.
+
+    With c = a for the cumulant and c = (0, a) for the conjugate kernel,
+    that is the kernel on the shifted rows e + t a (nu moves by t lam . a).
+    """
+    def shifted(x: Vector) -> tuple[float, Any]:
+        f, state = value(x)
+        return f + t * float(c @ x), state
+
+    def shifted_derivatives(state: Any) -> tuple[Vector, Vector]:
+        grad, H = derivatives(state)
+        return grad + t * c, H
+
+    return shifted, shifted_derivatives
+
+
+def _ratio_kernel(value: Callable, derivatives: Callable, beta: float,
+                  c: Vector) -> tuple[Callable, Callable, Callable]:
+    """value, derivatives and residual of R(x) = (beta + f(x)) / D,
+    D = -c . x, for _damped_newton, from those of a kernel f; R is +inf
+    where D <= 0.
+
+    The Newton matrix is H / D, H the Hessian of f.  Its step
+    -H^-1 (grad f + R c) is Dinkelbach's step for min R with one Newton
+    step per update: a descent direction wherever H is positive definite,
+    and exact Newton at a minimizer, where grad R = 0 and the Hessian of R
+    is H / D.  The residual is D |grad R| = |grad f + R c|, the gradient of
+    the kernel on the rows shifted by t = R: grad R alone shrinks as D
+    grows, far from the minimizer too.
+    """
+    def ratio(x: Vector) -> tuple[float, Any]:
+        D = -float(c @ x)
+        if not D > 0.0:
+            return math.inf, None
+        f, state = value(x)
+        R = (beta + f) / D
+        return R, (state, D, R)
+
+    def ratio_derivatives(st: tuple) -> tuple[Vector, Vector]:
+        state, D, R = st
+        grad, H = derivatives(state)
+        return (grad + R * c) / D, H / D
+
+    def residual(st: tuple, grad: Vector) -> float:
+        return st[1] * float(np.abs(grad).max())
+
+    return ratio, ratio_derivatives, residual
+
+
+def newton_cumulant_min(probs: Vector, excess: Vector, *,
+                        lam0: Vector | None = None) -> CumulantResult:
+    """Minimize K(lam) = log E[exp(lam . e)] over lam in R^d.
+
+    probs has shape (N,), excess has shape (N, d) with rows e_omega; lam0
+    (in the units of e) warm-starts the iteration, which otherwise starts
+    at 0.  The Hessian is the Gibbs covariance of the rows, positive
+    definite whenever the rows plus the constant span d+1 dimensions.
+    When some density Z prices the rows, K >= -E[Z log Z] >= log min p,
+    which is the floor of _damped_newton.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    E, scale = _scaled_rows(excess)
+    lam = np.zeros(E.shape[1]) if lam0 is None else np.asarray(lam0, dtype=np.float64) * scale
+    value, derivatives = _cumulant_kernel(p, E)
+    run = _damped_newton(value, derivatives, lam, floor=float(np.log(p).min()))
     # Gibbs density: z_omega = exp(lam.e_omega) / E[exp(lam.e)]
     return CumulantResult(lam=run.x / scale, value=-run.value, z=run.state / p,
                           status=run.status, gradient_norm=run.gradient_norm,
@@ -265,22 +355,11 @@ def newton_conjugate_min(probs: Vector, excess: Vector,
     """
     pr = np.asarray(probs, dtype=np.float64)
     E, scale = _scaled_rows(excess)
-    rows = np.hstack([np.ones((E.shape[0], 1)), E])
-    x0 = np.zeros(rows.shape[1])
+    x0 = np.zeros(E.shape[1] + 1)
     x0[0] = nu0
     if lam0 is not None:
         x0[1:] = np.asarray(lam0, dtype=np.float64) * scale
-
-    def value(x: Vector) -> tuple[float, tuple[Vector, Vector]]:
-        g_star, z, curv = conjugate(rows @ x)
-        return g_star - x[0], (z, curv)
-
-    def derivatives(state: tuple[Vector, Vector]) -> tuple[Vector, Vector]:
-        z, curv = state
-        grad = rows.T @ (pr * z)
-        grad[0] -= 1.0
-        return grad, rows.T @ ((pr * curv)[:, None] * rows)
-
+    value, derivatives = _conjugate_kernel(pr, E, conjugate)
     run = _damped_newton(value, derivatives, x0, floor=floor, step_test=False)
     return ConjugateResult(lam=run.x[1:] / scale, value=-run.value, z=run.state[0],
                            status=run.status, gradient_norm=run.gradient_norm,

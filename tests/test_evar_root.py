@@ -1,14 +1,16 @@
-"""The EVaR slice minimum as the root of the entropy dual in the shift t.
+"""The EVaR slice minimum as the least value of the entropy ratio.
 
-compute_rho1 finds rho_1 for EVAR as the root of
-D(t) = -min_lam log E exp(lam . (e + t a)) = -log alpha on [-1, t_max],
-t_max the WC slice minimum.  These tests hold it to its own portfolio's
-EVaR, to D just below the root, to a scipy minimization of the joint
-form min over (pi, t > 0) of t (log E exp(-X_pi / t) - log alpha), to the
-WC slice in the worst-case regime, and to the invariances rho_1 has.  They
-also hold the cumulant Newton solver it rests on to a converged status on
-a market whose minimizer has tiny Gibbs entries, and TNORM's Kelley route
-to the risk of its own portfolio.
+compute_rho1 finds rho_1 for EVAR as the infimum over lam . a < 0 of
+R(lam) = (log E exp(lam . e) - log alpha) / (-lam . a), EVaR's own
+formula jointly in the portfolio and z, by damped Newton guarded by
+t_max, the WC slice minimum.  These tests hold it to its own portfolio's
+EVaR, to the entropy dual D(t) = -min_lam log E exp(lam . (e + t a))
+just below rho_1 (D <= -log alpha there), to a scipy minimization of the
+joint form min over (pi, t > 0) of t (log E exp(-X_pi / t) - log alpha),
+to the WC slice in the worst-case regime, to the invariances rho_1 has,
+and to its step budget.  They also hold the cumulant Newton solver it
+rests on to a converged status on a market whose minimizer has tiny
+Gibbs entries, and TNORM's route to the risk of its own portfolio.
 """
 
 import math
@@ -142,16 +144,55 @@ def test_rho1_invariant_under_units_and_scenario_order(regime):
 
 
 def test_unconverged_root_reports_its_portfolio_risk(monkeypatch):
-    # Cut to one step, the route still returns a portfolio, rho_1 is that
-    # portfolio's own EVaR, and rho_1 - gap stays below the true minimum.
+    # With a budget of one Newton step the route stops after its first
+    # run or solve.  It still returns a portfolio, rho_1 is that
+    # portfolio's own EVaR, and rho_1 - gap stays below the true minimum:
+    # no penalty solve showed a feasible shift, so it is -1.
     market = make_tanh_priced_market(np.random.default_rng(47), 60, 4)
     spec = RiskSpec.evar(0.1)
     exact = compute_rho1(market, spec).rho1
-    monkeypatch.setattr(frontier, "EVAR_ROOT_MAX_ITER", 1)
+    monkeypatch.setattr(frontier, "ROOT_MAX_ITER", 1)
     res = compute_rho1(market, spec)
     assert res.annotations == ("MAX_ITER",) and not res.attained
     assert res.rho1 == eval_evar(excess_return(market, res.argmin), market.probs, 0.1)
     assert res.rho1 - res.gap <= exact + 1e-12 <= res.rho1 + 1e-12
+    assert abs(res.rho1 - res.gap + 1.0) <= 1e-15
+
+
+def test_iterates_near_t_max_come_back_to_the_minimum():
+    # rho_1 sits 0.12 below t_max, and R at the Gaussian start lies above
+    # t_max.  Newton steps from there run off toward t_max, where R
+    # flattens onto the WC risk of the portfolio; the guard at t_max first
+    # brings R below t_max, and R only falls after that.
+    market = make_drift_market(np.random.default_rng(7), 60, 3, 0.7)
+    t_max = compute_rho1(market, RiskSpec.wc()).rho1
+    assert abs(t_max - 0.989058239771) <= 1e-11
+    res = compute_rho1(market, RiskSpec.evar(0.1))
+    assert res.route == "ROOT" and res.attained and not res.annotations
+    assert abs(res.rho1 - 0.870641859250) <= 1e-11
+    assert res.gap <= 1e-12
+
+
+@pytest.mark.parametrize("regime", ["priced", "drift"])
+def test_step_budget_on_the_bench_shapes(regime):
+    # Markets of the shapes the entropic benchmark runs (N 40-60, d 4):
+    # one Newton run on the ratio takes a few steps where a root in t
+    # took ~28 Newton steps over ~6 penalty solves.
+    specs = [RiskSpec.evar(0.1), RiskSpec.evar(0.25), RiskSpec.evar(0.5),
+             RiskSpec.tnorm(2.0, 0.25), RiskSpec.tnorm(2.0, 0.5)]
+    steps = []
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 20])
+        N = int(rng.integers(40, 61))
+        if regime == "priced":
+            market = make_tanh_priced_market(rng, N, 4)
+        else:
+            market = make_drift_market(rng, N, 4, 1.0)
+        for spec in specs:
+            res = compute_rho1(market, spec)
+            assert res.attained and not res.annotations, (seed, spec)
+            steps.append(res.iterations)
+    assert np.mean(steps) <= 14, steps
 
 
 def test_primal_certificate_carries_gap_and_iterations():

@@ -1,6 +1,7 @@
 """Invariances of the ES dual test, of rho1 and the verdicts, of a custom
-penalty's least value, and of the EVaR and TNORM evaluators, as
-Hypothesis properties.
+penalty's least value, and of the EVaR and TNORM evaluators, and the
+ratio bound the EVaR and TNORM slice minima rest on, as Hypothesis
+properties.
 
 min ||Z||_inf over the martingale densities, the dual verdict and the
 primal/dual agreement status depend on the market only through the law
@@ -15,6 +16,8 @@ excess returns, so they must not change when the assets are replaced by
 invertible combinations of themselves.  Likewise a law-invariant,
 positively homogeneous and cash-additive measure gives rho(c x + m) =
 c rho(x) - m and ignores the order and the splitting of scenarios.
+For EVaR and TNORM, every value of the ratio R(nu, lam) that
+compute_rho1 minimizes bounds the risk of its portfolio from above.
 """
 
 import math
@@ -26,8 +29,8 @@ from hypothesis import given, strategies as st
 from conftest import (make_dominating_market, make_drift_market, make_random_market,
                       make_tanh_priced_market)
 from rhoarb.dual import classify_dual, cross_validate
-from rhoarb.market import ScenarioMarket
-from rhoarb.measures import RiskSpec, eval_evar, eval_tnorm
+from rhoarb.market import ScenarioMarket, excess_return
+from rhoarb.measures import RiskSpec, eval_evar, eval_tnorm, evaluate
 
 KINDS = ("priced", "drift", "mild-drift", "random", "dominating")
 
@@ -230,3 +233,48 @@ def test_evaluators_invariant_under_scenario_split(drawn, alpha, pick, share):
     p[i] *= share
     got = risks(np.append(x, x[i]), np.append(p, probs[i] - p[i]), alpha)
     assert np.abs(got - risks(x, probs, alpha)).max() <= 1e-12 * np.abs(x).max()
+
+
+RATIO_SPECS = {
+    "EVAR": (RiskSpec.evar(0.05), RiskSpec.evar(0.25), RiskSpec.evar(0.5)),
+    "TNORM": (RiskSpec.tnorm(1.5, 0.25), RiskSpec.tnorm(2.0, 0.5), RiskSpec.tnorm(3.0, 0.1)),
+}
+
+
+def ratio_bound(market: ScenarioMarket, spec: RiskSpec, nu: float, lam: np.ndarray) -> float:
+    """R(nu, lam) = (beta + f) / (-lam . a), written out: f is the cumulant
+    log E exp(lam . e) and beta = -log alpha for EVaR; for TNORM(p, alpha),
+    f = E[(nu + lam . e)+^p / p] - nu and beta = (1 / alpha)^q / q."""
+    y = lam @ market.excess_matrix
+    p = market.probs
+    if spec.kind == "EVAR":
+        top = float(y.max())
+        f = top + math.log(float(p @ np.exp(y - top)))
+        beta = -math.log(spec.alpha)
+    else:
+        q = spec.p / (spec.p - 1.0)
+        f = float(p @ np.maximum(nu + y, 0.0) ** spec.p) / spec.p - nu
+        beta = (1.0 / spec.alpha) ** q / q
+    return (beta + f) / -float(lam @ market.mean_excess)
+
+
+@pytest.mark.parametrize("kind", RATIO_SPECS)
+@given(markets, st.integers(0, 10**6))
+def test_ratio_bounds_the_risk_of_its_portfolio(kind, drawn, seed):
+    # For every Z in the penalty ball {E[g(Z)] <= beta}, Fenchel's
+    # inequality gives E[Z lam . e] = E[Z (nu + lam . e)] - nu <= beta + f,
+    # so the risk of pi = lam / (lam . a), the sup over the ball of
+    # E[-Z X_pi] = E[Z lam . e] / (-lam . a), is at most R whenever
+    # lam . a < 0, at any (nu, lam) and not only near the minimum.
+    market = build(*drawn)
+    rng = np.random.default_rng(seed)
+    a = market.mean_excess
+    scale = float(np.abs(market.excess_matrix).max())
+    for spec in RATIO_SPECS[kind]:
+        for _ in range(10):
+            lam = rng.normal(size=market.n_assets) * 10.0 ** rng.uniform(-1.0, 2.0) / scale
+            lam = -lam if lam @ a > 0.0 else lam
+            nu = float(rng.uniform(-2.0, 3.0))
+            bound = ratio_bound(market, spec, nu, lam)
+            risk = evaluate(spec, excess_return(market, lam / float(lam @ a)), market.probs)
+            assert risk <= bound + 1e-9 * (1.0 + abs(risk)), (spec, nu, lam, risk, bound)

@@ -1,13 +1,15 @@
 """The TNORM slice minimum and the POWER penalty through the power conjugate.
 
-compute_rho1 finds rho_1 for TNORM(p, alpha) as the root of
-V(t) = min{E[Z^q / q] : Z a martingale density of e + t (mu - r)} = beta,
-beta = (1 / alpha)^q / q, on [-1, t_max], t_max the WC slice minimum; V is
-the POWER value of frontier._penalty_min, the damped Newton method on the
-concave dual max over (nu, lam) of nu - E[(nu + lam . e)+^p / p].  These tests
-hold the root to its own portfolio's TNORM, to a scipy minimization of the
-joint convex form min over (pi, s) of ||(s - X_pi)+||_p / alpha - s, and
-to the invariances rho_1 has; the dual POWER test to away-step
+compute_rho1 finds rho_1 for TNORM(p, alpha) as the infimum over
+lam . a < 0 of the ratio R(nu, lam) = (beta + E[(nu + lam . e)+^p / p] - nu)
+/ (-lam . a), beta = (1 / alpha)^q / q, by damped Newton guarded by
+t_max, the WC slice minimum; its kernel is the POWER dual of
+frontier._penalty_min, the damped Newton method on the concave
+max over (nu, lam) of nu - E[(nu + lam . e)+^p / p].  These tests hold
+the route to its own portfolio's TNORM, to a scipy minimization of the
+joint convex form min over (pi, s) of ||(s - X_pi)+||_p / alpha - s, to
+the invariances rho_1 has, and to its answers where Newton on the ratio
+alone creeps or stops short; the dual POWER test to away-step
 Frank-Wolfe (oracles.frank_wolfe_min); and the shared Newton loop to its
 recession stop.
 """
@@ -96,7 +98,7 @@ def test_seeded_sweep_meets_its_certificates():
         rho1, tol = res.rho1, 1e-9 * (1.0 + abs(res.rho1))
         risk = eval_tnorm(excess_return(market, res.argmin), market.probs, p_exp, alpha)
         assert abs(risk - rho1) <= tol, (label, risk, rho1)
-        # The root's end point bounds that risk from the dual side.
+        # The ratio at the final iterate bounds that risk from above.
         assert 0.0 <= res.gap <= tol, (label, res.gap)
         a = market.mean_returns - market.riskless_rate
         assert abs(float(res.argmin @ a) - 1.0) < 1e-12
@@ -221,7 +223,8 @@ def test_newton_stops_on_a_recession_direction():
 
 def test_power_start_is_exact_for_p2_while_the_density_stays_positive():
     # At p = 2 the least E[Z^2 / 2] near t = -1 is a quadratic in t while
-    # Z > 0, so the Gaussian start lands on the root: one inner solve.
+    # Z > 0, so the Gaussian start is the minimizer of the ratio: the
+    # Newton run stops at its first gradient test, one iteration and no step.
     market = make_drift_market(np.random.default_rng(3), 50, 4, 1.0)
     res = compute_rho1(market, RiskSpec.tnorm(2.0, 0.9))
     assert res.route == "ROOT" and res.iterations == 1
@@ -232,3 +235,37 @@ def test_power_start_is_exact_for_p2_while_the_density_stays_positive():
     v = _penalty_min(RiskSpec.power(q, beta), market.probs,
                      (market.excess_matrix + res.rho1 * a[:, None]).T)
     assert v.z.min() > 0.0 and abs(v.value - beta) <= 1e-12 * beta
+
+
+# -- the ratio run where plain Newton on the ratio goes wrong -------------------
+
+
+def test_guard_at_t_max_keeps_the_ratio_run_off_its_plateau():
+    # rho_1 = 0.138 sits just below t_max = 0.151, and R at the Gaussian
+    # start lies above t_max.  Newton on the ratio alone ran off to
+    # |x| ~ 1e6, where R flattens onto the WC risk of the portfolio, crept
+    # there for 500 steps and ended 2e-4 high.  The guard first brings R
+    # below t_max, whose sublevel sets are bounded.
+    rng = np.random.default_rng([6, 99])
+    rng.integers(20, 121), rng.integers(2, 6)  # the draws of N and d come first
+    market = make_drift_market(rng, 20, 2, 1.0)
+    res = compute_rho1(market, RiskSpec.tnorm(1.5, 0.25))
+    assert res.route == "ROOT" and res.attained and not res.annotations
+    assert abs(res.rho1 - 0.13836023999330516) <= 1e-9 * (1.0 + abs(res.rho1))
+    assert res.gap <= 1e-12
+
+
+def test_stopped_short_near_p1_reports_a_rigorous_gap():
+    # At p = 1.1 the density Z = s+^(p - 1) needs s ~ 1e-12 beside
+    # s ~ 100: the gradient of the shifted kernel stalls
+    # near 1e-8 and no penalty solve converges.  Runs capped at
+    # ROOT_RUN_STEPS, each followed by an exact Dinkelbach step, still take
+    # R to the L-BFGS-B reference (one uncapped run crept 500 steps and
+    # ended 8e-8 high), and rho_1 - gap = -1 bounds the minimum below.
+    market = make_drift_market(np.random.default_rng(0), 40, 3, 1.0)
+    res = compute_rho1(market, RiskSpec.tnorm(1.1, 0.3))
+    assert res.annotations == ("MAX_ITER",) and not res.attained
+    assert abs(res.rho1 - -0.3276092239842) <= 1e-6
+    assert abs(res.rho1 - res.gap + 1.0) <= 1e-15
+    risk = eval_tnorm(excess_return(market, res.argmin), market.probs, 1.1, 0.3)
+    assert res.rho1 == risk
