@@ -33,7 +33,7 @@ from numpy.typing import NDArray
 from .lp import OPTIMAL, LinearProgram, SimplexError, lp_solve
 from .market import ScenarioMarket, canonical_portfolio, excess_return
 from .measures import RiskSpec, _numeric_prime, conjugate, evaluate, penalty
-from .solvers import (NEWTON_GRAD_TOL, CumulantResult, _conjugate_kernel, _cumulant_kernel,
+from .solvers import (LAMBDA_ESCAPE, NEWTON_GRAD_TOL, CumulantResult, _conjugate_kernel, _cumulant_kernel,
                       _damped_newton, _ratio_kernel, _scaled_rows, _shifted_kernel,
                       newton_conjugate_min, newton_cumulant_min)
 
@@ -214,6 +214,8 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     shifted by t = R minimized from the run's end, whose minimizer lowers R
     by the Newton step in t, (beta - V(R)) / V'(R).  The run has converged
     when the gradient of the kernel shifted by R is below NEWTON_GRAD_TOL.
+    Below t_max neither has a recession direction, so neither stops at the
+    kernels' escape bound: near p = 1 the minimizer can lie beyond it.
     """
     a = market.mean_excess
     p = market.probs
@@ -242,13 +244,13 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
         floor = float(np.log(p).min())
     ratio, ratio_derivatives, residual = _ratio_kernel(value, derivatives, beta, c)
     newton = functools.partial(_damped_newton, ratio, ratio_derivatives, floor=-math.inf,
-                               step_test=False, residual=residual)
+                               step_test=False, escape=math.inf, residual=residual)
 
-    def solve(t: float, x: Vector, stop: float):
+    def solve(t: float, x: Vector, stop: float, escape: float = math.inf):
         # The kernel on the rows e + t a, whose minimum is -V(t), minimized
         # from x; the run stops early once it falls below stop.
         return _damped_newton(*_shifted_kernel(value, derivatives, t, c), x, floor=stop,
-                              step_test=not power)
+                              step_test=not power, escape=escape)
 
     lo = -1.0  # largest t at which a converged solve showed V(t) <= beta
 
@@ -283,7 +285,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     if ratio(x)[0] >= t_max:
         # Minimize at t_max until the value falls below -beta, which proves
         # V(t_max) > beta and reaches an x with R < t_max.
-        top = solve(t_max, x, -beta)
+        top = solve(t_max, x, -beta, LAMBDA_ESCAPE)
         steps = top.iterations
         if top.value > -math.inf:  # V <= beta all the way up to t_max
             return result(wc_pi, steps, t_max)

@@ -124,25 +124,28 @@ class _NewtonRun:
 def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
                    derivatives: Callable[[Any], tuple[Vector, Vector]],
                    x0: Vector, *, floor: float, step_test: bool = True,
-                   max_iter: int | None = None,
+                   max_iter: int | None = None, escape: float = LAMBDA_ESCAPE,
                    residual: Callable[[Any, Vector], float] | None = None) -> _NewtonRun:
     """Minimize a convex f given on scaled rows by damped Newton steps.
 
     value(x) returns (f(x), state) and derivatives(state) the gradient and
     Hessian there; residual(state, gradient), the max-norm of the gradient
-    by default, is what the gradient tests below read, and max_iter
-    (NEWTON_MAX_ITER by default) caps the steps.  The kernels divide their
-    rows by max |e| first (_scaled_rows), so the Armijo (1e-4) and
+    by default, is what the gradient tests below read, max_iter
+    (NEWTON_MAX_ITER by default) caps the steps, and escape (LAMBDA_ESCAPE
+    by default) is the scaled iterate norm beyond which the loop stops and
+    reads DIVERGENT; a function without recession directions passes
+    math.inf, since its minimizer may lie that far out.  The kernels divide
+    their rows by max |e| first (_scaled_rows), so the Armijo (1e-4) and
     Hessian-ridge (1e-12) constants and every test below are relative to
-    the data.  floor is the least value f can take
-    when a minimizer exists (M nonempty); an iterate below it is following
-    a recession direction, so the loop stops there instead of stepping on
-    while f falls linearly and the gradient stays large, and reports the
-    value -inf.  FLAT_STEPS steps in a row that lower f by no more than
-    rounding also end the loop: the gradient can no longer close there.
+    the data.  floor is the least value f can take when a minimizer exists
+    (M nonempty); an iterate below it is following a recession direction,
+    so the loop stops there instead of stepping on while f falls linearly
+    and the gradient stays large, and reports the value -inf.  FLAT_STEPS
+    steps in a row that lower f by no more than rounding also end the
+    loop: the gradient can no longer close there.
 
     DIVERGENT is decided from the scaled iterate: it must not have passed
-    the floor or LAMBDA_ESCAPE, the gradient must be at most GRAD_ACCEPT,
+    the floor or escape, the gradient must be at most GRAD_ACCEPT,
     and, with step_test, the Newton step at the final iterate must be
     negligible against it.  At an interior minimizer that step is
     quadratically small; along a recession direction Newton keeps stepping
@@ -175,7 +178,7 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
     flat = 0  # consecutive steps that lowered f by no more than rounding
     it = 0
     for it in range(1, (NEWTON_MAX_ITER if max_iter is None else max_iter) + 1):
-        if residual(state, grad) < NEWTON_GRAD_TOL or np.abs(x).max() > LAMBDA_ESCAPE:
+        if residual(state, grad) < NEWTON_GRAD_TOL or np.abs(x).max() > escape:
             break
         if f < floor:
             receded = True
@@ -205,7 +208,7 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
     x_norm = float(np.abs(x).max())
     running = step_test and (float(np.abs(newton_step(grad, H)).max())
                              > STEP_ACCEPT * (1.0 + x_norm))
-    diverged = receded or x_norm > LAMBDA_ESCAPE or gnorm > GRAD_ACCEPT or running
+    diverged = receded or x_norm > escape or gnorm > GRAD_ACCEPT or running
     return _NewtonRun(x=x, value=-math.inf if receded else f, state=state,
                       gradient_norm=gnorm,
                       status="DIVERGENT" if diverged else "OK", iterations=it)

@@ -255,6 +255,22 @@ def test_guard_at_t_max_keeps_the_ratio_run_off_its_plateau():
     assert res.gap <= 1e-12
 
 
+def test_large_multipliers_near_p1_are_no_escape():
+    # At p = 1.2 the minimizer sits at |x| ~ 2e7 in the scaled rows, and
+    # an exact Dinkelbach step from the right went past the kernels'
+    # escape bound 1e8 on its way.  The ratio and the penalty solves below
+    # t_max have bounded sublevel sets, so they run on; with the bound,
+    # both stopped at once there and the route ended MAX_ITER 0.012 high.
+    rng = np.random.default_rng([47, 23])
+    N, d = int(rng.integers(10, 200)), int(rng.integers(2, 8))
+    market = make_tanh_priced_market(rng, N, d)
+    assert (N, d) == (192, 7)
+    res = compute_rho1(market, RiskSpec.tnorm(1.2, 0.1))
+    assert res.route == "ROOT" and res.attained and not res.annotations
+    assert abs(res.rho1 - 3.7084730725593804) <= 1e-9 * (1.0 + abs(res.rho1))
+    assert res.gap <= 1e-9 * (1.0 + abs(res.rho1))
+
+
 def test_stopped_short_near_p1_reports_a_rigorous_gap():
     # At p = 1.1 the density Z = s+^(p - 1) needs s ~ 1e-12 beside
     # s ~ 100: the gradient of the shifted kernel stalls
