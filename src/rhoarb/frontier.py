@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -34,8 +35,7 @@ from .lp import OPTIMAL, LinearProgram, SimplexError, lp_solve
 from .market import ScenarioMarket, canonical_portfolio, excess_return
 from .measures import RiskSpec, _numeric_prime, conjugate, evaluate, penalty
 from .solvers import (LAMBDA_ESCAPE, NEWTON_GRAD_TOL, CumulantResult, _conjugate_kernel, _cumulant_kernel,
-                      _damped_newton, _ratio_kernel, _scaled_rows, _shifted_kernel,
-                      newton_conjugate_min, newton_cumulant_min)
+                      _damped_newton, _ratio_kernel, _scaled_rows, _shifted_kernel)
 
 Vector = NDArray[np.float64]
 
@@ -168,22 +168,62 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
                          hint=hint), J
 
 
-def _penalty_min(pen: RiskSpec, probs: Vector, rows: Vector, lam0: Vector | None = None,
-                 nu0: float | None = None) -> CumulantResult:
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The smooth dual of the least penalty E[g(Z)] over the densities Z
+    that price the rows (shape (N, d)), for _damped_newton.
+
+    of(pen, probs, rows) picks it from pen.g_kind: the cumulant
+    log E exp(lam . e) for ENTROPY, the conjugate E[g*(nu + lam . e)] - nu
+    (measures.conjugate) for every other g, on the rows divided once by
+    scale = max |e|.  floor is the least value the kernel has when a
+    density prices the rows (log min p, or minus the largest penalty of a
+    density); start is the unit density Z = 1 (lam = 0, nu = g'(1)), and
+    density(state) the density Z of an iterate.  The conjugate's minimizer
+    need not be unique on a face of M (rows where g* is flat add no
+    curvature), so it runs without the step test.
+    """
+
+    value: Callable[[Vector], tuple[float, Any]]
+    derivatives: Callable[[Any], tuple[Vector, Vector]]
+    floor: float
+    scale: float
+    start: Vector
+    density: Callable[[Any], Vector]
+    step_test: bool
+
+    @classmethod
+    def of(cls, pen: RiskSpec, probs: Vector, rows: Vector) -> "_Kernel":
+        p = np.asarray(probs, dtype=np.float64)
+        E, scale = _scaled_rows(rows)
+        d = E.shape[1]
+        if pen.g_kind == "ENTROPY":
+            return cls(*_cumulant_kernel(p, E), floor=float(np.log(p).min()), scale=scale,
+                       start=np.zeros(d), density=lambda w: w / p, step_test=True)
+        conj, floor = conjugate(pen, p)
+        start = np.zeros(d + 1)
+        start[0] = 1.0 if pen.g_kind == "POWER" else float(
+            (pen.g_prime or _numeric_prime(pen.g))(np.ones(1))[0])
+        return cls(*_conjugate_kernel(p, E, conj), floor=floor, scale=scale, start=start,
+                   density=lambda state: state[0], step_test=False)
+
+    def lift(self, lam: Vector, nu: float) -> Vector:
+        """The kernel's point with multipliers lam (scaled) and, on the
+        conjugate, constant nu: the cumulant has none."""
+        return lam if self.start.size == lam.size else np.concatenate(([nu], lam))
+
+
+def _penalty_min(pen: RiskSpec, probs: Vector, rows: Vector) -> CumulantResult:
     """Least E[g(Z)] over the densities Z that price the rows (shape (N, d)).
 
-    pen is a penalty ball.  ENTROPY runs newton_cumulant_min, every other g
-    newton_conjugate_min on measures.conjugate, warm-started at lam0 (and
-    nu0, which only the conjugate kernel has).  The default start lam = 0,
-    nu = g'(1) is Z = 1; g'(1) is 1 for POWER.
+    pen is a penalty ball; Newton minimizes its _Kernel from the unit
+    density.
     """
-    if pen.g_kind == "ENTROPY":
-        return newton_cumulant_min(probs, rows, lam0=lam0)
-    conj, floor = conjugate(pen, probs)
-    if nu0 is None:
-        nu0 = 1.0 if pen.g_kind == "POWER" else float(
-            (pen.g_prime or _numeric_prime(pen.g))(np.ones(1))[0])
-    return newton_conjugate_min(probs, rows, conj, floor, lam0=lam0, nu0=nu0)
+    k = _Kernel.of(pen, probs, rows)
+    run = _damped_newton(k.value, k.derivatives, k.start, floor=k.floor, step_test=k.step_test)
+    return CumulantResult(lam=run.x[-np.shape(rows)[1]:] / k.scale, value=-run.value,
+                          z=k.density(run.state), status=run.status,
+                          gradient_norm=run.gradient_norm, iterations=run.iterations)
 
 
 def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
@@ -195,7 +235,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     argument of _slice_lp makes rho_1 the largest t with V(t) <= beta, V(t)
     the least penalty of a density that prices the shifted excess e + t a,
     a = mu - r.  By duality V(t) = -min over x of f(x) + t c . x, with f the
-    kernel of _penalty_min on the unshifted rows: the cumulant
+    _Kernel of the ball on the unshifted rows: the cumulant
     log E exp(lam . e) (x = lam, c = a) or the conjugate
     E[g*(nu + lam . e)] - nu (x = (nu, lam), c = (0, a)).  So rho_1 is the
     infimum of R(x) = (beta + f(x)) / D over D = -c . x > 0 (for EVaR, of
@@ -222,9 +262,8 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     d = market.n_assets
     pen = spec.penalty_ball
     beta = pen.beta
-    power = pen.g_kind != "ENTROPY"
     g1 = float(penalty(pen, [1.0])[0])
-    g2 = pen.q - 1.0 if power else 1.0  # g''(1)
+    g2 = 1.0 if pen.g_kind == "ENTROPY" else pen.q - 1.0  # g''(1)
 
     lp, J = _slice_lp(market, RiskSpec.wc())
     wc = lp_solve(lp)
@@ -233,24 +272,18 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     t_max = -float(wc.value)
     wc_pi = -wc.duals[J:]
 
-    rows, scale = _scaled_rows(market.excess_matrix.T)
-    c = a / scale
-    if power:
-        conj, floor = conjugate(pen, p)
-        value, derivatives = _conjugate_kernel(p, rows, conj)
-        c = np.concatenate(([0.0], c))
-    else:
-        value, derivatives = _cumulant_kernel(p, rows)
-        floor = float(np.log(p).min())
-    ratio, ratio_derivatives, residual = _ratio_kernel(value, derivatives, beta, c)
+    k = _Kernel.of(pen, p, market.excess_matrix.T)
+    c = k.lift(a / k.scale, 0.0)
+    ratio, ratio_derivatives, residual = _ratio_kernel(k.value, k.derivatives, beta, c)
     newton = functools.partial(_damped_newton, ratio, ratio_derivatives, floor=-math.inf,
                                step_test=False, escape=math.inf, residual=residual)
 
-    def solve(t: float, x: Vector, stop: float, escape: float = math.inf):
+    def solve(t: float, x: Vector, stop: float, escape: float = math.inf,
+              max_iter: int | None = None):
         # The kernel on the rows e + t a, whose minimum is -V(t), minimized
         # from x; the run stops early once it falls below stop.
-        return _damped_newton(*_shifted_kernel(value, derivatives, t, c), x, floor=stop,
-                              step_test=not power, escape=escape)
+        return _damped_newton(*_shifted_kernel(k.value, k.derivatives, t, c), x, floor=stop,
+                              step_test=k.step_test, escape=escape, max_iter=max_iter)
 
     lo = -1.0  # largest t at which a converged solve showed V(t) <= beta
 
@@ -269,7 +302,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     # penalty near t = -1 is V(t) ~ g(1) + g''(1) (t + 1)^2 a' S^-1 a / 2,
     # reached at Z = 1 + (e - a) . w with w = -(t + 1) S^-1 a.  g''(1) is 1
     # for the entropy and q - 1 for the power penalty; the dual variables
-    # there are lam = g''(1) w and, on the unshifted rows, nu = 1 - lam . a.
+    # there are lam = g''(1) w and, on the unshifted rows, nu = g'(1) - lam . a.
     tilt = market.tangency
     if tilt is None:  # S is singular: any tilt with a . tilt > 0 will do
         tilt = a / float(a @ a)
@@ -277,9 +310,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     if not t < t_max:
         t = 0.5 * (t_max - 1.0)
     lam = -g2 * (t + 1.0) * tilt
-    x = lam * scale
-    if power:
-        x = np.concatenate(([1.0 - float(lam @ a)], x))
+    x = k.lift(lam * k.scale, k.start[0] - float(lam @ a))
 
     steps = 0
     if ratio(x)[0] >= t_max:
@@ -299,7 +330,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
         if steps >= ROOT_MAX_ITER:
             break
         # The run stalled or is still open: take an exact Dinkelbach step.
-        res = solve(R, x, floor)
+        res = solve(R, x, k.floor, max_iter=ROOT_MAX_ITER - steps)
         steps += res.iterations
         converged = res.status == "OK"
         if converged and res.value >= -beta:

@@ -19,7 +19,7 @@ are evaluated directly.  RiskSpec.penalty_ball maps EVAR, TNORM and
 GENTROPIC to the GENTROPIC spec of their dual set {Z : E[g(Z)] <= beta},
 penalty(spec, z) is that set's g, and conjugate(spec, probs) its conjugate
 g*(s) = max over z of s z - g(z), on which the least penalty over the
-martingale densities is minimized by Newton (solvers.newton_conjugate_min).
+martingale densities is minimized by Newton (frontier._penalty_min).
 A POWER g has the closed form s+^p / p; a CUSTOM g is maximized over the
 box 0 <= z <= 1/p_omega, which holds every density (E[Z] = 1, Z >= 0),
 so the box changes no minimum and keeps g* finite.

@@ -3,14 +3,15 @@
 One bracketed root search for increasing scalar functions (Illinois false
 position with a bisection safeguard), which finds the minimizers of the
 EVaR and TNORM evaluators through their first-order conditions and the
-elliptical critical level; one damped Newton loop with two kernels for
+elliptical critical level; one damped Newton loop and the two kernels of
 the smooth duals of the penalty minima min E[g(Z)] over martingale
 densities: the cumulant log E exp(lam . e) of the entropy penalty, and
 the conjugate E[g*(nu + lam . e)] - nu of any other penalty, where
 g*(s) = max over z of s z - g(z) comes from measures.conjugate (for a
 custom g over the box 0 <= z <= 1/p_omega, which holds every density).
-The EVaR and TNORM slice minima run the same loop on a ratio of a kernel
-(_ratio_kernel) and on the kernel along a shift (_shifted_kernel).  Both
+frontier._Kernel picks the kernel of a penalty and its start; the penalty
+test and the EVaR and TNORM slice minima run the loop on it, on a ratio
+of it (_ratio_kernel) and on it along a shift (_shifted_kernel).  Both
 are deterministic.
 """
 
@@ -74,17 +75,23 @@ def increasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CumulantResult:
-    """Outcome of the cumulant minimization.
+    """Outcome of a penalty minimization min E[g(Z)] over the densities Z
+    that price the rows, by Newton on its smooth dual (frontier._Kernel).
 
-    value is -min K, i.e. the candidate divergence minimum; z is the Gibbs
-    density at the final iterate (E[z] = 1 by construction); lam is in the
-    units of the excess rows.  gradient_norm is the max-norm of E[z e]
-    divided by max |e|, so it does not depend on the units of e.  status is
-    "OK" for a converged interior minimizer and "DIVERGENT" when the
-    iterates run off to infinity (the infimum sits on a boundary face, or
-    no density prices the rows at all) or the gradient did not close.
-    value is +inf when K fell below the least value it has if a density
-    prices the rows: then none does.
+    value is the least penalty: -min K for the cumulant
+    K(lam) = log E exp(lam . e) of the entropy, and
+    max over (nu, lam) of nu - E[g*(nu + lam . e)] for any other g.  z is
+    the density at the final iterate: the Gibbs density, with E[z] = 1 by
+    construction, or (g*)'(nu + lam . e), with E[z] = 1 only to the
+    gradient tolerance.  lam is in the units of the excess rows.
+    gradient_norm is the max-norm of the gradient on the rows divided by
+    max |e| (E[z e], with E[z] - 1 first for the conjugate), so it does not
+    depend on the units of e.  status is "OK" for a converged minimizer and
+    "DIVERGENT" when the iterates run off to infinity (the infimum sits on
+    a boundary face, or no density prices the rows at all) or the gradient
+    did not close.  value is +inf when the kernel fell below the least
+    value it has if a density prices the rows: then none does.  iterations
+    counts the Newton steps taken.
     """
 
     lam: Vector
@@ -93,22 +100,6 @@ class CumulantResult:
     status: str
     gradient_norm: float
     iterations: int
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugateResult(CumulantResult):
-    """Outcome of the conjugate minimization of a penalty E[g(Z)].
-
-    value is v* = max over (nu, lam) of nu - E[g*(nu + lam . e)], the
-    least E[g(Z)] over the martingale densities of the rows; z is the
-    density (g*)'(nu + lam . e) at the final iterate, so E[z] = 1 holds
-    only to the gradient tolerance, and value is +inf when no density
-    prices the rows.  gradient_norm is the max-norm of
-    (E[z] - 1, E[z e] / max |e|).  The other fields read as in
-    CumulantResult.
-    """
-
-    nu: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +122,11 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
     value(x) returns (f(x), state) and derivatives(state) the gradient and
     Hessian there; residual(state, gradient), the max-norm of the gradient
     by default, is what the gradient tests below read, max_iter
-    (NEWTON_MAX_ITER by default) caps the steps, and escape (LAMBDA_ESCAPE
-    by default) is the scaled iterate norm beyond which the loop stops and
-    reads DIVERGENT; a function without recession directions passes
-    math.inf, since its minimizer may lie that far out.  The kernels divide
+    (NEWTON_MAX_ITER by default) caps the steps, which the run counts as
+    its iterations, and escape (LAMBDA_ESCAPE by default) is the scaled
+    iterate norm beyond which the loop stops and reads DIVERGENT; a
+    function without recession directions passes math.inf, since its
+    minimizer may lie that far out.  The kernels divide
     their rows by max |e| first (_scaled_rows), so the Armijo (1e-4) and
     Hessian-ridge (1e-12) constants and every test below are relative to
     the data.  floor is the least value f can take when a minimizer exists
@@ -176,8 +168,8 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
     grad, H = derivatives(state)
     receded = False
     flat = 0  # consecutive steps that lowered f by no more than rounding
-    it = 0
-    for it in range(1, (NEWTON_MAX_ITER if max_iter is None else max_iter) + 1):
+    steps = 0
+    for _ in range(NEWTON_MAX_ITER if max_iter is None else max_iter):
         if residual(state, grad) < NEWTON_GRAD_TOL or np.abs(x).max() > escape:
             break
         if f < floor:
@@ -199,6 +191,7 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
             break  # stalled line search; classify with current iterate
         flat = flat + 1 if f_new >= f - f_round * (1.0 + abs(f)) else 0
         x = x + t * step
+        steps += 1
         f, state = f_new, state_new
         grad, H = derivatives(state)
         if flat >= FLAT_STEPS:
@@ -211,7 +204,7 @@ def _damped_newton(value: Callable[[Vector], tuple[float, Any]],
     diverged = receded or x_norm > escape or gnorm > GRAD_ACCEPT or running
     return _NewtonRun(x=x, value=-math.inf if receded else f, state=state,
                       gradient_norm=gnorm,
-                      status="DIVERGENT" if diverged else "OK", iterations=it)
+                      status="DIVERGENT" if diverged else "OK", iterations=steps)
 
 
 def _scaled_rows(excess: Vector) -> tuple[Vector, float]:
@@ -312,58 +305,3 @@ def _ratio_kernel(value: Callable, derivatives: Callable, beta: float,
         return st[1] * float(np.abs(grad).max())
 
     return ratio, ratio_derivatives, residual
-
-
-def newton_cumulant_min(probs: Vector, excess: Vector, *,
-                        lam0: Vector | None = None) -> CumulantResult:
-    """Minimize K(lam) = log E[exp(lam . e)] over lam in R^d.
-
-    probs has shape (N,), excess has shape (N, d) with rows e_omega; lam0
-    (in the units of e) warm-starts the iteration, which otherwise starts
-    at 0.  The Hessian is the Gibbs covariance of the rows, positive
-    definite whenever the rows plus the constant span d+1 dimensions.
-    When some density Z prices the rows, K >= -E[Z log Z] >= log min p,
-    which is the floor of _damped_newton.
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    E, scale = _scaled_rows(excess)
-    lam = np.zeros(E.shape[1]) if lam0 is None else np.asarray(lam0, dtype=np.float64) * scale
-    value, derivatives = _cumulant_kernel(p, E)
-    run = _damped_newton(value, derivatives, lam, floor=float(np.log(p).min()))
-    # Gibbs density: z_omega = exp(lam.e_omega) / E[exp(lam.e)]
-    return CumulantResult(lam=run.x / scale, value=-run.value, z=run.state / p,
-                          status=run.status, gradient_norm=run.gradient_norm,
-                          iterations=run.iterations)
-
-
-def newton_conjugate_min(probs: Vector, excess: Vector,
-                         conjugate: Callable[[Vector], tuple[float, Vector, Vector]],
-                         floor: float, *, lam0: Vector | None = None,
-                         nu0: float = 1.0) -> ConjugateResult:
-    """Minimize E[g(Z)] over the densities Z >= 0 with E[Z] = 1, E[Z e] = 0.
-
-    The minimum is the max over (nu, lam) of nu - E[g*(nu + lam . e)],
-    attained with Z = (g*)'(nu + lam . e) whenever some density prices the
-    rows.  conjugate(s) returns E[g*(s)], the density (g*)'(s) and the
-    curvature (g*)''(s) (measures.conjugate).  Newton runs on
-    F = E[g*(s)] - nu, s = nu + lam . e, with gradient E[Z (1, e)] - (1, 0)
-    and Hessian E[(g*)''(s) (1, e)(1, e)'].  lam0 (in the units of e) and
-    nu0 warm-start it; the default start is nu = 1, lam = 0.  F >= -E[g(Z)]
-    for every pricing density Z, so floor, the negated largest penalty a
-    density can have, is the floor of _damped_newton.  The maximum is
-    attained whenever a density prices the rows, but on a face of M it
-    need not be unique (rows where g* is flat add no curvature), so
-    DIVERGENT here means that no density prices the rows or that the
-    gradient did not close.
-    """
-    pr = np.asarray(probs, dtype=np.float64)
-    E, scale = _scaled_rows(excess)
-    x0 = np.zeros(E.shape[1] + 1)
-    x0[0] = nu0
-    if lam0 is not None:
-        x0[1:] = np.asarray(lam0, dtype=np.float64) * scale
-    value, derivatives = _conjugate_kernel(pr, E, conjugate)
-    run = _damped_newton(value, derivatives, x0, floor=floor, step_test=False)
-    return ConjugateResult(lam=run.x[1:] / scale, value=-run.value, z=run.state[0],
-                           status=run.status, gradient_norm=run.gradient_norm,
-                           iterations=run.iterations, nu=float(run.x[0]))

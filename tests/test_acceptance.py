@@ -19,11 +19,10 @@ from conftest import (binomial_market, make_dominating_market,
 from oracles import build_ru_lp
 from rhoarb.dual import classical_no_arbitrage, classify_dual, cross_validate, es_min_supnorm
 from rhoarb.elliptical import EllipticalMarket, classify_trichotomy, critical_alpha, gaussian_rho_z
-from rhoarb.frontier import classify_primal, compute_rho1
+from rhoarb.frontier import _penalty_min, classify_primal, compute_rho1
 from rhoarb.lp import LinearProgram, lp_solve
 from rhoarb.market import ScenarioMarket
 from rhoarb.measures import RiskSpec, eval_es, eval_var, eval_wc, evaluate
-from rhoarb.solvers import newton_cumulant_min
 
 DUO_ENTROPY = 0.0566330122651324
 
@@ -179,7 +178,7 @@ def test_entropy_solver_agrees_with_projected_gradient():
     checked = 0
     for _ in range(20):
         market = make_random_market(rng, n_max=6, d_max=2)
-        res = newton_cumulant_min(market.probs, market.excess_matrix.T)
+        res = _penalty_min(RiskSpec.entropic(1.0), market.probs, market.excess_matrix.T)
         if res.status != "OK":
             continue
         grid_val, _ = oracles.projected_gradient_min(
@@ -190,7 +189,7 @@ def test_entropy_solver_agrees_with_projected_gradient():
 
     duo = ScenarioMarket(probs=(0.5, 0.5), riskless_rate=0.0,
                          returns=[[2.0, -1.0]])
-    res = newton_cumulant_min(duo.probs, duo.excess_matrix.T)
+    res = _penalty_min(RiskSpec.entropic(1.0), duo.probs, duo.excess_matrix.T)
     assert res.status == "OK"
     assert abs(res.value - DUO_ENTROPY) < 1e-6
 

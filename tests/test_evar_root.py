@@ -10,7 +10,8 @@ joint form min over (pi, t > 0) of t (log E exp(-X_pi / t) - log alpha),
 to the WC slice in the worst-case regime, to the invariances rho_1 has,
 and to its step budget.  They also hold the cumulant Newton solver it
 rests on to a converged status on a market whose minimizer has tiny
-Gibbs entries, and TNORM's route to the risk of its own portfolio.
+Gibbs entries, every penalty kernel to scale-freeness, and TNORM's route
+to the risk of its own portfolio.
 """
 
 import math
@@ -22,10 +23,9 @@ from scipy.optimize import linprog, minimize
 import rhoarb.frontier as frontier
 from conftest import make_dominating_market, make_drift_market, make_tanh_priced_market
 from rhoarb.dual import classify_dual
-from rhoarb.frontier import classify_primal, compute_rho1
+from rhoarb.frontier import _penalty_min, classify_primal, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, eval_evar, eval_tnorm
-from rhoarb.solvers import newton_cumulant_min
 
 ALPHAS = (0.005, 0.05, 0.1, 0.25, 0.5, 0.9)
 
@@ -108,8 +108,8 @@ def test_seeded_sweep_meets_its_certificates():
         # Just below rho_1 some density of entropy <= -log alpha still prices
         # the shifted excess.
         a = market.mean_returns - market.riskless_rate
-        below = newton_cumulant_min(market.probs,
-                                    (market.excess_matrix + (rho1 - 1e-9) * a[:, None]).T)
+        below = _penalty_min(RiskSpec.entropic(1.0), market.probs,
+                             (market.excess_matrix + (rho1 - 1e-9) * a[:, None]).T)
         assert below.value <= -math.log(alpha), (label, below.value)
         ref = scipy_evar_rho1(market, alpha)
         assert abs(rho1 - ref) <= 1e-6 * max(1.0, abs(rho1)), (label, rho1, ref)
@@ -203,14 +203,14 @@ def test_primal_certificate_carries_gap_and_iterations():
     assert cert["iterations"] == res.iterations > 0
 
 
-# -- cumulant Newton: converged and scale-free -----------------------------------
+# -- penalty Newton: converged and scale-free ------------------------------------
 
 
 def test_newton_converged_minimizer_with_tiny_gibbs_entries_is_ok():
     # The least Gibbs entry is ~3e-11, far below any absolute floor, yet the
     # gradient closes and the Newton step vanishes: an interior minimizer.
     market = make_drift_market(np.random.default_rng([106, 7, 4]), 50, 4, 1.0)
-    res = newton_cumulant_min(market.probs, market.excess_matrix.T)
+    res = _penalty_min(RiskSpec.entropic(1.0), market.probs, market.excess_matrix.T)
     assert res.status == "OK"
     assert res.z.min() < 1e-9
     assert res.gradient_norm < 1e-11
@@ -228,22 +228,26 @@ def test_newton_without_positive_density_stays_divergent():
     rng = np.random.default_rng(59)
     for _ in range(10):
         market = make_dominating_market(rng)
-        res = newton_cumulant_min(market.probs, market.excess_matrix.T)
+        res = _penalty_min(RiskSpec.entropic(1.0), market.probs, market.excess_matrix.T)
         assert res.status == "DIVERGENT"
 
 
-def test_newton_is_scale_free_and_warm_starts():
+def test_every_penalty_kernel_is_scale_free():
+    # Each kernel runs on the rows divided by max |e|, so rescaling the
+    # excess rescales lam and leaves the value and the Newton path alone.
     market = make_tanh_priced_market(np.random.default_rng(61), 40, 3)
     X = market.excess_matrix.T
-    base = newton_cumulant_min(market.probs, X)
-    assert base.status == "OK"
-    for k in (-6, 6):
-        res = newton_cumulant_min(market.probs, X * 10.0 ** k)
-        assert res.status == "OK"
-        assert abs(res.value - base.value) <= 1e-12 * base.value
-        assert np.allclose(res.lam * 10.0 ** k, base.lam, rtol=1e-8)
-    warm = newton_cumulant_min(market.probs, X, lam0=base.lam)
-    assert warm.iterations <= 2 and abs(warm.value - base.value) <= 1e-14
+    balls = [RiskSpec.entropic(1.0), *(RiskSpec.power(q, 1.0) for q in (1.5, 2.0, 3.0)),
+             RiskSpec.custom(lambda z: z ** 2 / 2.0, 1.0, g_prime=lambda z: z)]
+    for pen in balls:
+        base = _penalty_min(pen, market.probs, X)
+        assert base.status == "OK", pen.g_kind
+        for k in (-6, 6):
+            res = _penalty_min(pen, market.probs, X * 10.0 ** k)
+            assert res.status == "OK", (pen.g_kind, k)
+            assert abs(res.value - base.value) <= 1e-12 * base.value, (pen.g_kind, k)
+            assert np.allclose(res.lam * 10.0 ** k, base.lam, rtol=1e-8), (pen.g_kind, k)
+            assert res.iterations == base.iterations, (pen.g_kind, k)
 
 
 # -- TNORM: rho_1 is the risk of its own portfolio --------------------------------

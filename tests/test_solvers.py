@@ -7,9 +7,13 @@ import pytest
 
 import oracles
 from conftest import make_random_market
+from rhoarb.frontier import _penalty_min
 from rhoarb.lp import LinearProgram, lp_solve
 from oracles import BadOracleError, kelley_minimize
-from rhoarb.solvers import ROOT_RTOL, increasing_root, newton_cumulant_min
+from rhoarb.measures import RiskSpec
+from rhoarb.solvers import ROOT_RTOL, increasing_root
+
+ENTROPY = RiskSpec.entropic(1.0)
 
 
 def test_increasing_root_expands_and_pins_the_sign_change():
@@ -26,7 +30,7 @@ def test_increasing_root_expands_and_pins_the_sign_change():
 
 def test_cumulant_symmetric_market_is_flat():
     # R in {+1, -1} equal odds, r = 0: P is itself a martingale measure.
-    res = newton_cumulant_min(np.array([0.5, 0.5]), np.array([[1.0], [-1.0]]))
+    res = _penalty_min(ENTROPY, np.array([0.5, 0.5]), np.array([[1.0], [-1.0]]))
     assert res.status == "OK"
     assert abs(res.value) < 1e-12
     assert np.max(np.abs(res.lam)) < 1e-6
@@ -37,7 +41,7 @@ def test_cumulant_binomial_diverges_to_boundary_value():
     # The only martingale density (0, 2) has a zero atom, outside the
     # strictly positive exponential family: the infimum log 2 is reported
     # with a DIVERGENT flag instead of a minimizer.
-    res = newton_cumulant_min(np.array([0.5, 0.5]), np.array([[1.0], [0.0]]))
+    res = _penalty_min(ENTROPY, np.array([0.5, 0.5]), np.array([[1.0], [0.0]]))
     assert res.status == "DIVERGENT"
     assert abs(res.value - math.log(2.0)) < 1e-9
     assert res.z[0] < 1e-6
@@ -45,7 +49,7 @@ def test_cumulant_binomial_diverges_to_boundary_value():
 
 
 def test_cumulant_duo_market_hand_value():
-    res = newton_cumulant_min(np.array([0.5, 0.5]), np.array([[2.0], [-1.0]]))
+    res = _penalty_min(ENTROPY, np.array([0.5, 0.5]), np.array([[2.0], [-1.0]]))
     hand = 0.5 * (2.0 / 3.0) * math.log(2.0 / 3.0) \
         + 0.5 * (4.0 / 3.0) * math.log(4.0 / 3.0)
     assert res.status == "OK"
@@ -60,7 +64,7 @@ def test_cumulant_matches_projected_gradient_oracle():
     done = 0
     while done < 10:
         market = make_random_market(rng, n_max=5, d_max=2)
-        res = newton_cumulant_min(market.probs, market.excess_matrix.T)
+        res = _penalty_min(ENTROPY, market.probs, market.excess_matrix.T)
         if res.status != "OK":
             continue
         ref, _ = oracles.projected_gradient_min(market.probs,
@@ -76,7 +80,7 @@ def test_cumulant_value_nonnegative_on_valid_markets():
     rng = np.random.default_rng(31)
     for _ in range(30):
         market = make_random_market(rng, n_max=8, d_max=3)
-        res = newton_cumulant_min(market.probs, market.excess_matrix.T)
+        res = _penalty_min(ENTROPY, market.probs, market.excess_matrix.T)
         assert res.value > -1e-12
         if res.status == "OK":
             assert res.value > 0.0

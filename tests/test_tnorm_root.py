@@ -23,10 +23,9 @@ from scipy.optimize import linprog, minimize
 import oracles
 from conftest import make_drift_market, make_random_market, make_tanh_priced_market
 from rhoarb.dual import MartingalePolytope, classical_no_arbitrage, classify_dual
-from rhoarb.frontier import _penalty_min, compute_rho1
+from rhoarb.frontier import ROOT_MAX_ITER, _penalty_min, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, eval_tnorm
-from rhoarb.solvers import newton_cumulant_min
 
 P_EXPS = (1.5, 2.0, 3.0)
 ALPHAS = (0.05, 0.25, 0.5, 0.9)
@@ -212,7 +211,7 @@ def test_newton_stops_on_a_recession_direction():
     market = _unpriceable_draw()
     assert (market.n_scenarios, market.n_assets) == (7, 3)
     assert classical_no_arbitrage(market).status == "INFEASIBLE"
-    res = newton_cumulant_min(market.probs, market.excess_matrix.T)
+    res = _penalty_min(RiskSpec.entropic(1.0), market.probs, market.excess_matrix.T)
     assert res.status == "DIVERGENT" and res.iterations <= 50
     assert res.value == math.inf
     for q in (1.5, 2.0, 3.0):
@@ -224,10 +223,10 @@ def test_newton_stops_on_a_recession_direction():
 def test_power_start_is_exact_for_p2_while_the_density_stays_positive():
     # At p = 2 the least E[Z^2 / 2] near t = -1 is a quadratic in t while
     # Z > 0, so the Gaussian start is the minimizer of the ratio: the
-    # Newton run stops at its first gradient test, one iteration and no step.
+    # Newton run stops at its first gradient test, with no step.
     market = make_drift_market(np.random.default_rng(3), 50, 4, 1.0)
     res = compute_rho1(market, RiskSpec.tnorm(2.0, 0.9))
-    assert res.route == "ROOT" and res.iterations == 1
+    assert res.route == "ROOT" and res.iterations == 0
     assert res.gap <= 1e-12 * (1.0 + abs(res.rho1))
     q = 2.0
     beta = (1.0 / 0.9) ** q / q
@@ -277,11 +276,17 @@ def test_stopped_short_near_p1_reports_a_rigorous_gap():
     # near 1e-8 and no penalty solve converges.  Runs capped at
     # ROOT_RUN_STEPS, each followed by an exact Dinkelbach step, still take
     # R to the L-BFGS-B reference (one uncapped run crept 500 steps and
-    # ended 8e-8 high), and rho_1 - gap = -1 bounds the minimum below.
-    market = make_drift_market(np.random.default_rng(0), 40, 3, 1.0)
-    res = compute_rho1(market, RiskSpec.tnorm(1.1, 0.3))
-    assert res.annotations == ("MAX_ITER",) and not res.attained
-    assert abs(res.rho1 - -0.3276092239842) <= 1e-6
-    assert abs(res.rho1 - res.gap + 1.0) <= 1e-15
-    risk = eval_tnorm(excess_return(market, res.argmin), market.probs, 1.1, 0.3)
-    assert res.rho1 == risk
+    # ended 8e-8 high), and rho_1 - gap = -1 bounds the minimum below.  On
+    # the priced market the route spends its whole budget, and the exact
+    # Dinkelbach step, once capped by what is left of it, no longer
+    # overruns it (513 steps).
+    cases = [(make_drift_market(np.random.default_rng(0), 40, 3, 1.0), -0.3276092239842),
+             (make_tanh_priced_market(np.random.default_rng([2, 5]), 40, 3), 2.3081565157472)]
+    for market, ref in cases:
+        res = compute_rho1(market, RiskSpec.tnorm(1.1, 0.3))
+        assert res.annotations == ("MAX_ITER",) and not res.attained
+        assert res.iterations <= ROOT_MAX_ITER
+        assert abs(res.rho1 - ref) <= 1e-6
+        assert abs(res.rho1 - res.gap + 1.0) <= 1e-15
+        risk = eval_tnorm(excess_return(market, res.argmin), market.probs, 1.1, 0.3)
+        assert res.rho1 == risk
