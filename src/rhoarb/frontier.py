@@ -15,9 +15,10 @@ atoms, d assets), whose asset-row multipliers are the minimizing
 portfolio.  EVAR and TNORM minimize a ratio bound over the multipliers
 of their penalty dual (relative entropy, or E[Z^q / q] for TNORM): every
 value of the ratio bounds the risk of a portfolio from above, and its
-infimum is rho_1.  One damped Newton run finds it, guarded by the WC
-slice minimum, the largest shift t for which a martingale density prices
-the shifted excess e + t (mu - r).  VaR is not
+infimum is rho_1.  One damped Newton run finds it.  The WC slice minimum,
+the largest shift t for which a martingale density prices the shifted
+excess e + t (mu - r), guards that run lazily: its LP is solved only when
+the first run does not converge.  VaR is not
 positively-homogeneous-convex and has no global minimizer route here.
 """
 
@@ -59,13 +60,13 @@ class FrontierResult:
     rho_0 is 0 for the supported measures (pi = 0 attains it) and is not
     stored.  route is DIRECT (d = 1 canonical slice), LP (ES/SPECTRAL/WC)
     or ROOT (EVAR/TNORM); iterations counts the LP's simplex iterations or,
-    on ROOT, the Newton steps of the ratio run and of the penalty solves at
-    fixed shifts that guard it (0 on the DIRECT route).  On the ROOT route
-    rho1 is the risk of argmin, evaluated afresh, and gap is its distance
-    from the ratio bound on that risk at the final iterate; when the run
-    stopped short (MAX_ITER) gap is rho1 minus the largest shift that a
-    converged penalty solve showed feasible (-1 without one), a lower bound
-    on the minimum.  gap is 0 on DIRECT and LP.
+    on ROOT, the Newton steps of the ratio runs and of the penalty solves
+    at fixed shifts that guard them (0 on the DIRECT route).  On the ROOT
+    route rho1 is the risk of argmin, evaluated afresh, and gap is its
+    distance from the ratio bound on that risk at the final iterate; when
+    the run stopped short (MAX_ITER) gap is rho1 minus the largest shift
+    that a converged penalty solve showed feasible (-1 without one), a
+    lower bound on the minimum.  gap is 0 on DIRECT and LP.
     """
 
     rho1: float
@@ -243,19 +244,32 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     bounds the risk of the portfolio pi = lam / (lam . a) from above.
 
     Damped Newton with the Dinkelbach step (solvers._ratio_kernel)
-    minimizes R from the Gaussian root.  The WC slice minimum t_max, above
-    which no density prices e + t a, guards the start: if R >= t_max there,
-    the kernel shifted by t_max is minimized until it falls below -beta,
-    which proves V(t_max) > beta and reaches an x with R < t_max.  If it
-    never does, V <= beta up to t_max, so rho_1 = t_max and the WC slice
-    portfolio attains it.  R only falls from then on, and its sublevel sets
-    below t_max are bounded.  A run that stalls, or is still open after
+    minimizes R from the Gaussian root.  A run has converged when its
+    residual, the gradient of the kernel shifted by t = R, is below
+    NEWTON_GRAD_TOL.  The first run, of at most ROOT_RUN_STEPS steps and
+    with the kernels' escape bound LAMBDA_ESCAPE, needs no guard.  If it
+    converges, its x minimizes that convex kernel, whose value there is
+    -beta, so V(R) = beta; and R >= rho_1 at every x rules out the lower
+    root, so R = rho_1.  It cannot converge above t_max, the WC slice
+    minimum, above which no density prices e + t a: there the shifted
+    kernel has a recession direction of strictly negative slope, so its
+    gradient is bounded away from 0, and the escape bound ends a run that
+    follows that direction.
+
+    Only when the first run does not converge is t_max solved for (the WC
+    slice LP), and the route starts again from the Gaussian root, moved
+    below t_max, under its guard: if R >= t_max there, the kernel shifted
+    by t_max is minimized until it falls below -beta, which proves
+    V(t_max) > beta and reaches an x with R < t_max.  If it never does,
+    V <= beta up to t_max, so rho_1 = t_max and the WC slice portfolio
+    attains it.  R only falls from then on, and its sublevel sets below
+    t_max are bounded.  A run that stalls, or is still open after
     ROOT_RUN_STEPS steps, takes an exact Dinkelbach step: the kernel
     shifted by t = R minimized from the run's end, whose minimizer lowers R
-    by the Newton step in t, (beta - V(R)) / V'(R).  The run has converged
-    when the gradient of the kernel shifted by R is below NEWTON_GRAD_TOL.
-    Below t_max neither has a recession direction, so neither stops at the
-    kernels' escape bound: near p = 1 the minimizer can lie beyond it.
+    by the Newton step in t, (beta - V(R)) / V'(R).  Below t_max neither
+    has a recession direction, so neither stops at the escape bound: near
+    p = 1 the minimizer can lie beyond it.  Every Newton step, the first
+    run's too, counts against ROOT_MAX_ITER.
     """
     a = market.mean_excess
     p = market.probs
@@ -265,18 +279,11 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     g1 = float(penalty(pen, [1.0])[0])
     g2 = 1.0 if pen.g_kind == "ENTROPY" else pen.q - 1.0  # g''(1)
 
-    lp, J = _slice_lp(market, RiskSpec.wc())
-    wc = lp_solve(lp)
-    if wc.status != OPTIMAL:
-        raise SimplexError(f"slice LP returned {wc.status}")
-    t_max = -float(wc.value)
-    wc_pi = -wc.duals[J:]
-
     k = _Kernel.of(pen, p, market.excess_matrix.T)
     c = k.lift(a / k.scale, 0.0)
     ratio, ratio_derivatives, residual = _ratio_kernel(k.value, k.derivatives, beta, c)
     newton = functools.partial(_damped_newton, ratio, ratio_derivatives, floor=-math.inf,
-                               step_test=False, escape=math.inf, residual=residual)
+                               step_test=False, residual=residual)
 
     def solve(t: float, x: Vector, stop: float, escape: float = math.inf,
               max_iter: int | None = None):
@@ -306,23 +313,42 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     tilt = market.tangency
     if tilt is None:  # S is singular: any tilt with a . tilt > 0 will do
         tilt = a / float(a @ a)
+
+    def start(t: float) -> Vector:
+        lam = -g2 * (t + 1.0) * tilt
+        return k.lift(lam * k.scale, k.start[0] - float(lam @ a))
+
     t = -1.0 + math.sqrt(2.0 * (beta - g1) / (g2 * float(a @ tilt)))
+    steps = 0
+    if t > -1.0:  # a start rounded onto t = -1 has D = 0 and no ratio
+        run = newton(start(t), escape=LAMBDA_ESCAPE, max_iter=min(ROOT_RUN_STEPS, ROOT_MAX_ITER))
+        steps = run.iterations
+        if run.status == "OK" and run.gradient_norm < NEWTON_GRAD_TOL:
+            return result(-run.x[-d:], steps, run.value)
+        if steps >= ROOT_MAX_ITER:
+            return result(-run.x[-d:], steps)
+
+    # It did not converge: start again below t_max, under its guard.
+    lp, J = _slice_lp(market, RiskSpec.wc())
+    wc = lp_solve(lp)
+    if wc.status != OPTIMAL:
+        raise SimplexError(f"slice LP returned {wc.status}")
+    t_max = -float(wc.value)
     if not t < t_max:
         t = 0.5 * (t_max - 1.0)
-    lam = -g2 * (t + 1.0) * tilt
-    x = k.lift(lam * k.scale, k.start[0] - float(lam @ a))
-
-    steps = 0
+    x = start(t)
     if ratio(x)[0] >= t_max:
         # Minimize at t_max until the value falls below -beta, which proves
-        # V(t_max) > beta and reaches an x with R < t_max.
-        top = solve(t_max, x, -beta, LAMBDA_ESCAPE)
-        steps = top.iterations
+        # V(t_max) > beta and reaches an x with R < t_max.  What is left of
+        # the budget caps it; a solve cut there reads as one that never fell
+        # below -beta.
+        top = solve(t_max, x, -beta, LAMBDA_ESCAPE, ROOT_MAX_ITER - steps)
+        steps += top.iterations
         if top.value > -math.inf:  # V <= beta all the way up to t_max
-            return result(wc_pi, steps, t_max)
+            return result(-wc.duals[J:], steps, t_max)
         x = top.x
     while steps < ROOT_MAX_ITER:
-        run = newton(x, max_iter=min(ROOT_MAX_ITER - steps, ROOT_RUN_STEPS))
+        run = newton(x, escape=math.inf, max_iter=min(ROOT_MAX_ITER - steps, ROOT_RUN_STEPS))
         steps += run.iterations
         x, R = run.x, run.value
         if run.gradient_norm < NEWTON_GRAD_TOL:
@@ -348,8 +374,9 @@ def compute_rho1(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
 
     d = 1 takes the direct route (the slice is the canonical singleton);
     ES/SPECTRAL/WC solve one LP (_slice_lp); EVAR and TNORM minimize the
-    ratio bound of their penalty dual (_root_route), guarded by the WC
-    slice LP.  VAR raises UnsupportedGlobalMinError, GENTROPIC has no
+    ratio bound of their penalty dual (_root_route), and solve the WC
+    slice LP as a guard only when their first Newton run does not
+    converge.  VAR raises UnsupportedGlobalMinError, GENTROPIC has no
     primal route.
     """
     if spec.kind == "VAR":

@@ -1,10 +1,12 @@
-"""Shared market builders for the test suite."""
+"""Shared market builders and fixtures for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
+import rhoarb.frontier
 from rhoarb.market import ScenarioMarket, validate_market
 
 # Property tests draw the same examples on every run, so the suite stays
@@ -12,6 +14,15 @@ from rhoarb.market import ScenarioMarket, validate_market
 settings.register_profile("suite", derandomize=True, deadline=None, max_examples=30,
                           database=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def frontier_lps(monkeypatch):
+    """The programs rhoarb.frontier passes to lp_solve from here on."""
+    calls = []
+    solve = rhoarb.frontier.lp_solve
+    monkeypatch.setattr(rhoarb.frontier, "lp_solve", lambda lp: calls.append(lp) or solve(lp))
+    return calls
 
 
 def binomial_market() -> ScenarioMarket:

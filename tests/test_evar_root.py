@@ -2,16 +2,18 @@
 
 compute_rho1 finds rho_1 for EVAR as the infimum over lam . a < 0 of
 R(lam) = (log E exp(lam . e) - log alpha) / (-lam . a), EVaR's own
-formula jointly in the portfolio and z, by damped Newton guarded by
-t_max, the WC slice minimum.  These tests hold it to its own portfolio's
-EVaR, to the entropy dual D(t) = -min_lam log E exp(lam . (e + t a))
-just below rho_1 (D <= -log alpha there), to a scipy minimization of the
-joint form min over (pi, t > 0) of t (log E exp(-X_pi / t) - log alpha),
-to the WC slice in the worst-case regime, to the invariances rho_1 has,
-and to its step budget.  They also hold the cumulant Newton solver it
-rests on to a converged status on a market whose minimizer has tiny
-Gibbs entries, every penalty kernel to scale-freeness, and TNORM's route
-to the risk of its own portfolio.
+formula jointly in the portfolio and z, by damped Newton.  The WC slice
+minimum t_max guards the run lazily: its LP is solved only when the
+first run from the Gaussian start does not converge.  These tests hold
+it to its own portfolio's EVaR, to the entropy dual
+D(t) = -min_lam log E exp(lam . (e + t a)) just below rho_1
+(D <= -log alpha there), to a scipy minimization of the joint form
+min over (pi, t > 0) of t (log E exp(-X_pi / t) - log alpha), to the WC
+slice in the worst-case regime, to the invariances rho_1 has, to its step
+budget and to the LPs it solves.  They also hold the cumulant Newton
+solver it rests on to a converged status on a market whose minimizer has
+tiny Gibbs entries, every penalty kernel to scale-freeness, and TNORM's
+route to the risk of its own portfolio.
 """
 
 import math
@@ -24,7 +26,7 @@ import rhoarb.frontier as frontier
 from conftest import make_dominating_market, make_drift_market, make_tanh_priced_market
 from rhoarb.dual import classify_dual
 from rhoarb.frontier import _penalty_min, classify_primal, compute_rho1
-from rhoarb.market import ScenarioMarket, excess_return
+from rhoarb.market import ScenarioMarket, excess_return, validate_market
 from rhoarb.measures import RiskSpec, eval_evar, eval_tnorm
 
 ALPHAS = (0.005, 0.05, 0.1, 0.25, 0.5, 0.9)
@@ -159,28 +161,62 @@ def test_unconverged_root_reports_its_portfolio_risk(monkeypatch):
     assert abs(res.rho1 - res.gap + 1.0) <= 1e-15
 
 
-def test_iterates_near_t_max_come_back_to_the_minimum():
+def test_iterates_near_t_max_come_back_to_the_minimum(frontier_lps):
     # rho_1 sits 0.12 below t_max, and R at the Gaussian start lies above
-    # t_max.  Newton steps from there run off toward t_max, where R
-    # flattens onto the WC risk of the portfolio; the guard at t_max first
+    # t_max.  The first run from there goes off toward t_max, where R
+    # flattens onto the WC risk of the portfolio, and does not converge.
+    # So the route solves the WC slice LP, once; the guard at t_max then
     # brings R below t_max, and R only falls after that.
     market = make_drift_market(np.random.default_rng(7), 60, 3, 0.7)
     t_max = compute_rho1(market, RiskSpec.wc()).rho1
     assert abs(t_max - 0.989058239771) <= 1e-11
+    frontier_lps.clear()
     res = compute_rho1(market, RiskSpec.evar(0.1))
     assert res.route == "ROOT" and res.attained and not res.annotations
     assert abs(res.rho1 - 0.870641859250) <= 1e-11
     assert res.gap <= 1e-12
+    assert len(frontier_lps) == 1
+
+
+def test_a_converged_first_run_solves_no_lp(frontier_lps):
+    # The first run's residual is the gradient of the kernel shifted by
+    # t = R.  Once it closes, V(R) = beta, and R >= rho_1 at every iterate
+    # rules out the lower root: R = rho_1 with no t_max and no LP.
+    market = make_drift_market(np.random.default_rng(53), 50, 4, 1.0)
+    res = compute_rho1(market, RiskSpec.evar(0.25))
+    assert res.route == "ROOT" and res.attained and not res.annotations
+    assert res.iterations <= frontier.ROOT_RUN_STEPS
+    assert res.gap <= 1e-12 * (1.0 + abs(res.rho1))
+    assert not frontier_lps
+
+
+def test_a_start_rounded_onto_t_minus_one_takes_the_guard(frontier_lps):
+    # alpha one ulp below 1 makes beta ~1e-16, and an asset whose excess
+    # return is 0.01 with noise of 3e-11 makes a' S^-1 a ~ 1.3e17: the
+    # Gaussian start t = -1 + 4e-17 rounds to -1, where D = 0 and the ratio
+    # has no value.  The route skips the first run and starts under the WC
+    # guard.
+    rng = np.random.default_rng(1)
+    N = 40
+    R = np.vstack([0.02 + 3e-11 * rng.normal(size=N), 0.01 + 0.1 * rng.normal(size=N)])
+    market = ScenarioMarket(probs=np.full(N, 1.0 / N), riskless_rate=0.01, returns=R)
+    assert not validate_market(market)
+    res = compute_rho1(market, RiskSpec.evar(math.nextafter(1.0, 0.0)))
+    assert res.route == "ROOT" and res.attained and not res.annotations
+    assert abs(res.rho1 + 1.0) <= 1e-9
+    assert len(frontier_lps) == 1
 
 
 @pytest.mark.parametrize("regime", ["priced", "drift"])
-def test_step_budget_on_the_bench_shapes(regime):
+def test_step_budget_on_the_bench_shapes(regime, frontier_lps):
     # Markets of the shapes the entropic benchmark runs (N 40-60, d 4):
     # one Newton run on the ratio takes a few steps where a root in t
-    # took ~28 Newton steps over ~6 penalty solves.
+    # took ~28 Newton steps over ~6 penalty solves, and most first runs
+    # converge with no WC slice LP (27 of the 30 cases in each regime).
     specs = [RiskSpec.evar(0.1), RiskSpec.evar(0.25), RiskSpec.evar(0.5),
              RiskSpec.tnorm(2.0, 0.25), RiskSpec.tnorm(2.0, 0.5)]
     steps = []
+    without_lp = 0
     for seed in range(6):
         rng = np.random.default_rng([seed, 20])
         N = int(rng.integers(40, 61))
@@ -189,10 +225,13 @@ def test_step_budget_on_the_bench_shapes(regime):
         else:
             market = make_drift_market(rng, N, 4, 1.0)
         for spec in specs:
+            frontier_lps.clear()
             res = compute_rho1(market, spec)
             assert res.attained and not res.annotations, (seed, spec)
             steps.append(res.iterations)
+            without_lp += not frontier_lps
     assert np.mean(steps) <= 14, steps
+    assert without_lp >= 25, without_lp
 
 
 def test_primal_certificate_carries_gap_and_iterations():

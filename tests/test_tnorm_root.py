@@ -2,16 +2,19 @@
 
 compute_rho1 finds rho_1 for TNORM(p, alpha) as the infimum over
 lam . a < 0 of the ratio R(nu, lam) = (beta + E[(nu + lam . e)+^p / p] - nu)
-/ (-lam . a), beta = (1 / alpha)^q / q, by damped Newton guarded by
-t_max, the WC slice minimum; its kernel is the POWER dual of
-frontier._penalty_min, the damped Newton method on the concave
-max over (nu, lam) of nu - E[(nu + lam . e)+^p / p].  These tests hold
-the route to its own portfolio's TNORM, to a scipy minimization of the
-joint convex form min over (pi, s) of ||(s - X_pi)+||_p / alpha - s, to
-the invariances rho_1 has, and to its answers where Newton on the ratio
-alone creeps or stops short; the dual POWER test to away-step
-Frank-Wolfe (oracles.frank_wolfe_min); and the shared Newton loop to its
-recession stop.
+/ (-lam . a), beta = (1 / alpha)^q / q, by damped Newton; its kernel is
+the POWER dual of frontier._penalty_min, the damped Newton method on the
+concave max over (nu, lam) of nu - E[(nu + lam . e)+^p / p].  The WC
+slice minimum t_max guards the run lazily: its LP is solved only when
+the first run from the Gaussian start does not converge.  These tests
+hold the route to its own portfolio's TNORM, to the POWER dual just
+below rho_1 (its least penalty is <= beta there), to a scipy
+minimization of the joint convex form min over (pi, s) of
+||(s - X_pi)+||_p / alpha - s, to the invariances rho_1 has, and to its
+answers and LP calls where Newton on the ratio alone creeps or stops
+short; the dual POWER test to away-step Frank-Wolfe
+(oracles.frank_wolfe_min); and the shared Newton loop to its recession
+stop.
 """
 
 import math
@@ -91,7 +94,8 @@ def test_seeded_sweep_meets_its_certificates():
     cases = _sweep()
     assert len(cases) == 36
     for regime, N, d, p_exp, alpha, market in cases:
-        res = compute_rho1(market, RiskSpec.tnorm(p_exp, alpha))
+        spec = RiskSpec.tnorm(p_exp, alpha)
+        res = compute_rho1(market, spec)
         label = (regime, N, d, p_exp, alpha)
         assert res.route == "ROOT" and res.attained and not res.annotations, label
         rho1, tol = res.rho1, 1e-9 * (1.0 + abs(res.rho1))
@@ -101,6 +105,11 @@ def test_seeded_sweep_meets_its_certificates():
         assert 0.0 <= res.gap <= tol, (label, res.gap)
         a = market.mean_returns - market.riskless_rate
         assert abs(float(res.argmin @ a) - 1.0) < 1e-12
+        # Just below rho_1 some density in the q-norm ball of radius
+        # 1 / alpha still prices the shifted excess.
+        below = _penalty_min(spec.penalty_ball, market.probs,
+                             (market.excess_matrix + (rho1 - 1e-9) * a[:, None]).T)
+        assert below.value <= spec.penalty_ball.beta, (label, below.value)
         ref = scipy_tnorm_rho1(market, p_exp, alpha)
         assert abs(rho1 - ref) <= 1e-6 * max(1.0, abs(rho1)), (label, rho1, ref)
 
@@ -241,10 +250,12 @@ def test_power_start_is_exact_for_p2_while_the_density_stays_positive():
 
 def test_guard_at_t_max_keeps_the_ratio_run_off_its_plateau():
     # rho_1 = 0.138 sits just below t_max = 0.151, and R at the Gaussian
-    # start lies above t_max.  Newton on the ratio alone ran off to
-    # |x| ~ 1e6, where R flattens onto the WC risk of the portfolio, crept
-    # there for 500 steps and ended 2e-4 high.  The guard first brings R
-    # below t_max, whose sublevel sets are bounded.
+    # start lies above t_max.  Newton on the ratio alone, with no escape
+    # bound, ran off to |x| ~ 1e6, where R flattens onto the WC risk of the
+    # portfolio, crept there for 500 steps and ended 2e-4 high.  The first
+    # run, capped at ROOT_RUN_STEPS, converges here with no WC slice LP;
+    # had it not, the guard would first bring R below t_max, whose
+    # sublevel sets are bounded.
     rng = np.random.default_rng([6, 99])
     rng.integers(20, 121), rng.integers(2, 6)  # the draws of N and d come first
     market = make_drift_market(rng, 20, 2, 1.0)
@@ -254,12 +265,14 @@ def test_guard_at_t_max_keeps_the_ratio_run_off_its_plateau():
     assert res.gap <= 1e-12
 
 
-def test_large_multipliers_near_p1_are_no_escape():
+def test_large_multipliers_near_p1_are_no_escape(frontier_lps):
     # At p = 1.2 the minimizer sits at |x| ~ 2e7 in the scaled rows, and
     # an exact Dinkelbach step from the right went past the kernels'
     # escape bound 1e8 on its way.  The ratio and the penalty solves below
     # t_max have bounded sublevel sets, so they run on; with the bound,
     # both stopped at once there and the route ended MAX_ITER 0.012 high.
+    # The first run, which does keep the bound, does not converge, so the
+    # route solves the WC slice LP once.
     rng = np.random.default_rng([47, 23])
     N, d = int(rng.integers(10, 200)), int(rng.integers(2, 8))
     market = make_tanh_priced_market(rng, N, d)
@@ -268,9 +281,10 @@ def test_large_multipliers_near_p1_are_no_escape():
     assert res.route == "ROOT" and res.attained and not res.annotations
     assert abs(res.rho1 - 3.7084730725593804) <= 1e-9 * (1.0 + abs(res.rho1))
     assert res.gap <= 1e-9 * (1.0 + abs(res.rho1))
+    assert len(frontier_lps) == 1
 
 
-def test_stopped_short_near_p1_reports_a_rigorous_gap():
+def test_stopped_short_near_p1_reports_a_rigorous_gap(frontier_lps):
     # At p = 1.1 the density Z = s+^(p - 1) needs s ~ 1e-12 beside
     # s ~ 100: the gradient of the shifted kernel stalls
     # near 1e-8 and no penalty solve converges.  Runs capped at
@@ -279,11 +293,14 @@ def test_stopped_short_near_p1_reports_a_rigorous_gap():
     # ended 8e-8 high), and rho_1 - gap = -1 bounds the minimum below.  On
     # the priced market the route spends its whole budget, and the exact
     # Dinkelbach step, once capped by what is left of it, no longer
-    # overruns it (513 steps).
+    # overruns it (513 steps).  Each first run fails, so each solves the
+    # WC slice LP once.
     cases = [(make_drift_market(np.random.default_rng(0), 40, 3, 1.0), -0.3276092239842),
              (make_tanh_priced_market(np.random.default_rng([2, 5]), 40, 3), 2.3081565157472)]
     for market, ref in cases:
+        frontier_lps.clear()
         res = compute_rho1(market, RiskSpec.tnorm(1.1, 0.3))
+        assert len(frontier_lps) == 1
         assert res.annotations == ("MAX_ITER",) and not res.attained
         assert res.iterations <= ROOT_MAX_ITER
         assert abs(res.rho1 - ref) <= 1e-6
