@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual import classify_dual, cross_validate
-from .elliptical import (EllipticalMarket, classify_trichotomy, critical_alpha,
+from .elliptical import (BOUNDARY_TOL, EllipticalMarket, classify_trichotomy, critical_alpha,
                          phase_curve_rows, sr_max)
-from .frontier import (UnsupportedGlobalMinError, classify_primal, compute_rho1,
+from .frontier import (CLASSIFY_TOL, UnsupportedGlobalMinError, classify_primal, compute_rho1,
                        frontier_points)
 from .lp import SimplexError
 from .market import ScenarioMarket, validate_market
-from .measures import RiskSpec, UnsupportedDualError
+from .measures import RiskSpec
 
 EXIT_CODES = {"NO_ARBITRAGE": 0, "RHO_ARBITRAGE": 2, "STRONG_RHO_ARBITRAGE": 3}
 
@@ -121,7 +121,7 @@ class AnalysisReport:
     cross: dict | None = None
     timings: dict = field(default_factory=dict)
     market_file: str | None = None
-    tol: float = 1e-7
+    tol: float = CLASSIFY_TOL
 
     def to_dict(self) -> dict:
         return {"risk": self.risk, "verdict": self.verdict, "rho1": self.rho1,
@@ -134,26 +134,21 @@ class AnalysisReport:
         return cls(risk=data["risk"], verdict=data["verdict"], rho1=data.get("rho1"),
                    primal=data.get("primal"), dual=data.get("dual"),
                    cross=data.get("cross"), timings=data.get("timings", {}),
-                   market_file=data.get("market_file"), tol=data.get("tol", 1e-7))
+                   market_file=data.get("market_file"), tol=data.get("tol", CLASSIFY_TOL))
 
 
-def analyze_market(market: ScenarioMarket, spec: RiskSpec, *, tol: float = 1e-7,
-                   want_dual: bool = False,
+def analyze_market(market: ScenarioMarket, spec: RiskSpec, *, tol: float = CLASSIFY_TOL,
                    market_file: str | None = None) -> AnalysisReport:
     """Primal + dual classification with cross-validation where both run.
 
     Every measure but VaR has a dual route, and GENTROPIC has no primal
-    one, so the dual route always runs; VaR raises UnsupportedDualError
-    when want_dual insists on the dual route, UnsupportedGlobalMinError
-    otherwise.
+    one, so the dual route always runs; VaR raises UnsupportedGlobalMinError.
     """
     timings: dict[str, float] = {}
     primal = dual = cross = None
     rho1 = None
 
     if spec.kind == "VAR":
-        if want_dual:
-            raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual route")
         raise UnsupportedGlobalMinError(
             "UNSUPPORTED_GLOBAL_MIN: VaR has neither a primal nor a dual route")
 
@@ -181,15 +176,13 @@ def analyze_market(market: ScenarioMarket, spec: RiskSpec, *, tol: float = 1e-7,
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _fmt(v) -> str:
@@ -238,8 +231,7 @@ def _emit_json(data: dict, out: str | None) -> None:
 def _cmd_analyze(args) -> int:
     market = load_market(args.market, args.market_format)
     spec = load_risk(args.risk, args.risk_file)
-    report = analyze_market(market, spec, tol=args.tol, want_dual=args.dual,
-                            market_file=args.market)
+    report = analyze_market(market, spec, tol=args.tol, market_file=args.market)
     _emit_json(report.to_dict(), args.out)
     return EXIT_CODES.get(report.verdict, 1)
 
@@ -257,7 +249,7 @@ def _cmd_frontier(args) -> int:
     else:
         rows = [(nu, rho, efficient) for nu, rho in pts]
         _emit(_csv_text(["nu", "rho_nu", "efficient"], rows), args.out)
-    return EXIT_CODES.get(classify_primal(res, 1e-7).verdict, 1)
+    return EXIT_CODES.get(classify_primal(res).verdict, 1)
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -273,26 +265,24 @@ def _cmd_phase_curve(args) -> int:
     if any(not 0.0 < a < 1.0 for a in alphas):
         raise MarketFormatError("alphas must lie strictly inside (0, 1)")
     rows = phase_curve_rows(alphas, args.sr)
-    comments = []
-    if args.sr is not None:
-        for measure in ("ES", "VAR"):
-            try:
-                comments.append(f"alpha_star_{measure.lower()}="
-                                f"{critical_alpha(args.sr, measure):.12g}")
-            except ValueError:
-                comments.append(f"alpha_star_{measure.lower()}=NA")
     header = ["alpha", "es_threshold", "var_threshold"]
+    stars = {}
     if args.sr is not None:
         header += ["verdict_es", "verdict_var"]
+        for measure in ("ES", "VAR"):
+            key = f"alpha_star_{measure.lower()}"
+            try:
+                stars[key] = critical_alpha(args.sr, measure)
+            except ValueError:
+                stars[key] = None
     if args.format == "json":
         data = {"rows": [dict(zip(header, row)) for row in rows]}
         if args.sr is not None:
-            data["sr"] = args.sr
-            for line in comments:
-                key, _, val = line.partition("=")
-                data[key] = None if val == "NA" else float(val)
+            data.update(sr=args.sr, **stars)
         _emit_json(data, args.out)
     else:
+        comments = [f"{key}=NA" if val is None else f"{key}={val:.12g}"
+                    for key, val in stars.items()]
         _emit(_csv_text(header, rows, comments=comments), args.out)
     return 0
 
@@ -363,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_market(p)
     add_risk(p)
     add_io(p)
-    p.add_argument("--tol", type=float, default=1e-7, help="boundary band")
-    p.add_argument("--dual", action="store_true",
-                   help="insist on the dual route (error if unsupported)")
+    p.add_argument("--tol", type=float, default=CLASSIFY_TOL, help="boundary band")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("frontier", help="frontier boundary at given levels")
@@ -394,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--rho-z", type=float, default=None, dest="rho_z",
                    help="override rho(Z) instead of the Gaussian closed form")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=BOUNDARY_TOL)
     p.set_defaults(func=_cmd_elliptical)
 
     p = sub.add_parser("validate", help="market file sanity report")
@@ -410,8 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MarketFormatError, UnsupportedDualError, UnsupportedGlobalMinError,
-            ValueError, SimplexError) as exc:
+    except (MarketFormatError, UnsupportedGlobalMinError, ValueError, SimplexError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -61,7 +61,6 @@ from .measures import RiskSpec, UnsupportedDualError, penalty
 Vector = NDArray[np.float64]
 
 ZERO_TOL = 1e-9          # LP vertex quantities at or below this count as zero
-RESIDUAL_TOL = 1e-8
 EMPTY_SCALE = 1e-12      # Charnes-Cooper scale s* = 1/t* at or below this: M is empty
 EMPTY_MARGIN = 1e-9      # least min pi_T . e, relative to max |pi_T . e|, that proves M empty
 

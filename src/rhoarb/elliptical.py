@@ -124,16 +124,11 @@ def classify_trichotomy(market: EllipticalMarket, measure: str = "ES",
     else:
         rho1 = -1.0 + rho_z / sr
 
+    verdict = _verdict(sr, rho_z, tol)
     if rho_z <= 0.0:
-        verdict = "STRONG_RHO_ARBITRAGE"
         annotations.append("STRONG_FOR_EVERY_MEAN_AND_COVARIANCE")
-    elif abs(sr - rho_z) <= tol:
-        verdict = "RHO_ARBITRAGE"
+    elif verdict == "RHO_ARBITRAGE":
         annotations.append("BOUNDARY")
-    elif sr > rho_z:
-        verdict = "STRONG_RHO_ARBITRAGE"
-    else:
-        verdict = "NO_ARBITRAGE"
 
     certificate = {
         "sr_max": sr,
@@ -148,6 +143,15 @@ def classify_trichotomy(market: EllipticalMarket, measure: str = "ES",
                                    certificate=certificate,
                                    annotations=tuple(annotations))
     return verdict_obj, rho1
+
+
+def _verdict(sr_value: float, rho_z: float, tol: float = BOUNDARY_TOL) -> str:
+    """The trichotomy of comparing SR_max with rho(Z), boundary within tol."""
+    if rho_z <= 0.0:
+        return "STRONG_RHO_ARBITRAGE"
+    if abs(sr_value - rho_z) <= tol:
+        return "RHO_ARBITRAGE"
+    return "STRONG_RHO_ARBITRAGE" if sr_value > rho_z else "NO_ARBITRAGE"
 
 
 def critical_alpha(sr_value: float, measure: str = "ES") -> float:
@@ -181,15 +185,5 @@ def phase_curve_rows(alphas, sr_value: float | None = None) -> list[tuple]:
         if sr_value is None:
             rows.append((a, es_t, var_t))
         else:
-            rows.append((a, es_t, var_t,
-                         _threshold_verdict(sr_value, es_t),
-                         _threshold_verdict(sr_value, var_t)))
+            rows.append((a, es_t, var_t, _verdict(sr_value, es_t), _verdict(sr_value, var_t)))
     return rows
-
-
-def _threshold_verdict(sr_value: float, threshold: float) -> str:
-    if threshold <= 0.0 or sr_value > threshold + BOUNDARY_TOL:
-        return "STRONG_RHO_ARBITRAGE"
-    if sr_value >= threshold - BOUNDARY_TOL:
-        return "RHO_ARBITRAGE"
-    return "NO_ARBITRAGE"

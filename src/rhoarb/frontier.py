@@ -41,7 +41,6 @@ from .solvers import (LAMBDA_ESCAPE, NEWTON_GRAD_TOL, CumulantResult, _conjugate
 Vector = NDArray[np.float64]
 
 CLASSIFY_TOL = 1e-7
-STRICT_NEG_TOL = 1e-9
 ROOT_MAX_ITER = 500    # Newton steps of the ROOT route, ratio runs and penalty solves, before it stops
 ROOT_RUN_STEPS = 20    # ratio steps after which an open run takes an exact Dinkelbach step
 
@@ -64,9 +63,8 @@ class FrontierResult:
     at fixed shifts that guard them (0 on the DIRECT route).  On the ROOT
     route rho1 is the risk of argmin, evaluated afresh, and gap is its
     distance from the ratio bound on that risk at the final iterate; when
-    the run stopped short (MAX_ITER) gap is rho1 minus the largest shift
-    that a converged penalty solve showed feasible (-1 without one), a
-    lower bound on the minimum.  gap is 0 on DIRECT and LP.
+    the run stopped short (MAX_ITER) gap is rho1 + 1, its height above
+    the lower bound -1.  gap is 0 on DIRECT and LP.
     """
 
     rho1: float
@@ -74,7 +72,6 @@ class FrontierResult:
     argmin: Vector | None
     spec: RiskSpec
     route: str
-    status: str
     gap: float = 0.0
     annotations: tuple[str, ...] = ()
     iterations: int = 0
@@ -167,6 +164,18 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
         hint = np.concatenate(([J * N], hint))
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper,
                          hint=hint), J
+
+
+def _lp_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
+    """ES/SPECTRAL/WC slice minimum and the portfolio of one _slice_lp solve."""
+    lp, J = _slice_lp(market, spec)
+    sol = lp_solve(lp)
+    if sol.status != OPTIMAL:
+        raise SimplexError(f"slice LP returned {sol.status}")
+    pi = -sol.duals[J:]
+    pi *= 1.0 / float(pi @ market.mean_excess)
+    return FrontierResult(rho1=-float(sol.value), attained=True, argmin=pi, spec=spec,
+                          route="LP", iterations=sol.iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,17 +301,15 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
         return _damped_newton(*_shifted_kernel(k.value, k.derivatives, t, c), x, floor=stop,
                               step_test=k.step_test, escape=escape, max_iter=max_iter)
 
-    lo = -1.0  # largest t at which a converged solve showed V(t) <= beta
-
     def result(pi: Vector, steps: int, bound: float | None = None) -> FrontierResult:
         # rho_1 is the risk of the returned portfolio, evaluated afresh; gap
         # is its distance from the bound R on that risk or, when the run
-        # stopped short (no bound), its height above lo.
+        # stopped short (no bound), its height above -1.
         pi = pi * (1.0 / float(pi @ a))
         risk = evaluate(spec, excess_return(market, pi), p)
         short = bound is None
         return FrontierResult(rho1=risk, attained=not short, argmin=pi, spec=spec, route="ROOT",
-                              status=OPTIMAL, gap=risk - lo if short else abs(risk - bound),
+                              gap=risk + 1.0 if short else abs(risk - bound),
                               annotations=("MAX_ITER",) if short else (), iterations=steps)
 
     # Start from the Gaussian root.  With S the covariance of e, the least
@@ -329,11 +336,8 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
             return result(-run.x[-d:], steps)
 
     # It did not converge: start again below t_max, under its guard.
-    lp, J = _slice_lp(market, RiskSpec.wc())
-    wc = lp_solve(lp)
-    if wc.status != OPTIMAL:
-        raise SimplexError(f"slice LP returned {wc.status}")
-    t_max = -float(wc.value)
+    wc = _lp_route(market, RiskSpec.wc())
+    t_max = wc.rho1
     if not t < t_max:
         t = 0.5 * (t_max - 1.0)
     x = start(t)
@@ -345,7 +349,7 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
         top = solve(t_max, x, -beta, LAMBDA_ESCAPE, ROOT_MAX_ITER - steps)
         steps += top.iterations
         if top.value > -math.inf:  # V <= beta all the way up to t_max
-            return result(-wc.duals[J:], steps, t_max)
+            return result(wc.argmin, steps, t_max)
         x = top.x
     while steps < ROOT_MAX_ITER:
         run = newton(x, escape=math.inf, max_iter=min(ROOT_MAX_ITER - steps, ROOT_RUN_STEPS))
@@ -358,11 +362,8 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
         # The run stalled or is still open: take an exact Dinkelbach step.
         res = solve(R, x, k.floor, max_iter=ROOT_MAX_ITER - steps)
         steps += res.iterations
-        converged = res.status == "OK"
-        if converged and res.value >= -beta:
-            lo = R
         if not ratio(res.x)[0] < R:
-            if converged:  # V(R) is exact and R cannot fall further
+            if res.status == "OK":  # V(R) is exact and R cannot fall further
                 return result(-x[-d:], steps, R)
             break
         x = res.x
@@ -373,7 +374,7 @@ def compute_rho1(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     """Minimal risk over the unit expected-excess slice Pi_1.
 
     d = 1 takes the direct route (the slice is the canonical singleton);
-    ES/SPECTRAL/WC solve one LP (_slice_lp); EVAR and TNORM minimize the
+    ES/SPECTRAL/WC solve one LP (_lp_route); EVAR and TNORM minimize the
     ratio bound of their penalty dual (_root_route), and solve the WC
     slice LP as a guard only when their first Newton run does not
     converge.  VAR raises UnsupportedGlobalMinError, GENTROPIC has no
@@ -390,19 +391,10 @@ def compute_rho1(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     if market.n_assets == 1:
         pi = canonical_portfolio(market, 1.0)
         val = evaluate(spec, excess_return(market, pi), market.probs)
-        return FrontierResult(rho1=val, attained=True, argmin=pi, spec=spec,
-                              route="DIRECT", status="OPTIMAL")
+        return FrontierResult(rho1=val, attained=True, argmin=pi, spec=spec, route="DIRECT")
 
     if spec.kind in ("ES", "SPECTRAL", "WC"):
-        lp, J = _slice_lp(market, spec)
-        sol = lp_solve(lp)
-        if sol.status != OPTIMAL:
-            raise SimplexError(f"slice LP returned {sol.status}")
-        pi = -sol.duals[J:]
-        pi *= 1.0 / float(pi @ market.mean_excess)
-        return FrontierResult(rho1=-float(sol.value), attained=True, argmin=pi,
-                              spec=spec, route="LP", status=OPTIMAL,
-                              iterations=sol.iterations)
+        return _lp_route(market, spec)
 
     return _root_route(market, spec)
 

@@ -209,9 +209,9 @@ def validate_market(market: ScenarioMarket) -> list[str]:
     """Return a list of violation entries, empty when the market is usable.
 
     Each entry is "CODE: detail" with CODE one of PROB_POSITIVE, PROB_SUM,
-    RISKLESS_RATE, NONREDUNDANT, NONDEGENERATE.  Nonredundancy asks the d+1
-    rows {(1+r) 1, (1+R_i)} to be linearly independent; nondegeneracy asks
-    mu != r 1.
+    RISKLESS_RATE, FINITE, NONREDUNDANT, NONDEGENERATE.  The last two need
+    finite data and do not run without it.  Nonredundancy asks the d+1 rows
+    {(1+r) 1, (1+R_i)} to be linearly independent; nondegeneracy asks mu != r 1.
     """
     report: list[str] = []
     p = market.probs
@@ -223,6 +223,10 @@ def validate_market(market: ScenarioMarket) -> list[str]:
         report.append(f"PROB_SUM: probabilities sum to {total!r}")
     if not market.riskless_rate > -1.0:
         report.append(f"RISKLESS_RATE: r = {market.riskless_rate!r} is not > -1")
+    if not (np.isfinite(market.riskless_rate) and np.isfinite(p).all()
+            and np.isfinite(market.returns).all()):
+        report.append("FINITE: a probability, a return or r is NaN or infinite")
+        return report
     gross = np.vstack([np.full(market.n_scenarios, 1.0 + market.riskless_rate),
                        1.0 + market.returns])
     if _rank_pivoted(gross, RANK_TOL) < market.n_assets + 1:

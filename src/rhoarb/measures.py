@@ -215,11 +215,6 @@ class RiskSpec:
             raise ValueError("only ENTROPY/POWER g-entropic specs load from JSON")
         raise ValueError(f"unknown risk kind {kind!r}")
 
-    def describe(self) -> str:
-        d = {k: v for k, v in self.to_json_dict().items() if k != "kind"}
-        inner = ", ".join(f"{k}={v}" for k, v in d.items())
-        return f"{self.kind}({inner})" if inner else self.kind
-
 
 # -- evaluators -----------------------------------------------------------
 

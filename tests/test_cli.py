@@ -8,6 +8,7 @@ import pytest
 import rhoarb.lp
 from rhoarb.cli import (EXIT_CODES, AnalysisReport, MarketFormatError,
                         analyze_market, load_market, load_risk, main)
+from rhoarb.elliptical import critical_alpha
 from rhoarb.measures import RiskSpec
 
 BINOMIAL_JSON = {
@@ -128,13 +129,6 @@ def test_analyze_reports_the_dual_newton_solve(duo_file, capsys):
     assert cert["iterations"] > 0 and 0.0 <= cert["gap"] <= 1e-9
 
 
-def test_analyze_var_rejects_dual_flag(binomial_file, capsys):
-    code = main(["analyze", "--market", binomial_file,
-                 "--risk", '{"kind": "VAR", "alpha": 0.3}', "--dual"])
-    assert code == 1
-    assert "UNSUPPORTED_DUAL" in capsys.readouterr().err
-
-
 def test_analyze_var_without_dual_is_unsupported(binomial_file, capsys):
     code = main(["analyze", "--market", binomial_file,
                  "--risk", '{"kind": "VAR", "alpha": 0.3}'])
@@ -159,23 +153,18 @@ def test_analyze_var_without_dual_is_unsupported(binomial_file, capsys):
 ])
 def test_analyze_dual_flag_changes_only_the_var_error(market, risk, code, duo_file,
                                                       binomial_file, capsys):
-    # Every measure but VaR runs its dual route anyway, so --dual leaves the
-    # report (but its timings) and the exit code as they are.
+    # The name keeps the test ids of the days of --dual: every measure but
+    # VaR runs its dual route, and VaR is an error.
     path = duo_file if market == "duo" else binomial_file
-    reports = []
-    for flag in ([], ["--dual"]):
-        assert main(["analyze", "--market", path, "--risk", json.dumps(risk)] + flag) == code
-        out = capsys.readouterr()
-        if code == 1:
-            assert out.out == "" and "UNSUPPORTED" in out.err
-            continue
-        report = json.loads(out.out)
-        timings = report.pop("timings")
-        assert list(timings) == (["dual"] if risk["kind"] == "GENTROPIC" else ["cross"])
-        assert report["dual"]["route"] == "DUAL"
-        assert (report["primal"] is None) == (risk["kind"] == "GENTROPIC")
-        reports.append(report)
-    assert code == 1 or reports[0] == reports[1]
+    assert main(["analyze", "--market", path, "--risk", json.dumps(risk)]) == code
+    out = capsys.readouterr()
+    if code == 1:
+        assert out.out == "" and "UNSUPPORTED" in out.err
+        return
+    report = json.loads(out.out)
+    assert list(report["timings"]) == (["dual"] if risk["kind"] == "GENTROPIC" else ["cross"])
+    assert report["dual"]["route"] == "DUAL"
+    assert (report["primal"] is None) == (risk["kind"] == "GENTROPIC")
 
 
 # -- frontier -----------------------------------------------------------------
@@ -237,6 +226,13 @@ def test_phase_curve_alpha_star_comment(capsys):
                      if ln.startswith("# alpha_star_es="))
     a_star = float(star_line.partition("=")[2])
     assert 0.0155 <= a_star <= 0.0165
+
+
+def test_phase_curve_json_alpha_star_is_not_rounded(capsys):
+    assert main(["phase-curve", "--alphas", "0.1,0.5", "--sr", "0.5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["alpha_star_es"] == critical_alpha(0.5, "ES")
+    assert data["alpha_star_var"] == critical_alpha(0.5, "VAR")
 
 
 def test_phase_curve_var_threshold_zero_at_half(capsys):
@@ -307,6 +303,18 @@ def test_validate_bad_market(tmp_path, capsys):
     assert code == 1
     assert data["valid"] is False
     assert any(v.startswith("PROB_SUM") for v in data["violations"])
+
+
+def test_validate_non_finite_market(tmp_path, capsys):
+    # json reads NaN and Infinity as floats, so such a file loads.
+    path = tmp_path / "nan.json"
+    path.write_text('{"riskless_rate": 0.0, "probs": [0.25, 0.25, 0.25, NaN], '
+                    '"assets": [{"returns": [0.1, -0.1, 0.2, 0.0]}]}')
+    code = main(["validate", "--market", str(path)])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert data["valid"] is False
+    assert any(v.startswith("FINITE") for v in data["violations"])
 
 
 # -- report and protocol -------------------------------------------------------

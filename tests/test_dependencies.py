@@ -1,7 +1,8 @@
 """The package needs numpy alone at run time (pyproject.toml declares no
 other dependency); scipy is a test-only reference.  Its public names all
-resolve."""
+resolve, and each of its module constants is read somewhere in it."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -52,3 +53,27 @@ def test_public_names_resolve_once():
     assert len(set(rhoarb.__all__)) == len(rhoarb.__all__)
     for name in rhoarb.__all__:
         assert getattr(rhoarb, name) is not None, name
+
+
+def test_every_module_constant_is_read():
+    # A constant counts as read where its own module loads it, or where a
+    # module that imports it by name from there does.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "rhoarb").glob("*.py"))}
+    loads = {mod: {node.id for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             for mod, tree in trees.items()}
+    read = {(mod, name) for mod in trees for name in loads[mod]}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                read |= {(node.module, alias.name) for alias in node.names
+                         if (alias.asname or alias.name) in loads[mod]}
+    unread = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            unread += [f"{mod}.{t.id}" for t in targets
+                       if isinstance(t, ast.Name) and t.id.isupper() and (mod, t.id) not in read]
+    assert not unread, unread

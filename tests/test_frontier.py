@@ -174,7 +174,7 @@ def test_rho1_tnorm_matches_slice_search():
 
 def _result(rho1, attained=True):
     return FrontierResult(rho1=rho1, attained=attained, argmin=None,
-                          spec=RiskSpec.es(0.5), route="LP", status="OPTIMAL")
+                          spec=RiskSpec.es(0.5), route="LP")
 
 
 def test_frontier_points_positive_slope():

@@ -46,6 +46,17 @@ def test_riskless_rate_below_minus_one_reported():
     assert any(entry.startswith("RISKLESS_RATE") for entry in report)
 
 
+@pytest.mark.parametrize("probs, returns", [
+    ((0.25, 0.25, 0.25, np.nan), [[0.1, -0.1, 0.2, 0.0]]),
+    ((0.25, 0.25, 0.25, 0.25), [[0.1, -0.1, np.inf, 0.0]]),
+])
+def test_non_finite_data_reported(probs, returns, recwarn):
+    market = ScenarioMarket(probs=probs, riskless_rate=0.0, returns=returns)
+    assert validate_market(market) == [
+        "FINITE: a probability, a return or r is NaN or infinite"]
+    assert not recwarn.list  # the rank and mean checks do not run on it
+
+
 def test_validation_is_pure():
     market = ScenarioMarket(probs=(0.5, 0.47), riskless_rate=0.0,
                             returns=[[0.5, -0.2]])
