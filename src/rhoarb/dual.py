@@ -26,7 +26,13 @@ M is convex, so a strict test splits into the classical LP and the
 strong-form program: mixing a little of the strictly positive classical
 witness into a density strictly inside the dual set keeps it inside and
 makes it strictly positive (_mix_positive).  The classical and sup-norm
-LPs keep the d + 1 rows of M.
+LPs keep the d + 1 rows of M.  Every column of the classical LP is boxed
+(caps that no density in M reaches), so it runs the dual simplex from a
+tangency-ordered hint, and an empty M ends it on a Farkas ray (lp module).
+The penalty tests run Newton first and solve the classical LP only where
+Newton's minimizer cannot decide: when Newton does not converge, or when
+the minimizer has an entry near zero and no strong verdict
+(_classify_gentropic).
 
 A spectral measure is a mixture of ES atoms, and its strong form is one
 box-scale LP: the least common scale kappa* of the boxes zeta_j <=
@@ -120,13 +126,25 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
 
     With Z = delta + w, w >= 0: maximize delta subject to
     A w + delta A1 = b, so the program keeps the d + 1 rows of M.
+
+    Every column is boxed: delta <= 1 and w_omega <= 1/p_omega.  The caps
+    remove no feasible point, since Z = delta + w >= 0 with E[Z] = 1 has
+    delta <= 1 and Z_omega <= 1/p_omega.  So the program runs the dual
+    simplex (lp module) from the hint delta first, then the scenarios from
+    the worst to the best excess of the tangency portfolio
+    (ScenarioMarket.tangency_order; no hint without one), and an empty M
+    ends the dual run on a Farkas ray.
     """
     poly = market.polytope
-    N = poly.A.shape[1]
+    p = poly.A[0]
+    N = p.size
     c = np.zeros(N + 1)
     c[N] = -1.0
     A_eq = np.hstack([poly.A, poly.A.sum(axis=1, keepdims=True)])
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b))
+    order = market.tangency_order
+    hint = None if order is None else np.concatenate(([N], order))
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b, upper=np.r_[1.0 / p, 1.0],
+                                 hint=hint))
     if sol.status == INFEASIBLE:
         return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None,
                                iterations=sol.iterations)
@@ -259,15 +277,19 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
     """Trichotomy by the dual criteria for the measure's dual set.
 
     WC runs the classical LP, ES and SPECTRAL the sup-norm (box-scale) LP
-    and then the classical LP; EVAR, TNORM and GENTROPIC test their
-    penalty ball (RiskSpec.penalty_ball).  Each first tries to prove M
-    empty from the tangency portfolio (_tangency_proves_empty): then the
-    verdict is STRONG_RHO_ARBITRAGE with the annotation M_EMPTY, and its
-    certificate carries iterations 0 and tangency_excess_min, the least
-    pi_T . e.  Raises UnsupportedDualError for VaR, which has no dual
-    density set.  Certificates carry the decisive scalars and a density
-    witness where one exists; BOUNDARY is annotated when the deciding
-    comparison sits within tol of its threshold.
+    and then, unless t* decides STRONG, the classical LP; EVAR, TNORM and
+    GENTROPIC test their penalty ball (RiskSpec.penalty_ball) by Newton
+    and run the classical LP only where its minimizer cannot decide
+    (_classify_gentropic).  Each first tries to prove M empty from the
+    tangency portfolio (_tangency_proves_empty): then the verdict is
+    STRONG_RHO_ARBITRAGE with the annotation M_EMPTY, and its certificate
+    carries iterations 0 and tangency_excess_min, the least pi_T . e.
+    Raises UnsupportedDualError for VaR, which has no dual density set.
+    Certificates carry the decisive scalars and a density witness where
+    one exists; delta_classical is there when the classical LP ran, and as
+    0.0 when the tangency portfolio proved M empty for WC or a penalty
+    ball.  BOUNDARY is annotated when the deciding comparison sits within
+    tol of its threshold.
     """
     if spec.kind == "VAR":
         raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual density set")
@@ -360,17 +382,21 @@ def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
     witness is then the minimizer, with the classical witness mixed in
     (_mix_positive) when it has a zero entry.  The certificate carries the
     Newton iterations and the scaled gradient norm as gap.
+
+    Newton runs first, and the classical LP only where the verdict needs
+    it: when Newton did not converge, since M may then be empty and the
+    LP's INFEASIBLE is the M_EMPTY certificate, or when v* <= beta and the
+    witness has an entry at or below max(tol, ZERO_TOL), since delta* and
+    the mixture may then decide.  Otherwise a strong verdict needs no
+    delta*, and a converged witness in M with every entry above
+    max(tol, ZERO_TOL) (the entropy's Gibbs density is always positive)
+    shows delta* >= min Z > tol by itself.  delta_classical is in the
+    certificate exactly when the LP ran.
     """
     beta = pen.beta
     low = _tangency_proves_empty(market)
     if low is not None:
         return _empty_verdict({"v_star": math.inf, "beta": beta, "delta_classical": 0.0}, low)
-    cl = classical_no_arbitrage(market)
-    cert: dict = {"v_star": math.inf, "beta": beta, "delta_classical": cl.delta,
-                  "iterations": cl.iterations}
-    if cl.status == INFEASIBLE:
-        return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=("M_EMPTY",))
     poly = market.polytope
 
     def expected_penalty(z: Vector) -> float:
@@ -381,13 +407,24 @@ def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
     # E[z log z] = lam . E[z e] - K = -K to the gradient
     z_pen = v_star if pen.g_kind == "ENTROPY" else expected_penalty(res.z)
     witness = DualWitness.of(poly, res.z, penalty=z_pen)
-    strict = cl.delta > ZERO_TOL and v_star < beta - ZERO_TOL
-    if strict and witness.min_entry <= 0.0:
-        z_mix = _mix_positive(witness.z, cl.witness.z, v_star,
-                              expected_penalty(cl.witness.z), beta)
-        witness = DualWitness.of(poly, z_mix, penalty=expected_penalty(z_mix))
-    cert.update(v_star=v_star, iterations=res.iterations, gap=res.gradient_norm,
-                witness=witness.to_dict())
+    cert: dict = {"v_star": v_star, "beta": beta}
+    strict = v_star < beta - ZERO_TOL
+    if res.status != "OK" or (v_star <= beta + ZERO_TOL
+                              and witness.min_entry <= max(tol, ZERO_TOL)):
+        cl = classical_no_arbitrage(market)
+        if cl.status == INFEASIBLE:
+            return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
+                                    certificate={"v_star": math.inf, "beta": beta,
+                                                 "delta_classical": cl.delta,
+                                                 "iterations": cl.iterations},
+                                    annotations=("M_EMPTY",))
+        cert["delta_classical"] = cl.delta
+        strict = strict and cl.delta > ZERO_TOL
+        if strict and witness.min_entry <= 0.0:
+            z_mix = _mix_positive(witness.z, cl.witness.z, v_star,
+                                  expected_penalty(cl.witness.z), beta)
+            witness = DualWitness.of(poly, z_mix, penalty=expected_penalty(z_mix))
+    cert.update(iterations=res.iterations, gap=res.gradient_norm, witness=witness.to_dict())
     ann = ("DIVERGENT",) if res.status == "DIVERGENT" else ()
     if math.isfinite(v_star) and abs(v_star - beta) <= tol:
         ann += ("BOUNDARY",)

@@ -60,9 +60,18 @@ is primal feasible the true costs are priced again, if they were perturbed,
 and the primal run above cleans up from that basis; it takes no pivot
 unless the perturbation changed the optimal basis.  A start that is not
 dual feasible (a hint with fewer than m independent columns, or a column
-that would rest at an infinite bound) and a dual run that finds no entering
-column (a sign that the program may be infeasible) fall back to the primal
-run from its default start.
+that would rest at an infinite bound) falls back to the primal run from its
+default start.
+
+A dual run that finds no column to enter an infeasible row has found a
+ray along which the dual objective rises without bound, and that row of
+B^-1 is a Farkas certificate (Koberstein 2008): y = e_row B^-1, from a
+fresh solve, gives y K x = y b for every x that meets the rows, so y b
+outside the range of y K x over the box shows that none lies in it.  The
+run returns INFEASIBLE when y b clears that range by more than FEAS_TOL
+times the size of the terms (_Tableau.farkas), with no Phase I.  A range
+that an infinite bound leaves open on the side of y b, or that y b clears
+by less, proves nothing; the two-phase primal run then decides.
 
 Every run on the same input takes the same path.  A run that exceeds
 MAX_PIVOTS, or ends on a point that fails the residual check, raises
@@ -532,8 +541,9 @@ class _Tableau:
         """Dual simplex with the long-step ratio test from the current
         (dual feasible) basis and pricing state; OPTIMAL once every basic
         value lies in its range, INFEASIBLE when an infeasible row admits no
-        entering column.  A perturbation acts on the reduced costs alone, so
-        pricing the costs again restores them."""
+        entering column (that row is left in blocked).  A perturbation acts
+        on the reduced costs alone, so pricing the costs again restores
+        them."""
         m, T, x, lo, hi = self.m, self.T, self.x, self.lo, self.hi
         span = hi - lo
         nudge = None
@@ -546,6 +556,7 @@ class _Tableau:
                 return OPTIMAL
             q, moved, flipped = self._long_step(row, excess, span)
             if q < 0:
+                self.blocked = row
                 return INFEASIBLE
             if flipped.size:
                 to = np.where(self.sense[flipped] > 0.0, lo[flipped], hi[flipped])
@@ -646,6 +657,33 @@ class _Tableau:
                 pick, best = j, aj
         return cand.item(pick), dist.item(pick), cand[order[:k]]
 
+    def farkas(self, row: int) -> bool:
+        """Whether row row of B^-1 is a Farkas ray that proves the program
+        infeasible.
+
+        Every x with K x = b has y K x = y b for any y.  With y = e_row B^-1,
+        from a fresh solve on the scaled data, the program is infeasible
+        when y b lies outside the range of y K x over the box [lo, hi] by
+        more than FEAS_TOL times the size of the terms of y K x and y b,
+        sum |y_i K_ij| |x_j| at the largest finite bound of column j plus
+        sum |y_i b_i|.  A side of the range that an infinite bound leaves
+        open proves nothing.
+        """
+        e = np.zeros(self.m)
+        e[row] = 1.0
+        y = np.linalg.solve(self.K[:, self.basis].T, e)
+        a = y @ self.K
+        nz = np.flatnonzero(a)
+        a, lo, hi = a[nz], self.lo[nz], self.hi[nz]
+        low = float(np.where(a > 0.0, a * lo, a * hi).sum())
+        high = float(np.where(a > 0.0, a * hi, a * lo).sum())
+        bound = np.maximum(np.where(np.isfinite(lo), np.abs(lo), 0.0),
+                           np.where(np.isfinite(hi), np.abs(hi), 0.0))
+        size = float(np.abs(y) @ np.abs(self.b)) + float((np.abs(y) @ np.abs(self.K))[nz] @ bound)
+        target = float(y @ self.b)
+        tol = FEAS_TOL * size
+        return target > high + tol or target < low - tol
+
     def size(self, v: Vector) -> float:
         """Scale of the scaled program at its point v (the real columns of
         point()): the largest right-hand side or variable, the unit of
@@ -676,8 +714,11 @@ def lp_solve(lp: LinearProgram) -> LPSolution:
         return LPSolution(INFEASIBLE, np.nan, None, 0, 0.0)
     tab = _Tableau(lp)
     if tab.dual and tab.dual_run() != OPTIMAL:
-        # No column can enter an infeasible row: the program may be
-        # infeasible, which the two-phase primal run decides.
+        # No column can enter an infeasible row.  Its row of B^-1 proves the
+        # program infeasible unless the box leaves the row's range open or
+        # too close; then the two-phase primal run decides.
+        if tab.farkas(tab.blocked):
+            return LPSolution(INFEASIBLE, np.nan, None, tab.iterations, 0.0, flips=tab.flips)
         tab.primal_start(tab.K, tab.lo, tab.hi, tab.cost)
     cost = tab.cost
 

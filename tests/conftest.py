@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import rhoarb.dual
 import rhoarb.frontier
 from rhoarb.market import ScenarioMarket, validate_market
 
@@ -22,6 +23,15 @@ def frontier_lps(monkeypatch):
     calls = []
     solve = rhoarb.frontier.lp_solve
     monkeypatch.setattr(rhoarb.frontier, "lp_solve", lambda lp: calls.append(lp) or solve(lp))
+    return calls
+
+
+@pytest.fixture
+def dual_lps(monkeypatch):
+    """The programs rhoarb.dual passes to lp_solve from here on."""
+    calls = []
+    solve = rhoarb.dual.lp_solve
+    monkeypatch.setattr(rhoarb.dual, "lp_solve", lambda lp: calls.append(lp) or solve(lp))
     return calls
 
 

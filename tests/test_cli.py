@@ -377,7 +377,7 @@ def test_simplex_failure_is_an_error_line(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps({
         "riskless_rate": 0.01, "probs": [0.05] * 20,
         "assets": [{"name": f"a{i}", "returns": list(row)} for i, row in enumerate(returns)]}))
-    monkeypatch.setattr(rhoarb.lp, "MAX_PIVOTS", 3)
+    monkeypatch.setattr(rhoarb.lp, "MAX_PIVOTS", 0)
     code = main(["analyze", "--market", str(path), "--risk", '{"kind": "ES", "alpha": 0.1}'])
     captured = capsys.readouterr()
     assert code == 1

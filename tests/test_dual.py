@@ -195,6 +195,60 @@ def test_gentropic_empty_set_is_infinite():
     assert "M_EMPTY" in res.annotations
 
 
+def test_evar_no_arbitrage_on_a_priced_market_solves_no_lp(dual_lps):
+    # The Gibbs density is strictly positive, so a converged minimizer with
+    # v* < beta is the strictly positive density in the ball by itself.
+    market = make_tanh_priced_market(np.random.default_rng(7), 60, 3)
+    verdict = classify_dual(market, RiskSpec.evar(0.1))
+    assert verdict.verdict == "NO_ARBITRAGE" and verdict.annotations == ()
+    assert not dual_lps
+    assert "delta_classical" not in verdict.certificate
+    assert verdict.certificate["witness"]["min_entry"] > CLASSIFY_TOL
+
+
+@pytest.mark.parametrize("spec", [RiskSpec.evar(0.99), RiskSpec.tnorm(2.0, 0.99)],
+                         ids=["EVAR", "TNORM"])
+def test_strong_penalty_verdict_on_a_nonempty_m_solves_no_lp(spec, dual_lps):
+    market = make_tanh_priced_market(np.random.default_rng(7), 60, 3)
+    verdict = classify_dual(market, spec)
+    assert verdict.verdict == "STRONG_RHO_ARBITRAGE" and verdict.annotations == ()
+    assert verdict.certificate["v_star"] > verdict.certificate["beta"]
+    assert not dual_lps
+    assert "delta_classical" not in verdict.certificate
+
+
+def test_tnorm_witness_with_zero_entries_solves_the_classical_lp_and_mixes(dual_lps):
+    # The power density max(s, 0) vanishes on 27 of the 40 scenarios, so
+    # delta* > 0 and the mixture with the classical witness decide.
+    market = make_drift_market(np.random.default_rng(0), 40, 3, 1.0)
+    spec = RiskSpec.tnorm(2.0, 0.25)
+    res = rhoarb.frontier._penalty_min(spec.penalty_ball, market.probs,
+                                       market.excess_matrix.T)
+    assert res.status == "OK" and np.count_nonzero(res.z <= 0.0) == 27
+    verdict = classify_dual(market, spec)
+    assert verdict.verdict == "NO_ARBITRAGE"
+    assert len(dual_lps) == 1
+    cert = verdict.certificate
+    assert cert["delta_classical"] > 1e-9
+    assert cert["witness"]["min_entry"] > 0.0 and cert["witness"]["residual"] < 1e-9
+    assert cert["v_star"] <= cert["witness"]["penalty"] < cert["beta"]
+
+
+@pytest.mark.parametrize("spec", [RiskSpec.evar(0.1), RiskSpec.tnorm(2.0, 0.25)],
+                         ids=["EVAR", "TNORM"])
+def test_empty_m_past_the_tangency_proof_solves_one_lp(spec, dual_lps):
+    # No density prices this 50x4 drift market, but pi_T . e takes both
+    # signs: Newton does not converge, and the classical LP proves M empty.
+    market = make_drift_market(np.random.default_rng(2), 50, 4, 1.0)
+    assert _tangency_proves_empty(market) is None
+    verdict = classify_dual(market, spec)
+    assert len(dual_lps) == 1
+    assert verdict.verdict == "STRONG_RHO_ARBITRAGE"
+    assert verdict.annotations == ("M_EMPTY",)
+    assert verdict.certificate["delta_classical"] == 0.0
+    assert verdict.certificate["v_star"] == math.inf
+
+
 def test_gentropic_budget_must_exceed_the_penalty_at_one():
     # Z = 1 has penalty g(1): a budget at or below it is no dual set at all,
     # and RiskSpec rejects it.

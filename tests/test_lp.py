@@ -301,10 +301,10 @@ def test_malformed_hint_is_rejected(hint):
 
 
 def test_hint_falls_back_to_the_primal_run():
-    # No column can enter the row that x0 + x1 = 3 leaves infeasible: the
-    # dual run hands over, and the two-phase primal run finds the program
-    # infeasible.  A hint with a dependent column short of a basis, and a
-    # start that would put an unbounded column at infinity, fall back too.
+    # No column can enter the row that x0 + x1 = 3 leaves infeasible: that
+    # row proves the program infeasible (see the Farkas tests below).  A
+    # hint with a dependent column short of a basis, and a start that would
+    # put an unbounded column at infinity, fall back to the primal run.
     lp = dict(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[3.0], upper=[1.0, 1.0])
     assert lp_solve(LinearProgram(**lp, hint=[0])).status == "INFEASIBLE"
     lp = dict(c=[1.0, 1.0, 0.0], A_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]], b_eq=[1.0, 3.0],
@@ -317,6 +317,52 @@ def test_hint_falls_back_to_the_primal_run():
     lp = dict(c=[-1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0], upper=[np.inf, 1.0])
     sol = lp_solve(LinearProgram(**lp, hint=[1]))
     assert sol.status == "OPTIMAL" and abs(sol.value + 1.0) < ATOL and sol.flips == 0
+
+
+def test_infeasible_boxed_program_ends_on_a_farkas_ray(monkeypatch):
+    # Every column boxed: the row that no column can enter is a Farkas ray,
+    # and the program is infeasible without a primal start.  x0 + x1 = 3
+    # under x <= 1, and the classical LP of a 50x4 drift market that no
+    # density prices although its tangency portfolio does not show it.
+    def no_primal_start(self, *args):
+        raise AssertionError("the primal start ran")
+
+    monkeypatch.setattr(lp_module._Tableau, "primal_start", no_primal_start)
+    sol = lp_solve(LinearProgram(c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[3.0],
+                                 upper=[1.0, 1.0], hint=[0]))
+    assert sol.status == "INFEASIBLE" and sol.x is None and sol.iterations == 0
+    market = make_drift_market(np.random.default_rng(2), 50, 4, 1.0)
+    res = classical_no_arbitrage(market)
+    assert res.status == "INFEASIBLE" and res.delta == 0.0 and res.witness is None
+    assert res.iterations >= 1
+
+
+def test_farkas_check_with_an_open_range_falls_back(monkeypatch):
+    # x0 + x1 + 1e-10 x3 = 3 and x2 + x3 = 1/2, x0, x1, x2 in [0, 1] and
+    # x3 >= 0.  From the basis {x0, x2} the first row is infeasible, and
+    # x3's entry there is below the pivot tolerance, so no column enters
+    # it; x3's infinite bound leaves that row's range open above 3, so it
+    # proves nothing.  The primal run decides: the second row caps x3 at
+    # 1/2, so the program is infeasible.
+    checks, starts = [], []
+    farkas, primal_start = lp_module._Tableau.farkas, lp_module._Tableau.primal_start
+
+    def spy_farkas(self, row):
+        checks.append(farkas(self, row))
+        return checks[-1]
+
+    def spy_start(self, *args):
+        starts.append(True)
+        return primal_start(self, *args)
+
+    monkeypatch.setattr(lp_module._Tableau, "farkas", spy_farkas)
+    monkeypatch.setattr(lp_module._Tableau, "primal_start", spy_start)
+    lp = dict(c=[0.0, 0.0, 0.0, 0.0], A_eq=[[1.0, 1.0, 0.0, 1e-10], [0.0, 0.0, 1.0, 1.0]],
+              b_eq=[3.0, 0.5], upper=[1.0, 1.0, 1.0, np.inf])
+    sol = lp_solve(LinearProgram(**lp, hint=[0, 2]))
+    assert checks == [False] and starts == [True]
+    assert sol.status == "INFEASIBLE"
+    assert lp_solve(LinearProgram(**lp)).status == "INFEASIBLE"
 
 
 def test_starts_reach_the_highs_optimum():
@@ -511,7 +557,8 @@ def test_scalar_ratio_test_matches_the_vectorized_reference():
 def bench_shaped_programs(monkeypatch):
     """The slice, sup-norm, box-scale, classical and box-mixture LPs of
     priced and high-drift markets shaped like those of the lp_cross
-    benchmark."""
+    benchmark, plus each market's classical LP without caps or hint, which
+    runs the primal simplex from its default start."""
     programs = []
 
     def record(lp):
@@ -530,6 +577,10 @@ def bench_shaped_programs(monkeypatch):
         es_min_supnorm(market)
         es_min_supnorm(market, atoms)
         classical_no_arbitrage(market)
+        poly = market.polytope
+        programs.append(LinearProgram(
+            c=np.r_[np.zeros(market.n_scenarios), -1.0], b_eq=poly.b,
+            A_eq=np.hstack([poly.A, poly.A.sum(axis=1, keepdims=True)])))
         oracles.box_mixture(market, atoms)
     monkeypatch.undo()
     return programs
@@ -542,10 +593,10 @@ def solution_bits(sol):
 
 
 def test_reference_ratio_test_takes_the_same_pivot_path(monkeypatch):
-    # The primal ratio test runs in WC's slice LP and the classical LP from
-    # their default start, and in the clean-up after each dual run.
+    # The primal ratio test runs in WC's slice LP and the unhinted classical
+    # LP from their default start, and in the clean-up after each dual run.
     programs = bench_shaped_programs(monkeypatch)
-    assert len(programs) == 28
+    assert len(programs) == 32
     scans = []
     ratio = lp_module._Tableau._ratio
 

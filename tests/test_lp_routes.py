@@ -9,6 +9,7 @@ then the classical LP) to direct forms with explicit margin and scale
 rows.
 """
 
+import dataclasses
 import math
 import time
 
@@ -19,11 +20,11 @@ from scipy.optimize import linprog
 from scipy.stats import chi2
 
 import rhoarb.dual
-from conftest import (binomial_market, duo_market, make_drift_market, make_random_market,
-                      make_tanh_priced_market)
+from conftest import (binomial_market, duo_market, make_dominating_market, make_drift_market,
+                      make_priced_market, make_random_market, make_tanh_priced_market)
 from oracles import build_ru_lp, es_strict_check, spectral_box_scale
-from rhoarb.dual import (MartingalePolytope, classical_no_arbitrage, classify_dual,
-                         cross_validate, es_min_supnorm)
+from rhoarb.dual import (MartingalePolytope, _tangency_proves_empty, classical_no_arbitrage,
+                         classify_dual, cross_validate, es_min_supnorm)
 from rhoarb.elliptical import EllipticalMarket, critical_alpha, gaussian_rho_z, sr_max
 from rhoarb.frontier import compute_rho1
 from rhoarb.gaussian import Phi_inv, phi
@@ -178,6 +179,43 @@ def test_martingale_programs_match_direct_forms():
         assert cl.witness.residual < 1e-9
         seen += 1
     assert seen >= 20
+
+
+def test_classical_lp_matches_highs_past_the_tangency_proof():
+    # The boxed, hinted classical LP on 1000 markets of the five generators
+    # that the tangency portfolio does not prove empty, against HiGHS on
+    # the direct form max delta with delta <= z, z in M: the same status,
+    # and delta* to 1e-12.  Some are M-empty (the dual run ends on a Farkas
+    # ray), some have delta* = 0.
+    rng = np.random.default_rng(2468)
+    draws = [
+        lambda: make_random_market(rng, n_max=12, d_max=3),
+        lambda: make_priced_market(rng, n_max=10, d_max=3),
+        lambda: make_dominating_market(rng),
+        lambda: make_tanh_priced_market(rng, int(rng.integers(8, 40)), int(rng.integers(1, 5))),
+        lambda: make_drift_market(rng, int(rng.integers(8, 40)), int(rng.integers(1, 5)),
+                                  float(rng.uniform(0.2, 2.0))),
+    ]
+    statuses = []
+    worst = 0.0
+    while len(statuses) < 1000:
+        market = draws[len(statuses) % len(draws)]()
+        if _tangency_proves_empty(market) is not None:
+            continue
+        poly = market.polytope
+        N = market.n_scenarios
+        ref = _highs(np.r_[np.zeros(N), -1.0], np.hstack([poly.A, np.zeros((poly.A.shape[0], 1))]),
+                     poly.b, np.hstack([-np.eye(N), np.ones((N, 1))]), np.zeros(N))
+        cl = classical_no_arbitrage(market)
+        statuses.append(cl.status)
+        if ref.status == 2:
+            assert cl.status == "INFEASIBLE"
+            continue
+        assert ref.status == 0 and cl.status == "OPTIMAL"
+        worst = max(worst, abs(cl.delta + ref.fun) / max(-ref.fun, 1e-3))
+        assert cl.witness.residual < 1e-9
+    assert 20 <= statuses.count("INFEASIBLE") <= 200
+    assert worst <= 1e-12
 
 
 def test_strict_box_unbounded_scale_is_the_constant_density():
@@ -459,13 +497,15 @@ def test_gaussian_sample_critical_es_level_from_the_supnorm():
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_dual_certificate_counts_its_lp_iterations(monkeypatch, kind):
-    # The dual verdict's certificate carries the pivots and flips of every
-    # LP it solved.
+    # The dual verdict's certificate carries the iterations of every LP it
+    # solved.  Each count is raised by one, so the sum is positive even
+    # where a hinted start is optimal at iteration 0.
     counted = []
     solve = rhoarb.dual.lp_solve
 
     def counting(lp):
         sol = solve(lp)
+        sol = dataclasses.replace(sol, iterations=sol.iterations + 1)
         counted.append(sol.iterations)
         return sol
 
