@@ -9,9 +9,10 @@ Commands:
 
 Market files are JSON ({"riskless_rate": r, "probs": [...], "assets":
 [{"name": ..., "returns": [...]}, ...]}) or CSV with header
-prob,asset1,...,assetd and one row per scenario.  Zero-probability
-scenarios are dropped at load time.  Risk measures come as JSON, inline
-(--risk) or from a file (--risk-file); see RiskSpec for the schema.
+prob,asset1,...,assetd and one row per scenario; asset names are
+accepted and not read.  Zero-probability scenarios are dropped at load
+time.  Risk measures come as JSON, inline (--risk) or from a file
+(--risk-file); see RiskSpec for the schema.
 
 Exit codes: 0 no arbitrage, 2 rho-arbitrage, 3 strong rho-arbitrage,
 1 error (bad input, unsupported measure, route disagreement, a simplex
@@ -61,16 +62,13 @@ def load_market(path: str, fmt: str | None = None) -> ScenarioMarket:
                 obj = json.load(fh)
             r = float(obj["riskless_rate"])
             probs = np.asarray(obj["probs"], dtype=np.float64)
-            assets = obj["assets"]
-            names = tuple(str(a.get("name", f"asset{i+1}")) for i, a in enumerate(assets))
-            returns = np.asarray([a["returns"] for a in assets], dtype=np.float64)
+            returns = np.asarray([a["returns"] for a in obj["assets"]], dtype=np.float64)
         elif fmt == "csv":
             with open(path, "r", encoding="utf-8", newline="") as fh:
                 rows = list(csv.reader(fh))
             header = [h.strip() for h in rows[0]]
             if not header or header[0] != "prob":
                 raise MarketFormatError("CSV header must start with 'prob'")
-            names = tuple(header[1:])
             data = np.asarray([[float(v) for v in row] for row in rows[1:] if row],
                               dtype=np.float64)
             probs = data[:, 0]
@@ -88,8 +86,7 @@ def load_market(path: str, fmt: str | None = None) -> ScenarioMarket:
     returns = returns[:, keep]
     if probs.size == 0:
         raise MarketFormatError("market has no scenarios with nonzero probability")
-    market = ScenarioMarket(probs=probs, riskless_rate=r, returns=returns,
-                            asset_names=names if names else None)
+    market = ScenarioMarket(probs=probs, riskless_rate=r, returns=returns)
     violations = validate_market(market)
     if violations:
         raise MarketFormatError("market failed validation: "

@@ -107,8 +107,6 @@ def _tangency_proves_empty(market: ScenarioMarket) -> float | None:
     it before any LP.
     """
     x = market.tangency_excess
-    if x is None:
-        return None
     low = float(x.min())
     return low if low > EMPTY_MARGIN * float(np.abs(x).max()) else None
 
@@ -132,8 +130,8 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
     delta <= 1 and Z_omega <= 1/p_omega.  So the program runs the dual
     simplex (lp module) from the hint delta first, then the scenarios from
     the worst to the best excess of the tangency portfolio
-    (ScenarioMarket.tangency_order; no hint without one), and an empty M
-    ends the dual run on a Farkas ray.
+    (ScenarioMarket.tangency_order), and an empty M ends the dual run on
+    a Farkas ray.
     """
     poly = market.polytope
     p = poly.A[0]
@@ -141,8 +139,7 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
     c = np.zeros(N + 1)
     c[N] = -1.0
     A_eq = np.hstack([poly.A, poly.A.sum(axis=1, keepdims=True)])
-    order = market.tangency_order
-    hint = None if order is None else np.concatenate(([N], order))
+    hint = np.concatenate(([N], market.tangency_order))
     sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b, upper=np.r_[1.0 / p, 1.0],
                                  hint=hint))
     if sol.status == INFEASIBLE:
@@ -206,9 +203,8 @@ def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
     scenarios up to probability u alpha_j/alpha_1, and the mass is the
     largest u at which the weighted pricing-row sum stays <= 0 (block j's
     tail ends at u alpha_j/alpha_1).  With no such u, pi_T is an arbitrage
-    of M_1 and the tails are empty; with a singular covariance there is no
-    hint and the primal simplex runs from y = 0.  The hint moves only the
-    pivot path; full pricing and the refactor at the optimum certify t*.
+    of M_1 and the tails are empty.  The hint moves only the pivot path;
+    full pricing and the refactor at the optimum certify t*.
     """
     atoms = tuple(spectrum or ((1.0, 1.0),))
     blocks = [(a, w) for a, w in atoms if a < 1.0]
@@ -230,20 +226,18 @@ def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
     c = np.zeros(J * N + 1)
     c[-1] = -1.0
     upper = np.concatenate([np.ones(J * N), [np.inf]])
-    hint = None
     order = market.tangency_order
-    if order is not None:
-        x = market.tangency_excess[order]
-        P, C = np.cumsum(p[order]), np.cumsum(p[order] * x)
-        P0, C0 = np.r_[0.0, P], np.r_[0.0, C]
-        # The weighted pricing-row sum at each breakpoint u = P_k of block 1.
-        row = C + (w_pin / w1) * float(market.tangency @ market.mean_excess) * P
-        for j in range(1, J):
-            i = np.minimum(np.searchsorted(P, P * ratio[j]), N - 1)
-            row = row + coef[j] * (C0[i] + (P * ratio[j] - P0[i]) * x[i])
-        even = np.flatnonzero((row <= 0.0) & (P * ratio[-1] <= P[-1]))
-        mass = P[even[-1]] if even.size else 0.0
-        hint = np.concatenate(([J * N], market.tail_hint([mass * r for r in ratio])))
+    x = market.tangency_excess[order]
+    P, C = np.cumsum(p[order]), np.cumsum(p[order] * x)
+    P0, C0 = np.r_[0.0, P], np.r_[0.0, C]
+    # The weighted pricing-row sum at each breakpoint u = P_k of block 1.
+    row = C + (w_pin / w1) * float(market.tangency @ market.mean_excess) * P
+    for j in range(1, J):
+        i = np.minimum(np.searchsorted(P, P * ratio[j]), N - 1)
+        row = row + coef[j] * (C0[i] + (P * ratio[j] - P0[i]) * x[i])
+    even = np.flatnonzero((row <= 0.0) & (P * ratio[-1] <= P[-1]))
+    mass = P[even[-1]] if even.size else 0.0
+    hint = np.concatenate(([J * N], market.tail_hint([mass * r for r in ratio])))
     sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=np.zeros(J + d), upper=upper,
                                  hint=hint))
     if sol.status != OPTIMAL:

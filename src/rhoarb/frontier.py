@@ -112,9 +112,9 @@ class ArbitrageVerdict:
 def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, int]:
     """Dual form of the ES/SPECTRAL/WC slice minimum; returns (lp, J).
 
-    With a = mu - r and D_j = {zeta : 0 <= zeta <= 1/alpha_j, E[zeta] = 1}
-    (no upper bound for WC), rho(X) = sum_j w_j max over D_j of
-    E[-zeta_j X].  The D_j are compact, so the minimax theorem gives
+    With a = mu - r and D_j = {zeta : 0 <= zeta <= 1/alpha_j, E[zeta] = 1},
+    rho(X) = sum_j w_j max over D_j of E[-zeta_j X].  The D_j are compact,
+    so the minimax theorem gives
 
         rho_1 = max{-c : zeta_j in D_j, sum_j w_j E[zeta_j (R - r)] = c a}.
 
@@ -125,6 +125,10 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     feasible with c = 1 and the D_j are bounded, so the program always has
     an optimum: rho_1 >= -1, never -inf, for these measures.
 
+    WC's dual set is every density: zeta >= 0 with E[zeta] = 1.  That
+    already holds zeta_omega <= 1/p_omega, so its block is capped there,
+    which removes no feasible point and changes no optimum.
+
     At the optimum each zeta_j sits at its cap 1/alpha_j on the worst
     alpha_j-tail of the minimizing portfolio, and at 0 beyond it, so the
     basic columns are c and densities near the tail boundaries.  Every
@@ -133,7 +137,6 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     far their scenario lies from the alpha_j quantile of the Gaussian
     tangency portfolio's excess return (ScenarioMarket.tail_hint).  The
     hint moves only the pivot path; full pricing certifies the optimum.
-    WC has no cap and runs the primal simplex from 0.
     """
     if spec.kind == "WC":
         atoms = ((0.0, 1.0),)
@@ -151,17 +154,14 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
         block = slice(j * N, (j + 1) * N)
         A_eq[j, block] = p
         A_eq[J:, block] = w * weighted
-        if alpha > 0.0:
-            upper[block] = 1.0 / alpha
+        upper[block] = 1.0 / alpha if alpha > 0.0 else 1.0 / p
     A_eq[J:, -1] = -market.mean_excess
     b_eq = np.concatenate([np.ones(J), np.zeros(d)])
     lower = np.zeros(J * N + 1)
     lower[-1] = -np.inf
     c = np.zeros(J * N + 1)
     c[-1] = 1.0
-    hint = None if spec.kind == "WC" else market.tail_hint([alpha for alpha, _ in atoms])
-    if hint is not None:
-        hint = np.concatenate(([J * N], hint))
+    hint = np.concatenate(([J * N], market.tail_hint([alpha for alpha, _ in atoms])))
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper,
                          hint=hint), J
 
@@ -318,8 +318,6 @@ def _root_route(market: ScenarioMarket, spec: RiskSpec) -> FrontierResult:
     # for the entropy and q - 1 for the power penalty; the dual variables
     # there are lam = g''(1) w and, on the unshifted rows, nu = g'(1) - lam . a.
     tilt = market.tangency
-    if tilt is None:  # S is singular: any tilt with a . tilt > 0 will do
-        tilt = a / float(a @ a)
 
     def start(t: float) -> Vector:
         lam = -g2 * (t + 1.0) * tilt
@@ -417,7 +415,7 @@ def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> Arbitr
         certificate["iterations"] = result.iterations
         certificate["gap"] = result.gap
 
-    if rho1 == -math.inf or rho1 < -tol:
+    if rho1 < -tol:
         verdict = "STRONG_RHO_ARBITRAGE"
     elif rho1 <= tol:
         annotations.append("BOUNDARY")

@@ -49,14 +49,11 @@ class ScenarioMarket:
     probs : shape (N,) scenario probabilities.
     riskless_rate : return r of the riskless asset.
     returns : shape (d, N), row i holds asset i's return per scenario.
-    asset_names, scenario_names : optional labels, stored as tuples.
     """
 
     probs: Vector
     riskless_rate: float
     returns: Vector
-    asset_names: tuple[str, ...] | None = None
-    scenario_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         probs = _frozen_array(self.probs)
@@ -72,14 +69,6 @@ class ScenarioMarket:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "riskless_rate", float(self.riskless_rate))
-        for field in ("asset_names", "scenario_names"):
-            names = getattr(self, field)
-            if names is not None:
-                names = tuple(str(s) for s in names)
-                expect = returns.shape[0] if field == "asset_names" else probs.size
-                if len(names) != expect:
-                    raise ValueError(f"{field} must have length {expect}")
-                object.__setattr__(self, field, names)
 
     @property
     def n_scenarios(self) -> int:
@@ -110,52 +99,46 @@ class ScenarioMarket:
         return MartingalePolytope.of(self)
 
     @cached_property
-    def tangency(self) -> Vector | None:
+    def tangency(self) -> Vector:
         """S^-1 (mu - r), with S the covariance of the excess returns: the
-        Gaussian tangency direction, or None when S is singular."""
+        Gaussian tangency direction; (mu - r) / |mu - r|^2 when S is
+        singular.  Each use needs only some direction: any portfolio that
+        earns more than r in every scenario proves M empty, and a basis
+        hint moves only the pivot path."""
         a = self.mean_excess
         dev = self.excess_matrix - a[:, None]
         try:
             return _frozen_array(np.linalg.solve((dev * self.probs) @ dev.T, a))
         except np.linalg.LinAlgError:
-            return None
+            return _frozen_array(a / float(a @ a))
 
     @cached_property
-    def tangency_excess(self) -> Vector | None:
+    def tangency_excess(self) -> Vector:
         """pi_T . (R - r 1), the excess return of the tangency portfolio in
-        each scenario, or None without one."""
-        if self.tangency is None:
-            return None
+        each scenario."""
         return _frozen_array(self.tangency @ self.excess_matrix)
 
     @cached_property
-    def tangency_order(self) -> NDArray[np.intp] | None:
+    def tangency_order(self) -> NDArray[np.intp]:
         """Scenarios from the worst to the best excess return of the
-        tangency portfolio (a stable sort), or None without one."""
-        if self.tangency is None:
-            return None
+        tangency portfolio (a stable sort)."""
         return _frozen_array(np.argsort(self.tangency_excess, kind="stable"), dtype=np.intp)
 
     @cached_property
-    def _tangency_middles(self) -> Vector | None:
+    def _tangency_middles(self) -> Vector:
         """Probability mass below the middle of each scenario's own
         probability, scenarios in tangency_order."""
-        if self.tangency is None:
-            return None
         p = self.probs[self.tangency_order]
         return _frozen_array(np.cumsum(p) - 0.5 * p)
 
-    def tail_hint(self, masses) -> NDArray[np.intp] | None:
+    def tail_hint(self, masses) -> NDArray[np.intp]:
         """Columns j N + omega of J blocks of scenario densities, ordered by
         how far scenario omega lies, along tangency_order, from the end of
         block j's worst tail of probability masses[j] (measured from the
         middle of the scenario's own probability; a stable sort): the basis
         hint of the slice and box-scale LPs, whose optima cap each block on
-        such a tail.  None without a tangency portfolio."""
-        middles = self._tangency_middles
-        if middles is None:
-            return None
-        dist = np.abs(middles - np.asarray(masses, dtype=np.float64)[:, None])
+        such a tail."""
+        dist = np.abs(self._tangency_middles - np.asarray(masses, dtype=np.float64)[:, None])
         block, pos = np.divmod(np.argsort(dist, axis=None, kind="stable"), self.n_scenarios)
         return block * self.n_scenarios + self.tangency_order[pos]
 

@@ -77,3 +77,24 @@ def test_every_module_constant_is_read():
             unread += [f"{mod}.{t.id}" for t in targets
                        if isinstance(t, ast.Name) and t.id.isupper() and (mod, t.id) not in read]
     assert not unread, unread
+
+
+def test_every_private_definition_is_used():
+    # A module-level _name function or class counts as used where any module
+    # of the package loads it, imports it by name or reads it as an attribute.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "rhoarb").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    unused = [f"{mod}.{stmt.name}" for mod, tree in trees.items() for stmt in tree.body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and stmt.name.startswith("_") and not stmt.name.startswith("__")
+              and stmt.name not in used]
+    assert not unused, unused

@@ -557,8 +557,8 @@ def test_scalar_ratio_test_matches_the_vectorized_reference():
 def bench_shaped_programs(monkeypatch):
     """The slice, sup-norm, box-scale, classical and box-mixture LPs of
     priced and high-drift markets shaped like those of the lp_cross
-    benchmark, plus each market's classical LP without caps or hint, which
-    runs the primal simplex from its default start."""
+    benchmark, plus each market's classical and WC slice LPs without caps
+    or hint, which run the primal simplex from its default start."""
     programs = []
 
     def record(lp):
@@ -574,6 +574,8 @@ def bench_shaped_programs(monkeypatch):
                    make_drift_market(np.random.default_rng(4), 100, 4, 2.0)):
         for spec in (RiskSpec.es(0.1), RiskSpec.spectral(atoms), RiskSpec.wc()):
             programs.append(_slice_lp(market, spec)[0])
+        wc = programs[-1]
+        programs.append(LinearProgram(c=wc.c, A_eq=wc.A_eq, b_eq=wc.b_eq, lower=wc.lower))
         es_min_supnorm(market)
         es_min_supnorm(market, atoms)
         classical_no_arbitrage(market)
@@ -593,10 +595,10 @@ def solution_bits(sol):
 
 
 def test_reference_ratio_test_takes_the_same_pivot_path(monkeypatch):
-    # The primal ratio test runs in WC's slice LP and the unhinted classical
-    # LP from their default start, and in the clean-up after each dual run.
+    # The primal ratio test runs in the unhinted WC slice and classical LPs
+    # from their default start, and in the clean-up after each dual run.
     programs = bench_shaped_programs(monkeypatch)
-    assert len(programs) == 32
+    assert len(programs) == 36
     scans = []
     ratio = lp_module._Tableau._ratio
 

@@ -20,6 +20,7 @@ from scipy.optimize import linprog
 from scipy.stats import chi2
 
 import rhoarb.dual
+import rhoarb.lp as lp_module
 from conftest import (binomial_market, duo_market, make_dominating_market, make_drift_market,
                       make_priced_market, make_random_market, make_tanh_priced_market)
 from oracles import build_ru_lp, es_strict_check, spectral_box_scale
@@ -388,6 +389,38 @@ def test_supnorm_crash_cuts_pivots():
     res = es_min_supnorm(market)
     assert res.status == "INFEASIBLE" and highs_min_supnorm(market) == math.inf
     assert res.iterations == 0
+
+
+def test_every_lp_of_a_valid_market_runs_from_the_dual_start(monkeypatch, frontier_lps):
+    # Every program the routes build is boxed but for one column and carries
+    # a hint, so no LP of cross_validate takes the primal start: not from
+    # the outset, and not as the fallback of a dual run.  Among them are WC's
+    # slice LP, both on the LP route and as the guard of the ROOT route, which
+    # the TNORM run on the first drift market needs.
+    tableaux, starts = [], []
+    init, primal_start = lp_module._Tableau.__init__, lp_module._Tableau.primal_start
+    monkeypatch.setattr(lp_module._Tableau, "__init__",
+                        lambda self, lp: tableaux.append(lp) or init(self, lp))
+    monkeypatch.setattr(lp_module._Tableau, "primal_start",
+                        lambda self, *args: starts.append(self) or primal_start(self, *args))
+    rng = np.random.default_rng(2525)
+    markets = [binomial_market(), duo_market(),
+               make_drift_market(np.random.default_rng(0), 60, 4, 1.0),
+               make_drift_market(rng, 100, 4, 2.0), make_drift_market(rng, 60, 3, 0.3),
+               make_drift_market(rng, 50, 3, 0.5, equal_odds=True),
+               make_tanh_priced_market(rng, 150, 5), make_dominating_market(rng)]
+    markets += [make_random_market(rng, 12, 3) for _ in range(4)]
+    markets += [make_priced_market(rng, 10, 3) for _ in range(4)]
+    specs = [RiskSpec.wc(), RiskSpec.es(0.1), RiskSpec.spectral([(0.05, 0.3), (0.25, 0.7)]),
+             RiskSpec.evar(0.1), RiskSpec.tnorm(2.0, 0.25)]
+    guards = 0
+    for market in markets:
+        for spec in specs:
+            before = len(frontier_lps)
+            cross_validate(market, spec)
+            guards += spec.kind == "TNORM" and len(frontier_lps) > before
+    assert guards and len(tableaux) > 100
+    assert not starts
 
 
 def test_spectral_slice_at_ten_thousand_scenarios_takes_few_dual_iterations():

@@ -171,6 +171,8 @@ def test_tangency_order_sorts_the_tangency_excess_stably_once():
     assert order.tolist().index(1) < order.tolist().index(3)
     assert market.tangency_order is order
     assert not order.flags.writeable
-    # A riskless-looking asset leaves the covariance singular: no tangency.
+    # A riskless-looking asset leaves the covariance singular: the direction
+    # is then a / (a . a), with a = mu - r.
     flat = ScenarioMarket(probs=(0.5, 0.5), riskless_rate=0.0, returns=[[0.1, 0.1]])
-    assert flat.tangency is None and flat.tangency_order is None
+    assert flat.tangency.tolist() == pytest.approx([10.0], rel=1e-15)
+    assert sorted(flat.tangency_order.tolist()) == [0, 1]
