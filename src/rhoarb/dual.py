@@ -5,7 +5,7 @@ The martingale polytope of a market is
     M = { Z >= 0 : E[Z] = 1, E[Z (R_i - r)] = 0 for every asset i },
 
 its strictly positive part P = M with Z > 0.  Classical no-arbitrage is
-"P nonempty", certified by the max-min-entry LP.  Each positively
+"P nonempty": delta* > 0 for the max-min-entry LP.  Each positively
 homogeneous measure turns absence of rho-arbitrage into a geometric
 statement about M:
 
@@ -20,19 +20,30 @@ statement about M:
 
 Before any LP, the tests try to prove M empty from the Gaussian tangency
 portfolio pi_T alone: pi_T . e > 0 in every scenario leaves no density
-that prices it (_tangency_proves_empty).
+that prices it (_proves_empty, which checks any portfolio that way).
 
-M is convex, so a strict test splits into the classical LP and the
-strong-form program: mixing a little of the strictly positive classical
-witness into a density strictly inside the dual set keeps it inside and
-makes it strictly positive (_mix_positive).  The classical and sup-norm
-LPs keep the d + 1 rows of M.  Every column of the classical LP is boxed
-(caps that no density in M reaches), so it runs the dual simplex from a
-tangency-ordered hint, and an empty M ends it on a Farkas ray (lp module).
-The penalty tests run Newton first and solve the classical LP only where
-Newton's minimizer cannot decide: when Newton does not converge, or when
-the minimizer has an entry near zero and no strong verdict
-(_classify_gentropic).
+The classical test (_decide_classical) solves the LP only where nothing
+cheaper decides.  Any density in M whose entries all exceed the
+tolerance shows delta* above it, and two come nearly free: the tangency
+density Z_T = 1 + E[x] - x, x = pi_T . e, which prices every asset
+(ScenarioMarket.tangency_density), and the density of a converged Newton
+solve: the penalty test's own, or else the entropy's Gibbs density,
+which is strictly positive.  A diverged solve's multipliers run off
+along an arbitrage when M is empty, which _proves_empty then confirms.
+Only where none of these decides does the max-min-entry LP run
+(classical_no_arbitrage).
+
+M is convex, so a strict test splits into the classical test and the
+strong-form program: mixing a little of the strictly positive density
+that decided the classical test into a density strictly inside the dual
+set keeps it inside and makes it strictly positive (_mix_positive).  The
+classical and sup-norm LPs keep the d + 1 rows of M.  Every column of
+the classical LP is boxed (caps that no density in M reaches), so it
+runs the dual simplex from a tangency-ordered hint, and an empty M ends
+it on a Farkas ray (lp module).  The penalty tests run Newton first and
+take the classical test only where Newton's minimizer cannot decide:
+when Newton does not converge, or when the minimizer has an entry near
+zero and no strong verdict (_classify_gentropic).
 
 A spectral measure is a mixture of ES atoms, and its strong form is one
 box-scale LP: the least common scale kappa* of the boxes zeta_j <=
@@ -53,7 +64,7 @@ in M (measures.conjugate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,12 +74,15 @@ from .frontier import (ArbitrageVerdict, CLASSIFY_TOL, _penalty_min, compute_rho
 from .lp import INFEASIBLE, OPTIMAL, LinearProgram, SimplexError, lp_solve
 from .market import MartingalePolytope, ScenarioMarket
 from .measures import RiskSpec, UnsupportedDualError, penalty
+from .solvers import CumulantResult
 
 Vector = NDArray[np.float64]
 
 ZERO_TOL = 1e-9          # LP vertex quantities at or below this count as zero
 EMPTY_SCALE = 1e-12      # Charnes-Cooper scale s* = 1/t* at or below this: M is empty
-EMPTY_MARGIN = 1e-9      # least min pi_T . e, relative to max |pi_T . e|, that proves M empty
+EMPTY_MARGIN = 1e-9      # least min pi . e, relative to max |pi . e|, that proves M empty
+DENSITY_RTOL = 1e-12     # row residual of the tangency density, per E|row| max Z, that puts it in M
+ENTROPY = RiskSpec.entropic(1.0)  # the classical test's entropy kernel; it reads no radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,17 +110,17 @@ class DualWitness:
         return out
 
 
-def _tangency_proves_empty(market: ScenarioMarket) -> float | None:
-    """min pi_T . e when it proves M empty, else None.
+def _proves_empty(x: Vector) -> float | None:
+    """min x when the excess x = pi . e of a portfolio proves M empty, else None.
 
-    Every Z in M prices each asset, E[Z e] = 0, so it prices the tangency
-    portfolio too: E[Z pi_T . e] = 0.  If pi_T . e > 0 in every scenario,
-    no Z >= 0 with E[Z] = 1 does that, and M is empty.  The least excess
-    must clear the rounding of the product, EMPTY_MARGIN times the largest
-    |pi_T . e|.  This costs one pass over the scenarios, so the tests run
-    it before any LP.
+    Every Z in M prices each asset, E[Z e] = 0, so it prices every
+    portfolio too: E[Z pi . e] = 0.  If pi . e > 0 in every scenario, no
+    Z >= 0 with E[Z] = 1 does that, and M is empty.  The least excess must
+    clear the rounding of the product, EMPTY_MARGIN times the largest
+    |pi . e|.  This costs one pass over the scenarios, so the tests run it
+    on the tangency portfolio before any LP, and on a diverged Newton
+    run's direction before the classical LP (_decide_classical).
     """
-    x = market.tangency_excess
     low = float(x.min())
     return low if low > EMPTY_MARGIN * float(np.abs(x).max()) else None
 
@@ -114,9 +128,22 @@ def _tangency_proves_empty(market: ScenarioMarket) -> float | None:
 @dataclass(frozen=True, eq=False)
 class ClassicalResult:
     status: str                      # OPTIMAL or INFEASIBLE (M empty)
-    delta: float                     # max over M of the minimal entry; 0.0 if empty
-    witness: DualWitness | None
+    delta: float                     # delta* if lp, else min entry of witness (<= delta*); 0 if empty
+    witness: DualWitness | None      # the LP's optimum or the density that decided; None if empty
     iterations: int = 0              # simplex iterations of its LP (LPSolution.iterations)
+    lp: bool = True                  # whether the classical LP ran
+    portfolio: Vector | None = None  # an arbitrage pi . e > 0 that proved M empty without the LP
+    excess_min: float = 0.0          # min pi . e of that portfolio
+    newton_iterations: int = 0       # steps of the entropy solve the test ran itself
+
+    def entries(self) -> dict:
+        """Certificate entries: delta_classical when the LP ran, delta_lower
+        (the deciding density's min entry, so delta* >= delta_lower) when a
+        density decided without it, and the arbitrage portfolio with its
+        least excess when one proved M empty."""
+        if self.portfolio is not None:
+            return {"arbitrage_portfolio": self.portfolio.tolist(), "excess_min": self.excess_min}
+        return {"delta_classical" if self.lp else "delta_lower": self.delta}
 
 
 def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
@@ -131,7 +158,8 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
     simplex (lp module) from the hint delta first, then the scenarios from
     the worst to the best excess of the tangency portfolio
     (ScenarioMarket.tangency_order), and an empty M ends the dual run on
-    a Farkas ray.
+    a Farkas ray.  The dual tests solve it only where no density or
+    portfolio decides first (_decide_classical).
     """
     poly = market.polytope
     p = poly.A[0]
@@ -151,6 +179,57 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
     return ClassicalResult(status=OPTIMAL, delta=delta,
                            witness=DualWitness.of(poly, delta + sol.x[:N]),
                            iterations=sol.iterations)
+
+
+def _decide_classical(market: ScenarioMarket, tol: float,
+                      run: CumulantResult | None = None) -> ClassicalResult:
+    """Whether delta* > tol, with the classical LP as the last resort.
+
+    It decides in this order, and stops at the first step that decides:
+
+    1. The tangency density Z_T (ScenarioMarket.tangency_density).  When
+       the residual of each row of M is within DENSITY_RTOL of the row's
+       own scale, E|row| max Z_T, it lies in M, and every entry above
+       max(tol, ZERO_TOL) shows delta* >= min Z_T > tol.  The fallback
+       direction of a singular S fails the residual.
+    2. A Newton run: run, a penalty test's own, or else one entropy solve
+       (frontier._penalty_min).  A converged density with every entry
+       above max(tol, ZERO_TOL) shows delta* > tol the same way; the
+       entropy's Gibbs density exp(lam . e - K) is strictly positive, and
+       the cumulant has a minimizer iff P is nonempty (Frittelli, Math.
+       Finance 10(1), 2000).  A diverged run's multipliers run off along
+       -pi for an arbitrage pi when M is empty: the kernel falls without
+       bound along every lam with lam . e < 0 in every scenario.  So -lam
+       proves M empty when it passes _proves_empty.
+    3. The max-min-entry LP (classical_no_arbitrage).
+
+    Each shortcut fires only where it proves what the LP would find: an
+    OPTIMAL delta* > tol, or INFEASIBLE.  Then delta is a lower bound on
+    delta*, the deciding density's min entry, and lp is False.
+    """
+    floor = max(tol, ZERO_TOL)
+    poly = market.polytope
+    z = market.tangency_density
+    if z.min() > floor and np.all(np.abs(poly.A @ z - poly.b)
+                                  <= DENSITY_RTOL * float(z.max()) * np.abs(poly.A).sum(axis=1)):
+        witness = DualWitness.of(poly, z)
+        return ClassicalResult(status=OPTIMAL, delta=witness.min_entry, witness=witness, lp=False)
+    steps = 0
+    if run is None:
+        run = _penalty_min(ENTROPY, market.probs, market.excess_matrix.T)
+        steps = run.iterations
+    if run.status == "OK":
+        if run.z.min() > floor:
+            witness = DualWitness.of(poly, run.z)
+            return ClassicalResult(status=OPTIMAL, delta=witness.min_entry, witness=witness,
+                                   lp=False, newton_iterations=steps)
+    else:
+        pi = -run.lam
+        low = _proves_empty(pi @ market.excess_matrix)
+        if low is not None:
+            return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None, lp=False,
+                                   portfolio=pi, excess_min=low, newton_iterations=steps)
+    return replace(classical_no_arbitrage(market), newton_iterations=steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,20 +349,32 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
                   tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:
     """Trichotomy by the dual criteria for the measure's dual set.
 
-    WC runs the classical LP, ES and SPECTRAL the sup-norm (box-scale) LP
-    and then, unless t* decides STRONG, the classical LP; EVAR, TNORM and
-    GENTROPIC test their penalty ball (RiskSpec.penalty_ball) by Newton
-    and run the classical LP only where its minimizer cannot decide
-    (_classify_gentropic).  Each first tries to prove M empty from the
-    tangency portfolio (_tangency_proves_empty): then the verdict is
-    STRONG_RHO_ARBITRAGE with the annotation M_EMPTY, and its certificate
-    carries iterations 0 and tangency_excess_min, the least pi_T . e.
-    Raises UnsupportedDualError for VaR, which has no dual density set.
+    WC runs the classical test (_decide_classical), ES and SPECTRAL the
+    sup-norm (box-scale) LP and then, unless t* decides STRONG, the
+    classical test; EVAR, TNORM and GENTROPIC test their penalty ball
+    (RiskSpec.penalty_ball) by Newton and take the classical test, on
+    their own Newton run, only where its minimizer cannot decide
+    (_classify_gentropic).  The classical test solves the classical LP
+    only where neither the tangency density nor a Newton run decides.
+    Each first tries to prove M empty from the tangency portfolio
+    (_proves_empty): then the verdict is STRONG_RHO_ARBITRAGE with the
+    annotation M_EMPTY, and its certificate carries iterations 0,
+    arbitrage_portfolio pi_T and tangency_excess_min, the least
+    pi_T . e.  Raises UnsupportedDualError for VaR, which has no dual
+    density set.
+
     Certificates carry the decisive scalars and a density witness where
-    one exists; delta_classical is there when the classical LP ran, and as
-    0.0 when the tangency portfolio proved M empty for WC or a penalty
-    ball.  BOUNDARY is annotated when the deciding comparison sits within
-    tol of its threshold.
+    one exists.  delta_classical is there exactly when the classical LP
+    ran; where a density decided without it, delta_lower, that density's
+    min entry, stands in (delta* >= delta_lower > tol).  An M_EMPTY
+    verdict that a Newton run's direction proved carries that direction
+    as arbitrage_portfolio and its least excess as excess_min.  Counts
+    keep their units apart: on WC, ES and SPECTRAL iterations sums the LP
+    iterations and newton_iterations counts the steps of the classical
+    test's entropy solve; on the penalty tests iterations counts Newton
+    steps and lp_iterations, there when the classical LP ran, its
+    iterations.  BOUNDARY is annotated when the deciding comparison sits
+    within tol of its threshold.
     """
     if spec.kind == "VAR":
         raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual density set")
@@ -294,20 +385,22 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
     return _classify_gentropic(market, spec.penalty_ball, tol)
 
 
-def _empty_verdict(cert: dict, low: float) -> ArbitrageVerdict:
+def _empty_verdict(cert: dict, market: ScenarioMarket, low: float) -> ArbitrageVerdict:
     """Strong arbitrage on a market whose tangency portfolio proves M empty
-    (_tangency_proves_empty), with no LP solved."""
-    cert.update(iterations=0, tangency_excess_min=low)
+    (_proves_empty), with no LP solved."""
+    cert.update(iterations=0, arbitrage_portfolio=market.tangency.tolist(),
+                tangency_excess_min=low)
     return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                             certificate=cert, annotations=("M_EMPTY",))
 
 
 def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
-    low = _tangency_proves_empty(market)
+    low = _proves_empty(market.tangency_excess)
     if low is not None:
-        return _empty_verdict({"delta_classical": 0.0}, low)
-    cl = classical_no_arbitrage(market)
-    cert: dict = {"delta_classical": cl.delta, "iterations": cl.iterations}
+        return _empty_verdict({}, market, low)
+    cl = _decide_classical(market, tol)
+    cert: dict = {**cl.entries(), "iterations": cl.iterations,
+                  "newton_iterations": cl.newton_iterations}
     if cl.status == INFEASIBLE:
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                                 certificate=cert, annotations=("M_EMPTY",))
@@ -325,18 +418,18 @@ def _classify_es(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
 
     t* (es_min_supnorm) > 1/alpha_1, alpha_1 the lowest level below 1 (1
     if there is none), is strong arbitrage.  Otherwise no arbitrage iff
-    t* < 1/alpha_1 and the classical delta* > 0; the witness is then the
-    minimizer, with the classical witness mixed in (_mix_positive) when it
-    has a zero entry (which a level-1 atom, Z >= w_pin, rules out).  Put
-    in every box, zeta_j = Z_cl, the classical witness needs the scale
-    ||Z_cl||_inf alpha_J, alpha_J the highest level below 1: that is
-    ||Z_cl||_inf alpha_J / alpha_1 in units of t*.
+    t* < 1/alpha_1 and the classical delta* > 0 (_decide_classical); the
+    witness is then the minimizer, with the classical test's density mixed
+    in (_mix_positive) when it has a zero entry (which a level-1 atom,
+    Z >= w_pin, rules out).  Put in every box, zeta_j = Z_cl, that density
+    needs the scale ||Z_cl||_inf alpha_J, alpha_J the highest level below
+    1: that is ||Z_cl||_inf alpha_J / alpha_1 in units of t*.
     """
     levels = [a for a, _ in atoms if a < 1.0] or [1.0]
     bound = 1.0 / levels[0]
-    low = _tangency_proves_empty(market)
+    low = _proves_empty(market.tangency_excess)
     if low is not None:
-        return _empty_verdict({"t_star": math.inf, "box_upper": bound}, low)
+        return _empty_verdict({"t_star": math.inf, "box_upper": bound}, market, low)
     sup = es_min_supnorm(market, atoms)
     cert: dict = {"t_star": sup.t, "box_upper": bound, "iterations": sup.iterations}
     if sup.status == INFEASIBLE:
@@ -349,8 +442,9 @@ def _classify_es(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
     if sup.t > bound + ZERO_TOL:
         return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
                                 certificate=cert, annotations=ann)
-    cl = classical_no_arbitrage(market)
-    cert["delta_classical"] = cl.delta
+    # The sup-norm optimum lies in M, so no portfolio proves M empty here.
+    cl = _decide_classical(market, tol)
+    cert.update(cl.entries(), newton_iterations=cl.newton_iterations)
     cert["iterations"] += cl.iterations
     if sup.t < bound - ZERO_TOL and cl.delta > ZERO_TOL:
         witness = sup.witness
@@ -373,24 +467,26 @@ def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
     which has no gap on finite scenario spaces: the cumulant for ENTROPY, the
     conjugate for POWER and CUSTOM.  v* > beta (or NaN) is strong arbitrage.
     Otherwise no arbitrage iff v* < beta and the classical delta* > 0; the
-    witness is then the minimizer, with the classical witness mixed in
-    (_mix_positive) when it has a zero entry.  The certificate carries the
+    witness is then the minimizer, with the classical test's density mixed
+    in (_mix_positive) when it has a zero entry.  The certificate carries the
     Newton iterations and the scaled gradient norm as gap.
 
-    Newton runs first, and the classical LP only where the verdict needs
-    it: when Newton did not converge, since M may then be empty and the
-    LP's INFEASIBLE is the M_EMPTY certificate, or when v* <= beta and the
+    Newton runs first, and the classical test (_decide_classical, on this
+    Newton run) only where the verdict needs it: when Newton did not
+    converge, since M may then be empty, or when v* <= beta and the
     witness has an entry at or below max(tol, ZERO_TOL), since delta* and
     the mixture may then decide.  Otherwise a strong verdict needs no
     delta*, and a converged witness in M with every entry above
     max(tol, ZERO_TOL) (the entropy's Gibbs density is always positive)
-    shows delta* >= min Z > tol by itself.  delta_classical is in the
-    certificate exactly when the LP ran.
+    shows delta* >= min Z > tol by itself.  An empty M is proved by the
+    run's direction or by the LP's INFEASIBLE; its certificate keeps the
+    Newton steps as iterations, with the LP's as lp_iterations when it
+    ran.
     """
     beta = pen.beta
-    low = _tangency_proves_empty(market)
+    low = _proves_empty(market.tangency_excess)
     if low is not None:
-        return _empty_verdict({"v_star": math.inf, "beta": beta, "delta_classical": 0.0}, low)
+        return _empty_verdict({"v_star": math.inf, "beta": beta}, market, low)
     poly = market.polytope
 
     def expected_penalty(z: Vector) -> float:
@@ -405,14 +501,14 @@ def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
     strict = v_star < beta - ZERO_TOL
     if res.status != "OK" or (v_star <= beta + ZERO_TOL
                               and witness.min_entry <= max(tol, ZERO_TOL)):
-        cl = classical_no_arbitrage(market)
+        cl = _decide_classical(market, tol, res)
+        if cl.lp:
+            cert["lp_iterations"] = cl.iterations
+        cert.update(cl.entries())
         if cl.status == INFEASIBLE:
+            cert.update(v_star=math.inf, iterations=res.iterations)
             return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                    certificate={"v_star": math.inf, "beta": beta,
-                                                 "delta_classical": cl.delta,
-                                                 "iterations": cl.iterations},
-                                    annotations=("M_EMPTY",))
-        cert["delta_classical"] = cl.delta
+                                    certificate=cert, annotations=("M_EMPTY",))
         strict = strict and cl.delta > ZERO_TOL
         if strict and witness.min_entry <= 0.0:
             z_mix = _mix_positive(witness.z, cl.witness.z, v_star,
@@ -460,7 +556,9 @@ def _dual_margin(verdict: ArbitrageVerdict) -> float:
     """Distance of the deciding dual comparisons from their thresholds.
 
     Confident zeros (a vertex-exact delta = 0) are not near-threshold
-    evidence, so they do not shrink the margin.
+    evidence, so they do not shrink the margin.  Where the classical LP
+    did not run, delta_lower <= delta* stands in for delta*, so the
+    margin reads no larger than the LP's would.
     """
     cert = verdict.certificate
     candidates: list[float] = []
@@ -468,8 +566,9 @@ def _dual_margin(verdict: ArbitrageVerdict) -> float:
         candidates.append(abs(cert["t_star"] - cert["box_upper"]))
     if "v_star" in cert and math.isfinite(cert["v_star"]):
         candidates.append(abs(cert["v_star"] - cert["beta"]))
-    if cert.get("delta_classical", 0.0) > ZERO_TOL:
-        candidates.append(cert["delta_classical"])
+    delta = cert.get("delta_classical", cert.get("delta_lower", 0.0))
+    if delta > ZERO_TOL:
+        candidates.append(delta)
     return min(candidates) if candidates else math.inf
 
 

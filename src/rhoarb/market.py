@@ -7,9 +7,10 @@ of wealth in the risky assets; the riskless fraction is implied and never
 stored.  The excess return of pi is X_pi = pi . (R - r 1), scenario by
 scenario.  MartingalePolytope is the equality system of the densities that
 price the market, shared by the primal slice LP and the dual tests; a market
-builds it, its Gaussian tangency portfolio, that portfolio's excess return
-and the scenario order of it once (ScenarioMarket.polytope,
-ScenarioMarket.tangency, ScenarioMarket.tangency_excess,
+builds it, its Gaussian tangency portfolio, that portfolio's excess return,
+its minimal-variance density and the scenario order of it once
+(ScenarioMarket.polytope, ScenarioMarket.tangency,
+ScenarioMarket.tangency_excess, ScenarioMarket.tangency_density,
 ScenarioMarket.tangency_order).
 """
 
@@ -103,8 +104,9 @@ class ScenarioMarket:
         """S^-1 (mu - r), with S the covariance of the excess returns: the
         Gaussian tangency direction; (mu - r) / |mu - r|^2 when S is
         singular.  Each use needs only some direction: any portfolio that
-        earns more than r in every scenario proves M empty, and a basis
-        hint moves only the pivot path."""
+        earns more than r in every scenario proves M empty, a basis hint
+        moves only the pivot path, and the dual tests check the tangency
+        density's residual before they use it."""
         a = self.mean_excess
         dev = self.excess_matrix - a[:, None]
         try:
@@ -117,6 +119,16 @@ class ScenarioMarket:
         """pi_T . (R - r 1), the excess return of the tangency portfolio in
         each scenario."""
         return _frozen_array(self.tangency @ self.excess_matrix)
+
+    @cached_property
+    def tangency_density(self) -> Vector:
+        """Z_T = 1 + E[x] - x with x = tangency_excess: the minimal-variance
+        density of the tangency portfolio (Hansen & Jagannathan, JPE 99(2),
+        1991).  E[Z_T] = 1, and E[Z_T e] = a - S pi_T, which is 0 for
+        pi_T = S^-1 a; so Z_T lies in M wherever it is nonnegative.  The
+        fallback direction of a singular S leaves it off M."""
+        x = self.tangency_excess
+        return _frozen_array(1.0 + float(self.probs @ x) - x)
 
     @cached_property
     def tangency_order(self) -> NDArray[np.intp]:

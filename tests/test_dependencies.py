@@ -30,10 +30,11 @@ for spec in (rhoarb.RiskSpec.evar(0.25), rhoarb.RiskSpec.tnorm(2.0, 0.25),
 for spec in (rhoarb.RiskSpec.wc(), rhoarb.RiskSpec.es(0.25),
              rhoarb.RiskSpec.spectral([(0.1, 0.5), (0.5, 0.5)])):
     assert rhoarb.classify_dual(market, spec).verdict == "NO_ARBITRAGE"
-cert = rhoarb.classify_dual(market, rhoarb.RiskSpec.es(0.25)).certificate
-assert cert["t_star"] < 4.0 and cert["delta_classical"] > 0.0
-cert = rhoarb.classify_dual(market, rhoarb.RiskSpec.spectral([(0.1, 0.5), (0.5, 0.5)])).certificate
-assert cert["t_star"] < 10.0 and cert["delta_classical"] > 0.0
+for spec, box in ((rhoarb.RiskSpec.es(0.25), 4.0),
+                  (rhoarb.RiskSpec.spectral([(0.1, 0.5), (0.5, 0.5)]), 10.0)):
+    cert = rhoarb.classify_dual(market, spec).certificate
+    deltas = [cert[key] for key in ("delta_classical", "delta_lower") if key in cert]
+    assert cert["t_star"] < box and len(deltas) == 1 and deltas[0] > 1e-9
 res = rhoarb.classify_dual(market, rhoarb.RiskSpec.custom(lambda z: np.sqrt(1.0 + z ** 2), 1.6))
 assert not res.annotations
 assert 2.0 ** 0.5 <= res.certificate["v_star"] < 1.6  # E[g(Z)] >= g(E[Z]) = g(1)

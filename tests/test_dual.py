@@ -12,13 +12,19 @@ from conftest import (binomial_market, duo_market, make_dominating_market,
                       make_drift_market, make_priced_market, make_random_market,
                       make_tanh_priced_market)
 from oracles import box_mixture, es_strict_check, spectral_box_scale
-from rhoarb.dual import (MartingalePolytope, _tangency_proves_empty, classical_no_arbitrage,
+from rhoarb.dual import (MartingalePolytope, _proves_empty, classical_no_arbitrage,
                          classify_dual, cross_validate, es_min_supnorm)
 from rhoarb.frontier import CLASSIFY_TOL, classify_primal, compute_rho1
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, conjugate, evaluate
 
 DUO_ENTROPY = 0.0566330122651324  # E[Z log Z] at Z = (2/3, 4/3), equal odds
+
+
+def classical_deltas(cert: dict) -> list[float]:
+    """delta_classical (the classical LP ran) or delta_lower (a density
+    decided without it): at most one is in a certificate."""
+    return [cert[key] for key in ("delta_classical", "delta_lower") if key in cert]
 
 
 def unpriceable_market() -> ScenarioMarket:
@@ -149,8 +155,12 @@ def test_tangency_proof_of_an_empty_m_solves_no_lp(spec, monkeypatch):
     assert not calls
     assert verdict.verdict == "STRONG_RHO_ARBITRAGE"
     assert verdict.annotations == ("M_EMPTY",)
-    assert verdict.certificate["iterations"] == 0
-    assert verdict.certificate["tangency_excess_min"] == pytest.approx(6.0, rel=1e-12)
+    cert = verdict.certificate
+    assert cert["iterations"] == 0 and "delta_classical" not in cert
+    assert cert["tangency_excess_min"] == pytest.approx(6.0, rel=1e-12)
+    market = unpriceable_market()
+    assert cert["arbitrage_portfolio"] == market.tangency.tolist()
+    assert float((market.tangency @ market.excess_matrix).min()) == cert["tangency_excess_min"]
 
 
 # -- g-entropic penalties ------------------------------------------------------
@@ -206,6 +216,45 @@ def test_evar_no_arbitrage_on_a_priced_market_solves_no_lp(dual_lps):
     assert verdict.certificate["witness"]["min_entry"] > CLASSIFY_TOL
 
 
+@pytest.mark.parametrize("spec", [RiskSpec.wc(), RiskSpec.es(0.1),
+                                  RiskSpec.spectral([(0.05, 0.3), (0.25, 0.7)])],
+                         ids=["WC", "ES", "SPECTRAL"])
+def test_lp_measures_on_a_priced_market_solve_no_classical_lp(spec, dual_lps):
+    # The bench's priced shape (its generator is make_tanh_priced_market):
+    # the tangency density is strictly positive and in M, so it decides
+    # delta* > tol; WC solves no LP, ES and SPECTRAL only the box-scale LP.
+    market = make_tanh_priced_market(np.random.default_rng(1006), 120, 6)
+    verdict = classify_dual(market, spec)
+    assert verdict.verdict == "NO_ARBITRAGE" and verdict.annotations == ()
+    # The box-scale LP's scale column is unbounded; the classical LP caps delta at 1.
+    assert len(dual_lps) == (spec.kind != "WC")
+    assert all(lp.upper[-1] == math.inf for lp in dual_lps)
+    cert = verdict.certificate
+    assert "delta_classical" not in cert and cert["newton_iterations"] == 0
+    z = market.tangency_density
+    assert cert["delta_lower"] == float(z.min()) > CLASSIFY_TOL
+    assert classical_no_arbitrage(market).delta >= cert["delta_lower"]
+    assert cert["witness"]["min_entry"] > 0.0 and cert["witness"]["residual"] <= 1e-9
+    if spec.kind == "WC":
+        assert cert["witness"]["z"] == z.tolist() and cert["iterations"] == 0
+
+
+def test_wc_at_ten_thousand_scenarios_is_decided_by_the_gibbs_density(dual_lps):
+    # The bench's 10^4 x 30 priced scale cell: the tangency density has
+    # negative entries there, and the entropy's Gibbs density decides
+    # delta* > tol in a few Newton steps, where the classical LP would take
+    # ~180 iterations.
+    market = make_tanh_priced_market(np.random.default_rng([10_000, 30, 7]), 10_000, 30)
+    assert market.tangency_density.min() < 0.0
+    verdict = classify_dual(market, RiskSpec.wc())
+    assert verdict.verdict == "NO_ARBITRAGE" and verdict.annotations == ()
+    assert not dual_lps
+    cert = verdict.certificate
+    assert cert["iterations"] == 0 and 0 < cert["newton_iterations"] <= 10
+    assert cert["delta_lower"] == cert["witness"]["min_entry"] > CLASSIFY_TOL
+    assert cert["witness"]["residual"] <= 1e-9
+
+
 @pytest.mark.parametrize("spec", [RiskSpec.evar(0.99), RiskSpec.tnorm(2.0, 0.99)],
                          ids=["EVAR", "TNORM"])
 def test_strong_penalty_verdict_on_a_nonempty_m_solves_no_lp(spec, dual_lps):
@@ -229,24 +278,65 @@ def test_tnorm_witness_with_zero_entries_solves_the_classical_lp_and_mixes(dual_
     assert verdict.verdict == "NO_ARBITRAGE"
     assert len(dual_lps) == 1
     cert = verdict.certificate
-    assert cert["delta_classical"] > 1e-9
+    assert cert["delta_classical"] > 1e-9 and "delta_lower" not in cert
+    # Newton's steps and the LP's iterations are counted apart.
+    assert cert["iterations"] == res.iterations
+    assert cert["lp_iterations"] == classical_no_arbitrage(market).iterations
     assert cert["witness"]["min_entry"] > 0.0 and cert["witness"]["residual"] < 1e-9
     assert cert["v_star"] <= cert["witness"]["penalty"] < cert["beta"]
 
 
-@pytest.mark.parametrize("spec", [RiskSpec.evar(0.1), RiskSpec.tnorm(2.0, 0.25)],
-                         ids=["EVAR", "TNORM"])
-def test_empty_m_past_the_tangency_proof_solves_one_lp(spec, dual_lps):
+@pytest.mark.parametrize("spec", [RiskSpec.evar(0.1), RiskSpec.tnorm(2.0, 0.25), RiskSpec.wc()],
+                         ids=["EVAR", "TNORM", "WC"])
+def test_empty_m_past_the_tangency_proof_solves_no_lp(spec, dual_lps):
     # No density prices this 50x4 drift market, but pi_T . e takes both
-    # signs: Newton does not converge, and the classical LP proves M empty.
+    # signs.  Newton does not converge (the penalty's own run, or WC's
+    # entropy solve), and its multipliers run off along -pi for a pi that
+    # earns more than r in every scenario: that proves M empty, and no LP
+    # runs.
     market = make_drift_market(np.random.default_rng(2), 50, 4, 1.0)
-    assert _tangency_proves_empty(market) is None
+    assert _proves_empty(market.tangency_excess) is None
     verdict = classify_dual(market, spec)
-    assert len(dual_lps) == 1
+    assert not dual_lps
     assert verdict.verdict == "STRONG_RHO_ARBITRAGE"
     assert verdict.annotations == ("M_EMPTY",)
-    assert verdict.certificate["delta_classical"] == 0.0
-    assert verdict.certificate["v_star"] == math.inf
+    cert = verdict.certificate
+    x = np.asarray(cert["arbitrage_portfolio"]) @ market.excess_matrix
+    assert cert["excess_min"] == float(x.min()) > 1e-9 * float(np.abs(x).max())
+    assert {"delta_classical", "delta_lower", "lp_iterations"}.isdisjoint(cert)
+    if spec.kind == "WC":
+        assert cert["iterations"] == 0 and cert["newton_iterations"] > 0
+    else:
+        assert cert["v_star"] == math.inf and cert["iterations"] > 0
+
+
+def test_empty_m_that_newton_cannot_prove_goes_to_the_lp(dual_lps):
+    # TNORM(1.2, 0.2) on M-empty drift markets: on most, the power run's
+    # direction proves M empty; on some (6 of 27 here) it does not clear
+    # the emptiness margin, and the classical LP proves it.  That
+    # certificate keeps Newton's steps and the LP's iterations apart.
+    rng = np.random.default_rng(2)
+    spec = RiskSpec.tnorm(1.2, 0.2)
+    seen = by_newton = 0
+    for _ in range(60):
+        market = make_drift_market(rng, int(rng.integers(20, 80)), 4, 1.0)
+        if (_proves_empty(market.tangency_excess) is not None
+                or classical_no_arbitrage(market).status != "INFEASIBLE"):
+            continue
+        dual_lps.clear()
+        verdict = classify_dual(market, spec)
+        cert = verdict.certificate
+        assert verdict.verdict == "STRONG_RHO_ARBITRAGE" and verdict.annotations == ("M_EMPTY",)
+        if dual_lps:
+            assert len(dual_lps) == 1 and cert["delta_classical"] == 0.0
+            assert cert["lp_iterations"] == classical_no_arbitrage(market).iterations
+            assert "arbitrage_portfolio" not in cert
+            seen += 1
+        else:
+            assert "delta_classical" not in cert and cert["excess_min"] > 0.0
+            by_newton += 1
+        assert cert["iterations"] > 0
+    assert seen and by_newton
 
 
 def test_gentropic_budget_must_exceed_the_penalty_at_one():
@@ -401,7 +491,8 @@ def test_spectral_duo_matches_grid_oracle():
         np.array([0.5, 0.5]), target, atoms)
     assert mismatch < 1e-3
     assert v.verdict == "NO_ARBITRAGE"
-    assert cert["t_star"] < cert["box_upper"] - 1e-9 and cert["delta_classical"] > 1e-9
+    deltas = classical_deltas(cert)
+    assert cert["t_star"] < cert["box_upper"] - 1e-9 and len(deltas) == 1 and deltas[0] > 1e-9
     # Strictly inside: the grid finds the mixture with every box shrunk.
     mismatch = oracles.spectral_mixture_feasible(
         np.array([0.5, 0.5]), target, atoms, delta=1e-3)
@@ -441,7 +532,8 @@ def test_spectral_sweep_matches_the_box_mixture_rule():
     for _ in range(16):
         for make in makers:
             market = make()
-            m_empty = classical_no_arbitrage(market).status == "INFEASIBLE"
+            cl = classical_no_arbitrage(market)
+            m_empty = cl.status == "INFEASIBLE"
             for atoms in spectra:
                 v = classify_dual(market, RiskSpec.spectral(atoms))
                 cert = v.certificate
@@ -456,11 +548,18 @@ def test_spectral_sweep_matches_the_box_mixture_rule():
                 assert {"delta", "delta_prime", "strong_feasible"}.isdisjoint(cert)
                 # A level-1 atom hides an empty M from the box-scale LP,
                 # but not from the tangency portfolio's proof.
-                pinned = atoms[-1][0] == 1.0 and _tangency_proves_empty(market) is None
+                pinned = atoms[-1][0] == 1.0 and _proves_empty(market.tangency_excess) is None
                 assert ("M_EMPTY" in v.annotations) == (m_empty and not pinned)
                 assert ("BOUNDARY" in v.annotations) == (
                     abs(cert["t_star"] - cert["box_upper"]) <= CLASSIFY_TOL)
-                assert ("delta_classical" in cert) == (cert["t_star"] <= cert["box_upper"] + 1e-9)
+                # The classical test runs exactly where t* does not decide
+                # STRONG, and leaves delta_classical (LP) or delta_lower.
+                deltas = classical_deltas(cert)
+                assert len(deltas) == (cert["t_star"] <= cert["box_upper"] + 1e-9)
+                if expected == "NO_ARBITRAGE":
+                    assert deltas[0] > 1e-9
+                if "delta_lower" in cert:
+                    assert cl.delta >= cert["delta_lower"] - 1e-12 > CLASSIFY_TOL
                 if "witness" in cert:
                     z = np.asarray(cert["witness"]["z"])
                     assert cert["witness"]["residual"] <= 1e-9
@@ -573,7 +672,13 @@ def test_es_sweep_matches_the_box_mixture_rule():
                     expected = "RHO_ARBITRAGE"
                 assert v.verdict == expected
                 assert "delta_star" not in cert
-                assert ("delta_classical" in cert) == (expected != "STRONG_RHO_ARBITRAGE")
+                deltas = classical_deltas(cert)
+                assert len(deltas) == (expected != "STRONG_RHO_ARBITRAGE")
+                if expected == "NO_ARBITRAGE":
+                    assert deltas[0] > 1e-9
+                if "delta_lower" in cert:
+                    delta = classical_no_arbitrage(market).delta
+                    assert delta >= cert["delta_lower"] - 1e-12 > CLASSIFY_TOL
                 if expected == "NO_ARBITRAGE":
                     z = np.asarray(cert["witness"]["z"])
                     assert z.min() > 0.0 and z.max() < 1.0 / alpha

@@ -24,11 +24,12 @@ import rhoarb.lp as lp_module
 from conftest import (binomial_market, duo_market, make_dominating_market, make_drift_market,
                       make_priced_market, make_random_market, make_tanh_priced_market)
 from oracles import build_ru_lp, es_strict_check, spectral_box_scale
-from rhoarb.dual import (MartingalePolytope, _tangency_proves_empty, classical_no_arbitrage,
-                         classify_dual, cross_validate, es_min_supnorm)
+from rhoarb.dual import (MartingalePolytope, _decide_classical, _proves_empty,
+                         classical_no_arbitrage, classify_dual, cross_validate, es_min_supnorm)
 from rhoarb.elliptical import EllipticalMarket, critical_alpha, gaussian_rho_z, sr_max
-from rhoarb.frontier import compute_rho1
+from rhoarb.frontier import CLASSIFY_TOL, compute_rho1
 from rhoarb.gaussian import Phi_inv, phi
+from rhoarb.lp import INFEASIBLE, OPTIMAL
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, evaluate
 
@@ -187,7 +188,10 @@ def test_classical_lp_matches_highs_past_the_tangency_proof():
     # that the tangency portfolio does not prove empty, against HiGHS on
     # the direct form max delta with delta <= z, z in M: the same status,
     # and delta* to 1e-12.  Some are M-empty (the dual run ends on a Farkas
-    # ray), some have delta* = 0.
+    # ray), some have delta* = 0.  The classical test of the dual verdicts
+    # decides each market too.  Where it skips the LP, HiGHS finds delta*
+    # at least its density's min entry, or no density at all where a Newton
+    # direction proved M empty; where it runs the LP, it has the LP's answer.
     rng = np.random.default_rng(2468)
     draws = [
         lambda: make_random_market(rng, n_max=12, d_max=3),
@@ -198,10 +202,11 @@ def test_classical_lp_matches_highs_past_the_tangency_proof():
                                   float(rng.uniform(0.2, 2.0))),
     ]
     statuses = []
+    skipped = {OPTIMAL: 0, INFEASIBLE: 0}
     worst = 0.0
     while len(statuses) < 1000:
         market = draws[len(statuses) % len(draws)]()
-        if _tangency_proves_empty(market) is not None:
+        if _proves_empty(market.tangency_excess) is not None:
             continue
         poly = market.polytope
         N = market.n_scenarios
@@ -209,14 +214,26 @@ def test_classical_lp_matches_highs_past_the_tangency_proof():
                      poly.b, np.hstack([-np.eye(N), np.ones((N, 1))]), np.zeros(N))
         cl = classical_no_arbitrage(market)
         statuses.append(cl.status)
+        test = _decide_classical(market, CLASSIFY_TOL)
+        if test.lp:
+            assert (test.status, test.delta, test.iterations) == (cl.status, cl.delta, cl.iterations)
+        else:
+            skipped[test.status] += 1
         if ref.status == 2:
-            assert cl.status == "INFEASIBLE"
+            assert cl.status == "INFEASIBLE" and test.status == "INFEASIBLE"
+            if not test.lp:
+                x = test.portfolio @ market.excess_matrix
+                assert test.excess_min == float(x.min()) > 1e-9 * float(np.abs(x).max())
             continue
-        assert ref.status == 0 and cl.status == "OPTIMAL"
+        assert ref.status == 0 and cl.status == "OPTIMAL" and test.status == "OPTIMAL"
         worst = max(worst, abs(cl.delta + ref.fun) / max(-ref.fun, 1e-3))
         assert cl.witness.residual < 1e-9
+        if not test.lp:
+            assert -ref.fun >= test.delta - 1e-12 and test.delta > CLASSIFY_TOL
+            assert test.witness.min_entry == test.delta and test.witness.residual < 1e-9
     assert 20 <= statuses.count("INFEASIBLE") <= 200
     assert worst <= 1e-12
+    assert skipped[OPTIMAL] >= 600 and skipped[INFEASIBLE] >= 20
 
 
 def test_strict_box_unbounded_scale_is_the_constant_density():
@@ -289,7 +306,8 @@ def _check_spectral_against_highs(market, atoms):
     assert (v.verdict == "NO_ARBITRAGE") == (t_star > 1e-9)
     if v.verdict != "NO_ARBITRAGE":
         return "strict-fails"
-    assert cert["t_star"] < cert["box_upper"] and cert["delta_classical"] > 1e-9
+    deltas = [cert[key] for key in ("delta_classical", "delta_lower") if key in cert]
+    assert cert["t_star"] < cert["box_upper"] and len(deltas) == 1 and deltas[0] > 1e-9
     z = np.asarray(cert["witness"]["z"])
     assert z.min() > 0.0 and spectral_box_scale(market, atoms, z) < 1.0
     return "strict"
@@ -322,6 +340,10 @@ def test_spectral_box_mixture_matches_highs_margin_rows():
 
 
 def test_spectral_dual_solves_the_box_scale_lp_then_the_classical_lp(monkeypatch):
+    # The box-scale LP first; then, unless t* decides STRONG, the classical
+    # LP where no density decides delta* before it.  On the priced market
+    # the tangency or the Gibbs density does; on the binomial market P is
+    # empty, so only the LP can.
     calls = []
     solve = rhoarb.dual.lp_solve
 
@@ -330,15 +352,18 @@ def test_spectral_dual_solves_the_box_scale_lp_then_the_classical_lp(monkeypatch
         return solve(lp)
 
     monkeypatch.setattr(rhoarb.dual, "lp_solve", counted)
-    market = make_tanh_priced_market(np.random.default_rng(11), 200, 4)
-    for atoms in SPECTRA:
-        calls.clear()
-        v = classify_dual(market, RiskSpec.spectral(atoms))
-        n_free, d = sum(1 for a, _ in atoms if a < 1.0), market.n_assets
-        strong = v.verdict == "STRONG_RHO_ARBITRAGE"
-        assert [lp.A_eq.shape[0] for lp in calls] == [n_free + d] + ([] if strong else [d + 1])
-        assert calls[0].A_le.shape[0] == 0
-    assert v.verdict == "NO_ARBITRAGE"
+    priced = make_tanh_priced_market(np.random.default_rng(11), 200, 4)
+    for market in (priced, binomial_market()):
+        for atoms in SPECTRA:
+            calls.clear()
+            v = classify_dual(market, RiskSpec.spectral(atoms))
+            n_free, d = sum(1 for a, _ in atoms if a < 1.0), market.n_assets
+            strong = v.verdict == "STRONG_RHO_ARBITRAGE"
+            classical = [] if strong or market is priced else [d + 1]
+            assert [lp.A_eq.shape[0] for lp in calls] == [n_free + d] + classical
+            assert calls[0].A_le.shape[0] == 0
+            assert ("delta_lower" in v.certificate) == (market is priced and not strong)
+        assert v.verdict == ("NO_ARBITRAGE" if market is priced else "RHO_ARBITRAGE")
 
 
 # -- the basis hint of the slice and box-scale LPs --------------------------------
@@ -415,6 +440,7 @@ def test_every_lp_of_a_valid_market_runs_from_the_dual_start(monkeypatch, fronti
              RiskSpec.evar(0.1), RiskSpec.tnorm(2.0, 0.25)]
     guards = 0
     for market in markets:
+        classical_no_arbitrage(market)  # which the dual tests solve only where no density decides
         for spec in specs:
             before = len(frontier_lps)
             cross_validate(market, spec)
@@ -532,7 +558,9 @@ def test_gaussian_sample_critical_es_level_from_the_supnorm():
 def test_dual_certificate_counts_its_lp_iterations(monkeypatch, kind):
     # The dual verdict's certificate carries the iterations of every LP it
     # solved.  Each count is raised by one, so the sum is positive even
-    # where a hinted start is optimal at iteration 0.
+    # where a hinted start is optimal at iteration 0.  On the priced market
+    # a density decides delta* without the classical LP; on the binomial
+    # market, where delta* = 0, the classical LP runs.
     counted = []
     solve = rhoarb.dual.lp_solve
 
@@ -543,8 +571,13 @@ def test_dual_certificate_counts_its_lp_iterations(monkeypatch, kind):
         return sol
 
     monkeypatch.setattr(rhoarb.dual, "lp_solve", counting)
-    market = make_tanh_priced_market(np.random.default_rng(12), 80, 4)
-    verdict = classify_dual(market, SPECS[kind])
-    assert verdict.verdict == "NO_ARBITRAGE"
-    assert len(counted) == (1 if kind == "WC" else 2)
-    assert verdict.certificate["iterations"] == sum(counted) > 0
+    box = kind != "WC"  # ES and SPECTRAL solve the box-scale LP first
+    for market, expected, lps in ((make_tanh_priced_market(np.random.default_rng(12), 80, 4),
+                                   "NO_ARBITRAGE", box),
+                                  (binomial_market(), "RHO_ARBITRAGE", box + 1)):
+        counted.clear()
+        verdict = classify_dual(market, SPECS[kind])
+        assert verdict.verdict == expected
+        assert len(counted) == lps
+        assert verdict.certificate["iterations"] == sum(counted) >= lps
+        assert ("delta_classical" in verdict.certificate) == (lps > box)

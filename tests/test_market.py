@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import binomial_market, make_random_market
+from conftest import (binomial_market, duo_market, make_dominating_market, make_drift_market,
+                      make_priced_market, make_random_market, make_tanh_priced_market)
+from rhoarb.dual import DENSITY_RTOL
 from rhoarb.market import (DegenerateMarketError, ScenarioMarket,
                            canonical_portfolio, excess_return, expected_excess,
                            validate_market)
@@ -176,3 +178,36 @@ def test_tangency_order_sorts_the_tangency_excess_stably_once():
     flat = ScenarioMarket(probs=(0.5, 0.5), riskless_rate=0.0, returns=[[0.1, 0.1]])
     assert flat.tangency.tolist() == pytest.approx([10.0], rel=1e-15)
     assert sorted(flat.tangency_order.tolist()) == [0, 1]
+
+
+def test_tangency_density_lies_in_m_on_every_generator_and_its_basis_point_twin():
+    # Z_T = 1 + E[x] - x, x = pi_T . e, has E[Z_T] = 1 and prices every
+    # asset: each row of M holds to DENSITY_RTOL of its own scale,
+    # E|row| max Z_T, in any units of the returns.
+    rng = np.random.default_rng(4242)
+    draws = [binomial_market, duo_market,
+             lambda: make_random_market(rng, n_max=12, d_max=3),
+             lambda: make_priced_market(rng, n_max=10, d_max=3),
+             lambda: make_tanh_priced_market(rng, int(rng.integers(8, 200)),
+                                             int(rng.integers(1, 8))),
+             lambda: make_dominating_market(rng),
+             lambda: make_drift_market(rng, int(rng.integers(8, 200)), int(rng.integers(1, 8)),
+                                       float(rng.uniform(0.2, 2.0))),
+             lambda: make_drift_market(rng, 50, 3, 0.5, equal_odds=True)]
+    for draw in draws:
+        for _ in range(40):
+            market = draw()
+            for k in (1.0, 1e4):
+                twin = ScenarioMarket(probs=market.probs, riskless_rate=market.riskless_rate * k,
+                                      returns=market.returns * k)
+                z = twin.tangency_density
+                A, b = twin.polytope.A, twin.polytope.b
+                assert abs(float(twin.probs @ z) - 1.0) <= 1e-14 * float(np.abs(z).max())
+                assert np.all(np.abs(A @ z - b)
+                              <= DENSITY_RTOL * float(np.abs(z).max()) * np.abs(A).sum(axis=1))
+                assert twin.tangency_density is z and not z.flags.writeable
+    # A singular covariance leaves the fallback direction, whose density
+    # does not price the asset.
+    flat = ScenarioMarket(probs=(0.5, 0.5), riskless_rate=0.0, returns=[[0.1, 0.1]])
+    assert flat.tangency_density.tolist() == pytest.approx([1.0, 1.0], rel=1e-15)
+    assert flat.polytope.residual(flat.tangency_density) > 0.05
