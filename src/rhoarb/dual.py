@@ -5,66 +5,65 @@ The martingale polytope of a market is
     M = { Z >= 0 : E[Z] = 1, E[Z (R_i - r)] = 0 for every asset i },
 
 its strictly positive part P = M with Z > 0.  Classical no-arbitrage is
-"P nonempty": delta* > 0 for the max-min-entry LP.  Each positively
-homogeneous measure turns absence of rho-arbitrage into a geometric
-statement about M:
+"P nonempty": delta* > 0 for the max-min-entry LP.  For every coherent
+measure the dual criterion has one shape: no strong rho-arbitrage iff M
+meets the dual set, and no rho-arbitrage iff some Z in P lies strictly
+inside it.  So each test is a strong-form value against a bound, then
+the classical delta* > 0:
 
-    WC        strong-form: M nonempty;     strict: max-min-entry delta* > 0
-    ES        strong-form: min sup-norm t* over M is <= 1/alpha;
-              strict: t* < 1/alpha and classical delta* > 0
-    SPECTRAL  strong-form: a mixture Z = sum_j w_j zeta_j in M with each
-              zeta_j in the level-alpha_j box; strict: same, strictly
-              inside the boxes, and classical delta* > 0
-    GENTROPIC strong-form: v* = min_{Z in M} E[g(Z)] <= beta;
-              strict: classical delta* > 0 and v* < beta
+    WC        no bound: every density is in the dual set
+    ES        t* = min sup-norm over M, against 1/alpha
+    SPECTRAL  t* = kappa* / alpha_1, kappa* the least common scale of the
+              boxes zeta_j <= kappa / alpha_j at which a mixture
+              Z = sum_j w_j zeta_j lies in M, against 1/alpha_1
+    GENTROPIC v* = min_{Z in M} E[g(Z)], against beta
 
-Before any LP, the tests try to prove M empty from the Gaussian tangency
-portfolio pi_T alone: pi_T . e > 0 in every scenario leaves no density
-that prices it (_proves_empty, which checks any portfolio that way).
+classify_dual runs one pipeline for all of them: the tangency portfolio
+pi_T, which proves M empty when pi_T . e > 0 in every scenario
+(_proves_empty), then the strong-form program, then the classical test
+where the verdict needs delta* (_decide_classical), and one tail
+(_verdict) that turns the value, the bound and delta* into the verdict.
+M is convex, so mixing a little of the strictly positive density that
+decided the classical test into a minimizer strictly inside the dual set
+keeps it inside and makes it strictly positive (_mix_positive).
 
-The classical test (_decide_classical) solves the LP only where nothing
-cheaper decides.  Any density in M whose entries all exceed the
-tolerance shows delta* above it, and two come nearly free: the tangency
-density Z_T = 1 + E[x] - x, x = pi_T . e, which prices every asset
+The classical test solves the LP only where nothing cheaper decides.
+Any density in M whose entries all exceed the tolerance shows delta*
+above it, and two come nearly free: the tangency density
+Z_T = 1 + E[x] - x, x = pi_T . e, which prices every asset
 (ScenarioMarket.tangency_density), and the density of a converged Newton
 solve: the penalty test's own, or else the entropy's Gibbs density,
 which is strictly positive.  A diverged solve's multipliers run off
 along an arbitrage when M is empty, which _proves_empty then confirms.
 Only where none of these decides does the max-min-entry LP run
-(classical_no_arbitrage).
+(classical_no_arbitrage).  The classical and sup-norm LPs keep the d + 1
+rows of M.  Every column of the classical LP is boxed (caps that no
+density in M reaches), so it runs the dual simplex from a
+tangency-ordered hint, and an empty M ends it on a Farkas ray (lp
+module).
 
-M is convex, so a strict test splits into the classical test and the
-strong-form program: mixing a little of the strictly positive density
-that decided the classical test into a density strictly inside the dual
-set keeps it inside and makes it strictly positive (_mix_positive).  The
-classical and sup-norm LPs keep the d + 1 rows of M.  Every column of
-the classical LP is boxed (caps that no density in M reaches), so it
-runs the dual simplex from a tangency-ordered hint, and an empty M ends
-it on a Farkas ray (lp module).  The penalty tests run Newton first and
-take the classical test only where Newton's minimizer cannot decide:
-when Newton does not converge, or when the minimizer has an entry near
-zero and no strong verdict (_classify_gentropic).
+ES and SPECTRAL share one box-scale LP (es_min_supnorm), with one block
+of N variables and one row per atom below level 1, plus one row per
+asset; with one atom it is the sup-norm LP.  Every penalty minimizes
+through an unconstrained smooth dual in d + 1 or fewer variables by
+damped Newton (no gap on finite scenario spaces): the entropy through
+the cumulant log E exp(lam . e), every other g through its conjugate,
+E[g*(nu + lam . e)] - nu.  A custom g takes its conjugate over the box
+0 <= z <= 1/p_omega, which holds every density in M
+(measures.conjugate).
 
-A spectral measure is a mixture of ES atoms, and its strong form is one
-box-scale LP: the least common scale kappa* of the boxes zeta_j <=
-kappa / alpha_j at which a mixture lies in M, with one block of N
-variables and one row per atom below level 1, plus one row per asset
-(es_min_supnorm with a spectrum).  Read as t* = kappa* / alpha_1 it is
-the sup-norm LP when the spectrum is one atom, so ES and SPECTRAL share
-the LP, the bound t* < 1/alpha_1 and the classifier.
-
-Every penalty minimizes through an unconstrained smooth dual in d + 1 or
-fewer variables by damped Newton (no gap on finite scenario spaces): the
-entropy through the cumulant log E exp(lam . e), every other g through
-its conjugate, E[g*(nu + lam . e)] - nu.  A custom g takes its
-conjugate over the box 0 <= z <= 1/p_omega, which holds every density
-in M (measures.conjugate).
+Every certificate speaks one vocabulary: lp_iterations and
+newton_iterations count all the simplex iterations and Newton steps the
+test ran; delta_classical (the LP's delta*) or delta_lower (a deciding
+density's min entry) records the classical test; arbitrage_portfolio and
+excess_min record a portfolio that proved M empty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -128,22 +127,16 @@ def _proves_empty(x: Vector) -> float | None:
 @dataclass(frozen=True, eq=False)
 class ClassicalResult:
     status: str                      # OPTIMAL or INFEASIBLE (M empty)
-    delta: float                     # delta* if lp, else min entry of witness (<= delta*); 0 if empty
+    delta: float                     # delta* (LP), else the deciding density's min entry; 0 if empty
     witness: DualWitness | None      # the LP's optimum or the density that decided; None if empty
-    iterations: int = 0              # simplex iterations of its LP (LPSolution.iterations)
-    lp: bool = True                  # whether the classical LP ran
-    portfolio: Vector | None = None  # an arbitrage pi . e > 0 that proved M empty without the LP
-    excess_min: float = 0.0          # min pi . e of that portfolio
-    newton_iterations: int = 0       # steps of the entropy solve the test ran itself
+    iterations: int = 0              # simplex iterations of the classical LP; 0 where it did not run
+    entries: dict = field(default_factory=dict)  # what the test adds to a dual certificate
 
-    def entries(self) -> dict:
-        """Certificate entries: delta_classical when the LP ran, delta_lower
-        (the deciding density's min entry, so delta* >= delta_lower) when a
-        density decided without it, and the arbitrage portfolio with its
-        least excess when one proved M empty."""
-        if self.portfolio is not None:
-            return {"arbitrage_portfolio": self.portfolio.tolist(), "excess_min": self.excess_min}
-        return {"delta_classical" if self.lp else "delta_lower": self.delta}
+
+def _empty(pi: Vector, low: float) -> ClassicalResult:
+    """M empty, proved by the portfolio pi with least excess low (_proves_empty)."""
+    return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None,
+                           entries={"arbitrage_portfolio": pi.tolist(), "excess_min": low})
 
 
 def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
@@ -172,13 +165,13 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
                                  hint=hint))
     if sol.status == INFEASIBLE:
         return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None,
-                               iterations=sol.iterations)
+                               iterations=sol.iterations, entries={"delta_classical": 0.0})
     if sol.status != OPTIMAL:
         raise SimplexError(f"classical LP returned {sol.status}")
     delta = float(sol.x[N])
     return ClassicalResult(status=OPTIMAL, delta=delta,
                            witness=DualWitness.of(poly, delta + sol.x[:N]),
-                           iterations=sol.iterations)
+                           iterations=sol.iterations, entries={"delta_classical": delta})
 
 
 def _decide_classical(market: ScenarioMarket, tol: float,
@@ -204,32 +197,37 @@ def _decide_classical(market: ScenarioMarket, tol: float,
     3. The max-min-entry LP (classical_no_arbitrage).
 
     Each shortcut fires only where it proves what the LP would find: an
-    OPTIMAL delta* > tol, or INFEASIBLE.  Then delta is a lower bound on
-    delta*, the deciding density's min entry, and lp is False.
+    OPTIMAL delta* > tol, or INFEASIBLE; then iterations is 0.  entries
+    is what the test adds to a certificate: delta_classical where the LP
+    ran, else delta_lower, the deciding density's min entry (delta* >=
+    delta_lower), or the arbitrage portfolio and its least excess where
+    one proved M empty; and newton_iterations where it ran its own
+    entropy solve.
     """
     floor = max(tol, ZERO_TOL)
     poly = market.polytope
+
+    def decided(z: Vector) -> ClassicalResult:
+        witness = DualWitness.of(poly, z)
+        return ClassicalResult(status=OPTIMAL, delta=witness.min_entry, witness=witness,
+                               entries={"delta_lower": witness.min_entry})
+
     z = market.tangency_density
     if z.min() > floor and np.all(np.abs(poly.A @ z - poly.b)
                                   <= DENSITY_RTOL * float(z.max()) * np.abs(poly.A).sum(axis=1)):
-        witness = DualWitness.of(poly, z)
-        return ClassicalResult(status=OPTIMAL, delta=witness.min_entry, witness=witness, lp=False)
-    steps = 0
+        return decided(z)
+    own = {}
     if run is None:
         run = _penalty_min(ENTROPY, market.probs, market.excess_matrix.T)
-        steps = run.iterations
-    if run.status == "OK":
-        if run.z.min() > floor:
-            witness = DualWitness.of(poly, run.z)
-            return ClassicalResult(status=OPTIMAL, delta=witness.min_entry, witness=witness,
-                                   lp=False, newton_iterations=steps)
+        own = {"newton_iterations": run.iterations}
+    low = None if run.status == "OK" else _proves_empty(-run.lam @ market.excess_matrix)
+    if run.status == "OK" and run.z.min() > floor:
+        cl = decided(run.z)
+    elif low is not None:
+        cl = _empty(-run.lam, low)
     else:
-        pi = -run.lam
-        low = _proves_empty(pi @ market.excess_matrix)
-        if low is not None:
-            return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None, lp=False,
-                                   portfolio=pi, excess_min=low, newton_iterations=steps)
-    return replace(classical_no_arbitrage(market), newton_iterations=steps)
+        cl = classical_no_arbitrage(market)
+    return replace(cl, entries={**cl.entries, **own})
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,145 +347,127 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
                   tol: float = CLASSIFY_TOL) -> ArbitrageVerdict:
     """Trichotomy by the dual criteria for the measure's dual set.
 
-    WC runs the classical test (_decide_classical), ES and SPECTRAL the
-    sup-norm (box-scale) LP and then, unless t* decides STRONG, the
-    classical test; EVAR, TNORM and GENTROPIC test their penalty ball
-    (RiskSpec.penalty_ball) by Newton and take the classical test, on
-    their own Newton run, only where its minimizer cannot decide
-    (_classify_gentropic).  The classical test solves the classical LP
-    only where neither the tangency density nor a Newton run decides.
-    Each first tries to prove M empty from the tangency portfolio
-    (_proves_empty): then the verdict is STRONG_RHO_ARBITRAGE with the
-    annotation M_EMPTY, and its certificate carries iterations 0,
-    arbitrage_portfolio pi_T and tangency_excess_min, the least
-    pi_T . e.  Raises UnsupportedDualError for VaR, which has no dual
-    density set.
-
-    Certificates carry the decisive scalars and a density witness where
-    one exists.  delta_classical is there exactly when the classical LP
-    ran; where a density decided without it, delta_lower, that density's
-    min entry, stands in (delta* >= delta_lower > tol).  An M_EMPTY
-    verdict that a Newton run's direction proved carries that direction
-    as arbitrage_portfolio and its least excess as excess_min.  Counts
-    keep their units apart: on WC, ES and SPECTRAL iterations sums the LP
-    iterations and newton_iterations counts the steps of the classical
-    test's entropy solve; on the penalty tests iterations counts Newton
-    steps and lp_iterations, there when the classical LP ran, its
-    iterations.  BOUNDARY is annotated when the deciding comparison sits
-    within tol of its threshold.
+    One pipeline (module docstring) for every measure but VaR, which has
+    no dual density set and raises UnsupportedDualError.  Every
+    certificate carries lp_iterations and newton_iterations, 0 where none
+    ran.  ES and SPECTRAL add t_star and box_upper, the penalty tests
+    v_star, beta and, unless M is empty, gap; t_star and v_star are inf on
+    an empty M.  delta_classical is there exactly when the classical LP
+    ran, else delta_lower where a density decided (delta* >= delta_lower >
+    tol).  An M_EMPTY verdict that a portfolio proved carries it as
+    arbitrage_portfolio, with its least excess as excess_min.  A density
+    witness is there wherever a test found one.  BOUNDARY is annotated
+    when the deciding comparison sits within tol of its threshold.
     """
     if spec.kind == "VAR":
         raise UnsupportedDualError("UNSUPPORTED_DUAL: VaR admits no dual density set")
     if spec.kind == "WC":
-        return _classify_wc(market, tol)
-    if spec.kind in ("ES", "SPECTRAL"):
-        return _classify_es(market, spec.spectrum or ((spec.alpha, 1.0),), tol)
-    return _classify_gentropic(market, spec.penalty_ball, tol)
-
-
-def _empty_verdict(cert: dict, market: ScenarioMarket, low: float) -> ArbitrageVerdict:
-    """Strong arbitrage on a market whose tangency portfolio proves M empty
-    (_proves_empty), with no LP solved."""
-    cert.update(iterations=0, arbitrage_portfolio=market.tangency.tolist(),
-                tangency_excess_min=low)
-    return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                            certificate=cert, annotations=("M_EMPTY",))
-
-
-def _classify_wc(market: ScenarioMarket, tol: float) -> ArbitrageVerdict:
+        cert: dict = {}
+    elif spec.kind in ("ES", "SPECTRAL"):
+        atoms = spec.spectrum or ((spec.alpha, 1.0),)
+        cert = {"t_star": math.inf, "box_upper": 1.0 / min(a for a, _ in atoms)}
+    else:
+        cert = {"v_star": math.inf, "beta": spec.penalty_ball.beta}
+    cert.update(lp_iterations=0, newton_iterations=0)
     low = _proves_empty(market.tangency_excess)
     if low is not None:
-        return _empty_verdict({}, market, low)
-    cl = _decide_classical(market, tol)
-    cert: dict = {**cl.entries(), "iterations": cl.iterations,
-                  "newton_iterations": cl.newton_iterations}
-    if cl.status == INFEASIBLE:
-        return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=("M_EMPTY",))
-    cert["witness"] = cl.witness.to_dict()
-    if cl.delta > ZERO_TOL:
-        ann = ("BOUNDARY",) if cl.delta <= tol else ()
-        return ArbitrageVerdict(verdict="NO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=ann)
-    return ArbitrageVerdict(verdict="RHO_ARBITRAGE", route="DUAL", certificate=cert)
+        return _verdict(market, cert, _empty(market.tangency, low), tol)
+    if spec.kind == "WC":
+        cl = _decide_classical(market, tol)
+        return _verdict(market, cert, cl, tol, witness=cl.witness)
+    if spec.kind in ("ES", "SPECTRAL"):
+        return _classify_es(market, atoms, cert, tol)
+    return _classify_penalty(market, spec.penalty_ball, cert, tol)
 
 
-def _classify_es(market: ScenarioMarket, atoms, tol: float) -> ArbitrageVerdict:
+def _verdict(market: ScenarioMarket, cert: dict, cl: ClassicalResult | None, tol: float,
+             value: float = 0.0, bound: float = math.inf, witness: DualWitness | None = None,
+             found: dict | None = None, value_of: Callable[[Vector], float] | None = None,
+             ann: tuple = ()) -> ArbitrageVerdict:
+    """The verdict of every dual test from its strong form and classical test.
+
+    value is the strong-form minimum (t*, v*) and bound its threshold; WC
+    has none, and takes the default 0 < inf.  witness is the minimizer, or
+    WC's classical density; found are the strong-form entries the
+    certificate takes unless M is empty; value_of maps a density to the
+    strong form's units; ann are the strong form's own annotations.  cl is
+    None where the strong form decides alone: a strong verdict, or a
+    minimizer whose entries all exceed max(tol, ZERO_TOL).
+
+    An INFEASIBLE classical test is STRONG_RHO_ARBITRAGE with M_EMPTY.
+    Otherwise value > bound is strong arbitrage; value < bound and
+    delta* > 0 no arbitrage, with the classical density mixed into a
+    minimizer that has a zero entry (_mix_positive); and the rest
+    RHO_ARBITRAGE.  BOUNDARY marks |value - bound| <= tol or, with no
+    bound, a delta* within tol of 0.
+    """
+    if cl is not None:
+        cert["lp_iterations"] += cl.iterations
+        cert.update(cl.entries)
+        if cl.status == INFEASIBLE:
+            return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
+                                    certificate=cert, annotations=("M_EMPTY",))
+    cert.update(found or {})
+    if abs(value - bound) <= tol if math.isfinite(bound) else ZERO_TOL < cl.delta <= tol:
+        ann += ("BOUNDARY",)
+    if not value <= bound + ZERO_TOL:
+        verdict = "STRONG_RHO_ARBITRAGE"
+    elif value < bound - ZERO_TOL and (cl is None or cl.delta > ZERO_TOL):
+        verdict = "NO_ARBITRAGE"
+        if witness.min_entry <= 0.0:
+            z = _mix_positive(witness.z, cl.witness.z, value, value_of(cl.witness.z), bound)
+            witness = DualWitness.of(market.polytope, z, penalty=None if witness.penalty is None
+                                     else value_of(z))
+    else:
+        verdict = "RHO_ARBITRAGE"
+    if witness is not None:
+        cert["witness"] = witness.to_dict()
+    return ArbitrageVerdict(verdict=verdict, route="DUAL", certificate=cert, annotations=ann)
+
+
+def _classify_es(market: ScenarioMarket, atoms, cert: dict, tol: float) -> ArbitrageVerdict:
     """ES (the spectrum ((alpha, 1),)) or SPECTRAL: no arbitrage iff some
     Z > 0 in M lies strictly inside every box of the mixture.
 
-    t* (es_min_supnorm) > 1/alpha_1, alpha_1 the lowest level below 1 (1
-    if there is none), is strong arbitrage.  Otherwise no arbitrage iff
-    t* < 1/alpha_1 and the classical delta* > 0 (_decide_classical); the
-    witness is then the minimizer, with the classical test's density mixed
-    in (_mix_positive) when it has a zero entry (which a level-1 atom,
-    Z >= w_pin, rules out).  Put in every box, zeta_j = Z_cl, that density
-    needs the scale ||Z_cl||_inf alpha_J, alpha_J the highest level below
-    1: that is ||Z_cl||_inf alpha_J / alpha_1 in units of t*.
+    The strong form is t* (es_min_supnorm) against 1/alpha_1, alpha_1 the
+    lowest level below 1 (1 if there is none), and the classical test runs
+    unless t* decides STRONG.  The classical density, put in every box,
+    zeta_j = Z_cl, needs the scale ||Z_cl||_inf alpha_J, alpha_J the
+    highest level below 1: that is ||Z_cl||_inf alpha_J / alpha_1 in units
+    of t*.  A level-1 atom keeps Z >= w_pin, so the minimizer has no zero
+    entry, and sigma* = 0 does not mean M is empty.
     """
     levels = [a for a, _ in atoms if a < 1.0] or [1.0]
-    bound = 1.0 / levels[0]
-    low = _proves_empty(market.tangency_excess)
-    if low is not None:
-        return _empty_verdict({"t_star": math.inf, "box_upper": bound}, market, low)
+    bound = cert["box_upper"]
     sup = es_min_supnorm(market, atoms)
-    cert: dict = {"t_star": sup.t, "box_upper": bound, "iterations": sup.iterations}
-    if sup.status == INFEASIBLE:
-        # A level-1 atom keeps Z >= w_pin: then sigma* = 0 does not mean M is empty.
-        pinned = atoms[0][0] < 1.0 <= atoms[-1][0]
-        return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=() if pinned else ("M_EMPTY",))
-    cert["witness"] = sup.witness.to_dict()
-    ann = ("BOUNDARY",) if abs(sup.t - bound) <= tol else ()
-    if sup.t > bound + ZERO_TOL:
-        return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=ann)
+    cert["lp_iterations"] = sup.iterations
+    empty = sup.status == INFEASIBLE and not atoms[0][0] < 1.0 <= atoms[-1][0]
     # The sup-norm optimum lies in M, so no portfolio proves M empty here.
-    cl = _decide_classical(market, tol)
-    cert.update(cl.entries(), newton_iterations=cl.newton_iterations)
-    cert["iterations"] += cl.iterations
-    if sup.t < bound - ZERO_TOL and cl.delta > ZERO_TOL:
-        witness = sup.witness
-        if witness.min_entry <= 0.0:
-            z = _mix_positive(witness.z, cl.witness.z, sup.t,
-                              cl.witness.sup_norm * (levels[-1] / levels[0]), bound)
-            witness = DualWitness.of(market.polytope, z)
-        cert["witness"] = witness.to_dict()
-        return ArbitrageVerdict(verdict="NO_ARBITRAGE", route="DUAL",
-                                certificate=cert, annotations=ann)
-    return ArbitrageVerdict(verdict="RHO_ARBITRAGE", route="DUAL", certificate=cert,
-                            annotations=ann)
+    cl = _decide_classical(market, tol) if sup.t <= bound + ZERO_TOL else None
+    return _verdict(market, cert, cl, tol, sup.t, bound, sup.witness, {"t_star": sup.t},
+                    lambda z: float(np.abs(z).max()) * (levels[-1] / levels[0]),
+                    ("M_EMPTY",) if empty else ())
 
 
-def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
-                        tol: float) -> ArbitrageVerdict:
+def _classify_penalty(market: ScenarioMarket, pen: RiskSpec, cert: dict,
+                      tol: float) -> ArbitrageVerdict:
     """EVAR, TNORM or GENTROPIC: the penalty ball {E[g(Z)] <= beta} of pen.
 
-    v* = min E[g(Z)] over M comes from the smooth dual (frontier._penalty_min),
-    which has no gap on finite scenario spaces: the cumulant for ENTROPY, the
-    conjugate for POWER and CUSTOM.  v* > beta (or NaN) is strong arbitrage.
-    Otherwise no arbitrage iff v* < beta and the classical delta* > 0; the
-    witness is then the minimizer, with the classical test's density mixed
-    in (_mix_positive) when it has a zero entry.  The certificate carries the
-    Newton iterations and the scaled gradient norm as gap.
+    The strong form is v* = min E[g(Z)] over M from the smooth dual
+    (frontier._penalty_min), which has no gap on finite scenario spaces:
+    the cumulant for ENTROPY, the conjugate for POWER and CUSTOM.  v* >
+    beta, or NaN, is strong arbitrage.  The certificate carries the Newton
+    steps and the scaled gradient norm as gap.
 
-    Newton runs first, and the classical test (_decide_classical, on this
-    Newton run) only where the verdict needs it: when Newton did not
-    converge, since M may then be empty, or when v* <= beta and the
-    witness has an entry at or below max(tol, ZERO_TOL), since delta* and
-    the mixture may then decide.  Otherwise a strong verdict needs no
-    delta*, and a converged witness in M with every entry above
-    max(tol, ZERO_TOL) (the entropy's Gibbs density is always positive)
-    shows delta* >= min Z > tol by itself.  An empty M is proved by the
-    run's direction or by the LP's INFEASIBLE; its certificate keeps the
-    Newton steps as iterations, with the LP's as lp_iterations when it
-    ran.
+    The classical test runs on this Newton run, and only where the verdict
+    needs it: when Newton did not converge, since M may then be empty, or
+    when v* <= beta and the minimizer has an entry at or below
+    max(tol, ZERO_TOL), since delta* and the mixture may then decide.
+    Otherwise a strong verdict needs no delta*, and a converged minimizer
+    in M with every entry above max(tol, ZERO_TOL) (the entropy's Gibbs
+    density is always positive) shows delta* >= min Z > tol by itself.
     """
     beta = pen.beta
-    low = _proves_empty(market.tangency_excess)
-    if low is not None:
-        return _empty_verdict({"v_star": math.inf, "beta": beta}, market, low)
-    poly = market.polytope
 
     def expected_penalty(z: Vector) -> float:
         return float(market.probs @ penalty(pen, np.maximum(z, 0.0)))
@@ -496,33 +476,15 @@ def _classify_gentropic(market: ScenarioMarket, pen: RiskSpec,
     v_star = res.value
     # E[z log z] = lam . E[z e] - K = -K to the gradient
     z_pen = v_star if pen.g_kind == "ENTROPY" else expected_penalty(res.z)
-    witness = DualWitness.of(poly, res.z, penalty=z_pen)
-    cert: dict = {"v_star": v_star, "beta": beta}
-    strict = v_star < beta - ZERO_TOL
+    witness = DualWitness.of(market.polytope, res.z, penalty=z_pen)
+    cert["newton_iterations"] = res.iterations
+    cl = None
     if res.status != "OK" or (v_star <= beta + ZERO_TOL
                               and witness.min_entry <= max(tol, ZERO_TOL)):
         cl = _decide_classical(market, tol, res)
-        if cl.lp:
-            cert["lp_iterations"] = cl.iterations
-        cert.update(cl.entries())
-        if cl.status == INFEASIBLE:
-            cert.update(v_star=math.inf, iterations=res.iterations)
-            return ArbitrageVerdict(verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
-                                    certificate=cert, annotations=("M_EMPTY",))
-        strict = strict and cl.delta > ZERO_TOL
-        if strict and witness.min_entry <= 0.0:
-            z_mix = _mix_positive(witness.z, cl.witness.z, v_star,
-                                  expected_penalty(cl.witness.z), beta)
-            witness = DualWitness.of(poly, z_mix, penalty=expected_penalty(z_mix))
-    cert.update(iterations=res.iterations, gap=res.gradient_norm, witness=witness.to_dict())
-    ann = ("DIVERGENT",) if res.status == "DIVERGENT" else ()
-    if math.isfinite(v_star) and abs(v_star - beta) <= tol:
-        ann += ("BOUNDARY",)
-    if not v_star <= beta + ZERO_TOL:
-        verdict = "STRONG_RHO_ARBITRAGE"
-    else:
-        verdict = "NO_ARBITRAGE" if strict else "RHO_ARBITRAGE"
-    return ArbitrageVerdict(verdict=verdict, route="DUAL", certificate=cert, annotations=ann)
+    return _verdict(market, cert, cl, tol, v_star, beta, witness,
+                    {"v_star": v_star, "gap": res.gradient_norm}, expected_penalty,
+                    ("DIVERGENT",) if res.status == "DIVERGENT" else ())
 
 
 # -- two-route agreement -----------------------------------------------------

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import rhoarb.dual
 import rhoarb.lp
 from rhoarb.cli import (EXIT_CODES, AnalysisReport, MarketFormatError,
                         analyze_market, load_market, load_risk, main)
 from rhoarb.elliptical import critical_alpha
+from rhoarb.frontier import ArbitrageVerdict
 from rhoarb.measures import RiskSpec
 
 BINOMIAL_JSON = {
@@ -73,6 +75,17 @@ def test_load_market_csv_drops_zero_probability_rows(tmp_path):
     assert np.allclose(market.returns, [[2.0, -1.0]])
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p,asset1\n0.5,1.0\n0.5,-1.0\n", "CSV header must start with 'prob'"),
+    ("prob,asset1\n0,1.0\n0,-1.0\n", "no scenarios with nonzero probability"),
+], ids=["header", "all-zero"])
+def test_load_market_csv_rejects_a_malformed_file(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MarketFormatError, match=message):
+        load_market(str(path))
+
+
 def test_load_market_unknown_format(binomial_file):
     with pytest.raises(MarketFormatError):
         load_market(binomial_file, "yaml")
@@ -126,7 +139,21 @@ def test_analyze_duo_no_arbitrage_with_witness(duo_file, capsys):
 def test_analyze_reports_the_dual_newton_solve(duo_file, capsys):
     main(["analyze", "--market", duo_file, "--risk", '{"kind": "TNORM", "p": 2, "alpha": 0.9}'])
     cert = json.loads(capsys.readouterr().out)["dual"]["certificate"]
-    assert cert["iterations"] > 0 and 0.0 <= cert["gap"] <= 1e-9
+    assert cert["newton_iterations"] > 0 and 0.0 <= cert["gap"] <= 1e-9
+
+
+def test_analyze_disagreement_is_reported_and_exits_one(duo_file, monkeypatch, capsys):
+    # The primal route finds rho1 = 2 on the duo market; a dual verdict of
+    # strong arbitrage far from its threshold contradicts it.
+    monkeypatch.setattr(rhoarb.dual, "classify_dual", lambda market, spec, tol: ArbitrageVerdict(
+        verdict="STRONG_RHO_ARBITRAGE", route="DUAL",
+        certificate={"t_star": 5.0, "box_upper": 4.0}))
+    code = main(["analyze", "--market", duo_file, "--risk", '{"kind": "ES", "alpha": 0.25}'])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"] == "DISAGREE"
+    assert report["cross"]["status"] == "DISAGREE"
+    assert report["primal"]["verdict"] == "NO_ARBITRAGE"
 
 
 def test_analyze_var_without_dual_is_unsupported(binomial_file, capsys):
@@ -228,6 +255,16 @@ def test_phase_curve_alpha_star_comment(capsys):
     assert 0.0155 <= a_star <= 0.0165
 
 
+def test_phase_curve_alpha_star_without_a_crossing(capsys):
+    # Every threshold on the bracket of levels lies below sr = 20.
+    assert main(["phase-curve", "--alphas", "0.1,0.5", "--sr", "20", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["alpha_star_es"] is None and data["alpha_star_var"] is None
+    assert main(["phase-curve", "--alphas", "0.1,0.5", "--sr", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "# alpha_star_es=NA" in out and "# alpha_star_var=NA" in out
+
+
 def test_phase_curve_json_alpha_star_is_not_rounded(capsys):
     assert main(["phase-curve", "--alphas", "0.1,0.5", "--sr", "0.5", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -255,6 +292,13 @@ def test_phase_curve_rejects_bad_grid(capsys):
     assert code == 1
 
 
+def test_analyze_unparsable_risk_is_an_error(duo_file, capsys):
+    code = main(["analyze", "--market", duo_file, "--risk", '{"kind": "ES", "alpha"'])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: cannot parse risk spec:")
+
+
 # -- elliptical ----------------------------------------------------------------
 
 
@@ -275,6 +319,15 @@ def test_elliptical_var_beyond_median_is_strong(capsys):
     assert code == 3
     assert data["verdict"]["verdict"] == "STRONG_RHO_ARBITRAGE"
     assert data["rho1"] == "-inf"
+
+
+def test_elliptical_alpha_star_is_null_without_a_crossing(capsys):
+    # SR_max = 20 lies above every ES threshold on the bracket of levels.
+    code = main(["elliptical", "--mu", "2.0", "--sigma", "0.01", "--measure", "ES"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert data["sr_max"] == pytest.approx(20.0, rel=1e-12)
+    assert data["alpha_star"] is None
 
 
 def test_elliptical_degenerate_mean_errors(capsys):

@@ -14,7 +14,8 @@ from conftest import (binomial_market, duo_market, make_dominating_market,
 from oracles import box_mixture, es_strict_check, spectral_box_scale
 from rhoarb.dual import (MartingalePolytope, _proves_empty, classical_no_arbitrage,
                          classify_dual, cross_validate, es_min_supnorm)
-from rhoarb.frontier import CLASSIFY_TOL, classify_primal, compute_rho1
+from rhoarb.frontier import (CLASSIFY_TOL, ArbitrageVerdict, FrontierResult, classify_primal,
+                             compute_rho1)
 from rhoarb.market import ScenarioMarket, excess_return
 from rhoarb.measures import RiskSpec, conjugate, evaluate
 
@@ -156,11 +157,12 @@ def test_tangency_proof_of_an_empty_m_solves_no_lp(spec, monkeypatch):
     assert verdict.verdict == "STRONG_RHO_ARBITRAGE"
     assert verdict.annotations == ("M_EMPTY",)
     cert = verdict.certificate
-    assert cert["iterations"] == 0 and "delta_classical" not in cert
-    assert cert["tangency_excess_min"] == pytest.approx(6.0, rel=1e-12)
+    assert cert["lp_iterations"] == cert["newton_iterations"] == 0
+    assert "delta_classical" not in cert
+    assert cert["excess_min"] == pytest.approx(6.0, rel=1e-12)
     market = unpriceable_market()
     assert cert["arbitrage_portfolio"] == market.tangency.tolist()
-    assert float((market.tangency @ market.excess_matrix).min()) == cert["tangency_excess_min"]
+    assert float((market.tangency @ market.excess_matrix).min()) == cert["excess_min"]
 
 
 # -- g-entropic penalties ------------------------------------------------------
@@ -236,7 +238,7 @@ def test_lp_measures_on_a_priced_market_solve_no_classical_lp(spec, dual_lps):
     assert classical_no_arbitrage(market).delta >= cert["delta_lower"]
     assert cert["witness"]["min_entry"] > 0.0 and cert["witness"]["residual"] <= 1e-9
     if spec.kind == "WC":
-        assert cert["witness"]["z"] == z.tolist() and cert["iterations"] == 0
+        assert cert["witness"]["z"] == z.tolist() and cert["lp_iterations"] == 0
 
 
 def test_wc_at_ten_thousand_scenarios_is_decided_by_the_gibbs_density(dual_lps):
@@ -250,7 +252,7 @@ def test_wc_at_ten_thousand_scenarios_is_decided_by_the_gibbs_density(dual_lps):
     assert verdict.verdict == "NO_ARBITRAGE" and verdict.annotations == ()
     assert not dual_lps
     cert = verdict.certificate
-    assert cert["iterations"] == 0 and 0 < cert["newton_iterations"] <= 10
+    assert cert["lp_iterations"] == 0 and 0 < cert["newton_iterations"] <= 10
     assert cert["delta_lower"] == cert["witness"]["min_entry"] > CLASSIFY_TOL
     assert cert["witness"]["residual"] <= 1e-9
 
@@ -280,7 +282,7 @@ def test_tnorm_witness_with_zero_entries_solves_the_classical_lp_and_mixes(dual_
     cert = verdict.certificate
     assert cert["delta_classical"] > 1e-9 and "delta_lower" not in cert
     # Newton's steps and the LP's iterations are counted apart.
-    assert cert["iterations"] == res.iterations
+    assert cert["newton_iterations"] == res.iterations
     assert cert["lp_iterations"] == classical_no_arbitrage(market).iterations
     assert cert["witness"]["min_entry"] > 0.0 and cert["witness"]["residual"] < 1e-9
     assert cert["v_star"] <= cert["witness"]["penalty"] < cert["beta"]
@@ -303,11 +305,10 @@ def test_empty_m_past_the_tangency_proof_solves_no_lp(spec, dual_lps):
     cert = verdict.certificate
     x = np.asarray(cert["arbitrage_portfolio"]) @ market.excess_matrix
     assert cert["excess_min"] == float(x.min()) > 1e-9 * float(np.abs(x).max())
-    assert {"delta_classical", "delta_lower", "lp_iterations"}.isdisjoint(cert)
-    if spec.kind == "WC":
-        assert cert["iterations"] == 0 and cert["newton_iterations"] > 0
-    else:
-        assert cert["v_star"] == math.inf and cert["iterations"] > 0
+    assert {"delta_classical", "delta_lower"}.isdisjoint(cert) and cert["lp_iterations"] == 0
+    assert cert["newton_iterations"] > 0
+    if spec.kind != "WC":
+        assert cert["v_star"] == math.inf
 
 
 def test_empty_m_that_newton_cannot_prove_goes_to_the_lp(dual_lps):
@@ -335,7 +336,7 @@ def test_empty_m_that_newton_cannot_prove_goes_to_the_lp(dual_lps):
         else:
             assert "delta_classical" not in cert and cert["excess_min"] > 0.0
             by_newton += 1
-        assert cert["iterations"] > 0
+        assert cert["newton_iterations"] > 0
     assert seen and by_newton
 
 
@@ -465,7 +466,7 @@ def test_spectral_point_mass_reduces_to_es():
             mix = classify_dual(market, RiskSpec.spectral([(alpha, 1.0)]))
             assert mix.verdict == es.verdict
             assert mix.certificate["t_star"] == es.certificate["t_star"]
-            assert mix.certificate["iterations"] == es.certificate["iterations"]
+            assert mix.certificate["lp_iterations"] == es.certificate["lp_iterations"]
 
 
 def test_spectral_binomial_never_arbitrage_free():
@@ -737,3 +738,27 @@ def test_cross_validate_report_round_trip():
     assert data["primal"]["verdict"] == "NO_ARBITRAGE"
     assert data["dual"]["verdict"] == "NO_ARBITRAGE"
     assert data["rho1"] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho1, dual, cert, status", [
+    (0.5, "NO_ARBITRAGE", {"t_star": 1.0, "box_upper": 4.0}, "AGREE"),
+    # Same verdict, only the primal near its threshold: still AGREE.
+    (5e-8, "RHO_ARBITRAGE", {}, "AGREE"),
+    (5e-8, "RHO_ARBITRAGE", {"t_star": 4.0, "box_upper": 4.0}, "BOUNDARY_AGREE"),
+    # Straddling verdicts, the primal or the dual within the band.
+    (5e-8, "NO_ARBITRAGE", {"t_star": 1.0, "box_upper": 4.0}, "BOUNDARY_AGREE"),
+    (0.5, "RHO_ARBITRAGE", {"t_star": 4.0 - 5e-8, "box_upper": 4.0}, "BOUNDARY_AGREE"),
+    (0.5, "STRONG_RHO_ARBITRAGE", {"t_star": 5.0, "box_upper": 4.0}, "DISAGREE"),
+], ids=["agree", "agree-one-near", "boundary-both-near", "straddle-primal-near",
+        "straddle-dual-near", "disagree"])
+def test_cross_validate_status_rule(rho1, dual, cert, status, monkeypatch):
+    spec = RiskSpec.es(0.25)
+    monkeypatch.setattr(rhoarb.dual, "compute_rho1", lambda market, spec: FrontierResult(
+        rho1=rho1, attained=True, argmin=None, spec=spec, route="LP"))
+    monkeypatch.setattr(rhoarb.dual, "classify_dual", lambda market, spec, tol: ArbitrageVerdict(
+        verdict=dual, route="DUAL", certificate=dict(cert)))
+    cv = cross_validate(duo_market(), spec)
+    assert cv.status == status
+    assert cv.primal_margin == abs(rho1) and cv.band == CLASSIFY_TOL
+    margin = abs(cert["t_star"] - cert["box_upper"]) if cert else math.inf
+    assert cv.dual_margin == margin

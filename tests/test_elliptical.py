@@ -88,6 +88,26 @@ def test_gaussian_rho_z_validation():
         gaussian_rho_z("WC", 0.3)
 
 
+def test_elliptical_input_validation():
+    with pytest.raises(ValueError, match=r"mean must be \(d,\) and cov \(d, d\)"):
+        EllipticalMarket(mean=[0.1, 0.2], cov=[[1.0]], riskless_rate=0.0)
+    # classify_trichotomy needs alpha when rho_z is not fixed.
+    with pytest.raises(ValueError, match="alpha is required"):
+        classify_trichotomy(_gauss_market(1.0), "ES")
+
+
+def test_zero_standardized_risk_is_strong_for_every_mean_and_covariance():
+    market = EllipticalMarket(mean=[0.3, 0.4], cov=[[0.04, 0.01], [0.01, 0.09]],
+                              riskless_rate=0.0, rho_z=0.0)
+    verdict, rho1 = classify_trichotomy(market)
+    assert rho1 == -1.0 == verdict.rho1
+    assert verdict.verdict == "STRONG_RHO_ARBITRAGE"
+    assert verdict.annotations == ("STRONG_FOR_EVERY_MEAN_AND_COVARIANCE",)
+    cert = verdict.certificate
+    assert cert["rho_z"] == 0.0 and cert["rho"] == -1.0
+    assert cert["portfolio"] == cert["tangency"]
+
+
 # -- trichotomy ----------------------------------------------------------------
 
 

@@ -222,6 +222,13 @@ def test_classify_duo_no_arbitrage():
     assert verdict.rho1 == pytest.approx(2.0, abs=1e-9)
 
 
+def test_classify_unattained_zero_infimum_is_no_arbitrage():
+    # rho1 = 0 within tol with no minimizer: no optimal portfolio to scale.
+    verdict = classify_primal(_result(1e-9, attained=False))
+    assert verdict.verdict == "NO_ARBITRAGE"
+    assert verdict.annotations == ("BOUNDARY", "INFIMUM_NOT_ATTAINED")
+
+
 def test_classify_minus_inf_is_strong():
     verdict = classify_primal(_result(-math.inf, attained=False))
     assert verdict.verdict == "STRONG_RHO_ARBITRAGE"

@@ -39,6 +39,10 @@ def test_infeasible_bounds_cross():
     sol = lp_solve(lp)
     assert sol.status == "INFEASIBLE"
     assert np.isnan(sol.value)
+    # lower > upper is infeasible before any pivot.
+    sol = lp_solve(LinearProgram(c=[1.0, 0.0], lower=[0.0, 2.0], upper=[1.0, 1.0]))
+    assert sol.status == "INFEASIBLE" and sol.iterations == 0
+    assert np.isnan(sol.value) and sol.x is None
 
 
 def test_known_optimum_with_inequalities():
@@ -144,6 +148,15 @@ def test_input_validation():
         LinearProgram(c=[1.0, 2.0], A_le=[[1.0]], b_le=[1.0])
     with pytest.raises(ValueError):
         LinearProgram(c=[1.0], A_eq=[[1.0]], b_eq=[1.0, 2.0])
+    for program, message in ((dict(c=[[1.0, 2.0]]), "c must be 1-D"),
+                             (dict(c=[1.0, np.nan]), "c must be finite"),
+                             (dict(c=[1.0], A_eq=[[np.inf]], b_eq=[1.0]), "A_eq must be finite"),
+                             (dict(c=[1.0], A_eq=[[1.0]], b_eq=[np.nan]),
+                              "right-hand sides must be finite"),
+                             (dict(c=[1.0, 1.0], upper=[1.0]), "one entry per variable"),
+                             (dict(c=[1.0], lower=[np.nan]), "but not nan")):
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(**program)
 
 
 # -- bounded-variable simplex: pricing switch, duals, bounds, scaling ----------

@@ -85,6 +85,20 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         ScenarioMarket(probs=(0.5, 0.5), riskless_rate=0.0,
                        returns=[[1.0, 0.0, 0.3]])
+    for probs, returns, message in (([[0.5, 0.5]], [[1.0, 0.0]], "probs must be 1-D"),
+                                    ([0.5, 0.5], [1.0, 0.0], "returns must be 2-D"),
+                                    ([], np.zeros((1, 0)), "at least one scenario"),
+                                    ([0.5, 0.5], np.zeros((0, 2)), "one asset")):
+        with pytest.raises(ValueError, match=message):
+            ScenarioMarket(probs=probs, riskless_rate=0.0, returns=returns)
+
+
+@pytest.mark.parametrize("pi", [[1.0, 0.0], [[1.0]]], ids=["too-long", "2d"])
+def test_portfolio_of_the_wrong_shape_is_rejected(pi):
+    market = duo_market()
+    for fn in (excess_return, expected_excess):
+        with pytest.raises(ValueError, match=r"portfolio must have shape \(1,\)"):
+            fn(market, pi)
 
 
 def test_excess_return_zero_portfolio():

@@ -285,6 +285,19 @@ def test_spec_parameter_validation():
         RiskSpec.spectral([(0.25, 0.5), (0.75, 0.6)])   # weights above 1
     with pytest.raises(ValueError):
         RiskSpec.entropic(0.0)                          # beta must exceed g(1)
+    for make, message in (
+            (lambda: RiskSpec(kind="FOO"), "unknown kind"),
+            (lambda: RiskSpec.spectral([]), "at least one atom"),
+            (lambda: RiskSpec.spectral([(1.5, 1.0)]), "outside"),
+            (lambda: RiskSpec.spectral([(0.25, 1.0), (0.5, 0.0)]), "must be positive"),
+            (lambda: RiskSpec(kind="GENTROPIC", g_kind="FOO", beta=1.0), "g_kind must be one of"),
+            (lambda: RiskSpec.power(1.0, 2.0), "POWER needs q > 1"),
+            (lambda: RiskSpec(kind="GENTROPIC", g_kind="CUSTOM", beta=1.0), "needs a callable g"),
+            (lambda: RiskSpec.from_json_dict({"kind": "FOO"}), "unknown risk kind"),
+            (lambda: RiskSpec.from_json_dict({"kind": "GENTROPIC", "g_kind": "CUSTOM",
+                                              "beta": 1.0}), "only ENTROPY/POWER")):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_spectral_atoms_are_normalized_sorted():

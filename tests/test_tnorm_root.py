@@ -195,11 +195,11 @@ def test_dual_routes_and_solver_numbers():
     custom = classify_dual(market, RiskSpec.custom(lambda z: z ** 2 / 2.0, 10.0))
     assert "M_EMPTY" not in power.annotations + custom.annotations
     power, custom = power.certificate, custom.certificate
-    assert 0 < power["iterations"] and power["gap"] <= 1e-9
-    assert custom["iterations"] > 0
+    assert 0 < power["newton_iterations"] and power["gap"] <= 1e-9
+    assert custom["newton_iterations"] > 0
     assert abs(custom["v_star"] - power["v_star"]) <= 1e-12 * power["v_star"]
     cert = classify_dual(market, RiskSpec.tnorm(2.0, 0.5)).certificate
-    assert cert["iterations"] > 0 and cert["gap"] <= 1e-9
+    assert cert["newton_iterations"] > 0 and cert["gap"] <= 1e-9
     assert abs(cert["witness"]["penalty"] - cert["v_star"]) <= 1e-9 * cert["v_star"]
 
 
