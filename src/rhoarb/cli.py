@@ -10,7 +10,9 @@ Commands:
 Market files are JSON ({"riskless_rate": r, "probs": [...], "assets":
 [{"name": ..., "returns": [...]}, ...]}) or CSV with header
 prob,asset1,...,assetd and one row per scenario; asset names are
-accepted and not read.  Zero-probability scenarios are dropped at load
+accepted and not read.  One np.loadtxt call reads the CSV body: quoted
+numbers and blank lines pass, '#' lines, ragged rows and empty fields
+are errors.  Zero-probability scenarios are dropped at load
 time.  Risk measures come as JSON, inline (--risk) or from a file
 (--risk-file); see RiskSpec for the schema.
 
@@ -28,6 +30,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,13 +67,18 @@ def load_market(path: str, fmt: str | None = None) -> ScenarioMarket:
             probs = np.asarray(obj["probs"], dtype=np.float64)
             returns = np.asarray([a["returns"] for a in obj["assets"]], dtype=np.float64)
         elif fmt == "csv":
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                rows = list(csv.reader(fh))
-            header = [h.strip() for h in rows[0]]
-            if not header or header[0] != "prob":
-                raise MarketFormatError("CSV header must start with 'prob'")
-            data = np.asarray([[float(v) for v in row] for row in rows[1:] if row],
-                              dtype=np.float64)
+            with open(path, "r", encoding="utf-8") as fh:
+                header = [h.strip() for h in next(csv.reader(fh), [])]
+                if not header or header[0] != "prob":
+                    raise MarketFormatError("CSV header must start with 'prob'")
+                with warnings.catch_warnings():
+                    # a body without rows is rejected below, not warned about
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                      ndmin=2)
+            if data.shape[0] == 0:
+                raise MarketFormatError("CSV market has no scenario rows")
             probs = data[:, 0]
             returns = data[:, 1:].T
             r = 0.0  # CSV carries no riskless rate; a '#r=' comment is not supported

@@ -434,14 +434,15 @@ def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> Arbitr
 def frontier_points(result: FrontierResult, levels) -> list[tuple[float, float]]:
     """Points (nu, rho_nu) of the lower frontier boundary at the given levels.
 
-    rho_0 = 0 at nu = 0 and rho_nu = nu rho_1 for nu > 0.  Negative levels
-    are rejected; an infinite rho_1 leaves the frontier undefined beyond 0.
+    rho_0 = 0 at nu = 0 and rho_nu = nu rho_1 for nu > 0.  Negative and
+    non-finite levels are rejected; an infinite rho_1 leaves the frontier
+    undefined beyond 0.
     """
     pts: list[tuple[float, float]] = []
     for nu in levels:
         nu = float(nu)
-        if nu < 0.0:
-            raise ValueError("frontier levels must be >= 0")
+        if not 0.0 <= nu < math.inf:
+            raise ValueError(f"frontier levels must be finite and >= 0, got {nu!r}")
         if nu == 0.0:
             pts.append((0.0, 0.0))
             continue

@@ -366,7 +366,7 @@ class _Tableau:
             T[:m], base = solved[:, :-1], solved[:, -1]
         else:
             base = np.zeros(0)
-        d = cost - cost[basis] @ T[:m]
+        d = T[m] = cost - cost[basis] @ T[:m]  # the reduced costs, priced once
         x = np.where(d < 0.0, hi, lo)
         x[basis] = 0.0
         if not np.isfinite(x).all():
@@ -386,18 +386,22 @@ class _Tableau:
         self.is_basic[basis] = True
         self.xB = base - T[:m] @ x
         self.T = T
-        self.price(cost)
+        self._pricing_state(cost)
         return True
 
     def price(self, cost: Vector) -> None:
-        """Reduced costs of cost in row m of T, and the pricing state: the
+        """Reduced costs of cost in row m of T, and the pricing state."""
+        self.T[self.m] = cost - cost[self.basis] @ self.T[:self.m]
+        self._pricing_state(cost)
+
+    def _pricing_state(self, cost: Vector) -> None:
+        """The pricing state for the reduced costs in row m of T: the
         tolerance on reduced costs, the sign they must have against the way
         a nonbasic variable can move (-1 up from a lower bound, +1 down from
         an upper one, 0 for basic or fixed), the nonbasic variables strictly
         inside their range (either way), and the bounds of the basics.
         Flips and pivots keep the state current, and refactor leaves it as
         it is, so it is built once per phase."""
-        self.T[self.m] = cost - cost[self.basis] @ self.T[:self.m]
         lo, hi, x = self.lo, self.hi, self.x
         self.cost_tol = COST_TOL * max(float(np.abs(cost).max(initial=0.0)), 1e-300)
         self.sense = np.where(x >= hi, 1.0, -1.0)

@@ -13,13 +13,18 @@ kinds:
     TNORM     truncated-norm measure min_s ||(s - x)+||_p / alpha - s
     GENTROPIC g-entropic family, dual-side only (penalty E[g(Z)] <= beta)
 
-A level-1 spectral atom is ES^1 = E[-x].  The GENTROPIC kind never gets a
-primal evaluator here; EVAR and TNORM are its two closed-form instances and
-are evaluated directly.  RiskSpec.penalty_ball maps EVAR, TNORM and
-GENTROPIC to the GENTROPIC spec of their dual set {Z : E[g(Z)] <= beta},
-penalty(spec, z) is that set's g, and conjugate(spec, probs) its conjugate
-g*(s) = max over z of s z - g(z), on which the least penalty over the
-martingale densities is minimized by Newton (frontier._penalty_min).
+A level-1 spectral atom is ES^1 = E[-x].  ES and SPECTRAL read one
+worst-first sort of the payoff per evaluation (_worst_first), whatever the
+number of spectral atoms; tied scenarios carry equal losses, so the order
+in which the sort leaves them does not change a value beyond rounding.
+The GENTROPIC kind never gets a primal evaluator here; EVAR and TNORM are
+its two closed-form instances and are evaluated directly.
+
+RiskSpec.penalty_ball maps EVAR, TNORM and GENTROPIC to the GENTROPIC spec
+of their dual set {Z : E[g(Z)] <= beta}, penalty(spec, z) is that set's g,
+and conjugate(spec, probs) its conjugate g*(s) = max over z of s z - g(z),
+on which the least penalty over the martingale densities is minimized by
+Newton (frontier._penalty_min).
 A POWER g has the closed form s+^p / p; a CUSTOM g is maximized over the
 box 0 <= z <= 1/p_omega, which holds every density (E[Z] = 1, Z >= 0),
 so the box changes no minimum and keeps g* finite.
@@ -249,21 +254,24 @@ def eval_var(x, probs, alpha: float) -> float:
     return float(lo_sorted[hit.argmax() if hit.any() else -1])
 
 
-def eval_es(x, probs, alpha: float) -> float:
-    """Expected shortfall: the mean of the worst alpha-slice of the loss.
+def _worst_first(x: Vector, p: Vector) -> tuple[Vector, Vector, Vector]:
+    """The losses -x and their probabilities worst first, and the running
+    probability of the worst scenarios: one sort that every ES level reads.
 
-    Sort losses in decreasing order, take full scenarios until their
-    probability passes alpha, and weight the boundary scenario by the
-    leftover alpha - covered.
+    Tied scenarios carry equal losses, so their order (numpy's default
+    sort is not stable) changes a value read from this view only by the
+    rounding of its sums.
     """
-    x, p = _validated(x, probs)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    losses = -x
-    order = np.argsort(-losses, kind="stable")
-    lo_sorted = losses[order]
+    order = np.argsort(x)
     p_sorted = p[order]
-    cum = np.cumsum(p_sorted)
+    return -x[order], p_sorted, np.cumsum(p_sorted)
+
+
+def _es_of(view: tuple[Vector, Vector, Vector], alpha: float) -> float:
+    """ES at level alpha read from a worst-first view: full scenarios until
+    their probability passes alpha, and the boundary scenario weighted by
+    the leftover alpha - covered."""
+    lo_sorted, p_sorted, cum = view
     k = int(np.searchsorted(cum, alpha, side="left"))
     if k >= lo_sorted.size:  # cumsum roundoff at alpha ~ 1
         k = lo_sorted.size - 1
@@ -272,15 +280,34 @@ def eval_es(x, probs, alpha: float) -> float:
     return acc / alpha
 
 
-def eval_spectral(x, probs, spectrum) -> float:
-    """Mixture sum_j w_j ES^{alpha_j}; a level-1 atom contributes E[-x]."""
+def eval_es(x, probs, alpha: float) -> float:
+    """Expected shortfall: the mean of the worst alpha-slice of the loss,
+    read from one worst-first sort of the payoff (_worst_first); the order
+    of tied scenarios does not change the value beyond rounding.
+    """
     x, p = _validated(x, probs)
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+    return _es_of(_worst_first(x, p), alpha)
+
+
+def eval_spectral(x, probs, spectrum) -> float:
+    """Mixture sum_j w_j ES^{alpha_j}; a level-1 atom contributes E[-x].
+
+    Every atom below level 1 reads the same worst-first view, so the
+    payoff is sorted once however many atoms there are, and the sum equals
+    sum_j w_j eval_es(x, probs, alpha_j) bit for bit.
+    """
+    x, p = _validated(x, probs)
+    view = None
     total = 0.0
     for a, w in spectrum:
         if a >= 1.0:
             total += w * float(p @ (-x))
         else:
-            total += w * eval_es(x, p, a)
+            if view is None:
+                view = _worst_first(x, p)
+            total += w * _es_of(view, a)
     return total
 
 

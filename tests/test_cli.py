@@ -1,9 +1,12 @@
 """End-to-end tests for the command line interface and file formats."""
 
+import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import rhoarb.dual
 import rhoarb.lp
@@ -91,6 +94,72 @@ def test_load_market_unknown_format(binomial_file):
         load_market(binomial_file, "yaml")
     with pytest.raises(MarketFormatError):
         load_market("/nonexistent/market.json")
+
+
+def _csv_module_read(path):
+    """Rows of a CSV market as the csv module reads them, one float per field."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return np.asarray([[float(v) for v in row] for row in rows[1:] if row], dtype=np.float64)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def test_load_market_csv_reads_the_bits_of_the_csv_module(tmp_path):
+    rng = np.random.default_rng(61)
+    n = 10_000
+    probs = rng.dirichlet(np.ones(n))
+    returns = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-6, 7, size=(3, n))
+    path = tmp_path / "wide.csv"
+    path.write_text("prob,a,b,c\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n"
+        for row in np.column_stack([probs, returns.T]).tolist()))
+    market = load_market(str(path))
+    ref = _csv_module_read(path)
+    assert market.n_scenarios == n
+    assert _bits(market.probs) == _bits(ref[:, 0])
+    assert _bits(market.returns) == _bits(ref[:, 1:].T)
+
+
+SMALL_CSV = "prob,a,b\n0.25,1.5,-2\n0.25,0.5,3\n0.5,-1,0.25\n"
+
+
+@pytest.mark.parametrize("text", [
+    '"prob","a","b"\n"0.25",1.5,"-2"\n0.25,"0.5",3\n"0.5","-1","0.25"\n',
+    "prob,a,b\n\n0.25,1.5,-2\n\n\n0.25,0.5,3\n0.5,-1,0.25\n\n",
+    SMALL_CSV.replace("\n", "\r\n"),
+    SMALL_CSV.replace("\n", "\r"),
+    "prob,a,b\n0.25, 1.5 ,-2\n0.25,0.5,3\n0.5,-1,0.25",
+], ids=["quoted", "blank-lines", "crlf", "cr", "padded-no-final-newline"])
+def test_load_market_csv_layouts_read_as_the_csv_module_does(tmp_path, text):
+    path = tmp_path / "layout.csv"
+    path.write_bytes(text.encode())
+    plain = tmp_path / "plain.csv"
+    plain.write_text(SMALL_CSV)
+    market, ref = load_market(str(path)), _csv_module_read(path)
+    assert _bits(market.probs) == _bits(ref[:, 0]) == _bits(load_market(str(plain)).probs)
+    assert _bits(market.returns) == _bits(ref[:, 1:].T)
+    assert _bits(market.returns) == _bits([[1.5, 0.5, -1.0], [-2.0, 3.0, 0.25]])
+
+
+@pytest.mark.parametrize("text", [
+    "prob,a\n",
+    "prob,a\n\n\n",
+    "prob,a\n0.5,1\n0.5,2,3\n",
+    "prob,a\n0.5,\n0.5,2\n",
+    "prob,a\n0.5,1\n# a comment\n0.5,2\n",
+    "prob,a\n0.5,abc\n0.5,2\n",
+], ids=["header-only", "header-and-blank-lines", "ragged", "empty-field", "comment",
+        "non-numeric"])
+def test_load_market_csv_rejects_a_bad_body_without_warning(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MarketFormatError):
+            load_market(str(path))
 
 
 def test_load_risk_inline_and_file(tmp_path):
@@ -240,6 +309,57 @@ def test_frontier_json_format(duo_file, capsys):
     assert data["efficient"] is True
     assert data["iterations"] == 0          # d = 1: the direct route runs no solver
     assert data["points"][1] == {"nu": 1.0, "rho_nu": pytest.approx(2.0, abs=1e-9)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("levels", ["0,nan", "0,inf", "1,-inf"])
+def test_frontier_rejects_non_finite_levels(duo_file, capsys, fmt, levels):
+    code = main(["frontier", "--market", duo_file, "--levels", levels,
+                 "--risk", '{"kind": "ES", "alpha": 0.25}', "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: frontier levels must be finite and >= 0")
+
+
+@pytest.fixture(scope="module")
+def gaussian_cell_csv(tmp_path_factory):
+    """(path, sr) of a 10^5-row CSV market: equal-probability Gaussian cells.
+
+    Cell k holds the standard normal's conditional mean on its k-th 1/N
+    quantile slice, N (phi(q_{k-1}) - phi(q_k)), so the mean of the lowest
+    m cells is the normal's mean over its lowest m/N probability: ES at a
+    level that is a multiple of 1/N is the continuous value.
+    """
+    n, sr, sigma = 100_000, 0.8, 0.02
+    dens = np.concatenate([[0.0], norm.pdf(norm.ppf(np.arange(1, n) / n)), [0.0]])
+    cells = n * (dens[:-1] - dens[1:])
+    returns = sigma * (sr + cells[np.random.default_rng(67).permutation(n)])
+    path = tmp_path_factory.mktemp("cells") / "cells.csv"
+    path.write_text("prob,asset\n" + "".join(f"{1.0 / n!r},{x!r}\n" for x in returns.tolist()))
+    return str(path), sr
+
+
+def _normal_es(alpha):
+    return norm.pdf(norm.ppf(alpha)) / alpha if alpha < 1.0 else 0.0
+
+
+@pytest.mark.parametrize("risk, rho_z", [
+    ({"kind": "ES", "alpha": 0.05}, _normal_es(0.05)),
+    ({"kind": "ES", "alpha": 0.25}, _normal_es(0.25)),
+    ({"kind": "SPECTRAL", "atoms": [[0.05, 0.5], [0.5, 0.25], [1.0, 0.25]]},
+     0.5 * _normal_es(0.05) + 0.25 * _normal_es(0.5)),
+], ids=["ES-0.05", "ES-0.25", "SPECTRAL"])
+def test_frontier_on_a_gaussian_cell_csv_is_the_closed_form(gaussian_cell_csv, capsys,
+                                                           risk, rho_z):
+    path, sr = gaussian_cell_csv
+    code = main(["frontier", "--market", path, "--risk", json.dumps(risk),
+                 "--levels", "0,1,2", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    closed = -1.0 + rho_z / sr           # rho1 of sigma (sr + Z) at r = 0
+    assert code == EXIT_CODES["NO_ARBITRAGE"]
+    assert abs(data["rho1"] - closed) <= 1e-9
+    assert [pt["rho_nu"] for pt in data["points"]] == [0.0, data["rho1"], 2 * data["rho1"]]
 
 
 # -- phase curve ---------------------------------------------------------------

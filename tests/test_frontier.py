@@ -196,8 +196,9 @@ def test_frontier_points_negative_slope():
 
 
 def test_frontier_points_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        frontier_points(_result(1.0), [-0.5])
+    for bad in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            frontier_points(_result(1.0), [0.0, bad])
     with pytest.raises(ValueError):
         frontier_points(_result(-math.inf), [1.0])
 

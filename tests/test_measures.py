@@ -115,6 +115,88 @@ def test_spectral_point_mass_at_one_is_expectation():
                    - float(probs @ (-x))) < 1e-14
 
 
+# -- one worst-first sort for ES and SPECTRAL ---------------------------------------
+
+TIED_SPECTRUM = ((0.1, 0.3), (0.5, 0.5), (1.0, 0.2))
+TIED_LEVELS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0)
+# Any one-pass sum over 10^4 tied scenarios rounds differently in another
+# order: the stable-order reference applied to a permuted copy of the same
+# payoff moves by up to ~1e-14 (1 + |value|), so that is the scale here.
+TIED_TOL = 1e-13
+
+
+def tied_rv(rng, n=10_000):
+    return rng.choice([-1.0, 0.0, 2.0], size=n), rng.dirichlet(np.ones(n))
+
+
+def stable_es(x, probs, alpha):
+    """ES read from a stable worst-first sort: tied scenarios keep their order."""
+    order = np.argsort(x, kind="stable")
+    losses, weights = -x[order], probs[order]
+    cum = np.cumsum(weights)
+    k = min(int(np.searchsorted(cum, alpha, side="left")), x.size - 1)
+    covered = float(cum[k - 1]) if k > 0 else 0.0
+    return (float(losses[:k] @ weights[:k]) + (alpha - covered) * float(losses[k])) / alpha
+
+
+def stable_spectral(x, probs, spectrum):
+    return sum(w * (float(probs @ (-x)) if a >= 1.0 else stable_es(x, probs, a))
+               for a, w in spectrum)
+
+
+def tied_close(value, ref):
+    return abs(value - ref) <= TIED_TOL * (1.0 + abs(ref))
+
+
+def test_spectral_is_its_es_mixture_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        x, probs = random_rv(rng, n_max=400)
+        assert np.unique(x).size == x.size
+        levels = np.sort(rng.uniform(0.01, 0.99, int(rng.integers(1, 5))))
+        weights = rng.dirichlet(np.ones(levels.size))
+        spectrum = tuple(zip(levels.tolist(), weights.tolist()))
+        total = 0.0
+        for a, w in spectrum:
+            total += w * eval_es(x, probs, a)
+        assert eval_spectral(x, probs, spectrum) == total
+
+
+def test_es_and_spectral_on_tied_payoffs_match_a_stable_order():
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        x, probs = tied_rv(rng)
+        for alpha in TIED_LEVELS:
+            assert tied_close(eval_es(x, probs, alpha), stable_es(x, probs, alpha))
+        assert tied_close(eval_spectral(x, probs, TIED_SPECTRUM),
+                          stable_spectral(x, probs, TIED_SPECTRUM))
+
+
+def test_es_and_spectral_on_tied_payoffs_ignore_scenario_order_and_splits():
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        x, probs = tied_rv(rng)
+        perm = rng.permutation(x.size)
+        j = int(rng.integers(x.size))
+        split_x = np.append(x, x[j])
+        split_p = np.append(probs, 0.5 * probs[j])
+        split_p[j] *= 0.5
+        for xs, ps in ((x[perm], probs[perm]), (split_x, split_p)):
+            for alpha in TIED_LEVELS:
+                assert tied_close(eval_es(xs, ps, alpha), eval_es(x, probs, alpha))
+            assert tied_close(eval_spectral(xs, ps, TIED_SPECTRUM),
+                              eval_spectral(x, probs, TIED_SPECTRUM))
+
+
+def test_spectral_sorts_the_payoff_once(monkeypatch):
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    x, probs = random_rv(np.random.default_rng(53))
+    eval_spectral(x, probs, ((0.2, 0.25), (0.6, 0.5), (1.0, 0.25)))
+    assert len(sorts) == 1
+
+
 # -- entropic value at risk --------------------------------------------------------
 
 
