@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -39,7 +40,7 @@ from .dual import classify_dual, cross_validate
 from .elliptical import (BOUNDARY_TOL, EllipticalMarket, classify_trichotomy, critical_alpha,
                          phase_curve_rows, sr_max)
 from .frontier import (CLASSIFY_TOL, UnsupportedGlobalMinError, classify_primal, compute_rho1,
-                       frontier_points)
+                       frontier_levels, frontier_points)
 from .lp import SimplexError
 from .market import ScenarioMarket, validate_market
 from .measures import RiskSpec
@@ -242,9 +243,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
+    levels = frontier_levels(args.levels.split(","))   # before the market is read
     market = load_market(args.market, args.market_format)
     spec = load_risk(args.risk, args.risk_file)
-    levels = [float(v) for v in args.levels.split(",")]
     res = compute_rho1(market, spec)
     pts = frontier_points(res, levels)
     efficient = res.efficient_frontier_exists
@@ -398,9 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing leaves the parser as it
+    was, and building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MarketFormatError, UnsupportedGlobalMinError, ValueError, SimplexError) as exc:

@@ -161,8 +161,8 @@ def classical_no_arbitrage(market: ScenarioMarket) -> ClassicalResult:
     c[N] = -1.0
     A_eq = np.hstack([poly.A, poly.A.sum(axis=1, keepdims=True)])
     hint = np.concatenate(([N], market.tangency_order))
-    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b, upper=np.r_[1.0 / p, 1.0],
-                                 hint=hint))
+    sol = lp_solve(LinearProgram(c=c, A_eq=A_eq, b_eq=poly.b,
+                                 upper=np.concatenate((1.0 / p, [1.0])), hint=hint))
     if sol.status == INFEASIBLE:
         return ClassicalResult(status=INFEASIBLE, delta=0.0, witness=None,
                                iterations=sol.iterations, entries={"delta_classical": 0.0})
@@ -306,7 +306,7 @@ def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
     order = market.tangency_order
     x = market.tangency_excess[order]
     P, C = np.cumsum(p[order]), np.cumsum(p[order] * x)
-    P0, C0 = np.r_[0.0, P], np.r_[0.0, C]
+    P0, C0 = np.concatenate(([0.0], P)), np.concatenate(([0.0], C))
     # The weighted pricing-row sum at each breakpoint u = P_k of block 1.
     row = C + (w_pin / w1) * float(market.tangency @ market.mean_excess) * P
     for j in range(1, J):

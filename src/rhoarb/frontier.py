@@ -431,18 +431,24 @@ def classify_primal(result: FrontierResult, tol: float = CLASSIFY_TOL) -> Arbitr
                             rho1=rho1, annotations=tuple(annotations))
 
 
+def frontier_levels(levels) -> list[float]:
+    """The levels as floats; ValueError on a negative or non-finite one."""
+    out = [float(nu) for nu in levels]
+    for nu in out:
+        if not 0.0 <= nu < math.inf:
+            raise ValueError(f"frontier levels must be finite and >= 0, got {nu!r}")
+    return out
+
+
 def frontier_points(result: FrontierResult, levels) -> list[tuple[float, float]]:
     """Points (nu, rho_nu) of the lower frontier boundary at the given levels.
 
     rho_0 = 0 at nu = 0 and rho_nu = nu rho_1 for nu > 0.  Negative and
-    non-finite levels are rejected; an infinite rho_1 leaves the frontier
-    undefined beyond 0.
+    non-finite levels are rejected (frontier_levels); an infinite rho_1
+    leaves the frontier undefined beyond 0.
     """
     pts: list[tuple[float, float]] = []
-    for nu in levels:
-        nu = float(nu)
-        if not 0.0 <= nu < math.inf:
-            raise ValueError(f"frontier levels must be finite and >= 0, got {nu!r}")
+    for nu in frontier_levels(levels):
         if nu == 0.0:
             pts.append((0.0, 0.0))
             continue

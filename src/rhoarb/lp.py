@@ -40,7 +40,11 @@ the dual simplex first.  It suits programs whose columns are all boxed but
 one, and whose hint names that column first: the basis is the first m
 independent columns of the hint, found by Gaussian elimination with partial
 pivoting on the scaled data, and every other column starts at the bound its
-reduced cost asks for (the upper one when it is negative).  That start is
+reduced cost asks for (the upper one when it is negative).  The elimination
+runs only when one inverse of the hint's first m columns B cannot certify
+them: each of its pivots u_kk has 1/|u_kk| <= m max |B^-1|, so under
+2 m max |B^-1| HINT_PIVOT_TOL < 1 it would pick exactly those columns, in
+order (_independent_columns), and they are the basis.  That start is
 dual feasible by construction, so the dual run needs no Phase I and no
 artificials.  Each iteration lets the most infeasible basic variable leave
 and runs the long-step (bound-flipping) ratio test along its tableau row:
@@ -134,7 +138,7 @@ def _as_matrix(a, ncols: int, name: str) -> Vector:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != ncols:
         raise ValueError(f"{name} must be 2-D with {ncols} columns")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -161,7 +165,7 @@ class LinearProgram:
         c = np.asarray(self.c, dtype=np.float64)
         if c.ndim != 1:
             raise ValueError("c must be 1-D")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("c must be finite")
         n = c.size
         A_eq = _as_matrix(self.A_eq, n, "A_eq")
@@ -170,13 +174,13 @@ class LinearProgram:
         b_le = np.zeros(0) if self.b_le is None else np.asarray(self.b_le, dtype=np.float64).ravel()
         if b_eq.size != A_eq.shape[0] or b_le.size != A_le.shape[0]:
             raise ValueError("right-hand side length does not match its matrix")
-        if not (np.all(np.isfinite(b_eq)) and np.all(np.isfinite(b_le))):
+        if not (np.isfinite(b_eq).all() and np.isfinite(b_le).all()):
             raise ValueError("right-hand sides must be finite")
         lower = np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=np.float64).ravel()
         upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=np.float64).ravel()
         if lower.size != n or upper.size != n:
             raise ValueError("bounds must have one entry per variable")
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+        if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("bounds may be +-inf but not nan")
         hint = self.hint
         if hint is not None:
@@ -235,7 +239,34 @@ def _pow2_scale(mags: Vector) -> Vector:
 
 def _independent_columns(K: Vector, hint: NDArray[np.intp]) -> NDArray[np.intp] | None:
     """The first m = K.shape[0] linearly independent columns of hint, in
-    hint order, or None if it holds fewer.
+    hint order, or None if it holds fewer: those that _eliminate picks.
+
+    The head B = K[:, hint[:m]] is tried first, with one inverse.  Run on
+    B, the elimination writes B = L U, where L holds the eliminated columns
+    divided by their pivots, so partial pivoting keeps its entries at most
+    1 in size.  Then U^-1 = B^-1 L, and 1/|u_kk| = |(B^-1 L)_kk| <= m max
+    |B^-1|.  So when 2 m max |B^-1| HINT_PIVOT_TOL < 1, every pivot clears
+    HINT_PIVOT_TOL (the 2 covers rounding) and the elimination would pick
+    the head itself, in order; it runs only when the test fails.
+    """
+    m = K.shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.intp)
+    if hint.size >= m:
+        head = hint[:m]
+        try:
+            inv = np.linalg.inv(K[:, head])
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if 2.0 * m * float(np.abs(inv).max()) * HINT_PIVOT_TOL < 1.0:
+                return head.copy()          # the run pivots the basis in place
+    return _eliminate(K, hint)
+
+
+def _eliminate(K: Vector, hint: NDArray[np.intp]) -> NDArray[np.intp] | None:
+    """The first m = K.shape[0] >= 1 linearly independent columns of hint,
+    in hint order, or None if it holds fewer.
 
     Gaussian elimination with partial pivoting over the rows not yet
     pivoted: a column joins when its largest eliminated entry there exceeds
@@ -244,8 +275,6 @@ def _independent_columns(K: Vector, hint: NDArray[np.intp]) -> NDArray[np.intp] 
     is read 2 m columns at a time, so only its head is touched.
     """
     m = K.shape[0]
-    if m == 0:
-        return np.zeros(0, dtype=np.intp)
 
     def columns():
         for lo in range(0, hint.size, 2 * m):
@@ -291,17 +320,20 @@ class _Tableau:
         n = lp.n_vars
         me, mi = lp.A_eq.shape[0], lp.A_le.shape[0]
         m = me + mi
-        K = np.zeros((m, n + mi))
-        K[:me, :n] = lp.A_eq
-        K[me:, :n] = lp.A_le
-        K[me:, n:] = np.eye(mi)
-        b = np.concatenate([lp.b_eq, lp.b_le])
-        lo = np.concatenate([lp.lower, np.zeros(mi)])
-        hi = np.concatenate([lp.upper, np.full(mi, np.inf)])
-        cost = np.concatenate([lp.c, np.zeros(mi)])
+        if mi:
+            K = np.zeros((m, n + mi))
+            K[:me, :n] = lp.A_eq
+            K[me:, :n] = lp.A_le
+            K[me:, n:] = np.eye(mi)
+            b = np.concatenate([lp.b_eq, lp.b_le])
+            lo = np.concatenate([lp.lower, np.zeros(mi)])
+            hi = np.concatenate([lp.upper, np.full(mi, np.inf)])
+            cost = np.concatenate([lp.c, np.zeros(mi)])
+        else:                                   # no slacks: scale the program's own arrays
+            K, b, lo, hi, cost = lp.A_eq, lp.b_eq, lp.lower, lp.upper, lp.c
 
         self.row_scale = _pow2_scale(np.abs(K).max(axis=1, initial=0.0))
-        K *= self.row_scale[:, None]
+        K = K * self.row_scale[:, None]
         b = b * self.row_scale
         self.col_scale = _pow2_scale(np.abs(K).max(axis=0, initial=0.0))
         K *= self.col_scale[None, :]
@@ -386,7 +418,7 @@ class _Tableau:
         self.is_basic[basis] = True
         self.xB = base - T[:m] @ x
         self.T = T
-        self._pricing_state(cost)
+        self._pricing_state(cost, inside=False)   # every nonbasic column rests at a bound
         return True
 
     def price(self, cost: Vector) -> None:
@@ -394,35 +426,40 @@ class _Tableau:
         self.T[self.m] = cost - cost[self.basis] @ self.T[:self.m]
         self._pricing_state(cost)
 
-    def _pricing_state(self, cost: Vector) -> None:
+    def _pricing_state(self, cost: Vector, inside: bool = True) -> None:
         """The pricing state for the reduced costs in row m of T: the
         tolerance on reduced costs, the sign they must have against the way
         a nonbasic variable can move (-1 up from a lower bound, +1 down from
         an upper one, 0 for basic or fixed), the nonbasic variables strictly
-        inside their range (either way), and the bounds of the basics.
-        Flips and pivots keep the state current, and refactor leaves it as
-        it is, so it is built once per phase."""
+        inside their range (either way; left empty without a scan when
+        inside is False), and the bounds of the basics.  Flips and pivots
+        keep the state current, and refactor leaves it as it is, so it is
+        built once per phase."""
         lo, hi, x = self.lo, self.hi, self.x
         self.cost_tol = COST_TOL * max(float(np.abs(cost).max(initial=0.0)), 1e-300)
         self.sense = np.where(x >= hi, 1.0, -1.0)
         self.sense[(hi <= lo) | self.is_basic] = 0.0
-        self.inside = set(np.flatnonzero(~self.is_basic & (x > lo) & (x < hi)).tolist())
+        self.inside = (set(np.flatnonzero(~self.is_basic & (x > lo) & (x < hi)).tolist())
+                       if inside else set())
         self.bl = lo[self.basis]
         self.bu = hi[self.basis]
 
-    def solve_basics(self) -> None:
-        """Basic values from the data, the basis and the nonbasic values."""
+    def solve_basics(self, B: Vector | None = None) -> None:
+        """Basic values from the data, the basis (B, the basic columns, if
+        given) and the nonbasic values."""
         if self.m:
+            if B is None:
+                B = self.K[:, self.basis]
             x = np.where(self.is_basic, 0.0, self.x)
-            self.xB = np.linalg.solve(self.K[:, self.basis], self.b - self.K @ x)
+            self.xB = np.linalg.solve(B, self.b - self.K @ x)
 
     def refactor(self, cost: Vector) -> bool:
         """Recompute xB, the row duals y and the reduced costs from the data
         and the basis; return whether some nonbasic variable can still
         improve.  T itself is recomputed only then, for the iterations that
         follow."""
-        self.solve_basics()
         B = self.K[:, self.basis]
+        self.solve_basics(B)
         self.y = np.linalg.solve(B.T, cost[self.basis]) if self.m else np.zeros(0)
         self.T[self.m] = cost - self.y @ self.K
         if self._entering(bland=False) < 0:
@@ -525,19 +562,19 @@ class _Tableau:
         to_upper, else at its lower one."""
         T, x, lo, hi = self.T, self.x, self.lo, self.hi
         leaving = self.basis.item(row)
-        x[leaving] = hi[leaving] if to_upper else lo[leaving]
-        entering_value = x[q] + s * theta
+        lo_out, hi_out = lo.item(leaving), hi.item(leaving)
+        x[leaving] = hi_out if to_upper else lo_out
+        entering_value = x.item(q) + s * theta
         self.xB -= theta * g
         self.xB[row] = entering_value
         self.is_basic[leaving] = False
         self.is_basic[q] = True
         self.basis[row] = q
-        fixed = hi[leaving] <= lo[leaving]
-        self.sense[leaving] = 0.0 if fixed else (1.0 if to_upper else -1.0)
+        self.sense[leaving] = 0.0 if hi_out <= lo_out else (1.0 if to_upper else -1.0)
         self.sense[q] = 0.0
         self.inside.discard(q)
-        self.bl[row], self.bu[row] = lo[q], hi[q]
-        prow = T[row] / T[row, q]
+        self.bl[row], self.bu[row] = lo.item(q), hi.item(q)
+        prow = T[row] / T.item(row, q)
         T -= T[:, q, None] * prow           # the product is formed before T changes
         T[row] = prow
 
@@ -563,10 +600,11 @@ class _Tableau:
                 self.blocked = row
                 return INFEASIBLE
             if flipped.size:
-                to = np.where(self.sense[flipped] > 0.0, lo[flipped], hi[flipped])
+                sf = self.sense[flipped]
+                to = np.where(sf > 0.0, lo[flipped], hi[flipped])
                 self.xB -= T[:m, flipped] @ (to - x[flipped])
                 x[flipped] = to
-                self.sense[flipped] *= -1.0
+                self.sense[flipped] = -sf
                 self.flips += flipped.size
             # The entering column moves until the leaving variable reaches
             # the bound it violates.
@@ -629,7 +667,7 @@ class _Tableau:
         if excess > 0.0:
             np.negative(toward, out=toward)
         tol = PIVOT_TOL * max(alpha.max(), -alpha.min())
-        cand = np.flatnonzero(toward > tol)
+        cand = (toward > tol).nonzero()[0]
         if not cand.size:
             return -1, math.inf, cand
         a = toward[cand]
@@ -637,7 +675,7 @@ class _Tableau:
         np.negative(dist, out=dist)
         np.maximum(dist, 0.0, out=dist)          # |d_j|, 0 when rounding put it past zero
         ratio = dist / a
-        order = np.argsort(ratio, kind="stable").tolist()
+        order = ratio.argsort(kind="stable").tolist()
         # The walk and the Harris pass visit the breakpoints in order, and
         # only as far as they reach, in Python floats.
         # A row that the flips fix with zero slack (a block whose bounds fix
@@ -714,7 +752,7 @@ def _residual(lp: LinearProgram, v: Vector) -> float:
 
 def lp_solve(lp: LinearProgram) -> LPSolution:
     """Solve lp deterministically; see module docstring for the method."""
-    if np.any(lp.lower > lp.upper):
+    if (lp.lower > lp.upper).any():
         return LPSolution(INFEASIBLE, np.nan, None, 0, 0.0)
     tab = _Tableau(lp)
     if tab.dual and tab.dual_run() != OPTIMAL:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import rhoarb.cli
 import rhoarb.dual
 import rhoarb.lp
 from rhoarb.cli import (EXIT_CODES, AnalysisReport, MarketFormatError,
-                        analyze_market, load_market, load_risk, main)
+                        analyze_market, build_parser, load_market, load_risk, main)
 from rhoarb.elliptical import critical_alpha
 from rhoarb.frontier import ArbitrageVerdict
 from rhoarb.measures import RiskSpec
@@ -322,6 +323,22 @@ def test_frontier_rejects_non_finite_levels(duo_file, capsys, fmt, levels):
     assert err.startswith("error: frontier levels must be finite and >= 0")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("levels, bad", [("0,nan", "nan"), ("0,inf", "inf"), ("1,-1", "-1.0")])
+def test_frontier_checks_levels_before_reading_the_market(duo_file, monkeypatch, capsys,
+                                                          fmt, levels, bad):
+    def unread(*args, **kwargs):
+        raise AssertionError("the market was read before the levels were checked")
+
+    monkeypatch.setattr(rhoarb.cli, "load_market", unread)
+    code = main(["frontier", "--market", duo_file, "--levels", levels,
+                 "--risk", '{"kind": "ES", "alpha": 0.25}', "--format", fmt])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: frontier levels must be finite and >= 0, got {bad}\n"
+
+
 @pytest.fixture(scope="module")
 def gaussian_cell_csv(tmp_path_factory):
     """(path, sr) of a 10^5-row CSV market: equal-probability Gaussian cells.
@@ -539,6 +556,48 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 1
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    rhoarb.cli._shared_parser.cache_clear()
+    built = []
+    build = rhoarb.cli.build_parser
+    monkeypatch.setattr(rhoarb.cli, "build_parser", lambda: built.append(1) or build())
+    try:
+        for _ in range(2):
+            assert main(["phase-curve", "--alphas", "0.1,0.5"]) == 0
+            assert main(["elliptical", "--mu", "0.2", "--sigma", "0.04"]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["frontier", "--levels", "0,1"])  # --market missing
+        assert err.value.code == 1
+    finally:
+        rhoarb.cli._shared_parser.cache_clear()
+    assert built == [1]
+    assert build_parser() is not build_parser()
+
+
+def test_shared_parser_prints_what_fresh_parsers_print(duo_file, capsys, monkeypatch):
+    # Each command's defaults come back on the next call: options given to
+    # one call do not stay in the shared parser.
+    runs = [["elliptical", "--mu", "0.2", "--sigma", "0.04", "--alpha", "0.3"],
+            ["frontier", "--market", duo_file, "--risk", '{"kind": "WC"}', "--levels", "0,1",
+             "--format", "json"],
+            ["elliptical", "--mu", "0.2", "--sigma", "0.04"],
+            ["frontier", "--market", duo_file, "--risk", '{"kind": "WC"}'],
+            ["phase-curve", "--alphas", "0.1,0.5", "--sr", "2.5"],
+            ["phase-curve"]]
+
+    def outputs():
+        got = []
+        for argv in runs:
+            code = main(argv)
+            got.append((code, capsys.readouterr()))
+        return got
+
+    shared = outputs()
+    monkeypatch.setattr(rhoarb.cli, "_shared_parser", build_parser)
+    assert outputs() == shared
+    assert len({out for _, (out, _) in shared}) == len(runs)
 
 
 def test_simplex_failure_is_an_error_line(tmp_path, monkeypatch, capsys):

@@ -10,8 +10,10 @@ from scipy import optimize
 import oracles
 import rhoarb.dual
 import rhoarb.lp as lp_module
-from conftest import make_drift_market, make_tanh_priced_market
-from rhoarb.dual import classical_no_arbitrage, es_min_supnorm
+import rhoarb.frontier
+from conftest import (binomial_market, duo_market, make_dominating_market, make_drift_market,
+                      make_priced_market, make_random_market, make_tanh_priced_market)
+from rhoarb.dual import classical_no_arbitrage, cross_validate, es_min_supnorm
 from rhoarb.frontier import _slice_lp
 from rhoarb.lp import LinearProgram, lp_solve
 from rhoarb.measures import RiskSpec
@@ -625,3 +627,131 @@ def test_reference_ratio_test_takes_the_same_pivot_path(monkeypatch):
     want = [solution_bits(lp_solve(lp)) for lp in programs]
     assert got == want
     assert len(scans) > 200
+
+
+# -- the certified head of the hint --------------------------------------------
+
+
+def count_eliminations(monkeypatch):
+    """The calls of lp._eliminate from here on."""
+    calls = []
+    eliminate = lp_module._eliminate
+    monkeypatch.setattr(lp_module, "_eliminate",
+                        lambda K, hint: calls.append(hint) or eliminate(K, hint))
+    return calls
+
+
+def test_head_is_certified_or_the_elimination_decides(monkeypatch):
+    rng = np.random.default_rng(7)
+    K = rng.uniform(-1.0, 1.0, (4, 9))
+    hint = np.arange(9, dtype=np.intp)
+    calls = count_eliminations(monkeypatch)
+    basis = lp_module._independent_columns(K, hint)
+    assert basis.tolist() == [0, 1, 2, 3] and not calls
+    assert basis.tolist() == lp_module._eliminate(K, hint).tolist()
+    basis[0] = 8                                    # a copy: the run pivots it in place
+    assert hint[0] == 0
+
+    # A repeated column makes the head singular; one within 1e-9 of the span
+    # of the others passes the inverse but not the bound.  Either way the
+    # elimination runs and skips that column.
+    repeated = K.copy()
+    repeated[:, 2] = repeated[:, 0]
+    nudged = K.copy()
+    nudged[:, 2] = 0.5 * K[:, 0] - 0.3 * K[:, 1] + 1e-9 * rng.normal(size=4)
+    assert np.abs(np.linalg.inv(nudged[:, :4])).max() > 1e8
+    for bad in (repeated, nudged):
+        calls.clear()
+        basis = lp_module._independent_columns(bad, hint)
+        assert len(calls) == 1
+        assert basis.tolist() == [0, 1, 3, 4]
+    # A hint shorter than the rows leaves it all to the elimination.
+    calls.clear()
+    assert lp_module._independent_columns(K, hint[:3]) is None and len(calls) == 1
+
+
+def test_every_certified_head_is_the_eliminations_basis(monkeypatch):
+    # Every start of cross_validate's programs under the measures with LPs,
+    # and of the classical test, on the conftest markets: a head that the
+    # inverse certifies is the basis the elimination picks.
+    eliminate, pick = lp_module._eliminate, lp_module._independent_columns
+    calls = count_eliminations(monkeypatch)
+    heads = []
+
+    def checked(K, hint):
+        before = len(calls)
+        basis = pick(K, hint)
+        if len(calls) == before:
+            heads.append(basis.tolist())
+            assert basis.tolist() == eliminate(K, hint).tolist()
+        return basis
+
+    monkeypatch.setattr(lp_module, "_independent_columns", checked)
+    rng = np.random.default_rng(3030)
+    markets = [binomial_market(), duo_market(), make_drift_market(rng, 100, 4, 2.0),
+               make_drift_market(rng, 60, 3, 0.3), make_tanh_priced_market(rng, 80, 4),
+               make_dominating_market(rng)]
+    markets += [make_random_market(rng, 12, 3) for _ in range(6)]
+    markets += [make_priced_market(rng, 10, 3) for _ in range(6)]
+    specs = [RiskSpec.wc(), RiskSpec.es(0.1), RiskSpec.spectral([(0.05, 0.3), (0.25, 0.7)]),
+             RiskSpec.evar(0.1), RiskSpec.tnorm(2.0, 0.25)]
+    for market in markets:
+        classical_no_arbitrage(market)
+        for spec in specs:
+            cross_validate(market, spec)
+    assert len(heads) > 80 and len(heads) > 5 * len(calls)
+
+
+def test_bench_shaped_priced_market_never_runs_the_elimination(monkeypatch):
+    market = make_tanh_priced_market(np.random.default_rng(2), 150, 5)
+    starts = []
+    pick = lp_module._independent_columns
+    monkeypatch.setattr(lp_module, "_independent_columns",
+                        lambda K, hint: starts.append(hint) or pick(K, hint))
+    calls = count_eliminations(monkeypatch)
+    for spec in (RiskSpec.es(0.1), RiskSpec.spectral([(0.05, 0.3), (0.25, 0.7)])):
+        cross_validate(market, spec)
+    assert len(starts) >= 4
+    assert not calls
+
+
+def cross_validate_programs(monkeypatch):
+    """The programs that cross_validate and the classical test solve on
+    priced, high-drift and small random markets under ES, SPECTRAL and WC."""
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(rhoarb.dual, "lp_solve", record)
+    monkeypatch.setattr(rhoarb.frontier, "lp_solve", record)
+    rng = np.random.default_rng(4040)
+    markets = [make_tanh_priced_market(rng, 80, 4), make_tanh_priced_market(rng, 150, 5),
+               make_drift_market(rng, 100, 4, 2.0), make_drift_market(rng, 60, 3, 0.3)]
+    markets += [make_random_market(rng, 12, 3) for _ in range(3)]
+    for market in markets:
+        classical_no_arbitrage(market)
+        for spec in (RiskSpec.es(0.1), RiskSpec.spectral([(0.05, 0.3), (0.25, 0.7)]),
+                     RiskSpec.wc()):
+            cross_validate(market, spec)
+    monkeypatch.undo()
+    return programs
+
+
+def test_certified_head_solves_to_the_bit_as_the_elimination_start(monkeypatch):
+    programs = cross_validate_programs(monkeypatch)
+    assert len(programs) > 30 and all(lp.hint is not None for lp in programs)
+    calls = count_eliminations(monkeypatch)
+    got = [solution_bits(lp_solve(lp)) for lp in programs]
+    certified = len(programs) - len(calls)
+
+    def singular(a):
+        raise np.linalg.LinAlgError("the head test is off")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    calls.clear()
+    want = [solution_bits(lp_solve(lp)) for lp in programs]
+    assert len(calls) == len(programs)
+    assert certified > len(programs) // 2
+    assert got == want
