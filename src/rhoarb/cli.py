@@ -90,6 +90,12 @@ def load_market(path: str, fmt: str | None = None) -> ScenarioMarket:
     except (OSError, KeyError, ValueError, IndexError, TypeError) as exc:
         raise MarketFormatError(f"cannot read market file {path}: {exc}") from exc
 
+    if probs.ndim != 1 or returns.ndim != 2 or returns.shape[1] != probs.size \
+            or returns.shape[0] == 0:
+        raise MarketFormatError(
+            f"market needs one probability per scenario and at least one asset with one "
+            f"return per scenario; got probs of shape {probs.shape} and returns of shape "
+            f"{returns.shape}")
     keep = probs != 0.0
     probs = probs[keep]
     returns = returns[:, keep]
@@ -234,10 +240,18 @@ def _emit_json(data: dict, out: str | None) -> None:
 # -- commands -----------------------------------------------------------------
 
 
+def _tolerance(tol: float) -> float:
+    """tol itself; ValueError on a negative or non-finite band."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {tol!r}")
+    return tol
+
+
 def _cmd_analyze(args) -> int:
+    tol = _tolerance(args.tol)   # before the market is read
     market = load_market(args.market, args.market_format)
     spec = load_risk(args.risk, args.risk_file)
-    report = analyze_market(market, spec, tol=args.tol, market_file=args.market)
+    report = analyze_market(market, spec, tol=tol, market_file=args.market)
     _emit_json(report.to_dict(), args.out)
     return EXIT_CODES.get(report.verdict, 1)
 
@@ -299,13 +313,13 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def _cmd_elliptical(args) -> int:
+    tol = _tolerance(args.tol)
     mu = np.asarray([float(v) for v in args.mu.split(",")])
     sigma = _parse_matrix(args.sigma)
     try:
         market = EllipticalMarket(mean=mu, cov=sigma, riskless_rate=args.r,
                                   rho_z=args.rho_z)
-        verdict, rho1 = classify_trichotomy(market, args.measure, args.alpha,
-                                            tol=args.tol)
+        verdict, rho1 = classify_trichotomy(market, args.measure, args.alpha, tol=tol)
     except ValueError as exc:
         raise MarketFormatError(str(exc)) from exc
     sr, tangency = sr_max(market)

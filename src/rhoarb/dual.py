@@ -241,13 +241,12 @@ class SupnormResult:
 def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
     """t* = min ||Z||_inf over M, or the least box scale of a spectral mixture.
 
-    A spectrum, (level, weight) atoms sorted by level as RiskSpec keeps
-    them, has the dual set of densities Z = w_pin + sum_j w_j zeta_j with
-    E[zeta_j] = 1 and 0 <= zeta_j <= 1/alpha_j: j runs over the atoms below
-    level 1, and w_pin is the weight of the level-1 atoms, whose zeta is 1.
-    (With no atom below level 1, j runs over the level-1 atoms and
-    w_pin = 0.)  Scaling every box by kappa, the program has one block
-    y_j in [0, 1]^N per atom and the scale sigma = E[y_1] of the first:
+    A spectrum of (level, weight) atoms has the dual set of densities
+    Z = w_pin + sum_j w_j zeta_j with E[zeta_j] = 1 and
+    0 <= zeta_j <= 1/alpha_j, over the blocks (alpha_j, w_j) and the
+    weight w_pin of the level-1 atoms that RiskSpec.boxes splits it into.
+    Scaling every box by kappa, the program has one block y_j in [0, 1]^N
+    per block and the scale sigma = E[y_1] of the first:
 
         E[y_j] - (alpha_j / alpha_1) sigma = 0                 (each atom)
         sum_j (w_j alpha_1)/(w_1 alpha_j) E[y_j e] + (w_pin/w_1) sigma E[e] = 0,
@@ -283,10 +282,7 @@ def es_min_supnorm(market: ScenarioMarket, spectrum=None) -> SupnormResult:
     of M_1 and the tails are empty.  The hint moves only the pivot path;
     full pricing and the refactor at the optimum certify t*.
     """
-    atoms = tuple(spectrum or ((1.0, 1.0),))
-    blocks = [(a, w) for a, w in atoms if a < 1.0]
-    w_pin = sum((w for a, w in atoms if a >= 1.0), 0.0) if blocks else 0.0
-    blocks = blocks or list(atoms)
+    blocks, w_pin = RiskSpec.spectral(spectrum or ((1.0, 1.0),)).boxes
     a1, w1 = blocks[0]
     ratio = [a / a1 for a, _ in blocks]
     coef = np.array([(w * a1) / (w1 * a) for a, w in blocks])
@@ -364,8 +360,7 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
     if spec.kind == "WC":
         cert: dict = {}
     elif spec.kind in ("ES", "SPECTRAL"):
-        atoms = spec.spectrum or ((spec.alpha, 1.0),)
-        cert = {"t_star": math.inf, "box_upper": 1.0 / min(a for a, _ in atoms)}
+        cert = {"t_star": math.inf, "box_upper": 1.0 / spec.boxes[0][0][0]}
     else:
         cert = {"v_star": math.inf, "beta": spec.penalty_ball.beta}
     cert.update(lp_iterations=0, newton_iterations=0)
@@ -376,7 +371,7 @@ def classify_dual(market: ScenarioMarket, spec: RiskSpec,
         cl = _decide_classical(market, tol)
         return _verdict(market, cert, cl, tol, witness=cl.witness)
     if spec.kind in ("ES", "SPECTRAL"):
-        return _classify_es(market, atoms, cert, tol)
+        return _classify_es(market, spec, cert, tol)
     return _classify_penalty(market, spec.penalty_ball, cert, tol)
 
 
@@ -425,27 +420,28 @@ def _verdict(market: ScenarioMarket, cert: dict, cl: ClassicalResult | None, tol
     return ArbitrageVerdict(verdict=verdict, route="DUAL", certificate=cert, annotations=ann)
 
 
-def _classify_es(market: ScenarioMarket, atoms, cert: dict, tol: float) -> ArbitrageVerdict:
+def _classify_es(market: ScenarioMarket, spec: RiskSpec, cert: dict,
+                 tol: float) -> ArbitrageVerdict:
     """ES (the spectrum ((alpha, 1),)) or SPECTRAL: no arbitrage iff some
     Z > 0 in M lies strictly inside every box of the mixture.
 
     The strong form is t* (es_min_supnorm) against 1/alpha_1, alpha_1 the
-    lowest level below 1 (1 if there is none), and the classical test runs
+    lowest level of the blocks of spec.boxes, and the classical test runs
     unless t* decides STRONG.  The classical density, put in every box,
     zeta_j = Z_cl, needs the scale ||Z_cl||_inf alpha_J, alpha_J the
-    highest level below 1: that is ||Z_cl||_inf alpha_J / alpha_1 in units
-    of t*.  A level-1 atom keeps Z >= w_pin, so the minimizer has no zero
-    entry, and sigma* = 0 does not mean M is empty.
+    highest level of the blocks: that is ||Z_cl||_inf alpha_J / alpha_1 in
+    units of t*.  Pinned level-1 atoms keep Z >= w_pin > 0, so the
+    minimizer has no zero entry, and sigma* = 0 does not mean M is empty.
     """
-    levels = [a for a, _ in atoms if a < 1.0] or [1.0]
+    blocks, w_pin = spec.boxes
     bound = cert["box_upper"]
-    sup = es_min_supnorm(market, atoms)
+    sup = es_min_supnorm(market, spec.spectrum or blocks)
     cert["lp_iterations"] = sup.iterations
-    empty = sup.status == INFEASIBLE and not atoms[0][0] < 1.0 <= atoms[-1][0]
+    empty = sup.status == INFEASIBLE and not w_pin
     # The sup-norm optimum lies in M, so no portfolio proves M empty here.
     cl = _decide_classical(market, tol) if sup.t <= bound + ZERO_TOL else None
     return _verdict(market, cert, cl, tol, sup.t, bound, sup.witness, {"t_star": sup.t},
-                    lambda z: float(np.abs(z).max()) * (levels[-1] / levels[0]),
+                    lambda z: float(np.abs(z).max()) * (blocks[-1][0] / blocks[0][0]),
                     ("M_EMPTY",) if empty else ())
 
 

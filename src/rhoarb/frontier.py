@@ -11,15 +11,17 @@ rho_nu = nu rho_1 for nu > 0.  The sign of rho_1 decides everything:
 
 ES, SPECTRAL and WC solve the slice minimum in its dual form: one LP over
 the measure's box-bounded densities with J + d equality rows (J mixture
-atoms, d assets), whose asset-row multipliers are the minimizing
-portfolio.  EVAR and TNORM minimize a ratio bound over the multipliers
-of their penalty dual (relative entropy, or E[Z^q / q] for TNORM): every
-value of the ratio bounds the risk of a portfolio from above, and its
-infimum is rho_1.  One damped Newton run finds it.  The WC slice minimum,
-the largest shift t for which a martingale density prices the shifted
-excess e + t (mu - r), guards that run lazily: its LP is solved only when
-the first run does not converge.  VaR is not
-positively-homogeneous-convex and has no global minimizer route here.
+atoms below level 1, d assets), whose asset-row multipliers are the
+minimizing portfolio; a level-1 atom, whose only density is 1, is the
+mean term of the asset rows (RiskSpec.boxes).  EVAR and TNORM minimize a
+ratio bound over the multipliers of their penalty dual (relative entropy,
+or E[Z^q / q] for TNORM): every value of the ratio bounds the risk of a
+portfolio from above, and its infimum is rho_1.  One damped Newton run
+finds it.  The WC slice minimum, the largest shift t for which a
+martingale density prices the shifted excess e + t (mu - r), guards that
+run lazily: its LP is solved only when the first run does not converge.
+VaR is not positively-homogeneous-convex and has no global minimizer
+route here.
 """
 
 from __future__ import annotations
@@ -112,14 +114,17 @@ class ArbitrageVerdict:
 def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, int]:
     """Dual form of the ES/SPECTRAL/WC slice minimum; returns (lp, J).
 
-    With a = mu - r and D_j = {zeta : 0 <= zeta <= 1/alpha_j, E[zeta] = 1},
-    rho(X) = sum_j w_j max over D_j of E[-zeta_j X].  The D_j are compact,
-    so the minimax theorem gives
+    With a = mu - r, the blocks (alpha_j, w_j) and the weight w_pin of the
+    level-1 atoms of spec.boxes, and D_j = {zeta : 0 <= zeta <= 1/alpha_j,
+    E[zeta] = 1}, rho(X) = w_pin E[-X] + sum_j w_j max over D_j of
+    E[-zeta_j X].  The D_j are compact, so the minimax theorem gives
 
-        rho_1 = max{-c : zeta_j in D_j, sum_j w_j E[zeta_j (R - r)] = c a}.
+        rho_1 = max{-c : zeta_j in D_j,
+                    sum_j w_j E[zeta_j (R - r)] + w_pin a = c a}.
 
     Variables (zeta_1, ..., zeta_J, c), minimize c.  Rows 0..J-1 are
-    E[zeta_j] = 1, rows J..J+d-1 the assets.  Stationarity in the free c
+    E[zeta_j] = 1, one per block; rows J..J+d-1 are the assets, with
+    right-hand side -w_pin a (+0, not -0, when w_pin = 0).  Stationarity in the free c
     gives a . y_assets = -1, so minus the asset-row multipliers is a
     portfolio on Pi_1, and LP duality makes it a minimizer.  zeta = 1 is
     feasible with c = 1 and the D_j are bounded, so the program always has
@@ -138,30 +143,27 @@ def _slice_lp(market: ScenarioMarket, spec: RiskSpec) -> tuple[LinearProgram, in
     tangency portfolio's excess return (ScenarioMarket.tail_hint).  The
     hint moves only the pivot path; full pricing certifies the optimum.
     """
-    if spec.kind == "WC":
-        atoms = ((0.0, 1.0),)
-    elif spec.kind == "ES":
-        atoms = ((spec.alpha, 1.0),)
-    else:
-        atoms = spec.spectrum
+    blocks, w_pin = spec.boxes
     d, N = market.n_assets, market.n_scenarios
-    J = len(atoms)
+    J = len(blocks)
     poly = market.polytope
     p, weighted = poly.A[0], poly.A[1:]  # weighted @ v = E[v (R - r)]
     A_eq = np.zeros((J + d, J * N + 1))
     upper = np.full(J * N + 1, np.inf)
-    for j, (alpha, w) in enumerate(atoms):
+    for j, (alpha, w) in enumerate(blocks):
         block = slice(j * N, (j + 1) * N)
         A_eq[j, block] = p
         A_eq[J:, block] = w * weighted
         upper[block] = 1.0 / alpha if alpha > 0.0 else 1.0 / p
     A_eq[J:, -1] = -market.mean_excess
     b_eq = np.concatenate([np.ones(J), np.zeros(d)])
+    if w_pin:
+        b_eq[J:] = -w_pin * market.mean_excess
     lower = np.zeros(J * N + 1)
     lower[-1] = -np.inf
     c = np.zeros(J * N + 1)
     c[-1] = 1.0
-    hint = np.concatenate(([J * N], market.tail_hint([alpha for alpha, _ in atoms])))
+    hint = np.concatenate(([J * N], market.tail_hint([alpha for alpha, _ in blocks])))
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, lower=lower, upper=upper,
                          hint=hint), J
 

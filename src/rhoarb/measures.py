@@ -13,7 +13,10 @@ kinds:
     TNORM     truncated-norm measure min_s ||(s - x)+||_p / alpha - s
     GENTROPIC g-entropic family, dual-side only (penalty E[g(Z)] <= beta)
 
-A level-1 spectral atom is ES^1 = E[-x].  ES and SPECTRAL read one
+A level-1 spectral atom is ES^1 = E[-x]; its dual set is the single
+density 1, so RiskSpec.boxes splits the dual set of WC, ES and SPECTRAL
+into boxed density blocks and the weight of the level-1 atoms, for the
+slice LP and the box-scale LP.  ES and SPECTRAL read one
 worst-first sort of the payoff per evaluation (_worst_first), whatever the
 number of spectral atoms; tied scenarios carry equal losses, so the order
 in which the sort leaves them does not change a value beyond rounding.
@@ -179,6 +182,29 @@ class RiskSpec:
             return self
         raise ValueError(f"{self.kind} has no penalty-ball dual set")
 
+    @cached_property
+    def boxes(self) -> tuple[tuple[tuple[float, float], ...], float]:
+        """(blocks, w_pin): the box split of a WC, ES or SPECTRAL dual set.
+
+        The dual set is the densities w_pin + sum_j w_j zeta_j with
+        E[zeta_j] = 1 and 0 <= zeta_j <= 1/alpha_j over the blocks
+        (alpha_j, w_j), sorted by level.  Level 0 is WC's block, capped only
+        by the 1/p_omega that E[zeta] = 1 implies.  A level-1 atom is
+        ES^1 = E[-x], whose only density is 1: w_pin is the weight of the
+        level-1 atoms, unless no atom lies below level 1; then they are the
+        blocks and w_pin = 0.  Every other kind raises ValueError.
+        """
+        if self.kind == "WC":
+            return ((0.0, 1.0),), 0.0
+        if self.kind == "ES":
+            return ((self.alpha, 1.0),), 0.0
+        if self.kind != "SPECTRAL":
+            raise ValueError(f"{self.kind} has no box dual set")
+        blocks = tuple(atom for atom in self.spectrum if atom[0] < 1.0)
+        if not blocks:
+            return self.spectrum, 0.0
+        return blocks, sum((w for _, w in self.spectrum[len(blocks):]), 0.0)
+
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -199,6 +225,8 @@ class RiskSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RiskSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a risk spec is a JSON object, got {type(data).__name__}")
         kind = data.get("kind")
         if kind == "WC":
             return cls.wc()

@@ -600,6 +600,35 @@ def build_ru_lp(market, alpha, nu: float) -> LinearProgram:
     return LinearProgram(c=c, A_eq=A_eq, b_eq=b_eq, A_le=A_le, b_le=b_le, lower=lower)
 
 
+def pinned_slice_lp(market, atoms) -> LinearProgram:
+    """The dual slice LP of a spectrum with one density block per atom.
+
+    Variables (zeta_1, ..., zeta_J, c), minimize c; row j is E[zeta_j] = 1,
+    and the asset rows sum_j w_j E[zeta_j (R - r)] - c (mu - r) = 0.  A
+    level-1 atom's block is pinned at 1 by its bounds and its own row.
+    compute_rho1 folds such an atom into the asset rows' right-hand side
+    (frontier._slice_lp); this form keeps it, with the same tail-ordered
+    basis hint, as the formulation to check the fold by.
+    """
+    d, N = market.n_assets, market.n_scenarios
+    J = len(atoms)
+    p, weighted = market.polytope.A[0], market.polytope.A[1:]
+    A_eq = np.zeros((J + d, J * N + 1))
+    upper = np.full(J * N + 1, np.inf)
+    for j, (alpha, w) in enumerate(atoms):
+        block = slice(j * N, (j + 1) * N)
+        A_eq[j, block] = p
+        A_eq[J:, block] = w * weighted
+        upper[block] = 1.0 / alpha
+    A_eq[J:, -1] = -market.mean_excess
+    lower = np.zeros(J * N + 1)
+    lower[-1] = -np.inf
+    hint = np.concatenate(([J * N], market.tail_hint([alpha for alpha, _ in atoms])))
+    return LinearProgram(c=np.r_[np.zeros(J * N), 1.0], A_eq=A_eq,
+                         b_eq=np.r_[np.ones(J), np.zeros(d)], lower=lower, upper=upper,
+                         hint=hint)
+
+
 class BadOracleError(RuntimeError):
     """BAD_ORACLE: an oracle's value disagrees with its own cut at the query."""
 

@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import rhoarb
 import rhoarb.cli
 import rhoarb.dual
 import rhoarb.lp
@@ -505,6 +510,113 @@ def test_validate_non_finite_market(tmp_path, capsys):
     assert code == 1
     assert data["valid"] is False
     assert any(v.startswith("FINITE") for v in data["violations"])
+
+
+# -- malformed input ------------------------------------------------------------
+
+MALFORMED_MARKETS = {
+    "no_assets.json": '{"riskless_rate": 0, "probs": [0.5, 0.5], "assets": []}',
+    "long_returns.json": ('{"riskless_rate": 0, "probs": [0.5, 0.5], '
+                          '"assets": [{"returns": [0.1, -0.1, 0.2]}]}'),
+    "probs_2d.json": ('{"riskless_rate": 0, "probs": [[0.5, 0.5]], '
+                      '"assets": [{"returns": [0.1, -0.1]}]}'),
+    "prob_only.csv": "prob\n0.5\n0.5\n",
+}
+ES_HALF = '{"kind": "ES", "alpha": 0.5}'
+
+
+def _malformed(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(MALFORMED_MARKETS[name])
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MARKETS))
+def test_market_of_the_wrong_shape_is_a_format_error(tmp_path, capsys, name):
+    # No asset, a return row longer than probs, 2-D probs, or a CSV with
+    # only the prob column: validate reports it, and analyze exits 1 with
+    # one error line.
+    path = _malformed(tmp_path, name)
+    with pytest.raises(MarketFormatError, match="one probability per scenario"):
+        load_market(path)
+    code = main(["validate", "--market", path])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert data["valid"] is False and len(data["violations"]) == 1
+    code = main(["analyze", "--market", path, "--risk", ES_HALF])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: market needs one probability per scenario")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("risk", ["[1]", '"ES"', "3"])
+def test_risk_spec_that_is_not_an_object_is_an_error(duo_file, capsys, risk):
+    with pytest.raises(ValueError, match="a risk spec is a JSON object"):
+        RiskSpec.from_json_dict(json.loads(risk))
+    code = main(["analyze", "--market", duo_file, "--risk", risk])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: cannot parse risk spec: a risk spec is a JSON object")
+
+
+@pytest.mark.parametrize("tol, bad", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--market", "market.json", "--risk", ES_HALF],
+    ["elliptical", "--mu", "0.2", "--sigma", "0.04"]], ids=["analyze", "elliptical"])
+def test_tol_must_be_finite_and_non_negative(monkeypatch, capsys, command, tol, bad):
+    # A NaN band turns a strong verdict into a disagreement and an infinite
+    # one marks every verdict BOUNDARY; analyze rejects either before it
+    # reads the market.
+    def unread(*args, **kwargs):
+        raise AssertionError("the market was read before --tol was checked")
+
+    monkeypatch.setattr(rhoarb.cli, "load_market", unread)
+    code = main(command + [f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: --tol must be finite and >= 0, got {bad}\n"
+
+
+def test_tol_zero_is_a_valid_band(tmp_path, capsys):
+    path = tmp_path / "strong.json"
+    path.write_text('{"riskless_rate": 0, "probs": [0.25, 0.25, 0.25, 0.25], '
+                    '"assets": [{"returns": [0.3, 0.2, 0.25, -0.01]}]}')
+    for tol in ([], ["--tol", "0"]):
+        code = main(["analyze", "--market", str(path), "--risk", ES_HALF] + tol)
+        data = json.loads(capsys.readouterr().out)
+        assert code == 3 and data["verdict"] == "STRONG_RHO_ARBITRAGE"
+
+
+SUBPROCESS_CASES = (
+    [pytest.param("analyze", name, ES_HALF, None, id=name) for name in sorted(MALFORMED_MARKETS)]
+    + [pytest.param("analyze", None, risk, None, id=f"risk={risk}") for risk in ("[1]", '"ES"')]
+    + [pytest.param(command, None, ES_HALF, tol, id=f"{command}-tol={tol}")
+       for command in ("analyze", "elliptical") for tol in ("nan", "inf", "-1")])
+
+
+@pytest.mark.parametrize("command, market, risk, tol", SUBPROCESS_CASES)
+def test_python_m_rhoarb_ends_malformed_input_with_one_error_line(tmp_path, duo_file, command,
+                                                                  market, risk, tol):
+    # The installed entry point, python -m rhoarb, in its own process: exit
+    # 1, one error line on stderr, and no traceback.
+    if command == "elliptical":
+        argv = ["elliptical", "--mu", "0.2", "--sigma", "0.04"]
+    else:
+        path = _malformed(tmp_path, market) if market else duo_file
+        argv = ["analyze", "--market", path, "--risk", risk]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    src = str(Path(rhoarb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "rhoarb"] + argv, capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # -- report and protocol -------------------------------------------------------

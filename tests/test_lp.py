@@ -477,10 +477,12 @@ def test_dual_run_matches_the_primal_run_and_is_scale_free(monkeypatch):
 
 
 def test_dual_run_fixes_a_row_with_zero_slack(monkeypatch):
-    # A level-1 atom's block of the slice LP is fixed by its bounds
+    # A level-1 atom's block of the pinned slice LP is fixed by its bounds
     # (E[zeta] = 1 under zeta <= 1).  The long step that fixes its row
     # leaves a slope of rounding size, which must count as zero, not as a
     # row no column can fix: that would hand the LP to the primal run.
+    # compute_rho1 folds the atom into the asset rows instead, so the
+    # pinned program is built here.
     statuses = []
     dual_run = lp_module._Tableau.dual_run
 
@@ -490,7 +492,7 @@ def test_dual_run_fixes_a_row_with_zero_slack(monkeypatch):
 
     monkeypatch.setattr(lp_module._Tableau, "dual_run", spy)
     market = make_tanh_priced_market(np.random.default_rng(1003), 150, 5)
-    lp, _ = _slice_lp(market, RiskSpec.spectral(((0.1, 0.4), (0.5, 0.3), (1.0, 0.3))))
+    lp = oracles.pinned_slice_lp(market, ((0.1, 0.4), (0.5, 0.3), (1.0, 0.3)))
     got = lp_solve(lp)
     assert statuses == ["OPTIMAL"]
     ref = lp_solve(LinearProgram(c=lp.c, A_eq=lp.A_eq, b_eq=lp.b_eq, lower=lp.lower,

@@ -460,6 +460,21 @@ def test_spectral_descriptor_atoms():
         spec.penalty_ball
 
 
+def test_box_split_pins_level_one_atoms_only_beside_lower_ones():
+    # (blocks, w_pin): WC's one block at level 0, ES's at alpha; a spectrum
+    # keeps its atoms below level 1 as blocks and pins the weight of its
+    # level-1 atoms, unless it has no other atom.
+    assert RiskSpec.wc().boxes == (((0.0, 1.0),), 0.0)
+    assert RiskSpec.es(0.1).boxes == (((0.1, 1.0),), 0.0)
+    spec = RiskSpec.spectral([(1.0, 0.25), (0.05, 0.3), (0.25, 0.3), (1.0, 0.15)])
+    assert spec.boxes == (((0.05, 0.3), (0.25, 0.3)), 0.4)
+    assert RiskSpec.spectral([(0.25, 0.5), (0.75, 0.5)]).boxes == (((0.25, 0.5), (0.75, 0.5)), 0.0)
+    assert RiskSpec.spectral([(1.0, 0.5), (1.0, 0.5)]).boxes == (((1.0, 0.5), (1.0, 0.5)), 0.0)
+    for spec in (RiskSpec.var(0.1), RiskSpec.evar(0.1), RiskSpec.power(2.0, 3.0)):
+        with pytest.raises(ValueError, match="no box dual set"):
+            spec.boxes
+
+
 def test_var_has_no_dual_descriptor():
     spec = RiskSpec.var(0.1)
     with pytest.raises(UnsupportedDualError):
